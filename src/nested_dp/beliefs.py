@@ -25,11 +25,13 @@ structurally equal and usable as memoization keys.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .errors import DomainGap, ZeroProbabilityObservation
-from .info import InfoStructure, InitialContext, StepContext
+from .info import InfoStructure, step_plan
 from .model import TeamModel, format_ratio, parse_ratio
 
 __all__ = [
@@ -279,6 +281,36 @@ class Prescription:
 
 
 # ---------------------------------------------------------------------------
+# The Bayes-branch kernel shared by every one-step update: accumulate the
+# joint weight of each (observed key, support point), then normalize per key.
+# ---------------------------------------------------------------------------
+
+
+def _joint() -> defaultdict:
+    """Accumulator for `{observed key: {support point: joint weight}}`."""
+    return defaultdict(lambda: defaultdict(Fraction))
+
+
+def _branches(acc: dict, make) -> dict:
+    """Turn `{key: {support: weight}}` into the sorted `{key: (total,
+    make(normalized weights))}`: each key's Bayes denominator and posterior."""
+    out = {}
+    for key in sorted(acc):
+        weights = acc[key]
+        total = sum(weights.values())
+        out[key] = (total, make({k: w / total for k, w in weights.items()}))
+    return out
+
+
+def _condition(branches: dict, key, message: str, *args):
+    """The posterior of one branch; an absent branch had probability 0 and
+    raises ZeroProbabilityObservation with `message.format(key, *args)`."""
+    if key not in branches:
+        raise ZeroProbabilityObservation(message.format(key, *args))
+    return branches[key][1]
+
+
+# ---------------------------------------------------------------------------
 # Agent-1 belief: initialization and one-step update.
 # ---------------------------------------------------------------------------
 
@@ -288,33 +320,23 @@ def initial_belief1_roots(
 ) -> dict[tuple[int, ...], tuple[Fraction, Belief1]]:
     """All positive-probability realizations of agent 1's time-0 new
     information, with their probabilities and conditional beliefs."""
-    acc: dict[tuple[int, ...], dict[tuple[int, PrivateReal], Fraction]] = {}
-    z1_vars = info.z1[0]
-    l2_vars = info.l2[0]
+    plan = step_plan(info, -1)
+    z1_of = plan.picker(info.z1[0])
+    ell_of = plan.picker(info.l2[0])
+    acc = _joint()
     for x0, px in model.x0_dist.items():
         for v1, pv1 in model.v_dist(1, 0).items():
             y1 = model.h(1, 0, x0, v1)
             for v2, pv2 in model.v_dist(2, 0).items():
-                y2 = model.h(2, 0, x0, v2)
-                ctx = InitialContext(y1, y2)
-                z1 = ctx.tuple_for(z1_vars)
-                ell = ctx.tuple_for(l2_vars)
-                bucket = acc.setdefault(z1, {})
-                key = (x0, ell)
-                bucket[key] = bucket.get(key, Fraction(0)) + px * pv1 * pv2
-    out = {}
-    for z1 in sorted(acc):
-        weights = acc[z1]
-        total = sum(weights.values())
-        out[z1] = (total, Belief1.from_weights(0, {k: w / total for k, w in weights.items()}))
-    return out
+                slots = (y1, model.h(2, 0, x0, v2))
+                acc[z1_of(slots)][(x0, ell_of(slots))] += px * pv1 * pv2
+    return _branches(acc, partial(Belief1.from_weights, 0))
 
 
 def initial_belief1(model: TeamModel, info: InfoStructure, z1_0: tuple[int, ...]) -> Belief1:
-    roots = initial_belief1_roots(model, info)
-    if z1_0 not in roots:
-        raise ZeroProbabilityObservation(f"initial realization {z1_0} has probability 0")
-    return roots[z1_0][1]
+    return _condition(
+        initial_belief1_roots(model, info), z1_0, "initial realization {} has probability 0"
+    )
 
 
 def belief1_step(
@@ -333,9 +355,10 @@ def belief1_step(
     t = b1.t
     if t >= model.horizon:
         raise ValueError(f"no transition out of the final time {t}")
-    z1_vars = info.z1[t + 1]
-    l2_next_vars = info.l2[t + 1]
-    acc: dict[tuple[int, ...], dict[tuple[int, PrivateReal], Fraction]] = {}
+    plan = step_plan(info, t)
+    z1_of = plan.picker(info.z1[t + 1])
+    ell_next_of = plan.picker(info.l2[t + 1])
+    acc = _joint()
     for (x, ell), p in b1.items():
         u2 = gamma2(ell)
         for w, pw in model.w_dist(t).items():
@@ -343,19 +366,9 @@ def belief1_step(
             for v1, pv1 in model.v_dist(1, t + 1).items():
                 y1_next = model.h(1, t + 1, x_next, v1)
                 for v2, pv2 in model.v_dist(2, t + 1).items():
-                    y2_next = model.h(2, t + 1, x_next, v2)
-                    ctx = StepContext(info, t, ell, y1_next, y2_next, u1, u2)
-                    z1 = ctx.tuple_for(z1_vars)
-                    ell_next = ctx.tuple_for(l2_next_vars)
-                    bucket = acc.setdefault(z1, {})
-                    key = (x_next, ell_next)
-                    bucket[key] = bucket.get(key, Fraction(0)) + p * pw * pv1 * pv2
-    out = {}
-    for z1 in sorted(acc):
-        weights = acc[z1]
-        total = sum(weights.values())
-        out[z1] = (total, Belief1.from_weights(t + 1, {k: w / total for k, w in weights.items()}))
-    return out
+                    slots = ell + (y1_next, model.h(2, t + 1, x_next, v2), u1, u2)
+                    acc[z1_of(slots)][(x_next, ell_next_of(slots))] += p * pw * pv1 * pv2
+    return _branches(acc, partial(Belief1.from_weights, t + 1))
 
 
 def update_belief1(
@@ -367,12 +380,12 @@ def update_belief1(
     z1: tuple[int, ...],
 ) -> Belief1:
     """Condition the one-step prediction on the realized new information."""
-    branches = belief1_step(model, info, b1, u1, gamma2)
-    if z1 not in branches:
-        raise ZeroProbabilityObservation(
-            f"new information {z1} impossible at t={b1.t} under the given belief and actions"
-        )
-    return branches[z1][1]
+    return _condition(
+        belief1_step(model, info, b1, u1, gamma2),
+        z1,
+        "new information {} impossible at t={} under the given belief and actions",
+        b1.t,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -387,35 +400,25 @@ def initial_belief2_roots(
     beliefs.  The inner Belief1 of each support triple is the agent-1 belief
     for the new information consistent with that draw."""
     b1_roots = initial_belief1_roots(model, info)
-    a2_vars = info.a2[0]
-    l2_vars = info.l2[0]
-    z1_vars = info.z1[0]
-    acc: dict[tuple[int, ...], dict[tuple[int, PrivateReal, Belief1], Fraction]] = {}
+    plan = step_plan(info, -1)
+    a2_of = plan.picker(info.a2[0])
+    ell_of = plan.picker(info.l2[0])
+    z1_of = plan.picker(info.z1[0])
+    acc = _joint()
     for x0, px in model.x0_dist.items():
         for v1, pv1 in model.v_dist(1, 0).items():
             y1 = model.h(1, 0, x0, v1)
             for v2, pv2 in model.v_dist(2, 0).items():
-                y2 = model.h(2, 0, x0, v2)
-                ctx = InitialContext(y1, y2)
-                a2 = ctx.tuple_for(a2_vars)
-                ell = ctx.tuple_for(l2_vars)
-                b1 = b1_roots[ctx.tuple_for(z1_vars)][1]
-                bucket = acc.setdefault(a2, {})
-                key = (x0, ell, b1)
-                bucket[key] = bucket.get(key, Fraction(0)) + px * pv1 * pv2
-    out = {}
-    for a2 in sorted(acc):
-        weights = acc[a2]
-        total = sum(weights.values())
-        out[a2] = (total, Belief2.from_weights(0, {k: w / total for k, w in weights.items()}))
-    return out
+                slots = (y1, model.h(2, 0, x0, v2))
+                b1 = b1_roots[z1_of(slots)][1]
+                acc[a2_of(slots)][(x0, ell_of(slots), b1)] += px * pv1 * pv2
+    return _branches(acc, partial(Belief2.from_weights, 0))
 
 
 def initial_belief2(model: TeamModel, info: InfoStructure, a2_0: tuple[int, ...]) -> Belief2:
-    roots = initial_belief2_roots(model, info)
-    if a2_0 not in roots:
-        raise ZeroProbabilityObservation(f"accessible realization {a2_0} has probability 0")
-    return roots[a2_0][1]
+    return _condition(
+        initial_belief2_roots(model, info), a2_0, "accessible realization {} has probability 0"
+    )
 
 
 def belief2_step(
@@ -435,10 +438,11 @@ def belief2_step(
     t = b2.t
     if t >= model.horizon:
         raise ValueError(f"no transition out of the final time {t}")
-    z2_vars = info.z2[t + 1]
-    l2_next_vars = info.l2[t + 1]
-    z1_vars = info.z1[t + 1]
-    acc: dict[tuple[int, ...], dict[tuple[int, PrivateReal, Belief1], Fraction]] = {}
+    plan = step_plan(info, t)
+    z2_of = plan.picker(info.z2[t + 1])
+    z1_of = plan.picker(info.z1[t + 1])
+    ell_next_of = plan.picker(info.l2[t + 1])
+    acc = _joint()
     inner_cache: dict[tuple[Belief1, int, tuple[int, ...]], Belief1] = {}
     for (x, ell, b1), p in b2.items():
         u1 = gamma1(b1)
@@ -448,25 +452,16 @@ def belief2_step(
             for v1, pv1 in model.v_dist(1, t + 1).items():
                 y1_next = model.h(1, t + 1, x_next, v1)
                 for v2, pv2 in model.v_dist(2, t + 1).items():
-                    y2_next = model.h(2, t + 1, x_next, v2)
-                    ctx = StepContext(info, t, ell, y1_next, y2_next, u1, u2)
-                    z2 = ctx.tuple_for(z2_vars)
-                    z1 = ctx.tuple_for(z1_vars)
-                    ell_next = ctx.tuple_for(l2_next_vars)
+                    slots = ell + (y1_next, model.h(2, t + 1, x_next, v2), u1, u2)
+                    z1 = z1_of(slots)
                     cache_key = (b1, u1, z1)
                     b1_next = inner_cache.get(cache_key)
                     if b1_next is None:
                         b1_next = update_belief1(model, info, b1, u1, gamma2, z1)
                         inner_cache[cache_key] = b1_next
-                    bucket = acc.setdefault(z2, {})
-                    key = (x_next, ell_next, b1_next)
-                    bucket[key] = bucket.get(key, Fraction(0)) + p * pw * pv1 * pv2
-    out = {}
-    for z2 in sorted(acc):
-        weights = acc[z2]
-        total = sum(weights.values())
-        out[z2] = (total, Belief2.from_weights(t + 1, {k: w / total for k, w in weights.items()}))
-    return out
+                    key = (x_next, ell_next_of(slots), b1_next)
+                    acc[z2_of(slots)][key] += p * pw * pv1 * pv2
+    return _branches(acc, partial(Belief2.from_weights, t + 1))
 
 
 def update_belief2(
@@ -477,12 +472,12 @@ def update_belief2(
     gamma2: Prescription,
     z2: tuple[int, ...],
 ) -> Belief2:
-    branches = belief2_step(model, info, b2, gamma1, gamma2)
-    if z2 not in branches:
-        raise ZeroProbabilityObservation(
-            f"shared increment {z2} impossible at t={b2.t} under the given belief and prescriptions"
-        )
-    return branches[z2][1]
+    return _condition(
+        belief2_step(model, info, b2, gamma1, gamma2),
+        z2,
+        "shared increment {} impossible at t={} under the given belief and prescriptions",
+        b2.t,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -18,19 +18,31 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
-from .beliefs import MarginalBelief, Prescription
+from .beliefs import MarginalBelief, Prescription, _branches, _condition, _joint
 from .errors import (
     MissingKey,
     PerfectObsViolation,
     ResourceLimitExceeded,
     ZeroProbabilityObservation,
 )
-from .info import InfoStructure, InitialContext, StepContext, merge_realization
+from .info import InfoStructure, extend_a2, merge_realization, step_plan
 from .limits import resolve_budget
-from .model import Dist, FiniteSpace, TeamModel, format_ratio, parse_ratio
+from .model import (
+    Dist,
+    FiniteSpace,
+    TeamModel,
+    _cost_from_json,
+    _cost_to_json,
+    _deep_list,
+    _deep_tuple,
+    _dist_from_json,
+    _dist_to_json,
+    _space_from_json,
+    _space_to_json,
+)
 from .oracle import JointTable, condition, trajectory
-from .solver import extend_a2
 
 __all__ = [
     "DecoupledModel",
@@ -185,20 +197,11 @@ def embed(dec: DecoupledModel) -> TeamModel:
 
 def initial_theta1_roots(dec: DecoupledModel) -> dict[int, tuple[Fraction, MarginalBelief]]:
     """Agent 1's time-0 observation values -> (probability, own-state filter)."""
-    acc: dict[int, dict[int, Fraction]] = {}
+    acc = _joint()
     for x1, px in dec.x1_dist.items():
         for v1, pv in dec.v1_dists[0].items():
-            y1 = dec.obs1[0][x1][v1]
-            bucket = acc.setdefault(y1, {})
-            bucket[x1] = bucket.get(x1, Fraction(0)) + px * pv
-    out = {}
-    for y1 in sorted(acc):
-        total = sum(acc[y1].values())
-        out[y1] = (
-            total,
-            MarginalBelief.from_weights(1, 0, {k: w / total for k, w in acc[y1].items()}),
-        )
-    return out
+            acc[dec.obs1[0][x1][v1]][x1] += px * pv
+    return _branches(acc, partial(MarginalBelief.from_weights, 1, 0))
 
 
 def initial_theta2_roots(
@@ -206,26 +209,17 @@ def initial_theta2_roots(
 ) -> dict[tuple[int, ...], tuple[Fraction, MarginalBelief]]:
     """Time-0 accessible realizations -> (probability, filter over agent 2's
     (state, private values))."""
-    acc: dict[tuple[int, ...], dict] = {}
+    plan = step_plan(info, -1)
+    a2_of = plan.picker(info.a2[0])
+    ell_of = plan.picker(info.l2[0])
+    acc = _joint()
     for x2, px in dec.x2_dist.items():
         for v2, pv in dec.v2_dists[0].items():
-            y2 = dec.obs2[0][x2][v2]
             # agent-2 compositions never reference agent-1 data, so the
-            # sentinel first argument is never read
-            ctx = InitialContext(-1, y2)
-            a2 = ctx.tuple_for(info.a2[0])
-            ell = ctx.tuple_for(info.l2[0])
-            bucket = acc.setdefault(a2, {})
-            key = (x2, ell)
-            bucket[key] = bucket.get(key, Fraction(0)) + px * pv
-    out = {}
-    for a2 in sorted(acc):
-        total = sum(acc[a2].values())
-        out[a2] = (
-            total,
-            MarginalBelief.from_weights(2, 0, {k: w / total for k, w in acc[a2].items()}),
-        )
-    return out
+            # sentinel y1 slot is never read
+            slots = (-1, dec.obs2[0][x2][v2])
+            acc[a2_of(slots)][(x2, ell_of(slots))] += px * pv
+    return _branches(acc, partial(MarginalBelief.from_weights, 2, 0))
 
 
 def theta1_step(
@@ -234,22 +228,13 @@ def theta1_step(
     """Predict through agent 1's own chain, then condition on each possible
     next observation: y1' -> (branch probability, posterior)."""
     t = theta.t
-    acc: dict[int, dict[int, Fraction]] = {}
+    acc = _joint()
     for x1, p in theta.items():
         for w1, pw in dec.w1_dists[t].items():
             x1n = dec.f1[t][x1][u1][w1]
             for v1, pv in dec.v1_dists[t + 1].items():
-                y1 = dec.obs1[t + 1][x1n][v1]
-                bucket = acc.setdefault(y1, {})
-                bucket[x1n] = bucket.get(x1n, Fraction(0)) + p * pw * pv
-    out = {}
-    for y1 in sorted(acc):
-        total = sum(acc[y1].values())
-        out[y1] = (
-            total,
-            MarginalBelief.from_weights(1, t + 1, {k: w / total for k, w in acc[y1].items()}),
-        )
-    return out
+                acc[dec.obs1[t + 1][x1n][v1]][x1n] += p * pw * pv
+    return _branches(acc, partial(MarginalBelief.from_weights, 1, t + 1))
 
 
 def theta2_step(
@@ -258,27 +243,18 @@ def theta2_step(
     """Advance the shared filter on agent 2's chain one step under a
     prescription, branching on the newly shared values."""
     t = theta.t
-    acc: dict[tuple[int, ...], dict] = {}
+    plan = step_plan(info, t)
+    z2_of = plan.picker(info.z2[t + 1])
+    ell_next_of = plan.picker(info.l2[t + 1])
+    acc = _joint()
     for (x2, ell), p in theta.items():
         u2 = gamma2(ell)
         for w2, pw in dec.w2_dists[t].items():
             x2n = dec.f2[t][x2][u2][w2]
             for v2, pv in dec.v2_dists[t + 1].items():
-                y2n = dec.obs2[t + 1][x2n][v2]
-                ctx = StepContext(info, t, ell, -1, y2n, -1, u2)
-                z2 = ctx.tuple_for(info.z2[t + 1])
-                ell_next = ctx.tuple_for(info.l2[t + 1])
-                bucket = acc.setdefault(z2, {})
-                key = (x2n, ell_next)
-                bucket[key] = bucket.get(key, Fraction(0)) + p * pw * pv
-    out = {}
-    for z2 in sorted(acc):
-        total = sum(acc[z2].values())
-        out[z2] = (
-            total,
-            MarginalBelief.from_weights(2, t + 1, {k: w / total for k, w in acc[z2].items()}),
-        )
-    return out
+                slots = ell + (-1, dec.obs2[t + 1][x2n][v2], -1, u2)
+                acc[z2_of(slots)][(x2n, ell_next_of(slots))] += p * pw * pv
+    return _branches(acc, partial(MarginalBelief.from_weights, 2, t + 1))
 
 
 def update_theta(
@@ -295,19 +271,19 @@ def update_theta(
     """
     if agent == 1:
         u1, y1_next = driver
-        branches = theta1_step(dec, theta, u1)
-        if y1_next not in branches:
-            raise ZeroProbabilityObservation(
-                f"observation {y1_next} impossible at t={theta.t} under the filter"
-            )
-        return branches[y1_next][1]
-    gamma2, z2real = driver
-    branches = theta2_step(dec, info, theta, gamma2)
-    if z2real not in branches:
-        raise ZeroProbabilityObservation(
-            f"shared increment {z2real} impossible at t={theta.t} under the filter"
+        return _condition(
+            theta1_step(dec, theta, u1),
+            y1_next,
+            "observation {} impossible at t={} under the filter",
+            theta.t,
         )
-    return branches[z2real][1]
+    gamma2, z2real = driver
+    return _condition(
+        theta2_step(dec, info, theta, gamma2),
+        z2real,
+        "shared increment {} impossible at t={} under the filter",
+        theta.t,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -528,58 +504,36 @@ def solve_decoupled_pbp(
 # JSON form.
 # ---------------------------------------------------------------------------
 
-_D_SPACE_KEYS = ("X1", "X2", "U1", "U2", "W1", "W2", "V1", "V2", "Y1", "Y2")
-
-
 def decoupled_to_json(dec: DecoupledModel) -> dict:
-    def dump_spaces(spaces):
-        first = spaces[0]
-        doc = {"label": first.label, "size": first.size}
-        if first.element_labels is not None:
-            doc["labels"] = list(first.element_labels)
-        return doc
-
-    def deep(node):
-        if isinstance(node, tuple):
-            return [deep(x) for x in node]
-        return node
-
+    # each space is stored once, as in model files; the cost table has one
+    # more state axis than a TeamModel's, so it is written stage by stage
     return {
         "kind": "decoupled",
         "horizon": dec.horizon,
         "spaces": {
-            "X1": dump_spaces(dec.states1),
-            "X2": dump_spaces(dec.states2),
-            "U1": dump_spaces(dec.actions1),
-            "U2": dump_spaces(dec.actions2),
-            "W1": dump_spaces(dec.disturbances1),
-            "W2": dump_spaces(dec.disturbances2),
-            "V1": dump_spaces(dec.noises1),
-            "V2": dump_spaces(dec.noises2),
-            "Y1": dump_spaces(dec.observations1),
-            "Y2": dump_spaces(dec.observations2),
+            "X1": _space_to_json(dec.states1[0]),
+            "X2": _space_to_json(dec.states2[0]),
+            "U1": _space_to_json(dec.actions1[0]),
+            "U2": _space_to_json(dec.actions2[0]),
+            "W1": _space_to_json(dec.disturbances1[0]),
+            "W2": _space_to_json(dec.disturbances2[0]),
+            "V1": _space_to_json(dec.noises1[0]),
+            "V2": _space_to_json(dec.noises2[0]),
+            "Y1": _space_to_json(dec.observations1[0]),
+            "Y2": _space_to_json(dec.observations2[0]),
         },
-        "f1": deep(dec.f1),
-        "f2": deep(dec.f2),
-        "obs1": deep(dec.obs1),
-        "obs2": deep(dec.obs2),
-        "cost": [
-            [
-                [
-                    [[format_ratio(c) for c in u1row] for u1row in x2row]
-                    for x2row in x1row
-                ]
-                for x1row in stage
-            ]
-            for stage in dec.cost_table
-        ],
+        "f1": _deep_list(dec.f1),
+        "f2": _deep_list(dec.f2),
+        "obs1": _deep_list(dec.obs1),
+        "obs2": _deep_list(dec.obs2),
+        "cost": [_cost_to_json(stage) for stage in dec.cost_table],
         "dists": {
-            "X1_0": [format_ratio(w) for w in dec.x1_dist.weights],
-            "X2_0": [format_ratio(w) for w in dec.x2_dist.weights],
-            "W1": [[format_ratio(w) for w in d.weights] for d in dec.w1_dists],
-            "W2": [[format_ratio(w) for w in d.weights] for d in dec.w2_dists],
-            "V1": [[format_ratio(w) for w in d.weights] for d in dec.v1_dists],
-            "V2": [[format_ratio(w) for w in d.weights] for d in dec.v2_dists],
+            "X1_0": _dist_to_json(dec.x1_dist),
+            "X2_0": _dist_to_json(dec.x2_dist),
+            "W1": [_dist_to_json(d) for d in dec.w1_dists],
+            "W2": [_dist_to_json(d) for d in dec.w2_dists],
+            "V1": [_dist_to_json(d) for d in dec.v1_dists],
+            "V2": [_dist_to_json(d) for d in dec.v2_dists],
         },
     }
 
@@ -588,16 +542,9 @@ def decoupled_from_json(doc: dict) -> DecoupledModel:
     T = doc["horizon"]
 
     def spaces(key, count):
-        node = doc["spaces"][key]
-        labels = tuple(node["labels"]) if "labels" in node else None
-        return tuple(FiniteSpace(node.get("label", key), node["size"], labels) for _ in range(count))
+        return tuple(_space_from_json(doc["spaces"][key], key) for _ in range(count))
 
-    def deep(node):
-        if isinstance(node, list):
-            return tuple(deep(x) for x in node)
-        return node
-
-    dist = lambda node: Dist(tuple(parse_ratio(w) for w in node))
+    dists = doc["dists"]
     return DecoupledModel(
         horizon=T,
         states1=spaces("X1", T + 1),
@@ -610,24 +557,15 @@ def decoupled_from_json(doc: dict) -> DecoupledModel:
         noises2=spaces("V2", T + 1),
         observations1=spaces("Y1", T + 1),
         observations2=spaces("Y2", T + 1),
-        f1=deep(doc["f1"]),
-        f2=deep(doc["f2"]),
-        obs1=deep(doc["obs1"]),
-        obs2=deep(doc["obs2"]),
-        cost_table=tuple(
-            tuple(
-                tuple(
-                    tuple(tuple(parse_ratio(c) for c in u1row) for u1row in x2row)
-                    for x2row in x1row
-                )
-                for x1row in stage
-            )
-            for stage in doc["cost"]
-        ),
-        x1_dist=dist(doc["dists"]["X1_0"]),
-        x2_dist=dist(doc["dists"]["X2_0"]),
-        w1_dists=tuple(dist(d) for d in doc["dists"]["W1"]),
-        w2_dists=tuple(dist(d) for d in doc["dists"]["W2"]),
-        v1_dists=tuple(dist(d) for d in doc["dists"]["V1"]),
-        v2_dists=tuple(dist(d) for d in doc["dists"]["V2"]),
+        f1=_deep_tuple(doc["f1"]),
+        f2=_deep_tuple(doc["f2"]),
+        obs1=_deep_tuple(doc["obs1"]),
+        obs2=_deep_tuple(doc["obs2"]),
+        cost_table=tuple(_cost_from_json(stage) for stage in doc["cost"]),
+        x1_dist=_dist_from_json(dists["X1_0"]),
+        x2_dist=_dist_from_json(dists["X2_0"]),
+        w1_dists=tuple(_dist_from_json(d) for d in dists["W1"]),
+        w2_dists=tuple(_dist_from_json(d) for d in dists["W2"]),
+        v1_dists=tuple(_dist_from_json(d) for d in dists["V1"]),
+        v2_dists=tuple(_dist_from_json(d) for d in dists["V2"]),
     )

@@ -23,8 +23,9 @@ That matches the declared non-goals (no agent-1 variables inside a2).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+import operator
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Mapping
 
 from .errors import UnsupportedStructure
 from .model import TeamModel
@@ -75,6 +76,8 @@ class InfoStructure:
     l2: tuple[tuple[VarRef, ...], ...]
     z1: tuple[tuple[VarRef, ...], ...]
     z2: tuple[tuple[VarRef, ...], ...]
+    # Compiled plans: StepContext by t, merge pickers by (target, sources).
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def var_space_size(self, model: TeamModel, var: VarRef) -> int:
         if var.kind == "Y1":
@@ -240,77 +243,82 @@ def enumerate_realizations(
 
 
 # ---------------------------------------------------------------------------
-# Assembling successor realizations during belief propagation.
+# Compiled index plans for belief propagation.
 #
 # When stepping from t to t+1 the propagator knows: the private values at t,
-# both agents' actions at t, and both fresh observations at t+1.  Every
-# variable appearing in l2[t+1], z2[t+1] or z1[t+1] must be recoverable from
-# those sources; anything else is outside the supported class.
+# both agents' actions at t, and both fresh observations at t+1.  Which of
+# those values fills each variable of l2[t+1], z2[t+1] and z1[t+1] depends on
+# the structure alone, so it is resolved once per (structure, t) into slot
+# indices and then applied to every primitive draw.  Any variable with no
+# source is outside the supported class.  `merge_realization` is the
+# symbolic form of the same lookup and the reference the plans are tested
+# against.
 # ---------------------------------------------------------------------------
 
 
+def _compile(
+    slot_of: Mapping[VarRef, int], vars: tuple[VarRef, ...], missing: Callable[[VarRef], str]
+) -> Callable[[tuple], tuple[int, ...]]:
+    """Resolve `vars` to slot indices and return the function reading their
+    realization off a slot tuple.  A variable with no slot raises
+    UnsupportedStructure with the message `missing(var)`."""
+    for var in vars:
+        if var not in slot_of:
+            raise UnsupportedStructure(missing(var))
+    indices = [slot_of[v] for v in vars]
+    if len(indices) > 1:
+        return operator.itemgetter(*indices)
+    # itemgetter of one index returns a bare value; a slice keeps the tuple
+    start = indices[0] if indices else 0
+    return operator.itemgetter(slice(start, start + len(indices)))
+
+
 class StepContext:
-    """Values available while extending histories from time t to t+1."""
+    """Compiled index plan for extending histories from time t to t+1.
 
-    __slots__ = ("t", "private_index", "private_values", "y1_next", "y2_next", "u1", "u2")
+    The values available at the step form one slot tuple: the private
+    values at t in l2[t] order, then y1[t+1], y2[t+1], u1[t], u2[t].  For
+    t = -1, the time-0 plan, nothing is private and no action exists yet,
+    so the slots are just (y1[0], y2[0]).
 
-    def __init__(
-        self,
-        info: InfoStructure,
-        t: int,
-        private_values: tuple[int, ...],
-        y1_next: int,
-        y2_next: int,
-        u1: int,
-        u2: int,
-    ):
+    `picker(vars)` resolves a composition to slot indices the first time it
+    is asked for and returns the function that reads a realization of it
+    off a slot tuple.  Resolution is per composition, so a step that never
+    asks for z2 never fails on it.  Plans are built once per (structure, t)
+    and cached on the structure: get them with `step_plan`.
+    """
+
+    __slots__ = ("t", "_slot_of", "_pickers")
+
+    def __init__(self, info: InfoStructure, t: int):
         self.t = t
-        self.private_index = {var: i for i, var in enumerate(info.l2[t])}
-        self.private_values = private_values
-        self.y1_next = y1_next
-        self.y2_next = y2_next
-        self.u1 = u1
-        self.u2 = u2
+        private = info.l2[t] if t >= 0 else ()
+        fresh = (VarRef(t + 1, "Y1"), VarRef(t + 1, "Y2"))
+        if t >= 0:
+            fresh += (VarRef(t, "U1"), VarRef(t, "U2"))
+        # a fresh value takes precedence over a private variable of the same name
+        self._slot_of = {var: i for i, var in enumerate(private + fresh)}
+        self._pickers: dict[tuple[VarRef, ...], Callable[[tuple], tuple[int, ...]]] = {}
 
-    def value_of(self, var: VarRef) -> int:
+    def picker(self, vars: tuple[VarRef, ...]) -> Callable[[tuple], tuple[int, ...]]:
+        pick = self._pickers.get(vars)
+        if pick is None:
+            pick = self._pickers[vars] = _compile(self._slot_of, vars, self._missing)
+        return pick
+
+    def _missing(self, var: VarRef) -> str:
         t = self.t
-        if var == VarRef(t + 1, "Y1"):
-            return self.y1_next
-        if var == VarRef(t + 1, "Y2"):
-            return self.y2_next
-        if var == VarRef(t, "U1"):
-            return self.u1
-        if var == VarRef(t, "U2"):
-            return self.u2
-        idx = self.private_index.get(var)
-        if idx is not None:
-            return self.private_values[idx]
-        raise UnsupportedStructure(
-            f"variable {var} needed at step {t}->{t + 1} is neither fresh nor private"
-        )
-
-    def tuple_for(self, vars: tuple[VarRef, ...]) -> tuple[int, ...]:
-        return tuple(self.value_of(v) for v in vars)
+        if t < 0:
+            return f"variable {var} cannot exist at time 0"
+        return f"variable {var} needed at step {t}->{t + 1} is neither fresh nor private"
 
 
-class InitialContext:
-    """Values available at time 0: just the two fresh observations."""
-
-    __slots__ = ("y1", "y2")
-
-    def __init__(self, y1: int, y2: int):
-        self.y1 = y1
-        self.y2 = y2
-
-    def value_of(self, var: VarRef) -> int:
-        if var == VarRef(0, "Y1"):
-            return self.y1
-        if var == VarRef(0, "Y2"):
-            return self.y2
-        raise UnsupportedStructure(f"variable {var} cannot exist at time 0")
-
-    def tuple_for(self, vars: tuple[VarRef, ...]) -> tuple[int, ...]:
-        return tuple(self.value_of(v) for v in vars)
+def step_plan(info: InfoStructure, t: int) -> StepContext:
+    """The cached plan for the step t -> t+1 (t = -1 for time 0)."""
+    plan = info._plans.get(t)
+    if plan is None:
+        plan = info._plans[t] = StepContext(info, t)
+    return plan
 
 
 def merge_realization(
@@ -327,6 +335,29 @@ def merge_realization(
         return tuple(lookup[v] for v in target_vars)
     except KeyError as exc:
         raise UnsupportedStructure(f"no value for {exc.args[0]} while merging realizations") from exc
+
+
+def merge_picker(
+    info: InfoStructure, target_vars: tuple[VarRef, ...], *source_vars: tuple[VarRef, ...]
+) -> Callable[[tuple], tuple[int, ...]]:
+    """Compiled `merge_realization`: the function reading a realization of
+    `target_vars` off the concatenated realizations of `source_vars`.
+    Resolved once per composition tuple and cached on the structure."""
+    key = (target_vars, source_vars)
+    pick = info._plans.get(key)
+    if pick is None:
+        slot_of = {var: i for i, var in enumerate(itertools.chain.from_iterable(source_vars))}
+        pick = info._plans[key] = _compile(
+            slot_of, target_vars, lambda var: f"no value for {var} while merging realizations"
+        )
+    return pick
+
+
+def extend_a2(
+    info: InfoStructure, t: int, a2real: tuple[int, ...], z2real: tuple[int, ...]
+) -> tuple[int, ...]:
+    """Accessible realization at t+1: the old values plus the increment."""
+    return merge_picker(info, info.a2[t + 1], info.a2[t], info.z2[t + 1])(a2real + z2real)
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,14 @@ from .beliefs import (
     update_belief1,
 )
 from .errors import MissingKey, ResourceLimitExceeded
-from .info import InfoStructure, VarRef, enumerate_private, merge_realization
+from .info import (  # extend_a2 is re-exported for callers of this module
+    InfoStructure,
+    VarRef,
+    enumerate_private,
+    extend_a2,
+    merge_picker,
+    merge_realization,
+)
 from .limits import resolve_budget
 from .model import TeamModel
 
@@ -86,13 +93,6 @@ def all_agent1_prescriptions(t: int, points: list[Belief1], n_actions: int):
     """Every map from the given belief points to actions, lexicographic."""
     for actions in itertools.product(range(n_actions), repeat=len(points)):
         yield Prescription.for_agent1(t, dict(zip(points, actions)))
-
-
-def extend_a2(info: InfoStructure, t: int, a2real: A2Real, z2real: tuple[int, ...]) -> A2Real:
-    """Accessible realization at t+1: the old values plus the increment."""
-    return merge_realization(
-        info.a2[t + 1], {info.a2[t]: a2real, info.z2[t + 1]: z2real}
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +355,15 @@ class PbpSolution:
             self._value_of(b1, a2real)  # computes and memoizes on demand
         return self.memo[key][1]
 
+    def snap(self, b1: Belief1) -> Belief1:
+        """The lattice point nearest to b1 (b1 itself for the exact solve)."""
+        if self.resolution is None:
+            return b1
+        plist = self.private_lists[b1.t]
+        vec = belief1_vector(self.model, plist, b1)
+        q = lat.quantize(self.lattices[b1.t], vec)
+        return belief1_from_vector(b1.t, plist, q.point())
+
     def sup_value(self, t: int) -> Fraction:
         """Largest memoized value at stage t (zero beyond the horizon)."""
         best = Fraction(0)
@@ -410,15 +419,8 @@ def _pbp_solve(
             m = model.states[t].size * len(private_lists[t])
             lattices[t] = lat.build_lattice(m, resolution, budget)
 
-    def snap(b1: Belief1) -> Belief1:
-        if resolution is None:
-            return b1
-        plist = private_lists[b1.t]
-        vec = belief1_vector(model, plist, b1)
-        q = lat.quantize(lattices[b1.t], vec)
-        return belief1_from_vector(b1.t, plist, q.point())
-
-    memo: dict[tuple[Belief1, A2Real], tuple[Fraction, int]] = {}
+    sol = PbpSolution(model, info, psi2, Fraction(0), {}, {}, resolution, lattices, private_lists)
+    memo = sol.memo
     nodes = 0
 
     def value_of(b1: Belief1, a2real: A2Real) -> Fraction:
@@ -437,26 +439,23 @@ def _pbp_solve(
             v = expected_cost1(model, b1, u1, g2)
             if t < T:
                 for z1real, (p, b1_next) in sorted(belief1_step(model, info, b1, u1, g2).items()):
-                    z2real = merge_realization(info.z2[t + 1], {info.z1[t + 1]: z1real})
+                    z2real = merge_picker(info, info.z2[t + 1], info.z1[t + 1])(z1real)
                     a2_next = extend_a2(info, t, a2real, z2real)
-                    v += p * value_of(snap(b1_next), a2_next)
+                    v += p * value_of(sol.snap(b1_next), a2_next)
             if best is None or v < best[0]:
                 best = (v, u1)
         memo[key] = best
         return best[0]
 
-    roots: dict[tuple[int, ...], tuple[Fraction, Belief1, A2Real]] = {}
-    total = Fraction(0)
     b1_roots = initial_belief1_roots(model, info)
     for z1real in sorted(b1_roots):
         p, b1 = b1_roots[z1real]
         a2real = merge_realization(info.a2[0], {info.z1[0]: z1real})
-        b1 = snap(b1)
-        roots[z1real] = (p, b1, a2real)
-        total += p * value_of(b1, a2real)
-    return PbpSolution(
-        model, info, psi2, total, roots, memo, resolution, lattices, private_lists, value_of
-    )
+        b1 = sol.snap(b1)
+        sol.roots[z1real] = (p, b1, a2real)
+        sol.value += p * value_of(b1, a2real)
+    sol._value_of = value_of
+    return sol
 
 
 def solve_pbp_exact(model: TeamModel, info: InfoStructure, psi2, budget: int | None = None) -> PbpSolution:
@@ -498,14 +497,6 @@ class PbpAgent1Strategy:
     def fresh_state(self):
         return {}
 
-    def _snap(self, b1: Belief1) -> Belief1:
-        if self.pbp.resolution is None:
-            return b1
-        plist = self.pbp.private_lists[b1.t]
-        vec = belief1_vector(self.model, plist, b1)
-        q = lat.quantize(self.pbp.lattices[b1.t], vec)
-        return belief1_from_vector(b1.t, plist, q.point())
-
     def act(self, st, t, values):
         info = self.info
         if t == 0:
@@ -513,7 +504,7 @@ class PbpAgent1Strategy:
             if z1 not in self._b1_roots:
                 raise MissingKey(f"unreachable initial information {z1}")
             st["exact"] = self._b1_roots[z1][1]
-            st["b1"] = self._snap(st["exact"])
+            st["b1"] = self.pbp.snap(st["exact"])
             st["a2"] = merge_realization(info.a2[0], {info.z1[0]: z1})
         else:
             z1 = tuple(values[v] for v in info.z1[t])
@@ -530,9 +521,9 @@ class PbpAgent1Strategy:
             else:
                 branches = belief1_step(self.model, info, st["b1"], u1, g2_prev)
                 if z1 in branches:
-                    b1_next = self._snap(branches[z1][1])
+                    b1_next = self.pbp.snap(branches[z1][1])
                 else:
-                    b1_next = self._snap(exact_next)
+                    b1_next = self.pbp.snap(exact_next)
                 self._approx_cache[akey] = b1_next
             st["exact"] = exact_next
             st["b1"] = b1_next

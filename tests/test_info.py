@@ -9,8 +9,12 @@ from nested_dp.info import (
     build_delayed_structure,
     check_nestedness,
     enumerate_private,
+    enumerate_realizations,
+    extend_a2,
     info_from_json,
     info_to_json,
+    merge_realization,
+    step_plan,
 )
 
 
@@ -156,6 +160,86 @@ class TestUnsupportedStructures:
         gamma1 = Prescription.for_agent2(1, {ell: 0 for ell in enumerate_private(broken, model, 1)})
         with pytest.raises(UnsupportedStructure):
             belief1_step(model, broken, b1_at_1, 0, gamma1)
+
+
+def split_delay_structure(model):
+    """Agent 2's observations reach agent 1 two steps late, its actions one
+    step late."""
+    m1, m2, a2 = [], [], []
+    for t in range(model.horizon + 1):
+        shared = [[s, "Y2"] for s in range(t - 1)] + [[s, "U2"] for s in range(t)]
+        a2.append(shared)
+        m2.append([[s, "Y2"] for s in range(t + 1)] + [[s, "U2"] for s in range(t)])
+        m1.append([[s, "Y1"] for s in range(t + 1)] + [[s, "U1"] for s in range(t)] + shared)
+    return info_from_json(model, {"kind": "explicit", "m1": m1, "m2": m2, "a2": a2})
+
+
+class TestCompiledPlans:
+    """The compiled index plans agree with symbolic merging on every input."""
+
+    T = 2
+
+    def structures(self):
+        model = model_with_horizon(self.T)
+        infos = [build_delayed_structure(model, d) for d in range(self.T + 2)]
+        infos.append(split_delay_structure(model))
+        assert all(check_nestedness(info) == [] for info in infos)
+        return model, infos
+
+    def test_step_plans_match_merge_realization(self):
+        model, infos = self.structures()
+        for info in infos:
+            for t in range(self.T):
+                plan = step_plan(info, t)
+                assert step_plan(info, t) is plan
+                fresh_vars = (VarRef(t + 1, "Y1"), VarRef(t + 1, "Y2"), VarRef(t, "U1"), VarRef(t, "U2"))
+                fresh_reals = enumerate_realizations(info, model, fresh_vars)
+                for ell in enumerate_private(info, model, t):
+                    for fresh in fresh_reals:
+                        sources = {info.l2[t]: ell, fresh_vars: fresh}
+                        for vars in (info.z1[t + 1], info.z2[t + 1], info.l2[t + 1]):
+                            assert plan.picker(vars)(ell + fresh) == merge_realization(vars, sources)
+
+    def test_time_zero_plan_matches_merge_realization(self):
+        model, infos = self.structures()
+        fresh_vars = (VarRef(0, "Y1"), VarRef(0, "Y2"))
+        for info in infos:
+            plan = step_plan(info, -1)
+            for fresh in enumerate_realizations(info, model, fresh_vars):
+                for vars in (info.z1[0], info.a2[0], info.l2[0]):
+                    assert plan.picker(vars)(fresh) == merge_realization(vars, {fresh_vars: fresh})
+
+    def test_extend_a2_matches_merge_realization(self):
+        model, infos = self.structures()
+        for info in infos:
+            for t in range(self.T):
+                for a2real in enumerate_realizations(info, model, info.a2[t]):
+                    for z2real in enumerate_realizations(info, model, info.z2[t + 1]):
+                        expected = merge_realization(
+                            info.a2[t + 1], {info.a2[t]: a2real, info.z2[t + 1]: z2real}
+                        )
+                        assert extend_a2(info, t, a2real, z2real) == expected
+
+    def test_action_at_time_zero_is_rejected(self):
+        from nested_dp.beliefs import initial_belief1_roots
+        from nested_dp.errors import UnsupportedStructure
+
+        model = model_with_horizon(1)
+        delayed = build_delayed_structure(model, 1)
+        m1 = [[[v.s, v.kind] for v in comp] for comp in delayed.m1]
+        m1[0].append([0, "U1"])
+        explicit = info_from_json(
+            model,
+            {
+                "kind": "explicit",
+                "m1": m1,
+                "m2": [[[v.s, v.kind] for v in comp] for comp in delayed.m2],
+                "a2": [[[v.s, v.kind] for v in comp] for comp in delayed.a2],
+            },
+        )
+        assert VarRef(0, "U1") in explicit.z1[0]
+        with pytest.raises(UnsupportedStructure):
+            initial_belief1_roots(model, explicit)
 
 
 class TestInfoJson:
