@@ -81,23 +81,6 @@ def certify_dp_optimality(model: TeamModel, info: InfoStructure, budget: int | N
 # ---------------------------------------------------------------------------
 
 
-class _Agent2Tables:
-    """Strategy-like whose agent-2 side follows explicit stage tables and
-    whose agent-1 side is irrelevant (used only where agent 1's actions are
-    pinned elsewhere or filtered out)."""
-
-    def __init__(self, info: InfoStructure, tables):
-        self.info = info
-        self.tables = tuple(dict(tbl) for tbl in tables)
-
-    def fresh_state(self):
-        return None
-
-    def act(self, state, t, values):
-        m2 = tuple(values[v] for v in self.info.m2[t])
-        return 0, self.tables[t][m2]
-
-
 def _extract(info: InfoStructure, m1real, t, vars):
     return merge_realization(vars, {info.m1[t]: m1real})
 
@@ -202,7 +185,7 @@ def certify_belief_and_cost_identities(
     # -- agent-1 side -----------------------------------------------------
     seen: set = set()
     for tables in orc.enumerate_agent2_strategies(model, info, joint):
-        strategy2 = _Agent2Tables(info, tables)
+        strategy2 = orc._Agent2TableOnly(info, tables)
         histories = _m1_histories(model, info, joint, tables)
         for t in range(T + 1):
             for m1real in histories[t]:
@@ -236,7 +219,6 @@ def certify_belief_and_cost_identities(
         t = b2.t
         runner = _PrescriptionPathRunner(model, info, presc)
         records = _consistent_draws(model, info, joint, runner, t, a2real)
-        strategy2 = _RunnerAgent2(runner)
         annotated = []
         oracle_triples: dict = {}
         total = Fraction(0)
@@ -245,7 +227,7 @@ def certify_belief_and_cost_identities(
             m1real = tuple(traj.value_of((v.kind, v.s)) for v in info.m1[t])
             b1 = cond_cache.get(m1real)
             if b1 is None:
-                cond = orc.condition_on_memory1(joint, model, info, strategy2, t, m1real)
+                cond = orc.condition_on_memory1(joint, model, info, runner, t, m1real)
                 b1 = Belief1.from_weights(t, dict(cond))
                 cond_cache[m1real] = b1
             ell = tuple(traj.value_of((v.kind, v.s)) for v in info.l2[t])
@@ -345,19 +327,6 @@ class _PrescriptionPathRunner:
         st["g2"] = g2
         ell = tuple(values[v] for v in info.l2[t])
         return g1(st["b1"]), g2(ell)
-
-
-class _RunnerAgent2:
-    """Expose only the agent-2 half of a runner (agent 1 pinned elsewhere)."""
-
-    def __init__(self, runner):
-        self.runner = runner
-
-    def fresh_state(self):
-        return self.runner.fresh_state()
-
-    def act(self, state, t, values):
-        return self.runner.act(state, t, values)
 
 
 def certify_pbp_against_enumeration(

@@ -48,6 +48,10 @@ def _emit(doc: dict) -> None:
 
 def _load(path: str, delay_override: int | None):
     model, doc = load_model_file(path)
+    violations = validate_model(model)
+    if violations:
+        more = f" (and {len(violations) - 1} more)" if len(violations) > 1 else ""
+        raise NestedDPError(f"model file {path} is invalid: {violations[0]}{more}")
     if delay_override is not None:
         return model, doc, build_delayed_structure(model, delay_override)
     if "info" not in doc:
@@ -179,7 +183,7 @@ def _cmd_pbp_approx(args) -> int:
             "value": format_ratio(pbp.value),
             "n": args.n,
             "nodes": len(pbp.memo),
-            "lattice_sizes": {str(t): len(l.points) for t, l in sorted(pbp.lattices.items())},
+            "lattice_sizes": {str(t): lat.lattice_size(pbp.dimension(t), args.n) for t in pbp.private_lists},
         }
     )
     return 0

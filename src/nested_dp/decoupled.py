@@ -24,7 +24,6 @@ from .beliefs import MarginalBelief, Prescription, _branches, _condition, _joint
 from .errors import (
     MissingKey,
     PerfectObsViolation,
-    ResourceLimitExceeded,
     ZeroProbabilityObservation,
 )
 from .info import InfoStructure, extend_a2, merge_realization, step_plan
@@ -43,6 +42,7 @@ from .model import (
     _space_to_json,
 )
 from .oracle import JointTable, condition, trajectory
+from .solver import MemoArgmin
 
 __all__ = [
     "DecoupledModel",
@@ -450,45 +450,37 @@ def solve_decoupled_pbp(
     """
     if perfect_obs_1:
         _require_identity_obs1(dec)
-    cap = resolve_budget(budget)
     T = dec.horizon
-    memo: dict = {}
-    nodes = 0
 
-    def key_of(theta1: MarginalBelief, theta2: MarginalBelief, a2real):
-        if perfect_obs_1:
-            (x1, _), = ((k, v) for k, v in theta1.items())
-            return (theta1.t, x1, theta2, a2real)
-        return (theta1, theta2, a2real)
+    def point_key(node):
+        theta1, theta2, a2real = node
+        ((x1, _),) = theta1.items()
+        return (theta1.t, x1, theta2, a2real)
 
-    def value_of(theta1: MarginalBelief, theta2: MarginalBelief, a2real) -> Fraction:
-        nonlocal nodes
-        key = key_of(theta1, theta2, a2real)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit[0]
-        nodes += 1
-        if nodes > cap:
-            raise ResourceLimitExceeded(f"more than {cap} value nodes", estimate=nodes)
+    def expand(node):
+        return node[0].t, 1, actions(*node)
+
+    def actions(theta1: MarginalBelief, theta2: MarginalBelief, a2real):
         t = theta1.t
         g2 = psi2.prescription(t, a2real)
-        best = None
         for u1 in range(dec.actions1[t].size):
             v = Fraction(0)
             for x1, p1 in theta1.items():
                 for (x2, ell), p2 in theta2.items():
                     v += p1 * p2 * dec.cost(t, x1, x2, u1, g2(ell))
+            successors = ()
             if t < T:
                 b1 = theta1_step(dec, theta1, u1)
                 b2 = theta2_step(dec, info, theta2, g2)
-                for _, (p1, th1n) in sorted(b1.items()):
-                    for z2real, (p2, th2n) in sorted(b2.items()):
-                        v += p1 * p2 * value_of(th1n, th2n, extend_a2(info, t, a2real, z2real))
-            if best is None or v < best[0]:
-                best = (v, u1)
-        memo[key] = best
-        return best[0]
+                successors = (
+                    (p1 * p2, (th1n, th2n, extend_a2(info, t, a2real, z2real)))
+                    for _, (p1, th1n) in sorted(b1.items())
+                    for z2real, (p2, th2n) in sorted(b2.items())
+                )
+            yield (u1,), v, successors
 
+    key = point_key if perfect_obs_1 else None
+    dp = MemoArgmin({}, resolve_budget(budget), "value nodes", expand, key)
     total = Fraction(0)
     roots1 = initial_theta1_roots(dec)
     roots2 = initial_theta2_roots(dec, info)
@@ -496,8 +488,8 @@ def solve_decoupled_pbp(
         p1, th1 = roots1[y1]
         for a2real in sorted(roots2):
             p2, th2 = roots2[a2real]
-            total += p1 * p2 * value_of(th1, th2, a2real)
-    return DecoupledPbpSolution(total, memo, perfect_obs_1)
+            total += p1 * p2 * dp.value((th1, th2, a2real))
+    return DecoupledPbpSolution(total, dp.memo, perfect_obs_1)
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,15 @@ lattice point in total-variation (L1) distance, with ties broken toward the
 lexicographically smallest point so repeated solves produce identical
 policies.
 
-The quantizer uses a scale-floor-repair scheme rather than a search: scale
-by n, take floors, then hand out the remaining mass to the coordinates with
-the largest fractional parts.  Among equal fractional parts the later
-coordinate wins an increment, which keeps earlier coordinates small and
-yields the lexicographic minimizer.  Tests validate the fast path against
-exhaustive search point-for-point.
+The nearest point comes from a scale-floor-repair scheme rather than a
+search (Reznik, "An algorithm for quantization of discrete probability
+distributions", DCC 2011): scale by n, take floors, then hand out the
+remaining mass to the coordinates with the largest fractional parts.  Among
+equal fractional parts the later coordinate wins an increment, which keeps
+earlier coordinates small and yields the lexicographic minimizer.
+`nearest_point` needs no lattice; `quantize` adds the point's index within
+a built lattice.  Tests validate the fast path against exhaustive search
+point-for-point.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ __all__ = [
     "build_lattice",
     "lattice_size",
     "tv_distance",
+    "nearest_point",
     "quantize",
     "error_bound",
 ]
@@ -117,24 +121,27 @@ def tv_distance(p: tuple[Fraction, ...], q: tuple[Fraction, ...]) -> Fraction:
     return sum((abs(a - b) for a, b in zip(p, q)), Fraction(0))
 
 
-def quantize(lattice: Lattice, point: tuple[Fraction, ...]) -> QuantizedBelief:
-    """Nearest lattice point in TV distance, lexicographically smallest among
-    minimizers."""
-    m, n = lattice.m, lattice.n
-    if len(point) != m:
-        raise ValueError(f"point has {len(point)} coordinates, lattice expects {m}")
+def nearest_point(point: tuple[Fraction, ...], n: int) -> tuple[Fraction, ...]:
+    """Nearest resolution-n simplex point in TV distance, lexicographically
+    smallest among minimizers, without building the lattice."""
     scaled = [coord * n for coord in point]
     floors = [int(v) for v in scaled]  # coords are >= 0, so int() is floor
     fracs = [v - f for v, f in zip(scaled, floors)]
     remaining = n - sum(floors)
     # Give the remaining increments to the largest fractional parts; among
     # ties prefer the later index so earlier coordinates stay smaller.
-    order = sorted(range(m), key=lambda i: (fracs[i], i), reverse=True)
-    numerators = floors[:]
+    order = sorted(range(len(point)), key=lambda i: (fracs[i], i), reverse=True)
     for i in order[:remaining]:
-        numerators[i] += 1
-    target = tuple(Fraction(k, n) for k in numerators)
-    return QuantizedBelief(lattice.index_of(target), lattice)
+        floors[i] += 1
+    return tuple(Fraction(k, n) for k in floors)
+
+
+def quantize(lattice: Lattice, point: tuple[Fraction, ...]) -> QuantizedBelief:
+    """Nearest lattice point in TV distance, lexicographically smallest among
+    minimizers, named by its index in the lattice."""
+    if len(point) != lattice.m:
+        raise ValueError(f"point has {len(point)} coordinates, lattice expects {lattice.m}")
+    return QuantizedBelief(lattice.index_of(nearest_point(point, lattice.n)), lattice)
 
 
 def error_bound(m: int, n: int) -> Fraction:

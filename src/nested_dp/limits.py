@@ -2,8 +2,9 @@
 
 Every guard resolves its budget the same way: an explicit argument wins,
 otherwise the NESTED_DP_BUDGET environment variable, otherwise the default.
-Budgets count enumerated objects (strategies, lattice points, prescription
-pairs), not bytes or seconds.
+Budgets count enumerated objects (strategies, prescription pairs, value
+nodes, lattice points), not bytes or seconds.  Lattice points are counted
+only by `lattice.build_lattice`: the quantized solve never builds a lattice.
 """
 
 import os

@@ -12,15 +12,19 @@ Three solvers live here:
                       accessible realization) pairs.
 
   solve_pbp_approx -- the same recursion with every agent-1 belief snapped
-                      to a simplex lattice before lookup, so the per-stage
-                      key count is bounded by the lattice size times the
-                      number of accessible realizations.
+                      to the nearest point of a resolution-n simplex
+                      lattice before lookup.  The snap is closed-form and
+                      never builds the lattice, so the per-stage key count
+                      is bounded by the reachable snapped beliefs times the
+                      accessible realizations, not by the lattice size.
 
+All three, and `decoupled.solve_decoupled_pbp`, run on `MemoArgmin`, one
+memoized top-down argmin that owns the memo, the budget and the tie-break.
 Top-down recursion (rather than bottom-up tabulation) is deliberate: the
 reachable belief set is tiny compared to the continuum, and only reachable
-realizations influence the objective.  Candidate prescriptions are
-enumerated in a fixed lexicographic order and ties keep the first minimizer,
-so repeated solves return identical policies.
+realizations influence the objective.  Candidates are enumerated in a fixed
+lexicographic order and ties keep the first minimizer, so repeated solves
+return identical policies.
 
 The memo contract for concurrent use: values are idempotent (recomputing a
 key yields an equal Fraction), so insert-if-absent with duplicated work is
@@ -62,6 +66,7 @@ from .limits import resolve_budget
 from .model import TeamModel
 
 __all__ = [
+    "MemoArgmin",
     "ExactSolution",
     "PbpSolution",
     "AlphaBoundInputs",
@@ -93,6 +98,54 @@ def all_agent1_prescriptions(t: int, points: list[Belief1], n_actions: int):
     """Every map from the given belief points to actions, lexicographic."""
     for actions in itertools.product(range(n_actions), repeat=len(points)):
         yield Prescription.for_agent1(t, dict(zip(points, actions)))
+
+
+# ---------------------------------------------------------------------------
+# The memoized argmin shared by every DP solver.
+# ---------------------------------------------------------------------------
+
+
+class MemoArgmin:
+    """Memoized top-down argmin over information states.
+
+    For a node missing from the memo, `expand(node)` returns its stage t,
+    its charge against the budget, and its candidates: (decision tuple,
+    stage cost, weighted successor nodes), in enumeration order.  Successors
+    are solved in the order given, so memo insertion order is the visit
+    order.  The first minimizer wins and is stored as
+    memo[key(node)] = (value, *decision); `key` defaults to the node itself.
+    `spent` is the running total of charges.
+    """
+
+    def __init__(self, memo: dict, cap: int, unit: str, expand, key=None):
+        self.memo = memo
+        self.cap = cap
+        self.unit = unit
+        self.expand = expand
+        self.key = key
+        self.spent = 0
+
+    def value(self, node) -> Fraction:
+        key = node if self.key is None else self.key(node)
+        hit = self.memo.get(key)
+        if hit is not None:
+            return hit[0]
+        t, charge, candidates = self.expand(node)
+        self.spent += charge
+        if self.spent > self.cap:
+            raise ResourceLimitExceeded(
+                f"{self.unit} passed the cap of {self.cap} at t={t}: "
+                f"{self.spent} counted, {charge} of them at this node",
+                estimate=self.spent,
+            )
+        best = None
+        for decision, v, successors in candidates:
+            for p, nxt in successors:
+                v += p * self.value(nxt)
+            if best is None or v < best[0]:
+                best = (v, *decision)
+        self.memo[key] = best
+        return best[0]
 
 
 # ---------------------------------------------------------------------------
@@ -131,47 +184,31 @@ def solve_exact(model: TeamModel, info: InfoStructure, budget: int | None = None
     the shared-belief update.  The root value is the probability-weighted
     sum over time-0 accessible realizations.
     """
-    cap = resolve_budget(budget)
     T = model.horizon
-    memo: dict[Belief2, tuple[Fraction, Prescription, Prescription]] = {}
-    pairs_seen = 0
 
-    def value_of(b2: Belief2) -> Fraction:
-        nonlocal pairs_seen
-        hit = memo.get(b2)
-        if hit is not None:
-            return hit[0]
+    def expand(b2: Belief2):
         t = b2.t
         points = b2.belief1_support()
         l2_reals = enumerate_private(info, model, t)
         n_u1 = model.action_space(1, t).size
         n_u2 = model.action_space(2, t).size
-        node_pairs = (n_u1 ** len(points)) * (n_u2 ** len(l2_reals))
-        pairs_seen += node_pairs
-        if pairs_seen > cap:
-            raise ResourceLimitExceeded(
-                f"prescription-pair enumeration passed the cap of {cap} "
-                f"({node_pairs} pairs at a single t={t} node)",
-                estimate=pairs_seen,
-            )
-        best: tuple[Fraction, Prescription, Prescription] | None = None
+        n_pairs = (n_u1 ** len(points)) * (n_u2 ** len(l2_reals))
+        return t, n_pairs, candidates(b2, t, points, l2_reals, n_u1, n_u2)
+
+    def candidates(b2, t, points, l2_reals, n_u1, n_u2):
         for g1 in all_agent1_prescriptions(t, points, n_u1):
             for g2 in all_agent2_prescriptions(t, l2_reals, n_u2):
-                v = expected_cost2(model, b2, g1, g2)
-                if t < T:
-                    for _, (p, nxt) in sorted(belief2_step(model, info, b2, g1, g2).items()):
-                        v += p * value_of(nxt)
-                if best is None or v < best[0]:
-                    best = (v, g1, g2)
-        memo[b2] = best
-        return best[0]
+                cost = expected_cost2(model, b2, g1, g2)
+                branches = sorted(belief2_step(model, info, b2, g1, g2).items()) if t < T else ()
+                yield (g1, g2), cost, (branch for _, branch in branches)
 
+    dp = MemoArgmin({}, resolve_budget(budget), "prescription pairs", expand)
     roots = initial_belief2_roots(model, info)
     total = Fraction(0)
     for a2real in sorted(roots):
         p, b2 = roots[a2real]
-        total += p * value_of(b2)
-    return ExactSolution(model, info, total, roots, memo, pairs_seen)
+        total += p * dp.value(b2)
+    return ExactSolution(model, info, total, roots, dp.memo, dp.spent)
 
 
 class PrescriptionTeamStrategy:
@@ -343,7 +380,6 @@ class PbpSolution:
     roots: dict[tuple[int, ...], tuple[Fraction, Belief1, A2Real]]
     memo: dict[tuple[Belief1, A2Real], tuple[Fraction, int]]
     resolution: int | None  # lattice resolution, None for the exact solve
-    lattices: dict[int, lat.Lattice] = field(default_factory=dict)
     private_lists: dict[int, list] = field(default_factory=dict)
     _value_of: object = None
 
@@ -352,8 +388,12 @@ class PbpSolution:
         if key not in self.memo:
             if self._value_of is None:
                 raise MissingKey(f"no solved entry for belief at t={b1.t}, accessible={a2real}")
-            self._value_of(b1, a2real)  # computes and memoizes on demand
+            self._value_of(key)  # computes and memoizes on demand
         return self.memo[key][1]
+
+    def dimension(self, t: int) -> int:
+        """Coordinates of a stage-t belief vector: |X_t| * |L2_t|."""
+        return self.model.states[t].size * len(self.private_lists[t])
 
     def snap(self, b1: Belief1) -> Belief1:
         """The lattice point nearest to b1 (b1 itself for the exact solve)."""
@@ -361,8 +401,7 @@ class PbpSolution:
             return b1
         plist = self.private_lists[b1.t]
         vec = belief1_vector(self.model, plist, b1)
-        q = lat.quantize(self.lattices[b1.t], vec)
-        return belief1_from_vector(b1.t, plist, q.point())
+        return belief1_from_vector(b1.t, plist, lat.nearest_point(vec, self.resolution))
 
     def sup_value(self, t: int) -> Fraction:
         """Largest memoized value at stage t (zero beyond the horizon)."""
@@ -410,51 +449,34 @@ def _pbp_solve(
     resolution: int | None,
     budget: int | None,
 ) -> PbpSolution:
-    cap = resolve_budget(budget)
     T = model.horizon
     private_lists = {t: enumerate_private(info, model, t) for t in range(T + 1)}
-    lattices: dict[int, lat.Lattice] = {}
-    if resolution is not None:
-        for t in range(T + 1):
-            m = model.states[t].size * len(private_lists[t])
-            lattices[t] = lat.build_lattice(m, resolution, budget)
+    sol = PbpSolution(model, info, psi2, Fraction(0), {}, {}, resolution, private_lists)
 
-    sol = PbpSolution(model, info, psi2, Fraction(0), {}, {}, resolution, lattices, private_lists)
-    memo = sol.memo
-    nodes = 0
+    def expand(node):
+        return node[0].t, 1, actions(*node)
 
-    def value_of(b1: Belief1, a2real: A2Real) -> Fraction:
-        nonlocal nodes
-        key = (b1, a2real)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit[0]
-        nodes += 1
-        if nodes > cap:
-            raise ResourceLimitExceeded(f"more than {cap} value nodes", estimate=nodes)
+    def actions(b1: Belief1, a2real: A2Real):
         t = b1.t
         g2 = psi2.prescription(t, a2real)
-        best: tuple[Fraction, int] | None = None
+        z2_of = merge_picker(info, info.z2[t + 1], info.z1[t + 1]) if t < T else None
         for u1 in range(model.action_space(1, t).size):
-            v = expected_cost1(model, b1, u1, g2)
-            if t < T:
-                for z1real, (p, b1_next) in sorted(belief1_step(model, info, b1, u1, g2).items()):
-                    z2real = merge_picker(info, info.z2[t + 1], info.z1[t + 1])(z1real)
-                    a2_next = extend_a2(info, t, a2real, z2real)
-                    v += p * value_of(sol.snap(b1_next), a2_next)
-            if best is None or v < best[0]:
-                best = (v, u1)
-        memo[key] = best
-        return best[0]
+            cost = expected_cost1(model, b1, u1, g2)
+            branches = sorted(belief1_step(model, info, b1, u1, g2).items()) if t < T else ()
+            yield (u1,), cost, (
+                (p, (sol.snap(b1_next), extend_a2(info, t, a2real, z2_of(z1real))))
+                for z1real, (p, b1_next) in branches
+            )
 
+    dp = MemoArgmin(sol.memo, resolve_budget(budget), "value nodes", expand)
     b1_roots = initial_belief1_roots(model, info)
     for z1real in sorted(b1_roots):
         p, b1 = b1_roots[z1real]
         a2real = merge_realization(info.a2[0], {info.z1[0]: z1real})
         b1 = sol.snap(b1)
         sol.roots[z1real] = (p, b1, a2real)
-        sol.value += p * value_of(b1, a2real)
-    sol._value_of = value_of
+        sol.value += p * dp.value((b1, a2real))
+    sol._value_of = dp.value
     return sol
 
 
@@ -467,8 +489,10 @@ def solve_pbp_exact(model: TeamModel, info: InfoStructure, psi2, budget: int | N
 def solve_pbp_approx(
     model: TeamModel, info: InfoStructure, psi2, n: int, budget: int | None = None
 ) -> PbpSolution:
-    """Same recursion with beliefs quantized to the resolution-n lattice
-    before every lookup, including the roots."""
+    """Same recursion with beliefs snapped to the nearest resolution-n
+    lattice point before every lookup, including the roots.  The lattice
+    itself is never built, so n is limited by the reachable snapped
+    beliefs, not by the lattice size."""
     if n < 1:
         raise ValueError("lattice resolution must be >= 1")
     return _pbp_solve(model, info, psi2, n, budget)
@@ -599,8 +623,7 @@ def make_alpha_inputs(pbp: PbpSolution, lipschitz: Fraction | None = None) -> Al
     T = model.horizon
     eps = Fraction(0)
     for t in range(T + 1):
-        m = model.states[t].size * len(pbp.private_lists[t])
-        bound = lat.error_bound(m, pbp.resolution)
+        bound = lat.error_bound(pbp.dimension(t), pbp.resolution)
         if bound > eps:
             eps = bound
     sups = tuple(pbp.sup_value(t) for t in range(T + 1)) + (Fraction(0),)

@@ -8,7 +8,8 @@ from nested_dp import oracle as orc
 from nested_dp.cli import cli_main
 from nested_dp.generators import certification_instance, convergence_instance, decoupled_instance
 from nested_dp.decoupled import decoupled_to_json
-from nested_dp.info import build_delayed_structure
+from nested_dp.info import build_delayed_structure, enumerate_private
+from nested_dp.lattice import lattice_size
 from nested_dp.model import Dist, FiniteSpace, model_to_json
 from nested_dp.sim import RolloutConfig, rollout
 from nested_dp.solver import HashedPsi2, extract_control_strategy, solve_exact, solve_pbp_exact, TablePsi2
@@ -113,6 +114,19 @@ class TestCli:
         assert cli_main(["solve", str(path), "--delay", "1"]) == 0
         assert json.loads(capsys.readouterr().out)["value"] == "9/8"
 
+    @pytest.mark.parametrize("command", [["solve"], ["simulate", "--seed", "1", "--episodes", "5"]])
+    def test_invalid_model_is_located_domain_error(self, tmp_path, capsys, command):
+        doc = model_to_json(certification_instance(0))
+        doc["info"] = {"kind": "delayed", "d": 1}
+        doc["transition"][0][0][0][0][0] = 7  # next state outside the 2-state space
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main([command[0], str(path)] + command[1:]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(path) in captured.err
+        assert "transition[0][0][0][0][0]: next state 7 outside 0..1" in captured.err
+
     def test_missing_file_is_domain_error(self, capsys):
         assert cli_main(["solve", "/nonexistent/model.json"]) == 1
         assert "error:" in capsys.readouterr().err
@@ -169,6 +183,10 @@ class TestCli:
         assert cli_main(["pbp-approx", path, "--psi2", str(psi_path), "--n", "8"]) == 0
         approx_doc = json.loads(capsys.readouterr().out)
         assert exact_doc["value"] == approx_doc["value"]  # quarter-grid beliefs
+        assert approx_doc["lattice_sizes"] == {
+            str(t): lattice_size(model.states[t].size * len(enumerate_private(info, model, t)), 8)
+            for t in range(model.horizon + 1)
+        }
         assert cli_main(["alpha", path, "--psi2", str(psi_path), "--n", "4"]) == 0
         alpha_doc = json.loads(capsys.readouterr().out)
         assert len(alpha_doc["alphas"]) == model.horizon + 2

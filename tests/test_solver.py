@@ -1,14 +1,19 @@
+import re
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nested_dp import oracle as orc
-from nested_dp.beliefs import initial_belief2_roots
+from nested_dp.beliefs import belief1_from_vector, belief1_vector, initial_belief2_roots
 from nested_dp.certify import certify_pbp_against_enumeration
+from nested_dp.decoupled import embed, solve_decoupled_pbp
 from nested_dp.errors import ResourceLimitExceeded
-from nested_dp.generators import certification_instance, convergence_instance
+from nested_dp.generators import certification_instance, convergence_instance, decoupled_instance
 from nested_dp.info import build_delayed_structure
+from nested_dp.lattice import build_lattice, lattice_size, quantize
 from nested_dp.model import Dist, FiniteSpace
 from nested_dp.solver import (
     AlphaBoundInputs,
@@ -244,6 +249,81 @@ class TestPbpSolvers:
             gaps.append(perf - exact.value)
         assert all(g >= 0 for g in gaps)
         assert gaps[0] >= gaps[1] >= gaps[2] == 0
+
+
+class TestLatticeFreeSnap:
+    """The quantized solve snaps beliefs in closed form and never builds a
+    lattice; the built lattice stays the reference."""
+
+    @pytest.fixture(scope="class")
+    def setting(self):
+        model = convergence_instance(0)
+        info = build_delayed_structure(model, 1)
+        return model, info, HashedPsi2(model, info, 7)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2, 4, 8]),
+        t=st.integers(0, 2),
+        weights=st.lists(st.integers(0, 12), min_size=8, max_size=8),
+    )
+    def test_snap_matches_lattice_reference(self, setting, n, t, weights):
+        model, info, psi2 = setting
+        pbp = solve_pbp_approx(model, info, psi2, n)
+        plist = pbp.private_lists[t]
+        m = pbp.dimension(t)
+        assume(any(weights[:m]))
+        vec = tuple(Fraction(w, sum(weights[:m])) for w in weights[:m])
+        b1 = belief1_from_vector(t, plist, vec)
+        reference = quantize(build_lattice(m, n), belief1_vector(model, plist, b1)).point()
+        assert pbp.snap(b1) == belief1_from_vector(t, plist, reference)
+
+    def test_budget_counts_nodes_not_lattice_points(self):
+        model = convergence_instance(0)
+        info = build_delayed_structure(model, 2)
+        psi2 = HashedPsi2(model, info, 7)
+        capped = solve_pbp_approx(model, info, psi2, 5, budget=1000)
+        assert max(lattice_size(capped.dimension(t), 5) for t in range(3)) == 15_504
+        assert capped.value == solve_pbp_approx(model, info, psi2, 5).value
+
+    def test_resolution_past_any_buildable_lattice(self):
+        model = convergence_instance(0)
+        info = build_delayed_structure(model, 2)
+        pbp = solve_pbp_approx(model, info, HashedPsi2(model, info, 7), 16)
+        assert lattice_size(pbp.dimension(1), 16) > 10**8
+        assert pbp.value > 0
+
+
+def _pbp_exact_capped(budget):
+    model = convergence_instance(0)
+    info = build_delayed_structure(model, 1)
+    return solve_pbp_exact(model, info, HashedPsi2(model, info, 7), budget)
+
+
+def _pbp_approx_capped(budget):
+    model = convergence_instance(0)
+    info = build_delayed_structure(model, 1)
+    return solve_pbp_approx(model, info, HashedPsi2(model, info, 7), 4, budget)
+
+
+def _decoupled_capped(budget):
+    dec = decoupled_instance(0)
+    emb = embed(dec)
+    info = build_delayed_structure(emb, 1)
+    return solve_decoupled_pbp(dec, info, HashedPsi2(emb, info, 13), budget=budget)
+
+
+class TestBudgetCore:
+    """All three DP solvers charge the one memoized argmin, which raises
+    naming the stage and the running count."""
+
+    @pytest.mark.parametrize("solve", [_pbp_exact_capped, _pbp_approx_capped, _decoupled_capped])
+    def test_budget_one_trips_with_stage_and_count(self, solve):
+        with pytest.raises(ResourceLimitExceeded) as err:
+            solve(1)
+        found = re.search(r"cap of 1 at t=(\d+): (\d+) counted", str(err.value))
+        assert found, str(err.value)
+        assert int(found.group(2)) == err.value.estimate > 1
 
 
 class TestAlphaBound:
