@@ -31,7 +31,6 @@ from .beliefs import (
     Belief1,
     Belief2,
     Prescription,
-    belief1_step,
     belief2_step,
     expected_cost1,
     expected_cost2,
@@ -42,6 +41,7 @@ from .beliefs import (
 from .info import InfoStructure, VarRef, enumerate_private, merge_realization
 from .model import TeamModel
 from .solver import (
+    PrescriptionTeamStrategy,
     alpha_bound,
     all_agent1_prescriptions,
     all_agent2_prescriptions,
@@ -104,32 +104,17 @@ def _m1_histories(model: TeamModel, info: InfoStructure, joint, tables):
     probability when agent 1's actions range free and agent 2 follows the
     tables."""
     T = model.horizon
-    contexts = []
-    for omega, _ in joint.entries:
-        values = {
-            VarRef(0, "Y1"): model.h(1, 0, omega[0], omega[2][0]),
-            VarRef(0, "Y2"): model.h(2, 0, omega[0], omega[3][0]),
-        }
-        contexts.append((omega, values, omega[0]))
+    contexts = orc._initial_contexts(model, joint)
     table_maps = tuple(dict(tbl) for tbl in tables)
     per_t = []
     for t in range(T + 1):
         per_t.append(sorted({tuple(values[v] for v in info.m1[t]) for _, values, _ in contexts}))
-        if t == T:
-            break
-        new_contexts = []
-        for omega, values, x in contexts:
-            m2 = tuple(values[v] for v in info.m2[t])
-            u2 = table_maps[t][m2]
-            for u1 in range(model.action_space(1, t).size):
-                x_next = model.f(t, x, u1, u2, omega[1][t])
-                nv = dict(values)
-                nv[VarRef(t, "U1")] = u1
-                nv[VarRef(t, "U2")] = u2
-                nv[VarRef(t + 1, "Y1")] = model.h(1, t + 1, x_next, omega[2][t + 1])
-                nv[VarRef(t + 1, "Y2")] = model.h(2, t + 1, x_next, omega[3][t + 1])
-                new_contexts.append((omega, nv, x_next))
-        contexts = new_contexts
+        if t < T:
+            contexts = [
+                orc._step_context(model, ctx, t, u1, table_maps[t][tuple(ctx[1][v] for v in info.m2[t])])
+                for ctx in contexts
+                for u1 in range(model.action_space(1, t).size)
+            ]
     return per_t
 
 
@@ -217,7 +202,7 @@ def certify_belief_and_cost_identities(
         return the consistent draws annotated with their oracle-side inner
         beliefs, so the cost checks can reuse them."""
         t = b2.t
-        runner = _PrescriptionPathRunner(model, info, presc)
+        runner = PrescriptionTeamStrategy(model, info, presc, partial=True)
         records = _consistent_draws(model, info, joint, runner, t, a2real)
         annotated = []
         oracle_triples: dict = {}
@@ -282,51 +267,6 @@ def _consistent_draws(model, info, joint, runner, t, a2real):
         if tuple(traj.value_of((v.kind, v.s)) for v in info.a2[t]) == a2real:
             out.append((omega, p, traj))
     return out
-
-
-class _PrescriptionPathRunner:
-    """Execute a partial prescription decoration: at decorated (t,
-    accessible) nodes both agents follow the recorded pair; elsewhere both
-    default to action 0 (those draws are filtered out by the conditioning
-    that uses this runner)."""
-
-    def __init__(self, model, info, presc: dict):
-        self.model = model
-        self.info = info
-        self.presc = presc
-        self._b1_roots = initial_belief1_roots(model, info)
-        self._cache: dict = {}
-
-    def fresh_state(self):
-        return {}
-
-    def act(self, st, t, values):
-        info = self.info
-        if t == 0:
-            z1 = tuple(values[v] for v in info.z1[0])
-            st["b1"] = self._b1_roots[z1][1]
-            st["a2"] = merge_realization(info.a2[0], {info.z1[0]: z1})
-        else:
-            z1 = tuple(values[v] for v in info.z1[t])
-            u1 = values[VarRef(t - 1, "U1")]
-            prev = st.get("g2")
-            if prev is None:
-                return 0, 0
-            key = (st["b1"], u1, prev, z1)
-            nxt = self._cache.get(key)
-            if nxt is None:
-                nxt = update_belief1(self.model, info, st["b1"], u1, prev, z1)
-                self._cache[key] = nxt
-            st["b1"] = nxt
-            st["a2"] = extend_a2(info, t - 1, st["a2"], tuple(values[v] for v in info.z2[t]))
-        pair = self.presc.get((t, st["a2"]))
-        if pair is None:
-            st["g2"] = None
-            return 0, 0
-        g1, g2 = pair
-        st["g2"] = g2
-        ell = tuple(values[v] for v in info.l2[t])
-        return g1(st["b1"]), g2(ell)
 
 
 def certify_pbp_against_enumeration(

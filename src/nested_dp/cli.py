@@ -59,9 +59,84 @@ def _load(path: str, delay_override: int | None):
     return model, doc, info_from_json(model, doc["info"])
 
 
-def _load_psi2(path: str, model, info):
+def _load_checked(path: str, what: str, check, model, info):
+    """A JSON document whose shape `check` accepts; a violation becomes a
+    NestedDPError naming the file, the JSON path and the rule."""
     with open(path) as fh:
-        return solver_mod.psi2_from_json(json.load(fh), model, info)
+        doc = json.load(fh)
+    try:
+        check(doc, model, info)
+    except NestedDPError as exc:
+        raise NestedDPError(f"{what} file {path} is invalid: {exc}") from None
+    return doc
+
+
+def _load_psi2(path: str, model, info):
+    return solver_mod.psi2_from_json(_load_checked(path, "psi2", _check_psi2, model, info), model, info)
+
+
+# Shape checks for psi2 and strategy documents: each raises NestedDPError
+# "<JSON path>: <rule>" at the first violation.
+
+
+def _expect(ok: bool, where: str, rule: str) -> None:
+    if not ok:
+        raise NestedDPError(f"{where}: {rule}")
+
+
+def _int_below(node, n: int, where: str) -> None:
+    _expect(type(node) is int and 0 <= node < n, where, f"must be an integer in 0..{n - 1}")
+
+
+def _list_of(node, where: str, length: int | None = None) -> list:
+    _expect(isinstance(node, list), where, "must be a list")
+    if length is not None:
+        _expect(len(node) == length, where, f"must have {length} elements, not {len(node)}")
+    return node
+
+
+def _realization(node, vars, where: str, model, info) -> None:
+    for i, (value, var) in enumerate(zip(_list_of(node, where, len(vars)), vars)):
+        _int_below(value, info.var_space_size(model, var), f"{where}[{i}]")
+
+
+def _check_psi2(doc, model, info) -> None:
+    _expect(isinstance(doc, dict), "$", "must be an object")
+    T = model.horizon
+    kind = doc.get("kind")
+    if kind == "constant":
+        n = min(model.action_space(2, t).size for t in range(T + 1))
+        _int_below(doc.get("action"), n, "$.action")
+    elif kind == "hashed":
+        _expect(type(doc.get("seed")) is int, "$.seed", "must be an integer")
+    elif kind == "table":
+        for i, entry in enumerate(_list_of(doc.get("entries"), "$.entries")):
+            where = f"$.entries[{i}]"
+            t, a2real, presc = _list_of(entry, where, 3)
+            _int_below(t, T + 1, f"{where}[0]")
+            _realization(a2real, info.a2[t], f"{where}[1]", model, info)
+            _expect(
+                isinstance(presc, dict) and [presc.get(k) for k in ("agent", "t", "domain")] == [2, t, "private"],
+                f"{where}[2]",
+                f"must be an agent-2 prescription for t={t} on the private domain",
+            )
+            for j, pair in enumerate(_list_of(presc.get("table"), f"{where}[2].table")):
+                ell, action = _list_of(pair, f"{where}[2].table[{j}]", 2)
+                _realization(ell, info.l2[t], f"{where}[2].table[{j}][0]", model, info)
+                _int_below(action, model.action_space(2, t).size, f"{where}[2].table[{j}][1]")
+    else:
+        raise NestedDPError("$.kind: must be 'table', 'constant' or 'hashed'")
+
+
+def _check_strategy(doc, model, info) -> None:
+    _expect(isinstance(doc, dict), "$", "must be an object")
+    for agent, key, memories in ((1, "g1", info.m1), (2, "g2", info.m2)):
+        for t, stage in enumerate(_list_of(doc.get(key), f"$.{key}", model.horizon + 1)):
+            for j, pair in enumerate(_list_of(stage, f"$.{key}[{t}]")):
+                where = f"$.{key}[{t}][{j}]"
+                memory, action = _list_of(pair, where, 2)
+                _realization(memory, memories[t], f"{where}[0]", model, info)
+                _int_below(action, model.action_space(agent, t).size, f"{where}[1]")
 
 
 def _cmd_validate(args) -> int:
@@ -229,8 +304,8 @@ def _cmd_simulate(args) -> int:
     model, _, info = _load(args.model, args.delay)
     exact = None
     if args.strategy:
-        with open(args.strategy) as fh:
-            strategy = oracle_mod.ExplicitStrategy.from_json(info, json.load(fh))
+        doc = _load_checked(args.strategy, "strategy", _check_strategy, model, info)
+        strategy = oracle_mod.ExplicitStrategy.from_json(info, doc)
     else:
         solution = solver_mod.solve_exact(model, info, args.budget)
         strategy = solver_mod.extract_control_strategy(solution)

@@ -463,6 +463,8 @@ def solve_decoupled_pbp(
     def actions(theta1: MarginalBelief, theta2: MarginalBelief, a2real):
         t = theta1.t
         g2 = psi2.prescription(t, a2real)
+        # agent 2's side of the step does not depend on agent 1's action
+        b2 = sorted(theta2_step(dec, info, theta2, g2).items()) if t < T else ()
         for u1 in range(dec.actions1[t].size):
             v = Fraction(0)
             for x1, p1 in theta1.items():
@@ -471,11 +473,10 @@ def solve_decoupled_pbp(
             successors = ()
             if t < T:
                 b1 = theta1_step(dec, theta1, u1)
-                b2 = theta2_step(dec, info, theta2, g2)
                 successors = (
                     (p1 * p2, (th1n, th2n, extend_a2(info, t, a2real, z2real)))
                     for _, (p1, th1n) in sorted(b1.items())
-                    for z2real, (p2, th2n) in sorted(b2.items())
+                    for z2real, (p2, th2n) in b2
                 )
             yield (u1,), v, successors
 

@@ -14,7 +14,9 @@ A "strategy-like" is any object with
 where `values` maps VarRef -> realized value for every observation produced
 so far and every action already taken.  Implementations must only read the
 entries their agent can see; the table-based ExplicitStrategy defined here
-does, and the solver's closed-loop policies follow the same contract.
+does, and the solver's closed-loop policies follow the same contract.  The
+accessible realization a2[t] lies in both agents' memories, so either agent
+may read it: the solver's executors look their prescriptions up by it.
 
 Enumeration semantics: agent-2 stage tables are enumerated first, on the
 memories reachable given agent 2's own earlier assignments with agent 1's

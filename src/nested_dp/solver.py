@@ -26,6 +26,13 @@ realizations influence the objective.  Candidates are enumerated in a fixed
 lexicographic order and ties keep the first minimizer, so repeated solves
 return identical policies.
 
+Solved policies run through two executors.  `PrescriptionTeamStrategy`
+executes a table {(t, accessible realization): (gamma1, gamma2)}, the form
+`prescription_table` reads off a joint solve; `PbpAgent1Strategy` executes a
+person-by-person policy.  Both read the accessible realization straight off
+the realized history and share one cached agent-1 belief chain,
+`Belief1Chain`.
+
 The memo contract for concurrent use: values are idempotent (recomputing a
 key yields an equal Fraction), so insert-if-absent with duplicated work is
 benign.  Nothing here mutates shared state besides the memo dictionaries.
@@ -78,6 +85,7 @@ __all__ = [
     "extract_control_strategy",
     "extract_pbp_strategy",
     "optimal_psi2",
+    "prescription_table",
     "TablePsi2",
     "ConstantPsi2",
     "HashedPsi2",
@@ -211,87 +219,32 @@ def solve_exact(model: TeamModel, info: InfoStructure, budget: int | None = None
     return ExactSolution(model, info, total, roots, dp.memo, dp.spent)
 
 
-class PrescriptionTeamStrategy:
-    """Closed-loop execution of a solved joint policy.
-
-    Tracks both belief layers from realized information, looks up the argmin
-    prescription pair at the current shared belief, and lets each agent read
-    its action off its own data.  Implements the oracle/simulator strategy
-    protocol; update steps are cached so long simulations pay dictionary
-    lookups, not Bayes arithmetic.
-    """
-
-    def __init__(self, solution: ExactSolution):
-        self.solution = solution
-        self.model = solution.model
-        self.info = solution.info
-        self._b1_roots = initial_belief1_roots(self.model, self.info)
-        self._step1_cache: dict = {}
-        self._step2_cache: dict = {}
-
-    def fresh_state(self):
-        return {}
-
-    def _advance(self, st, t, values):
-        info = self.info
-        if t == 0:
-            z1 = tuple(values[v] for v in info.z1[0])
-            a2 = tuple(values[v] for v in info.a2[0])
-            if z1 not in self._b1_roots:
-                raise MissingKey(f"unreachable initial information {z1}")
-            st["b1"] = self._b1_roots[z1][1]
-            if a2 not in self.solution.roots:
-                raise MissingKey(f"unreachable initial accessible realization {a2}")
-            st["b2"] = self.solution.roots[a2][1]
-            return
-        z1 = tuple(values[v] for v in info.z1[t])
-        z2 = tuple(values[v] for v in info.z2[t])
-        # agent 1's previous action comes straight from the realized history
-        u1 = values[VarRef(t - 1, "U1")]
-        key1 = (st["b1"], u1, st["g2"], z1)
-        b1_next = self._step1_cache.get(key1)
-        if b1_next is None:
-            b1_next = update_belief1(self.model, info, st["b1"], u1, st["g2"], z1)
-            self._step1_cache[key1] = b1_next
-        key2 = (st["b2"], st["g1"], st["g2"])
-        branches = self._step2_cache.get(key2)
-        if branches is None:
-            branches = belief2_step(self.model, info, st["b2"], st["g1"], st["g2"])
-            self._step2_cache[key2] = branches
-        if z2 not in branches:
-            raise MissingKey(f"unreachable shared increment {z2} at t={t}")
-        st["b1"] = b1_next
-        st["b2"] = branches[z2][1]
-
-    def act(self, st, t, values):
-        self._advance(st, t, values)
-        g1, g2 = self.solution.prescriptions_at(st["b2"])
-        st["g1"], st["g2"] = g1, g2
-        ell = tuple(values[v] for v in self.info.l2[t])
-        return g1(st["b1"]), g2(ell)
-
-
-def extract_control_strategy(solution: ExactSolution) -> PrescriptionTeamStrategy:
-    """Executable team strategy from a solved joint policy."""
-    return PrescriptionTeamStrategy(solution)
-
-
-def optimal_psi2(model: TeamModel, info: InfoStructure, solution: ExactSolution) -> "TablePsi2":
-    """Agent-2 prescription family realized by the solved joint policy along
-    its own argmin tree, keyed by (t, accessible realization)."""
-    entries: dict[tuple[int, A2Real], Prescription] = {}
+def prescription_table(solution: ExactSolution) -> dict[tuple[int, A2Real], tuple[Prescription, Prescription]]:
+    """The solved joint policy as {(t, accessible realization): (gamma1,
+    gamma2)}, read along its own argmin tree: one entry per tree node."""
+    model, info = solution.model, solution.info
+    table: dict[tuple[int, A2Real], tuple[Prescription, Prescription]] = {}
 
     def walk(b2: Belief2, a2real: A2Real):
-        g1, g2 = solution.prescriptions_at(b2)
-        entries[(b2.t, a2real)] = g2
+        g1, g2 = table[(b2.t, a2real)] = solution.prescriptions_at(b2)
         if b2.t < model.horizon:
             for z2real, (_, nxt) in sorted(belief2_step(model, info, b2, g1, g2).items()):
                 walk(nxt, extend_a2(info, b2.t, a2real, z2real))
 
     for a2real in sorted(solution.roots):
-        _, b2 = solution.roots[a2real]
-        walk(b2, a2real)
-    return TablePsi2(entries)
+        walk(solution.roots[a2real][1], a2real)
+    return table
+
+
+def optimal_psi2(model: TeamModel, info: InfoStructure, solution: ExactSolution) -> "TablePsi2":
+    """Agent-2 prescription family realized by the solved joint policy along
+    its own argmin tree, keyed by (t, accessible realization)."""
+    return TablePsi2({key: g2 for key, (_, g2) in prescription_table(solution).items()})
+
+
+def extract_control_strategy(solution: ExactSolution) -> "PrescriptionTeamStrategy":
+    """Executable team strategy from a solved joint policy."""
+    return PrescriptionTeamStrategy(solution.model, solution.info, prescription_table(solution))
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +451,81 @@ def solve_pbp_approx(
     return _pbp_solve(model, info, psi2, n, budget)
 
 
+# ---------------------------------------------------------------------------
+# Executing solved policies.
+# ---------------------------------------------------------------------------
+
+
+class Belief1Chain:
+    """Agent 1's exact belief along a realized history, read off agent 1's
+    own entries of `values`.  Steps are cached on (b1, u1, gamma2, z1), so
+    long simulations pay dictionary lookups, not Bayes arithmetic."""
+
+    def __init__(self, model: TeamModel, info: InfoStructure):
+        self.model = model
+        self.info = info
+        self._roots = initial_belief1_roots(model, info)
+        self._cache: dict = {}
+
+    def root(self, values) -> Belief1:
+        z1 = tuple(values[v] for v in self.info.z1[0])
+        if z1 not in self._roots:
+            raise MissingKey(f"unreachable initial information {z1}")
+        return self._roots[z1][1]
+
+    def observed(self, t: int, values) -> tuple[int, tuple[int, ...]]:
+        """Agent 1's action at t - 1 and its new information at t."""
+        return values[VarRef(t - 1, "U1")], tuple(values[v] for v in self.info.z1[t])
+
+    def step(self, b1: Belief1, g2: Prescription, u1: int, z1: tuple[int, ...]) -> Belief1:
+        """The belief at b1.t + 1, given agent 2's prescription at b1.t and
+        what `observed` reads at b1.t + 1."""
+        key = (b1, u1, g2, z1)
+        nxt = self._cache.get(key)
+        if nxt is None:
+            nxt = self._cache[key] = update_belief1(self.model, self.info, b1, u1, g2, z1)
+        return nxt
+
+
+class PrescriptionTeamStrategy:
+    """Closed-loop execution of a prescription table {(t, accessible
+    realization): (gamma1, gamma2)}: agent 1 applies gamma1 to its belief,
+    agent 2 applies gamma2 to its private realization.  Implements the
+    oracle/simulator strategy protocol.
+
+    A history outside the table raises MissingKey.  A `partial` table (a
+    prescription decoration of some tree paths) instead sends both agents
+    to action 0 there, and agent 1 stops tracking its belief from then on.
+    """
+
+    def __init__(self, model: TeamModel, info: InfoStructure, table: dict, partial: bool = False):
+        self.info = info
+        self.table = table
+        self.partial = partial
+        self.chain = Belief1Chain(model, info)
+
+    def fresh_state(self):
+        return {}
+
+    def act(self, st, t, values):
+        if t == 0:
+            b1 = self.chain.root(values)
+        elif st["g2"] is None:
+            return 0, 0
+        else:
+            b1 = self.chain.step(st["b1"], st["g2"], *self.chain.observed(t, values))
+        a2 = tuple(values[v] for v in self.info.a2[t])
+        pair = self.table.get((t, a2))
+        if pair is None:
+            if not self.partial:
+                raise MissingKey(f"no prescription pair for t={t}, accessible realization {a2}")
+            st["g2"] = None
+            return 0, 0
+        g1, g2 = pair
+        st["b1"], st["g2"] = b1, g2
+        return g1(b1), g2(tuple(values[v] for v in self.info.l2[t]))
+
+
 class PbpAgent1Strategy:
     """Execute a person-by-person policy: agent 1 tracks its belief chain
     (quantized chain for lattice policies), agent 2 follows the fixed
@@ -514,8 +542,7 @@ class PbpAgent1Strategy:
         self.pbp = pbp
         self.model = pbp.model
         self.info = pbp.info
-        self._b1_roots = initial_belief1_roots(self.model, self.info)
-        self._exact_cache: dict = {}
+        self.chain = Belief1Chain(pbp.model, pbp.info)
         self._approx_cache: dict = {}
 
     def fresh_state(self):
@@ -524,26 +551,16 @@ class PbpAgent1Strategy:
     def act(self, st, t, values):
         info = self.info
         if t == 0:
-            z1 = tuple(values[v] for v in info.z1[0])
-            if z1 not in self._b1_roots:
-                raise MissingKey(f"unreachable initial information {z1}")
-            st["exact"] = self._b1_roots[z1][1]
+            st["exact"] = self.chain.root(values)
             st["b1"] = self.pbp.snap(st["exact"])
-            st["a2"] = merge_realization(info.a2[0], {info.z1[0]: z1})
         else:
-            z1 = tuple(values[v] for v in info.z1[t])
-            u1 = values[VarRef(t - 1, "U1")]
-            g2_prev = st["g2"]
-            ekey = (st["exact"], u1, g2_prev, z1)
-            exact_next = self._exact_cache.get(ekey)
-            if exact_next is None:
-                exact_next = update_belief1(self.model, info, st["exact"], u1, g2_prev, z1)
-                self._exact_cache[ekey] = exact_next
-            akey = (st["b1"], u1, g2_prev, z1)
+            u1, z1 = self.chain.observed(t, values)
+            exact_next = self.chain.step(st["exact"], st["g2"], u1, z1)
+            akey = (st["b1"], u1, st["g2"], z1)
             if akey in self._approx_cache:
                 b1_next = self._approx_cache[akey]
             else:
-                branches = belief1_step(self.model, info, st["b1"], u1, g2_prev)
+                branches = belief1_step(self.model, info, st["b1"], u1, st["g2"])
                 if z1 in branches:
                     b1_next = self.pbp.snap(branches[z1][1])
                 else:
@@ -551,13 +568,10 @@ class PbpAgent1Strategy:
                 self._approx_cache[akey] = b1_next
             st["exact"] = exact_next
             st["b1"] = b1_next
-            z2 = tuple(values[v] for v in info.z2[t])
-            st["a2"] = extend_a2(info, t - 1, st["a2"], z2)
-        g2 = self.pbp.psi2.prescription(t, st["a2"])
-        st["g2"] = g2
+        a2 = tuple(values[v] for v in info.a2[t])
+        g2 = st["g2"] = self.pbp.psi2.prescription(t, a2)
         ell = tuple(values[v] for v in info.l2[t])
-        u1_now = self.pbp.action_at(st["b1"], st["a2"])
-        return u1_now, g2(ell)
+        return self.pbp.action_at(st["b1"], a2), g2(ell)
 
 
 def extract_pbp_strategy(pbp: PbpSolution) -> PbpAgent1Strategy:

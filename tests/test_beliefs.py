@@ -312,6 +312,44 @@ class TestSupportGrowth:
             assert len(beliefs) <= len(histories[t])
 
 
+    def test_m1_histories_match_open_loop_trajectories(self):
+        """Letting agent 1's actions range free per history reaches the same
+        memories as every open-loop agent-1 action sequence."""
+        import itertools
+
+        from nested_dp.certify import _m1_histories
+
+        model = certification_instance(1)
+        info = build_delayed_structure(model, 1)
+        joint = orc.build_joint(model)
+        T = model.horizon
+        for tables in itertools.islice(orc.enumerate_agent2_strategies(model, info, joint), 3):
+            agent2 = orc._Agent2TableOnly(info, tables)
+            seen = [set() for _ in range(T + 1)]
+            for plan in itertools.product(range(2), repeat=T):
+                runner = OpenLoopAgent1(agent2, plan + (0,))
+                for omega, _ in joint.entries:
+                    traj = orc.trajectory(model, info, runner, omega)
+                    for t in range(T + 1):
+                        seen[t].add(tuple(traj.value_of((v.kind, v.s)) for v in info.m1[t]))
+            assert _m1_histories(model, info, joint, tables) == [sorted(s) for s in seen]
+
+
+class OpenLoopAgent1:
+    """Agent 1 plays a fixed action sequence; agent 2 follows a stateless
+    strategy-like."""
+
+    def __init__(self, agent2, plan):
+        self.agent2 = agent2
+        self.plan = plan
+
+    def fresh_state(self):
+        return None
+
+    def act(self, state, t, values):
+        return self.plan[t], self.agent2.act(state, t, values)[1]
+
+
 class TestBelief1Vector:
     def test_round_trip(self):
         model = certification_instance(0)

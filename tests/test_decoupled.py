@@ -237,6 +237,24 @@ class TestDecoupledSolve:
         reduced = solve_decoupled_pbp(dec, info, psi2)
         assert reduced.value == solution.value
 
+    def test_shared_filter_steps_once_per_node(self, monkeypatch):
+        import nested_dp.decoupled as dec_mod
+
+        dec = decoupled_instance(0, horizon=5)
+        emb = embed(dec)
+        info = build_delayed_structure(emb, 1)
+        calls = []
+        original = dec_mod.theta2_step
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(dec_mod, "theta2_step", counted)
+        reduced = solve_decoupled_pbp(dec, info, HashedPsi2(emb, info, 7))
+        inner_nodes = sum(1 for theta1, _, _ in reduced.memo if theta1.t < dec.horizon)
+        assert 0 < len(calls) <= inner_nodes
+
     def test_perfect_obs_variant(self):
         dec = decoupled_instance(0, perfect_obs_1=True)
         emb = embed(dec)

@@ -224,6 +224,30 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["episodes"] == 200
 
+    @pytest.mark.parametrize(
+        "command, document, located",
+        [
+            (["pbp", "--psi2"], {"kind": "constant", "action": 5}, "$.action: must be an integer in 0..1"),
+            (["pbp", "--psi2"], {"kind": "hashed"}, "$.seed: must be an integer"),
+            (["pbp", "--psi2"], [1, 2], "$: must be an object"),
+            (
+                ["simulate", "--seed", "1", "--episodes", "5", "--strategy"],
+                {"g1": 5, "g2": []},
+                "$.g1: must be a list",
+            ),
+        ],
+    )
+    def test_invalid_psi2_or_strategy_is_located_domain_error(
+        self, tmp_path, capsys, command, document, located
+    ):
+        path = write_model(tmp_path, certification_instance(0))
+        doc_path = tmp_path / "document.json"
+        doc_path.write_text(json.dumps(document))
+        assert cli_main([command[0], path] + command[1:] + [str(doc_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"file {doc_path} is invalid: {located}" in captured.err
+
     def test_solve_decoupled_route(self, tmp_path, capsys):
         dec = decoupled_instance(1)
         doc = decoupled_to_json(dec)

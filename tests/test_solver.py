@@ -10,15 +10,17 @@ from nested_dp import oracle as orc
 from nested_dp.beliefs import belief1_from_vector, belief1_vector, initial_belief2_roots
 from nested_dp.certify import certify_pbp_against_enumeration
 from nested_dp.decoupled import embed, solve_decoupled_pbp
-from nested_dp.errors import ResourceLimitExceeded
+from nested_dp.errors import MissingKey, ResourceLimitExceeded
 from nested_dp.generators import certification_instance, convergence_instance, decoupled_instance
 from nested_dp.info import build_delayed_structure
 from nested_dp.lattice import build_lattice, lattice_size, quantize
 from nested_dp.model import Dist, FiniteSpace
+from nested_dp import solver as solver_mod
 from nested_dp.solver import (
     AlphaBoundInputs,
     ConstantPsi2,
     HashedPsi2,
+    PrescriptionTeamStrategy,
     TablePsi2,
     alpha_bound,
     all_agent1_prescriptions,
@@ -28,6 +30,7 @@ from nested_dp.solver import (
     extract_pbp_strategy,
     make_alpha_inputs,
     optimal_psi2,
+    prescription_table,
     psi2_from_json,
     solve_exact,
     solve_pbp_approx,
@@ -138,6 +141,60 @@ class TestExtractedStrategy:
         assert len(joint) == 1  # fully deterministic world
         traj = orc.trajectory(det, info, strategy, joint.entries[0][0])
         assert traj.total_cost == solution.value
+
+
+class TestPrescriptionTable:
+    @pytest.mark.parametrize("d", range(3))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_entry_per_argmin_tree_node(self, seed, d):
+        model = certification_instance(seed)
+        info = build_delayed_structure(model, d)
+        solution = solve_exact(model, info)
+        table = prescription_table(solution)
+        assert set(table) == set(optimal_psi2(model, info, solution).entries)
+        # The argmin tree's nodes are the (t, accessible realization) pairs the
+        # executed policy reaches with positive probability.
+        joint = orc.build_joint(model)
+        strategy = extract_control_strategy(solution)
+        reached = set()
+        for omega, _ in joint.entries:
+            traj = orc.trajectory(model, info, strategy, omega)
+            for t in range(model.horizon + 1):
+                reached.add((t, tuple(traj.value_of((v.kind, v.s)) for v in info.a2[t])))
+        assert len(table) == len(reached)
+        assert set(table) == reached
+
+    @pytest.fixture(scope="class")
+    def solved(self):
+        model = certification_instance(1)
+        info = build_delayed_structure(model, 1)
+        return model, info, solve_exact(model, info), orc.build_joint(model)
+
+    def test_missing_final_stage_names_it(self, solved):
+        model, info, solution, joint = solved
+        T = model.horizon
+        table = {key: pair for key, pair in prescription_table(solution).items() if key[0] < T}
+        strategy = PrescriptionTeamStrategy(model, info, table)
+        with pytest.raises(MissingKey, match=f"no prescription pair for t={T}, accessible realization"):
+            orc.evaluate_strategy(joint, model, info, strategy)
+
+    def test_partial_table_plays_zero_off_the_table(self, solved):
+        model, info, solution, joint = solved
+        table = {key: pair for key, pair in prescription_table(solution).items() if key[0] == 0}
+        strategy = PrescriptionTeamStrategy(model, info, table, partial=True)
+        for omega, _ in joint.entries:
+            traj = orc.trajectory(model, info, strategy, omega)
+            assert traj.u1s[1:] == traj.u2s[1:] == (0,) * model.horizon
+
+    def test_execution_needs_no_shared_belief_step(self, solved, monkeypatch):
+        model, info, solution, joint = solved
+        strategy = extract_control_strategy(solution)
+
+        def forbidden(*args):
+            raise AssertionError("belief2_step called while executing a table")
+
+        monkeypatch.setattr(solver_mod, "belief2_step", forbidden)
+        assert orc.evaluate_strategy(joint, model, info, strategy) == solution.value
 
 
 class TestPsi2Families:
