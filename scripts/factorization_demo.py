@@ -27,7 +27,7 @@ def sweep(model, split, info, strategy_seed):
         m1s = set()
         for omega, _ in joint.entries:
             traj = orc.trajectory(model, info, strategy, omega)
-            m1s.add(tuple(traj.value_of((v.kind, v.s)) for v in info.m1[t]))
+            m1s.add(traj.read(info.m1[t]))
         for m1real in sorted(m1s):
             check = check_factorization_pi1(model, split, info, joint, strategy, t, m1real)
             rows.append((t, m1real, check.equal))

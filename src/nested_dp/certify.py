@@ -34,13 +34,12 @@ from .beliefs import (
     belief2_step,
     expected_cost1,
     expected_cost2,
-    initial_belief1_roots,
     initial_belief2_roots,
-    update_belief1,
 )
-from .info import InfoStructure, VarRef, enumerate_private, merge_realization
+from .info import InfoStructure, enumerate_private, merge_realization
 from .model import TeamModel
 from .solver import (
+    Belief1Chain,
     PrescriptionTeamStrategy,
     alpha_bound,
     all_agent1_prescriptions,
@@ -81,10 +80,6 @@ def certify_dp_optimality(model: TeamModel, info: InfoStructure, budget: int | N
 # ---------------------------------------------------------------------------
 
 
-def _extract(info: InfoStructure, m1real, t, vars):
-    return merge_realization(vars, {info.m1[t]: m1real})
-
-
 def _gamma2_from_tables(
     model: TeamModel, info: InfoStructure, tables, s: int, a2real
 ) -> Prescription:
@@ -118,22 +113,17 @@ def _m1_histories(model: TeamModel, info: InfoStructure, joint, tables):
     return per_t
 
 
-def _chain_belief1(model, info, tables, t, m1real) -> tuple[Belief1, list[Prescription]]:
+def _chain_belief1(model, info, chain, tables, t, m1real) -> tuple[Belief1, list[Prescription]]:
     """Recompute agent 1's belief at (t, m1real) by chaining the update from
     time 0, reading actions and new information off the realization."""
-    z1_0 = _extract(info, m1real, t, info.z1[0])
-    roots = initial_belief1_roots(model, info)
-    belief = roots[z1_0][1]
-    gammas = []
+    values = dict(zip(info.m1[t], m1real))
+    gammas = [
+        _gamma2_from_tables(model, info, tables, s, tuple(values[v] for v in info.a2[s]))
+        for s in range(t + 1)
+    ]
+    belief = chain.root(values)
     for s in range(t):
-        a2real_s = _extract(info, m1real, t, info.a2[s])
-        gamma = _gamma2_from_tables(model, info, tables, s, a2real_s)
-        gammas.append(gamma)
-        (u1_s,) = _extract(info, m1real, t, (VarRef(s, "U1"),))
-        z1_next = _extract(info, m1real, t, info.z1[s + 1])
-        belief = update_belief1(model, info, belief, u1_s, gamma, z1_next)
-    a2real_t = _extract(info, m1real, t, info.a2[t])
-    gammas.append(_gamma2_from_tables(model, info, tables, t, a2real_t))
+        belief = chain.step(belief, gammas[s], *chain.observed(s + 1, values))
     return belief, gammas
 
 
@@ -169,23 +159,24 @@ def certify_belief_and_cost_identities(
 
     # -- agent-1 side -----------------------------------------------------
     seen: set = set()
+    chain = Belief1Chain(model, info)
     for tables in orc.enumerate_agent2_strategies(model, info, joint):
         strategy2 = orc._Agent2TableOnly(info, tables)
         histories = _m1_histories(model, info, joint, tables)
         for t in range(T + 1):
             for m1real in histories[t]:
-                chain, gammas = _chain_belief1(model, info, tables, t, m1real)
+                b1, gammas = _chain_belief1(model, info, chain, tables, t, m1real)
                 key = (t, m1real, tuple(g.table for g in gammas))
                 if key in seen:
                     continue
                 seen.add(key)
                 cond = orc.condition_on_memory1(joint, model, info, strategy2, t, m1real)
                 report["belief1_checks"] += 1
-                if cond != {k: w for k, w in chain.items()}:
+                if cond != {k: w for k, w in b1.items()}:
                     fail("belief1", (t, m1real))
                 gamma_t = gammas[t]
                 for u1 in range(model.action_space(1, t).size):
-                    lhs = expected_cost1(model, chain, u1, gamma_t)
+                    lhs = expected_cost1(model, b1, u1, gamma_t)
                     rhs = sum(
                         (p * model.cost(t, x, u1, gamma_t(ell)) for (x, ell), p in cond.items()),
                         Fraction(0),
@@ -209,13 +200,13 @@ def certify_belief_and_cost_identities(
         total = Fraction(0)
         cond_cache: dict = {}
         for omega, p, traj in records:
-            m1real = tuple(traj.value_of((v.kind, v.s)) for v in info.m1[t])
+            m1real = traj.read(info.m1[t])
             b1 = cond_cache.get(m1real)
             if b1 is None:
                 cond = orc.condition_on_memory1(joint, model, info, runner, t, m1real)
                 b1 = Belief1.from_weights(t, dict(cond))
                 cond_cache[m1real] = b1
-            ell = tuple(traj.value_of((v.kind, v.s)) for v in info.l2[t])
+            ell = traj.read(info.l2[t])
             annotated.append((p, traj.xs[t], ell, b1))
             key = (traj.xs[t], ell, b1)
             oracle_triples[key] = oracle_triples.get(key, Fraction(0)) + p
@@ -264,7 +255,7 @@ def _consistent_draws(model, info, joint, runner, t, a2real):
     out = []
     for omega, p in joint.entries:
         traj = orc.trajectory(model, info, runner, omega)
-        if tuple(traj.value_of((v.kind, v.s)) for v in info.a2[t]) == a2real:
+        if traj.read(info.a2[t]) == a2real:
             out.append((omega, p, traj))
     return out
 

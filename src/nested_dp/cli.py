@@ -52,11 +52,21 @@ def _load(path: str, delay_override: int | None):
     if violations:
         more = f" (and {len(violations) - 1} more)" if len(violations) > 1 else ""
         raise NestedDPError(f"model file {path} is invalid: {violations[0]}{more}")
+    return model, doc, _load_info(path, doc, model, delay_override)
+
+
+def _load_info(path: str, doc: dict, model, delay_override: int | None):
+    """The info structure: the --delay override, else the file's checked
+    `info` field."""
     if delay_override is not None:
-        return model, doc, build_delayed_structure(model, delay_override)
+        return build_delayed_structure(model, delay_override)
     if "info" not in doc:
         raise NestedDPError(f"model file {path} has no 'info' field; pass --delay")
-    return model, doc, info_from_json(model, doc["info"])
+    try:
+        _check_info(doc["info"], model)
+    except NestedDPError as exc:
+        raise NestedDPError(f"model file {path} is invalid: {exc}") from None
+    return info_from_json(model, doc["info"])
 
 
 def _load_checked(path: str, what: str, check, model, info):
@@ -98,6 +108,24 @@ def _list_of(node, where: str, length: int | None = None) -> list:
 def _realization(node, vars, where: str, model, info) -> None:
     for i, (value, var) in enumerate(zip(_list_of(node, where, len(vars)), vars)):
         _int_below(value, info.var_space_size(model, var), f"{where}[{i}]")
+
+
+def _check_info(doc, model) -> None:
+    _expect(isinstance(doc, dict), "$.info", "must be an object")
+    T = model.horizon
+    kind = doc.get("kind")
+    if kind == "delayed":
+        _expect(type(doc.get("d")) is int, "$.info.d", "must be an integer")
+    elif kind == "explicit":
+        for key in ("m1", "m2", "a2"):
+            for t, comp in enumerate(_list_of(doc.get(key), f"$.info.{key}", T + 1)):
+                for i, var in enumerate(_list_of(comp, f"$.info.{key}[{t}]")):
+                    where = f"$.info.{key}[{t}][{i}]"
+                    s, var_kind = _list_of(var, where, 2)
+                    _int_below(s, T + 1, f"{where}[0]")
+                    _expect(var_kind in ("Y1", "U1", "Y2", "U2"), f"{where}[1]", "must be Y1, U1, Y2 or U2")
+    else:
+        raise NestedDPError("$.info.kind: must be 'delayed' or 'explicit'")
 
 
 def _check_psi2(doc, model, info) -> None:
@@ -189,10 +217,7 @@ def _solve_decoupled(args) -> int:
         raise NestedDPError("--decoupled expects a decoupled model file")
     dec = dec_mod.decoupled_from_json(doc)
     model = dec_mod.embed(dec)
-    if args.delay is not None:
-        info = build_delayed_structure(model, args.delay)
-    else:
-        info = info_from_json(model, doc["info"])
+    info = _load_info(args.model, doc, model, args.delay)
     solution = solver_mod.solve_exact(model, info, args.budget)
     psi2 = solver_mod.optimal_psi2(model, info, solution)
     reduced = dec_mod.solve_decoupled_pbp(
@@ -332,14 +357,16 @@ def _cmd_lattice(args) -> int:
 
 def _cmd_quantize(args) -> int:
     vector = tuple(parse_ratio(part) for part in args.vector.split(","))
-    built = lat.build_lattice(len(vector), args.n, args.budget)
-    q = lat.quantize(built, vector)
+    if min(vector) < 0 or sum(vector) != 1:
+        raise NestedDPError("--vector must be a probability vector")
+    bound = lat.error_bound(len(vector), args.n)  # rejects n < 1
+    point = lat.nearest_point(vector, args.n)
     _emit(
         {
-            "point": [format_ratio(c) for c in q.point()],
-            "index": q.index,
-            "distance": format_ratio(lat.tv_distance(vector, q.point())),
-            "bound": format_ratio(lat.error_bound(len(vector), args.n)),
+            "point": [format_ratio(c) for c in point],
+            "index": lat.lattice_rank(tuple(int(c * args.n) for c in point)),
+            "distance": format_ratio(lat.tv_distance(vector, point)),
+            "bound": format_ratio(bound),
         }
     )
     return 0
@@ -352,10 +379,7 @@ def _cmd_check_factorization(args) -> int:
         raise NestedDPError("check-factorization expects a decoupled model file")
     dec = dec_mod.decoupled_from_json(doc)
     model = dec_mod.embed(dec)
-    if args.delay is not None:
-        info = build_delayed_structure(model, args.delay)
-    else:
-        info = info_from_json(model, doc["info"])
+    info = _load_info(args.model, doc, model, args.delay)
     split = (dec.states1[0].size, dec.states2[0].size)
     joint = oracle_mod.build_joint(model, args.budget)
     from .generators import HashedTeamStrategy
@@ -366,8 +390,8 @@ def _cmd_check_factorization(args) -> int:
         m1_seen, a2_seen = set(), set()
         for omega, _ in joint.entries:
             traj = oracle_mod.trajectory(model, info, strategy, omega)
-            m1_seen.add(tuple(traj.value_of((v.kind, v.s)) for v in info.m1[t]))
-            a2_seen.add(tuple(traj.value_of((v.kind, v.s)) for v in info.a2[t]))
+            m1_seen.add(traj.read(info.m1[t]))
+            a2_seen.add(traj.read(info.a2[t]))
         for m1real in sorted(m1_seen):
             res = dec_mod.check_factorization_pi1(model, split, info, joint, strategy, t, m1real)
             checks.append({"kind": "state-and-private", "t": t, "history": list(m1real), "equal": res.equal})
@@ -424,7 +448,6 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("quantize")
     p.add_argument("--vector", required=True, help="comma-separated p/q coordinates")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--budget", type=int, default=None)
     p.set_defaults(fn=_cmd_quantize)
     p = add_model_cmd("check-factorization", _cmd_check_factorization)
     p.add_argument("--strategy-seed", type=int, default=0)

@@ -359,10 +359,10 @@ def check_factorization_pi2(
     total = Fraction(0)
     for omega, p in joint.entries:
         traj = trajectory(model, info, strategy, omega)
-        a2 = tuple(traj.value_of((v.kind, v.s)) for v in info.a2[t])
+        a2 = traj.read(info.a2[t])
         if a2 != a2real:
             continue
-        m1 = tuple(traj.value_of((v.kind, v.s)) for v in info.m1[t])
+        m1 = traj.read(info.m1[t])
         theta1 = theta_cache.get(m1)
         if theta1 is None:
             cond = condition(joint, model, info, strategy, [(("M1", t), m1)], [("X", t)])
@@ -373,7 +373,7 @@ def check_factorization_pi2(
             theta1 = MarginalBelief.from_weights(1, t, weights)
             theta_cache[m1] = theta1
         x1, x2 = divmod(traj.xs[t], n2)
-        ell = tuple(traj.value_of((v.kind, v.s)) for v in info.l2[t])
+        ell = traj.read(info.l2[t])
         key = (x1, x2, ell, theta1)
         lhs[key] = lhs.get(key, Fraction(0)) + p
         total += p

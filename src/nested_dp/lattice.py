@@ -13,9 +13,9 @@ distributions", DCC 2011): scale by n, take floors, then hand out the
 remaining mass to the coordinates with the largest fractional parts.  Among
 equal fractional parts the later coordinate wins an increment, which keeps
 earlier coordinates small and yields the lexicographic minimizer.
-`nearest_point` needs no lattice; `quantize` adds the point's index within
-a built lattice.  Tests validate the fast path against exhaustive search
-point-for-point.
+`nearest_point` needs no lattice, and `lattice_rank` names a point's index
+within the lattice without building it.  Tests validate the fast path
+against exhaustive search point-for-point.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ __all__ = [
     "QuantizedBelief",
     "build_lattice",
     "lattice_size",
+    "lattice_rank",
     "tv_distance",
     "nearest_point",
     "quantize",
@@ -53,16 +54,6 @@ class Lattice:
 
     def __hash__(self):
         return hash((self.m, self.n))
-
-    def index_of(self, point: tuple[Fraction, ...]) -> int:
-        table = _INDEX_CACHE.get((self.m, self.n))
-        if table is None:
-            table = {p: i for i, p in enumerate(self.points)}
-            _INDEX_CACHE[(self.m, self.n)] = table
-        return table[point]
-
-
-_INDEX_CACHE: dict[tuple[int, int], dict[tuple, int]] = {}
 
 
 @dataclass(frozen=True)
@@ -96,6 +87,20 @@ def _compositions(n: int, m: int):
     for first in range(n + 1):
         for rest in _compositions(n - first, m - 1):
             yield (first,) + rest
+
+
+def lattice_rank(counts: tuple[int, ...]) -> int:
+    """Position of the composition `counts` among all compositions of its
+    sum into len(counts) parts, in `_compositions` order.  Per coordinate,
+    C(left+parts, parts) - C(left-k+parts, parts) counts the compositions
+    that put fewer than k there (combinatorial number system)."""
+    rank = 0
+    left = sum(counts)
+    for i, k in enumerate(counts):
+        parts = len(counts) - i - 1
+        rank += math.comb(left + parts, parts) - math.comb(left - k + parts, parts)
+        left -= k
+    return rank
 
 
 def build_lattice(m: int, n: int, budget: int | None = None) -> Lattice:
@@ -141,7 +146,8 @@ def quantize(lattice: Lattice, point: tuple[Fraction, ...]) -> QuantizedBelief:
     minimizers, named by its index in the lattice."""
     if len(point) != lattice.m:
         raise ValueError(f"point has {len(point)} coordinates, lattice expects {lattice.m}")
-    return QuantizedBelief(lattice.index_of(nearest_point(point, lattice.n)), lattice)
+    counts = tuple(int(c * lattice.n) for c in nearest_point(point, lattice.n))
+    return QuantizedBelief(lattice_rank(counts), lattice)
 
 
 def error_bound(m: int, n: int) -> Fraction:

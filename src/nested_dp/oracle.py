@@ -18,6 +18,16 @@ does, and the solver's closed-loop policies follow the same contract.  The
 accessible realization a2[t] lies in both agents' memories, so either agent
 may read it: the solver's executors look their prescriptions up by it.
 
+One world step serves every walk here.  A context (omega, values, x) is a
+draw, the realized variables so far and the current state; `_observe`
+records both observations of a state, and `_step_context` records a pair of
+actions and, before the horizon, moves the state on and observes it.  Each
+step returns a new `values` dict, so contexts can branch: `trajectory` folds
+the steps over one strategy's actions, while the enumerations and
+`exhaustive_min` fan them out over every action assignment.  A
+`Trajectory` keeps the final `values` -- the dict the strategy saw, with
+its last actions added -- and `read(composition)` returns a realization.
+
 Enumeration semantics: agent-2 stage tables are enumerated first, on the
 memories reachable given agent 2's own earlier assignments with agent 1's
 actions left free (agent 2's memory holds no agent-1 variables, so those
@@ -110,11 +120,11 @@ def build_joint(model: TeamModel, budget: int | None = None) -> JointTable:
 
 @dataclass(frozen=True)
 class Trajectory:
+    """One episode: the states, the VarRef -> value dict the strategy saw
+    (with its last actions added), and the stage costs."""
+
     xs: tuple[int, ...]
-    y1s: tuple[int, ...]
-    y2s: tuple[int, ...]
-    u1s: tuple[int, ...]
-    u2s: tuple[int, ...]
+    values: dict[VarRef, int]
     stage_costs: tuple[Fraction, ...]
 
     @property
@@ -125,44 +135,53 @@ class Trajectory:
         kind, t = atom[0], atom[1]
         if kind == "X":
             return self.xs[t]
-        if kind == "Y1":
-            return self.y1s[t]
-        if kind == "Y2":
-            return self.y2s[t]
-        if kind == "U1":
-            return self.u1s[t]
-        if kind == "U2":
-            return self.u2s[t]
-        raise ValueError(f"unknown atom {atom!r}")
+        return self.values[VarRef(t, kind)]
+
+    def read(self, comp: tuple[VarRef, ...]) -> tuple[int, ...]:
+        """The realization of a composition of trajectory variables."""
+        return tuple(self.values[v] for v in comp)
+
+
+def _observe(model: TeamModel, omega: Omega, t: int, x: int, values: dict) -> dict:
+    """Record both agents' observations of state x at time t into `values`."""
+    values[VarRef(t, "Y1")] = model.h(1, t, x, omega[2][t])
+    values[VarRef(t, "Y2")] = model.h(2, t, x, omega[3][t])
+    return values
+
+
+def _initial_context(model: TeamModel, omega: Omega):
+    return (omega, _observe(model, omega, 0, omega[0], {}), omega[0])
+
+
+def _initial_contexts(model: TeamModel, joint: JointTable):
+    return [_initial_context(model, omega) for omega, _ in joint.entries]
+
+
+def _step_context(model: TeamModel, ctx, t: int, u1: int, u2: int):
+    """Record the actions at t in a new `values` dict; before the horizon,
+    also move the state on and observe it at t + 1."""
+    omega, values, x = ctx
+    nv = dict(values)
+    nv[VarRef(t, "U1")] = u1
+    nv[VarRef(t, "U2")] = u2
+    if t == model.horizon:
+        return (omega, nv, x)
+    x_next = model.f(t, x, u1, u2, omega[1][t])
+    return (omega, _observe(model, omega, t + 1, x_next, nv), x_next)
 
 
 def trajectory(model: TeamModel, info: InfoStructure, strategy, omega: Omega) -> Trajectory:
     """Run one episode: the primitive draw plus a strategy force everything."""
-    x0, ws, v1s, v2s = omega
-    T = model.horizon
-    values: dict[VarRef, int] = {}
-    x = x0
-    xs, y1s, y2s, u1s, u2s, costs = [x], [], [], [], [], []
-    values[VarRef(0, "Y1")] = y1 = model.h(1, 0, x, v1s[0])
-    values[VarRef(0, "Y2")] = y2 = model.h(2, 0, x, v2s[0])
-    y1s.append(y1)
-    y2s.append(y2)
+    ctx = _initial_context(model, omega)
+    xs, costs = [], []
     state = strategy.fresh_state()
-    for t in range(T + 1):
+    for t in range(model.horizon + 1):
+        _, values, x = ctx
         u1, u2 = strategy.act(state, t, values)
-        u1s.append(u1)
-        u2s.append(u2)
+        xs.append(x)
         costs.append(model.cost(t, x, u1, u2))
-        values[VarRef(t, "U1")] = u1
-        values[VarRef(t, "U2")] = u2
-        if t < T:
-            x = model.f(t, x, u1, u2, ws[t])
-            xs.append(x)
-            values[VarRef(t + 1, "Y1")] = y1 = model.h(1, t + 1, x, v1s[t + 1])
-            values[VarRef(t + 1, "Y2")] = y2 = model.h(2, t + 1, x, v2s[t + 1])
-            y1s.append(y1)
-            y2s.append(y2)
-    return Trajectory(tuple(xs), tuple(y1s), tuple(y2s), tuple(u1s), tuple(u2s), tuple(costs))
+        ctx = _step_context(model, ctx, t, u1, u2)
+    return Trajectory(tuple(xs), ctx[1], tuple(costs))
 
 
 def evaluate_strategy(joint: JointTable, model: TeamModel, info: InfoStructure, strategy) -> Fraction:
@@ -176,6 +195,21 @@ def evaluate_strategy(joint: JointTable, model: TeamModel, info: InfoStructure, 
 # ---------------------------------------------------------------------------
 # Explicit (table) strategies and their enumeration.
 # ---------------------------------------------------------------------------
+
+
+def _table_lookup(memories, agent: int, tables):
+    """The action a stage-table stack takes on `values` at t; a memory
+    outside the tables raises MissingKey."""
+    maps = tuple(dict(tbl) for tbl in tables)
+
+    def pick(t, values):
+        m = tuple(values[v] for v in memories[t])
+        try:
+            return maps[t][m]
+        except KeyError:
+            raise MissingKey(f"agent {agent} has no action for memory {m} at t={t}") from None
+
+    return pick
 
 
 @dataclass(frozen=True)
@@ -196,28 +230,15 @@ class ExplicitStrategy:
         return ExplicitStrategy(info, freeze(g1), freeze(g2))
 
     @cached_property
-    def _g1_maps(self):
-        return tuple(dict(tbl) for tbl in self.g1)
-
-    @cached_property
-    def _g2_maps(self):
-        return tuple(dict(tbl) for tbl in self.g2)
+    def _lookups(self):
+        return _table_lookup(self.info.m1, 1, self.g1), _table_lookup(self.info.m2, 2, self.g2)
 
     def fresh_state(self):
         return None
 
     def act(self, state, t, values):
-        m1 = tuple(values[v] for v in self.info.m1[t])
-        m2 = tuple(values[v] for v in self.info.m2[t])
-        try:
-            u1 = self._g1_maps[t][m1]
-        except KeyError:
-            raise MissingKey(f"agent 1 has no action for memory {m1} at t={t}") from None
-        try:
-            u2 = self._g2_maps[t][m2]
-        except KeyError:
-            raise MissingKey(f"agent 2 has no action for memory {m2} at t={t}") from None
-        return u1, u2
+        pick1, pick2 = self._lookups
+        return pick1(t, values), pick2(t, values)
 
     def to_json(self) -> dict:
         dump = lambda tables: [[[list(k), a] for k, a in tbl] for tbl in tables]
@@ -231,27 +252,30 @@ class ExplicitStrategy:
         return ExplicitStrategy.from_tables(info, load(doc["g1"]), load(doc["g2"]))
 
 
-def _initial_contexts(model, joint):
-    contexts = []
-    for omega, _ in joint.entries:
-        x0 = omega[0]
-        values = {
-            VarRef(0, "Y1"): model.h(1, 0, x0, omega[2][0]),
-            VarRef(0, "Y2"): model.h(2, 0, x0, omega[3][0]),
-        }
-        contexts.append((omega, values, x0))
-    return contexts
+def _enumerate_tables(model: TeamModel, info: InfoStructure, joint: JointTable, agent: int, advance):
+    """Yield every self-consistent stage-table stack of one agent,
+    lexicographic.  Per time, the tables range over every action assignment
+    to the agent's memories reachable so far; `advance(t, u, values)` gives
+    the (u1, u2) pairs a context moves on by when the agent plays u there."""
+    T = model.horizon
+    memories = info.m1 if agent == 1 else info.m2
 
+    def rec(t, tables, contexts):
+        if t > T:
+            yield tuple(tuple(sorted(tbl.items())) for tbl in tables)
+            return
+        keyed = [(tuple(ctx[1][v] for v in memories[t]), ctx) for ctx in contexts]
+        infosets = sorted({key for key, _ in keyed})
+        for assignment in itertools.product(range(model.action_space(agent, t).size), repeat=len(infosets)):
+            table_t = dict(zip(infosets, assignment))
+            next_contexts = [] if t == T else [
+                _step_context(model, ctx, t, u1, u2)
+                for key, ctx in keyed
+                for u1, u2 in advance(t, table_t[key], ctx[1])
+            ]
+            yield from rec(t + 1, tables + [table_t], next_contexts)
 
-def _step_context(model, ctx, t, u1, u2):
-    omega, values, x = ctx
-    x_next = model.f(t, x, u1, u2, omega[1][t])
-    nv = dict(values)
-    nv[VarRef(t, "U1")] = u1
-    nv[VarRef(t, "U2")] = u2
-    nv[VarRef(t + 1, "Y1")] = model.h(1, t + 1, x_next, omega[2][t + 1])
-    nv[VarRef(t + 1, "Y2")] = model.h(2, t + 1, x_next, omega[3][t + 1])
-    return (omega, nv, x_next)
+    yield from rec(0, [], _initial_contexts(model, joint))
 
 
 def enumerate_agent2_strategies(model: TeamModel, info: InfoStructure, joint: JointTable):
@@ -261,27 +285,10 @@ def enumerate_agent2_strategies(model: TeamModel, info: InfoStructure, joint: Jo
     holds no agent-1 variables, that only widens the set of reachable own
     histories and never adds free entries inside the keys.
     """
-    T = model.horizon
-    n_actions = [model.action_space(2, t).size for t in range(T + 1)]
+    def advance(t, u2, values):
+        return ((u1, u2) for u1 in range(model.action_space(1, t).size))
 
-    def rec(t, tables, contexts):
-        if t > T:
-            yield tuple(tuple(sorted(tbl.items())) for tbl in tables)
-            return
-        infosets = sorted({tuple(values[v] for v in info.m2[t]) for _, values, _ in contexts})
-        for assignment in itertools.product(range(n_actions[t]), repeat=len(infosets)):
-            table_t = dict(zip(infosets, assignment))
-            if t == T:
-                next_contexts = []
-            else:
-                next_contexts = [
-                    _step_context(model, ctx, t, u1, table_t[tuple(ctx[1][v] for v in info.m2[t])])
-                    for ctx in contexts
-                    for u1 in range(model.action_space(1, t).size)
-                ]
-            yield from rec(t + 1, tables + [table_t], next_contexts)
-
-    yield from rec(0, [], _initial_contexts(model, joint))
+    return _enumerate_tables(model, info, joint, 2, advance)
 
 
 def enumerate_agent1_strategies(
@@ -291,43 +298,24 @@ def enumerate_agent1_strategies(
     (stateless) agent-2 strategy-like, lexicographic.  Reachability is joint:
     agent 2's entries inside agent 1's memory are pinned by the fixed
     strategy, so the table domains stay small."""
-    T = model.horizon
-    n_actions = [model.action_space(1, t).size for t in range(T + 1)]
+    def advance(t, u1, values):
+        return ((u1, agent2_strategy.act(None, t, values)[1]),)
 
-    def rec(t, tables, contexts):
-        if t > T:
-            yield tuple(tuple(sorted(tbl.items())) for tbl in tables)
-            return
-        infosets = sorted({tuple(values[v] for v in info.m1[t]) for _, values, _ in contexts})
-        for assignment in itertools.product(range(n_actions[t]), repeat=len(infosets)):
-            table_t = dict(zip(infosets, assignment))
-            if t == T:
-                next_contexts = []
-            else:
-                next_contexts = []
-                for ctx in contexts:
-                    u1 = table_t[tuple(ctx[1][v] for v in info.m1[t])]
-                    _, u2 = agent2_strategy.act(None, t, ctx[1])
-                    next_contexts.append(_step_context(model, ctx, t, u1, u2))
-            yield from rec(t + 1, tables + [table_t], next_contexts)
-
-    yield from rec(0, [], _initial_contexts(model, joint))
+    return _enumerate_tables(model, info, joint, 1, advance)
 
 
 class _Agent2TableOnly:
-    """Strategy-like exposing agent-2 stage tables; the agent-1 half is never
-    consulted by callers that use this."""
+    """Strategy-like playing agent-2 stage tables; its agent-1 action is 0
+    and never consulted by callers that use this."""
 
     def __init__(self, info, tables):
-        self.info = info
-        self.tables = tuple(dict(tbl) for tbl in tables)
+        self.pick = _table_lookup(info.m2, 2, tables)
 
     def fresh_state(self):
         return None
 
     def act(self, state, t, values):
-        m2 = tuple(values[v] for v in self.info.m2[t])
-        return 0, self.tables[t][m2]
+        return 0, self.pick(t, values)
 
 
 def enumerate_strategies(model: TeamModel, info: InfoStructure, joint: JointTable):
@@ -398,18 +386,14 @@ def exhaustive_min(
     best: list = [None, None]  # (value, stage tables)
     tested = [0]
 
-    # contexts: (omega, p, values, x, accumulated cost)
-    contexts = []
-    for omega, p in joint.entries:
-        values = {
-            VarRef(0, "Y1"): model.h(1, 0, omega[0], omega[2][0]),
-            VarRef(0, "Y2"): model.h(2, 0, omega[0], omega[3][0]),
-        }
-        contexts.append((omega, p, values, omega[0], Fraction(0)))
+    # contexts: (world context, probability, accumulated cost)
+    contexts = [
+        (ctx, p, Fraction(0)) for ctx, (_, p) in zip(_initial_contexts(model, joint), joint.entries)
+    ]
 
     def stage_assignments(t, contexts):
-        infosets1 = sorted({tuple(c[2][v] for v in info.m1[t]) for c in contexts})
-        infosets2 = sorted({tuple(c[2][v] for v in info.m2[t]) for c in contexts})
+        infosets1 = sorted({tuple(c[0][1][v] for v in info.m1[t]) for c in contexts})
+        infosets2 = sorted({tuple(c[0][1][v] for v in info.m2[t]) for c in contexts})
         n1 = model.action_space(1, t).size
         n2 = model.action_space(2, t).size
         for acts1 in itertools.product(range(n1), repeat=len(infosets1)):
@@ -420,15 +404,15 @@ def exhaustive_min(
         for table1, table2 in stage_assignments(t, contexts):
             stage_cost = Fraction(0)
             advanced = []
-            for omega, p, values, x, acc in contexts:
+            for ctx, p, acc in contexts:
+                _, values, x = ctx
                 u1 = table1[tuple(values[v] for v in info.m1[t])]
                 u2 = table2[tuple(values[v] for v in info.m2[t])]
                 acc = acc + model.cost(t, x, u1, u2)
                 if t == T:
                     stage_cost += p * acc
                 else:
-                    omega2, nv, x2 = _step_context(model, (omega, values, x), t, u1, u2)
-                    advanced.append((omega2, p, nv, x2, acc))
+                    advanced.append((_step_context(model, ctx, t, u1, u2), p, acc))
             tables.append((table1, table2))
             if t == T:
                 tested[0] += 1
@@ -447,24 +431,21 @@ def exhaustive_min(
     return ExhaustiveResult(best[0], ExplicitStrategy.from_tables(info, g1, g2), tested[0])
 
 
-class _FixedPairStrategy:
-    """Glue a fixed agent-1 stage-table stack to an arbitrary agent-2
-    strategy-like object."""
+class _Agent1Replaced:
+    """Agent 2 as the strategy-like `agent2` plays it, agent 1 by
+    `u1_of(t, values)`."""
 
-    def __init__(self, info, g1_tables, agent2):
-        self.info = info
-        self.g1 = tuple(tbl if isinstance(tbl, dict) else dict(tbl) for tbl in g1_tables)
+    def __init__(self, u1_of, agent2):
+        self.u1_of = u1_of
         self.agent2 = agent2
 
     def fresh_state(self):
         return self.agent2.fresh_state()
 
     def act(self, state, t, values):
-        m1 = tuple(values[v] for v in self.info.m1[t])
-        if m1 not in self.g1[t]:
-            raise MissingKey(f"agent 1 has no action for memory {m1} at t={t}")
+        u1 = self.u1_of(t, values)
         _, u2 = self.agent2.act(state, t, values)
-        return self.g1[t][m1], u2
+        return u1, u2
 
 
 def min_over_agent1(
@@ -484,7 +465,8 @@ def min_over_agent1(
         tested += 1
         if tested > cap:
             raise ResourceLimitExceeded(f"more than {cap} agent-1 strategies", estimate=tested)
-        value = evaluate_strategy(joint, model, info, _FixedPairStrategy(info, g1, agent2_strategy))
+        runner = _Agent1Replaced(_table_lookup(info.m1, 1, g1), agent2_strategy)
+        value = evaluate_strategy(joint, model, info, runner)
         if best is None or value < best:
             best = value
             best_tables = g1
@@ -502,8 +484,7 @@ _COMPOSITES = {"M1": "m1", "M2": "m2", "A2": "a2", "L2": "l2", "Z1": "z1", "Z2":
 def _atom_value(info: InfoStructure, traj: Trajectory, atom):
     kind, t = atom
     if kind in _COMPOSITES:
-        comp = getattr(info, _COMPOSITES[kind])[t]
-        return tuple(traj.value_of((v.kind, v.s)) for v in comp)
+        return traj.read(getattr(info, _COMPOSITES[kind])[t])
     return traj.value_of(atom)
 
 
@@ -534,26 +515,6 @@ def condition(
     return {key: w / total for key, w in weights.items()}
 
 
-class _MemoryPinnedAgent1:
-    """Agent 1 replays the action entries of a fixed memory realization
-    (open loop); used to condition on agent-1 histories without fixing an
-    agent-1 strategy, since the history itself pins the actions."""
-
-    def __init__(self, info, agent2, t, m1real):
-        self.info = info
-        self.agent2 = agent2
-        self.u1_by_time = {
-            v.s: m1real[i] for i, v in enumerate(info.m1[t]) if v.kind == "U1"
-        }
-
-    def fresh_state(self):
-        return self.agent2.fresh_state()
-
-    def act(self, state, t, values):
-        _, u2 = self.agent2.act(state, t, values)
-        return self.u1_by_time.get(t, 0), u2
-
-
 def condition_on_memory1(
     joint: JointTable,
     model: TeamModel,
@@ -568,5 +529,6 @@ def condition_on_memory1(
     realization itself.  Default query: (state, private values) at t."""
     if query is None:
         query = [("X", t), ("L2", t)]
-    runner = _MemoryPinnedAgent1(info, agent2_strategy, t, m1real)
+    u1_by_time = {v.s: u for v, u in zip(info.m1[t], m1real) if v.kind == "U1"}
+    runner = _Agent1Replaced(lambda s, values: u1_by_time.get(s, 0), agent2_strategy)
     return condition(joint, model, info, runner, [(("M1", t), m1real)], query)

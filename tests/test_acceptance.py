@@ -211,8 +211,8 @@ def test_criterion_8_decoupled_reductions():
             m1s, a2s = set(), set()
             for omega, _ in joint.entries:
                 traj = orc.trajectory(emb, info, strategy, omega)
-                m1s.add(tuple(traj.value_of((v.kind, v.s)) for v in info.m1[t]))
-                a2s.add(tuple(traj.value_of((v.kind, v.s)) for v in info.a2[t]))
+                m1s.add(traj.read(info.m1[t]))
+                a2s.add(traj.read(info.a2[t]))
             for m1real in sorted(m1s):
                 ok = ok and check_factorization_pi1(emb, (2, 2), info, joint, strategy, t, m1real).equal
             for a2real in sorted(a2s):
@@ -250,7 +250,7 @@ def test_criterion_8_decoupled_reductions():
         m1s = set()
         for omega, _ in cjoint.entries:
             traj = orc.trajectory(cm, cinfo, cstrategy, omega)
-            m1s.add(tuple(traj.value_of((v.kind, v.s)) for v in cinfo.m1[t]))
+            m1s.add(traj.read(cinfo.m1[t]))
         for m1real in sorted(m1s):
             if not check_factorization_pi1(cm, split, cinfo, cjoint, cstrategy, t, m1real).equal:
                 broken += 1

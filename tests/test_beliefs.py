@@ -145,10 +145,10 @@ class TestUpdateBelief1:
                             return (u1_0 if t == 0 else 0), u2
 
                     traj = orc.trajectory(model, info, _Pinned(), omega)
-                    m1real = tuple(traj.value_of((v.kind, v.s)) for v in info.m1[1])
-                    z1_0 = tuple(traj.value_of((v.kind, v.s)) for v in info.z1[0])
-                    z1_1 = tuple(traj.value_of((v.kind, v.s)) for v in info.z1[1])
-                    a2_0 = tuple(traj.value_of((v.kind, v.s)) for v in info.a2[0])
+                    m1real = traj.read(info.m1[1])
+                    z1_0 = traj.read(info.z1[0])
+                    z1_1 = traj.read(info.z1[1])
+                    a2_0 = traj.read(info.a2[0])
                     gamma = _gamma_from_tables(model, info, tables, 0, a2_0)
                     chain = update_belief1(model, info, roots[z1_0][1], u1_0, gamma, z1_1)
                     cond = orc.condition_on_memory1(joint, model, info, strategy2, 1, m1real)
@@ -299,15 +299,17 @@ class TestSupportGrowth:
         """Distinct belief realizations at each t are at most the number of
         (memory, prescription-history) pairs that produce them."""
         from nested_dp.certify import _chain_belief1, _m1_histories
+        from nested_dp.solver import Belief1Chain
 
         model = certification_instance(0)
         info = build_delayed_structure(model, 1)
         joint = orc.build_joint(model)
         tables = next(iter(orc.enumerate_agent2_strategies(model, info, joint)))
         histories = _m1_histories(model, info, joint, tables)
+        chain = Belief1Chain(model, info)
         for t in range(model.horizon + 1):
             beliefs = {
-                _chain_belief1(model, info, tables, t, m1real)[0] for m1real in histories[t]
+                _chain_belief1(model, info, chain, tables, t, m1real)[0] for m1real in histories[t]
             }
             assert len(beliefs) <= len(histories[t])
 
@@ -331,7 +333,7 @@ class TestSupportGrowth:
                 for omega, _ in joint.entries:
                     traj = orc.trajectory(model, info, runner, omega)
                     for t in range(T + 1):
-                        seen[t].add(tuple(traj.value_of((v.kind, v.s)) for v in info.m1[t]))
+                        seen[t].add(traj.read(info.m1[t]))
             assert _m1_histories(model, info, joint, tables) == [sorted(s) for s in seen]
 
 

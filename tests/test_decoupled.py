@@ -33,8 +33,8 @@ def reachable_histories(model, info, joint, strategy):
         m1s, a2s = set(), set()
         for omega, _ in joint.entries:
             traj = orc.trajectory(model, info, strategy, omega)
-            m1s.add(tuple(traj.value_of((v.kind, v.s)) for v in info.m1[t]))
-            a2s.add(tuple(traj.value_of((v.kind, v.s)) for v in info.a2[t]))
+            m1s.add(traj.read(info.m1[t]))
+            a2s.add(traj.read(info.a2[t]))
         per_t["m1"].append(sorted(m1s))
         per_t["a2"].append(sorted(a2s))
     return per_t
@@ -125,10 +125,11 @@ class TestThetaFilters:
         n2 = dec.states2[0].size
         for omega, _ in joint.entries:
             traj = orc.trajectory(emb, info, strategy, omega)
-            theta = initial_theta1_roots(dec)[traj.y1s[0]][1]
+            theta = initial_theta1_roots(dec)[traj.value_of(("Y1", 0))][1]
             for t in range(emb.horizon):
-                theta = update_theta(dec, info, 1, theta, (traj.u1s[t], traj.y1s[t + 1]))
-                m1real = tuple(traj.value_of((v.kind, v.s)) for v in info.m1[t + 1])
+                step = (traj.value_of(("U1", t)), traj.value_of(("Y1", t + 1)))
+                theta = update_theta(dec, info, 1, theta, step)
+                m1real = traj.read(info.m1[t + 1])
                 cond = orc.condition_on_memory1(
                     joint, emb, info, strategy, t + 1, m1real, query=[("X", t + 1)]
                 )
@@ -158,11 +159,11 @@ class TestThetaFilters:
         n2 = dec.states2[0].size
         for omega, _ in joint.entries:
             traj = orc.trajectory(emb, info, strategy, omega)
-            a2real = tuple(traj.value_of((v.kind, v.s)) for v in info.a2[0])
+            a2real = traj.read(info.a2[0])
             theta = initial_theta2_roots(dec, info)[a2real][1]
             for t in range(emb.horizon):
                 gamma = psi2.prescription(t, a2real)
-                z2next = tuple(traj.value_of((v.kind, v.s)) for v in info.z2[t + 1])
+                z2next = traj.read(info.z2[t + 1])
                 theta = update_theta(dec, info, 2, theta, (gamma, z2next))
                 from nested_dp.solver import extend_a2
 

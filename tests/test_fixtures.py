@@ -17,7 +17,7 @@ def reachable_m1(model, info, joint, strategy, t):
     out = set()
     for omega, _ in joint.entries:
         traj = orc.trajectory(model, info, strategy, omega)
-        out.add(tuple(traj.value_of((v.kind, v.s)) for v in info.m1[t]))
+        out.add(traj.read(info.m1[t]))
     return sorted(out)
 
 

@@ -10,6 +10,7 @@ from nested_dp.lattice import (
     build_lattice,
     error_bound,
     exhaustive_nearest,
+    lattice_rank,
     lattice_size,
     quantize,
     tv_distance,
@@ -64,6 +65,12 @@ class TestBuildLattice:
     def test_resource_guard(self):
         with pytest.raises(ResourceLimitExceeded):
             build_lattice(30, 60, budget=1000)
+
+    def test_rank_is_position_in_built_lattice(self):
+        for m in range(1, 6):
+            for n in range(1, 7):
+                for index, point in enumerate(build_lattice(m, n).points):
+                    assert lattice_rank(tuple(int(c * n) for c in point)) == index
 
 
 class TestLatticeSize:

@@ -146,6 +146,25 @@ class TestCli:
         assert doc["point"] == ["1/2", "1/2"]
         assert doc["distance"] == "1/5"
 
+    def test_quantize_builds_no_lattice(self, capsys):
+        # the resolution-16 lattice on 16 coordinates holds 300540195 points
+        vector = ",".join(["1/16"] * 16)
+        assert cli_main(["quantize", "--vector", vector, "--n", "16"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["point"] == ["1/16"] * 16
+        assert doc["distance"] == "0/1"
+
+    def test_malformed_explicit_info_is_located_domain_error(self, tmp_path, capsys):
+        doc = model_to_json(certification_instance(0))
+        doc["info"] = {"kind": "explicit", "m1": 5, "m2": [], "a2": []}
+        path = tmp_path / "bad_info.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["solve", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"model file {path} is invalid: $.info.m1: must be a list" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_solve_reports_value(self, tmp_path, capsys):
         path = write_model(tmp_path, certification_instance(0))
         assert cli_main(["solve", path]) == 0
