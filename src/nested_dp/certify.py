@@ -100,13 +100,13 @@ def _m1_histories(model: TeamModel, info: InfoStructure, joint, tables):
     tables."""
     T = model.horizon
     contexts = orc._initial_contexts(model, joint)
-    table_maps = tuple(dict(tbl) for tbl in tables)
+    pick2 = orc._table_lookup(info.m2, 2, tables)
     per_t = []
     for t in range(T + 1):
         per_t.append(sorted({tuple(values[v] for v in info.m1[t]) for _, values, _ in contexts}))
         if t < T:
             contexts = [
-                orc._step_context(model, ctx, t, u1, table_maps[t][tuple(ctx[1][v] for v in info.m2[t])])
+                orc._step_context(model, ctx, t, u1, pick2(t, ctx[1]))
                 for ctx in contexts
                 for u1 in range(model.action_space(1, t).size)
             ]

@@ -364,7 +364,7 @@ def _cmd_quantize(args) -> int:
     _emit(
         {
             "point": [format_ratio(c) for c in point],
-            "index": lat.lattice_rank(tuple(int(c * args.n) for c in point)),
+            "index": lat.lattice_rank(point, args.n),
             "distance": format_ratio(lat.tv_distance(vector, point)),
             "bound": format_ratio(bound),
         }

@@ -89,15 +89,17 @@ def _compositions(n: int, m: int):
             yield (first,) + rest
 
 
-def lattice_rank(counts: tuple[int, ...]) -> int:
-    """Position of the composition `counts` among all compositions of its
-    sum into len(counts) parts, in `_compositions` order.  Per coordinate,
-    C(left+parts, parts) - C(left-k+parts, parts) counts the compositions
-    that put fewer than k there (combinatorial number system)."""
+def lattice_rank(point: tuple[Fraction, ...], n: int) -> int:
+    """Index of the resolution-n point `point` in `build_lattice` order,
+    without building the lattice.  Its counts n*point form a composition of
+    n; per coordinate, C(left+parts, parts) - C(left-k+parts, parts) counts
+    the compositions that put fewer than k there (combinatorial number
+    system)."""
     rank = 0
-    left = sum(counts)
-    for i, k in enumerate(counts):
-        parts = len(counts) - i - 1
+    left = n
+    for i, c in enumerate(point):
+        k = int(c * n)
+        parts = len(point) - i - 1
         rank += math.comb(left + parts, parts) - math.comb(left - k + parts, parts)
         left -= k
     return rank
@@ -146,8 +148,7 @@ def quantize(lattice: Lattice, point: tuple[Fraction, ...]) -> QuantizedBelief:
     minimizers, named by its index in the lattice."""
     if len(point) != lattice.m:
         raise ValueError(f"point has {len(point)} coordinates, lattice expects {lattice.m}")
-    counts = tuple(int(c * lattice.n) for c in nearest_point(point, lattice.n))
-    return QuantizedBelief(lattice_rank(counts), lattice)
+    return QuantizedBelief(lattice_rank(nearest_point(point, lattice.n), lattice.n), lattice)
 
 
 def error_bound(m: int, n: int) -> Fraction:

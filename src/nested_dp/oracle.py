@@ -25,8 +25,9 @@ actions and, before the horizon, moves the state on and observes it.  Each
 step returns a new `values` dict, so contexts can branch: `trajectory` folds
 the steps over one strategy's actions, while the enumerations and
 `exhaustive_min` fan them out over every action assignment.  A
-`Trajectory` keeps the final `values` -- the dict the strategy saw, with
-its last actions added -- and `read(composition)` returns a realization.
+`Trajectory` keeps a read-only view of the final `values` -- the dict the
+strategy saw, with its last actions added -- and `read(composition)`
+returns a realization.
 
 Enumeration semantics: agent-2 stage tables are enumerated first, on the
 memories reachable given agent 2's own earlier assignments with agent 1's
@@ -40,9 +41,11 @@ so minimizing over the enumeration is minimizing over all strategies.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from types import MappingProxyType
 
 from .errors import MissingKey, ResourceLimitExceeded, ZeroProbabilityEvent
 from .info import InfoStructure, VarRef
@@ -118,13 +121,13 @@ def build_joint(model: TeamModel, budget: int | None = None) -> JointTable:
     return JointTable(tuple(entries))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """One episode: the states, the VarRef -> value dict the strategy saw
-    (with its last actions added), and the stage costs."""
+    """One episode: the states, the VarRef -> value map the strategy saw
+    (with its last actions added; read-only), and the stage costs."""
 
     xs: tuple[int, ...]
-    values: dict[VarRef, int]
+    values: Mapping[VarRef, int]
     stage_costs: tuple[Fraction, ...]
 
     @property
@@ -135,7 +138,12 @@ class Trajectory:
         kind, t = atom[0], atom[1]
         if kind == "X":
             return self.xs[t]
-        return self.values[VarRef(t, kind)]
+        if kind not in ("Y1", "Y2", "U1", "U2"):
+            raise ValueError(f"unknown atom {atom!r}")
+        try:
+            return self.values[VarRef(t, kind)]
+        except KeyError:
+            raise IndexError(f"atom {atom!r} lies outside the trajectory") from None
 
     def read(self, comp: tuple[VarRef, ...]) -> tuple[int, ...]:
         """The realization of a composition of trajectory variables."""
@@ -181,7 +189,7 @@ def trajectory(model: TeamModel, info: InfoStructure, strategy, omega: Omega) ->
         xs.append(x)
         costs.append(model.cost(t, x, u1, u2))
         ctx = _step_context(model, ctx, t, u1, u2)
-    return Trajectory(tuple(xs), ctx[1], tuple(costs))
+    return Trajectory(tuple(xs), MappingProxyType(ctx[1]), tuple(costs))
 
 
 def evaluate_strategy(joint: JointTable, model: TeamModel, info: InfoStructure, strategy) -> Fraction:

@@ -70,7 +70,7 @@ class TestBuildLattice:
         for m in range(1, 6):
             for n in range(1, 7):
                 for index, point in enumerate(build_lattice(m, n).points):
-                    assert lattice_rank(tuple(int(c * n) for c in point)) == index
+                    assert lattice_rank(point, n) == index
 
 
 class TestLatticeSize:
