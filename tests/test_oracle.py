@@ -6,7 +6,7 @@ import pytest
 from nested_dp import oracle as orc
 from nested_dp.errors import ResourceLimitExceeded, ZeroProbabilityEvent
 from nested_dp.generators import HashedTeamStrategy, certification_instance
-from nested_dp.info import build_delayed_structure
+from nested_dp.info import VarRef, build_delayed_structure
 from nested_dp.model import Dist, FiniteSpace, TeamModel
 
 
@@ -186,6 +186,19 @@ class TestCondition:
         given += [(("Y1", 0), traj.value_of(("Y1", 0))), (("Y2", 0), traj.value_of(("Y2", 0)))]
         dist = orc.condition(joint, model, info, strat, given, [("U1", 2)])
         assert dist == {(traj.value_of(("U1", 2)),): Fraction(1)}
+
+    def test_trajectory_values_are_read_only_and_atoms_checked(self):
+        model = certification_instance(0)
+        info = build_delayed_structure(model, 1)
+        joint = orc.build_joint(model)
+        traj = orc.trajectory(model, info, HashedTeamStrategy(model, info, 1), joint.entries[0][0])
+        with pytest.raises(TypeError):
+            traj.values[VarRef(0, "U1")] = 1
+        hash(traj)
+        with pytest.raises(ValueError, match="unknown atom"):
+            traj.value_of(("W", 0))
+        with pytest.raises(IndexError):
+            traj.value_of(("U1", model.horizon + 1))
 
     def test_impossible_event_raises(self):
         model = static_model(T=0)
