@@ -11,6 +11,15 @@ Two layers of belief are tracked:
   prescriptions.  Its support is a finite set of triples because Belief1 has
   finitely many reachable realizations on a finite horizon.
 
+A Belief2 is a mixture of its inner beliefs: every entry factors as
+w(b1) * b1(x, ell), because the accessibility rule of `check_nestedness`
+puts a2[t] inside m1[t], so conditioning on agent 1's memory refines
+conditioning on the accessible information.  The shared step is therefore
+computed from agent-1 steps, one per inner belief, and the novelty rule
+(z2[t+1] inside z1[t+1]) reads each branch's shared increment off agent 1's
+new information.  `belief1_step` and `initial_belief1_roots` are the only
+Bayes kernels that run over the model's primitive draws.
+
 Both updates are pure Bayes steps driven by realized new information; no
 strategy object appears anywhere in the computation, which is the
 strategy-independence property the solver relies on.  Conditioning on an
@@ -31,7 +40,7 @@ from fractions import Fraction
 from functools import partial
 
 from .errors import DomainGap, ZeroProbabilityObservation
-from .info import InfoStructure, step_plan
+from .info import InfoStructure, merge_picker, step_plan
 from .model import TeamModel, format_ratio, parse_ratio
 
 __all__ = [
@@ -140,13 +149,17 @@ class Belief2:
     def support(self):
         return [key for key, _ in self.entries]
 
+    def mixture(self) -> dict[Belief1, Fraction]:
+        """The weight of each inner belief: every entry is mixture()[b1] *
+        b1(x, ell)."""
+        out: dict[Belief1, Fraction] = {}
+        for (_, _, b1), w in self.entries:
+            out[b1] = out.get(b1, Fraction(0)) + w
+        return out
+
     def belief1_support(self) -> list[Belief1]:
         """Distinct inner beliefs, in canonical order (prescription domains)."""
-        seen: list[Belief1] = []
-        for (_, _, b1), _ in self.entries:
-            if b1 not in seen:
-                seen.append(b1)
-        return sorted(seen, key=lambda b: b.sort_key())
+        return sorted(self.mixture(), key=Belief1.sort_key)
 
     def marginal_state_private(self) -> dict[tuple[int, PrivateReal], Fraction]:
         out: dict[tuple[int, PrivateReal], Fraction] = {}
@@ -155,14 +168,11 @@ class Belief2:
         return out
 
     def mixture_state_private(self) -> dict[tuple[int, PrivateReal], Fraction]:
-        """Average the inner beliefs by their marginal weights.  Agrees with
+        """Average the inner beliefs by their mixture weights.  Agrees with
         marginal_state_private by the tower property; both are tested against
         direct conditioning."""
-        by_b1: dict[Belief1, Fraction] = {}
-        for (_, _, b1), w in self.entries:
-            by_b1[b1] = by_b1.get(b1, Fraction(0)) + w
         out: dict[tuple[int, PrivateReal], Fraction] = {}
-        for b1, w in by_b1.items():
+        for b1, w in self.mixture().items():
             for (x, ell), p in b1.items():
                 out[(x, ell)] = out.get((x, ell), Fraction(0)) + w * p
         return out
@@ -292,8 +302,9 @@ def _joint() -> defaultdict:
 
 
 def _branches(acc: dict, make) -> dict:
-    """Turn `{key: {support: weight}}` into the sorted `{key: (total,
-    make(normalized weights))}`: each key's Bayes denominator and posterior."""
+    """Turn `{key: {support: weight}}` into `{key: (total, make(normalized
+    weights))}`: each key's Bayes denominator and posterior.  The result is
+    built in sorted key order, so iterating it needs no further sort."""
     out = {}
     for key in sorted(acc):
         weights = acc[key]
@@ -393,26 +404,27 @@ def update_belief1(
 # ---------------------------------------------------------------------------
 
 
+def _mixture_branches(t: int, parts, key_of) -> dict[tuple[int, ...], tuple[Fraction, Belief2]]:
+    """Shared-belief branches from agent-1 branches.  `parts` yields (w,
+    {z1: (q, b1')}) pairs; each branch adds w * q * b1'(x, ell) to the entry
+    (x, ell, b1') under the key `key_of(z1)`."""
+    acc = _joint()
+    for w, branches in parts:
+        for z1, (q, b1) in branches.items():
+            weights = acc[key_of(z1)]
+            for (x, ell), p in b1.items():
+                weights[(x, ell, b1)] += w * q * p
+    return _branches(acc, partial(Belief2.from_weights, t))
+
+
 def initial_belief2_roots(
     model: TeamModel, info: InfoStructure
 ) -> dict[tuple[int, ...], tuple[Fraction, Belief2]]:
     """Positive-probability time-0 accessible realizations and their shared
-    beliefs.  The inner Belief1 of each support triple is the agent-1 belief
-    for the new information consistent with that draw."""
-    b1_roots = initial_belief1_roots(model, info)
-    plan = step_plan(info, -1)
-    a2_of = plan.picker(info.a2[0])
-    ell_of = plan.picker(info.l2[0])
-    z1_of = plan.picker(info.z1[0])
-    acc = _joint()
-    for x0, px in model.x0_dist.items():
-        for v1, pv1 in model.v_dist(1, 0).items():
-            y1 = model.h(1, 0, x0, v1)
-            for v2, pv2 in model.v_dist(2, 0).items():
-                slots = (y1, model.h(2, 0, x0, v2))
-                b1 = b1_roots[z1_of(slots)][1]
-                acc[a2_of(slots)][(x0, ell_of(slots), b1)] += px * pv1 * pv2
-    return _branches(acc, partial(Belief2.from_weights, 0))
+    beliefs: each agent-1 root z1 -> (q, b1) puts weight q * b1(x, ell) on
+    (x, ell, b1) under the a2[0] part of z1 (a2[0] lies inside m1[0] = z1[0])."""
+    a2_of = merge_picker(info, info.a2[0], info.z1[0])
+    return _mixture_branches(0, [(1, initial_belief1_roots(model, info))], a2_of)
 
 
 def initial_belief2(model: TeamModel, info: InfoStructure, a2_0: tuple[int, ...]) -> Belief2:
@@ -431,37 +443,20 @@ def belief2_step(
     """All one-step continuations of a Belief2 under a prescription pair:
     realized shared-increment tuple -> (probability, posterior).
 
-    Each support triple advances its inner belief with the agent-1 update
-    for the new information implied by the sampled primitives, so the two
-    layers stay consistent by construction.
+    The step is a mixture of agent-1 steps.  Each entry of b2 factors as
+    w(b1) * b1(x, ell), with w from `Belief2.mixture`, so each inner belief
+    b1 takes one `belief1_step` under its action gamma1(b1), and its branch
+    z1 -> (q, b1') adds w * q * b1'(x', ell') to the entry (x', ell', b1')
+    under the z2[t+1] part of z1.  This relies on two nestedness rules that
+    `check_nestedness` enforces: accessibility (a2[t] inside m1[t], which
+    gives the factorization) and novelty (z2[t+1] inside z1[t+1]).
     """
     t = b2.t
     if t >= model.horizon:
         raise ValueError(f"no transition out of the final time {t}")
-    plan = step_plan(info, t)
-    z2_of = plan.picker(info.z2[t + 1])
-    z1_of = plan.picker(info.z1[t + 1])
-    ell_next_of = plan.picker(info.l2[t + 1])
-    acc = _joint()
-    inner_cache: dict[tuple[Belief1, int, tuple[int, ...]], Belief1] = {}
-    for (x, ell, b1), p in b2.items():
-        u1 = gamma1(b1)
-        u2 = gamma2(ell)
-        for w, pw in model.w_dist(t).items():
-            x_next = model.f(t, x, u1, u2, w)
-            for v1, pv1 in model.v_dist(1, t + 1).items():
-                y1_next = model.h(1, t + 1, x_next, v1)
-                for v2, pv2 in model.v_dist(2, t + 1).items():
-                    slots = ell + (y1_next, model.h(2, t + 1, x_next, v2), u1, u2)
-                    z1 = z1_of(slots)
-                    cache_key = (b1, u1, z1)
-                    b1_next = inner_cache.get(cache_key)
-                    if b1_next is None:
-                        b1_next = update_belief1(model, info, b1, u1, gamma2, z1)
-                        inner_cache[cache_key] = b1_next
-                    key = (x_next, ell_next_of(slots), b1_next)
-                    acc[z2_of(slots)][key] += p * pw * pv1 * pv2
-    return _branches(acc, partial(Belief2.from_weights, t + 1))
+    z2_of = merge_picker(info, info.z2[t + 1], info.z1[t + 1])
+    parts = ((w, belief1_step(model, info, b1, gamma1(b1), gamma2)) for b1, w in b2.mixture().items())
+    return _mixture_branches(t + 1, parts, z2_of)
 
 
 def update_belief2(

@@ -195,6 +195,10 @@ def certify_belief_and_cost_identities(
         t = b2.t
         runner = PrescriptionTeamStrategy(model, info, presc, partial=True)
         records = _consistent_draws(model, info, joint, runner, t, a2real)
+        # agent 1's actions are replayed off its memory, which can take its
+        # belief out of gamma1's domain: only agent 2 follows the decoration
+        gamma2s = {key: g2 for key, (_, g2) in presc.items()}
+        agent2 = _Agent2Prescribed(info, lambda s, a2: gamma2s.get((s, a2)))
         annotated = []
         oracle_triples: dict = {}
         total = Fraction(0)
@@ -203,7 +207,7 @@ def certify_belief_and_cost_identities(
             m1real = traj.read(info.m1[t])
             b1 = cond_cache.get(m1real)
             if b1 is None:
-                cond = orc.condition_on_memory1(joint, model, info, runner, t, m1real)
+                cond = orc.condition_on_memory1(joint, model, info, agent2, t, m1real)
                 b1 = Belief1.from_weights(t, dict(cond))
                 cond_cache[m1real] = b1
             ell = traj.read(info.l2[t])
@@ -242,11 +246,10 @@ def certify_belief_and_cost_identities(
                 if t < T:
                     decorated = dict(presc)
                     decorated[(t, a2real)] = (g1, g2)
-                    for z2real, (_, nxt) in sorted(belief2_step(model, info, b2, g1, g2).items()):
+                    for z2real, (_, nxt) in belief2_step(model, info, b2, g1, g2).items():
                         walk(nxt, extend_a2(info, t, a2real, z2real), decorated)
 
-    for a2real in sorted(b2_roots):
-        _, b2 = b2_roots[a2real]
+    for a2real, (_, b2) in b2_roots.items():
         walk(b2, a2real, {})
     return report
 
@@ -267,7 +270,7 @@ def certify_pbp_against_enumeration(
     with agent 2 fixed to the prescription family."""
     pbp = solve_pbp_exact(model, info, psi2, budget)
     joint = orc.build_joint(model, budget)
-    agent2 = _Psi2Strategy(model, info, psi2)
+    agent2 = _Agent2Prescribed(info, psi2.prescription)
     brute_value, _ = orc.min_over_agent1(model, info, joint, agent2, budget)
     extracted = extract_pbp_strategy(pbp)
     replay = orc.evaluate_strategy(joint, model, info, extracted)
@@ -279,21 +282,20 @@ def certify_pbp_against_enumeration(
     }
 
 
-class _Psi2Strategy:
-    """Agent 2 follows a prescription family; agent 1 side unused."""
+class _Agent2Prescribed:
+    """Agent 2 applies `gamma2_at(t, accessible realization)` to its private
+    realization, and plays 0 where that returns None; agent 1 plays 0."""
 
-    def __init__(self, model, info, psi2):
-        self.model = model
+    def __init__(self, info, gamma2_at):
         self.info = info
-        self.psi2 = psi2
+        self.gamma2_at = gamma2_at
 
     def fresh_state(self):
         return None
 
     def act(self, state, t, values):
-        a2real = tuple(values[v] for v in self.info.a2[t])
-        ell = tuple(values[v] for v in self.info.l2[t])
-        return 0, self.psi2.prescription(t, a2real)(ell)
+        g2 = self.gamma2_at(t, tuple(values[v] for v in self.info.a2[t]))
+        return 0, 0 if g2 is None else g2(tuple(values[v] for v in self.info.l2[t]))
 
 
 def convergence_report(

@@ -31,7 +31,7 @@ from . import oracle as oracle_mod
 from . import sim as sim_mod
 from . import solver as solver_mod
 from .errors import NestedDPError
-from .info import build_delayed_structure, info_from_json
+from .info import build_delayed_structure, check_nestedness, info_from_json
 from .model import (
     format_ratio,
     load_model_file,
@@ -46,18 +46,22 @@ def _emit(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def _load(path: str, delay_override: int | None):
-    model, doc = load_model_file(path)
-    violations = validate_model(model)
+def _reject(path: str, violations: list) -> None:
+    """Name the first violation of a model file, if there is one."""
     if violations:
         more = f" (and {len(violations) - 1} more)" if len(violations) > 1 else ""
         raise NestedDPError(f"model file {path} is invalid: {violations[0]}{more}")
+
+
+def _load(path: str, delay_override: int | None):
+    model, doc = load_model_file(path)
+    _reject(path, validate_model(model))
     return model, doc, _load_info(path, doc, model, delay_override)
 
 
 def _load_info(path: str, doc: dict, model, delay_override: int | None):
-    """The info structure: the --delay override, else the file's checked
-    `info` field."""
+    """The info structure: the --delay override, else the file's `info`
+    field, checked for shape and then for every nestedness rule."""
     if delay_override is not None:
         return build_delayed_structure(model, delay_override)
     if "info" not in doc:
@@ -66,7 +70,9 @@ def _load_info(path: str, doc: dict, model, delay_override: int | None):
         _check_info(doc["info"], model)
     except NestedDPError as exc:
         raise NestedDPError(f"model file {path} is invalid: {exc}") from None
-    return info_from_json(model, doc["info"])
+    info = info_from_json(model, doc["info"])
+    _reject(path, [f"$.info: {v}" for v in check_nestedness(info)])
+    return info
 
 
 def _load_checked(path: str, what: str, check, model, info):
@@ -183,7 +189,7 @@ def _cmd_solve(args) -> int:
         "value": format_ratio(solution.value),
         "roots": [
             {"accessible": list(a2), "probability": format_ratio(p), "value": format_ratio(solution.value_at(b2))}
-            for a2, (p, b2) in sorted(solution.roots.items())
+            for a2, (p, b2) in solution.roots.items()
         ],
         "nodes": len(solution.memo),
         "pairs_enumerated": solution.pairs_enumerated,
@@ -265,7 +271,7 @@ def _cmd_pbp(args) -> int:
             "nodes": len(pbp.memo),
             "roots": [
                 {"new_info": list(z1), "probability": format_ratio(p)}
-                for z1, (p, _, _) in sorted(pbp.roots.items())
+                for z1, (p, _, _) in pbp.roots.items()
             ],
         }
     )

@@ -464,7 +464,7 @@ def solve_decoupled_pbp(
         t = theta1.t
         g2 = psi2.prescription(t, a2real)
         # agent 2's side of the step does not depend on agent 1's action
-        b2 = sorted(theta2_step(dec, info, theta2, g2).items()) if t < T else ()
+        b2 = theta2_step(dec, info, theta2, g2).items() if t < T else ()
         for u1 in range(dec.actions1[t].size):
             v = Fraction(0)
             for x1, p1 in theta1.items():
@@ -475,7 +475,7 @@ def solve_decoupled_pbp(
                 b1 = theta1_step(dec, theta1, u1)
                 successors = (
                     (p1 * p2, (th1n, th2n, extend_a2(info, t, a2real, z2real)))
-                    for _, (p1, th1n) in sorted(b1.items())
+                    for p1, th1n in b1.values()
                     for z2real, (p2, th2n) in b2
                 )
             yield (u1,), v, successors
@@ -485,10 +485,8 @@ def solve_decoupled_pbp(
     total = Fraction(0)
     roots1 = initial_theta1_roots(dec)
     roots2 = initial_theta2_roots(dec, info)
-    for y1 in sorted(roots1):
-        p1, th1 = roots1[y1]
-        for a2real in sorted(roots2):
-            p2, th2 = roots2[a2real]
+    for p1, th1 in roots1.values():
+        for a2real, (p2, th2) in roots2.items():
             total += p1 * p2 * dp.value((th1, th2, a2real))
     return DecoupledPbpSolution(total, dp.memo, perfect_obs_1)
 

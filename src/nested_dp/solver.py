@@ -207,14 +207,13 @@ def solve_exact(model: TeamModel, info: InfoStructure, budget: int | None = None
         for g1 in all_agent1_prescriptions(t, points, n_u1):
             for g2 in all_agent2_prescriptions(t, l2_reals, n_u2):
                 cost = expected_cost2(model, b2, g1, g2)
-                branches = sorted(belief2_step(model, info, b2, g1, g2).items()) if t < T else ()
-                yield (g1, g2), cost, (branch for _, branch in branches)
+                branches = belief2_step(model, info, b2, g1, g2).values() if t < T else ()
+                yield (g1, g2), cost, branches
 
     dp = MemoArgmin({}, resolve_budget(budget), "prescription pairs", expand)
     roots = initial_belief2_roots(model, info)
     total = Fraction(0)
-    for a2real in sorted(roots):
-        p, b2 = roots[a2real]
+    for p, b2 in roots.values():
         total += p * dp.value(b2)
     return ExactSolution(model, info, total, roots, dp.memo, dp.spent)
 
@@ -228,11 +227,11 @@ def prescription_table(solution: ExactSolution) -> dict[tuple[int, A2Real], tupl
     def walk(b2: Belief2, a2real: A2Real):
         g1, g2 = table[(b2.t, a2real)] = solution.prescriptions_at(b2)
         if b2.t < model.horizon:
-            for z2real, (_, nxt) in sorted(belief2_step(model, info, b2, g1, g2).items()):
+            for z2real, (_, nxt) in belief2_step(model, info, b2, g1, g2).items():
                 walk(nxt, extend_a2(info, b2.t, a2real, z2real))
 
-    for a2real in sorted(solution.roots):
-        walk(solution.roots[a2real][1], a2real)
+    for a2real, (_, b2) in solution.roots.items():
+        walk(b2, a2real)
     return table
 
 
@@ -415,7 +414,7 @@ def _pbp_solve(
         z2_of = merge_picker(info, info.z2[t + 1], info.z1[t + 1]) if t < T else None
         for u1 in range(model.action_space(1, t).size):
             cost = expected_cost1(model, b1, u1, g2)
-            branches = sorted(belief1_step(model, info, b1, u1, g2).items()) if t < T else ()
+            branches = belief1_step(model, info, b1, u1, g2).items() if t < T else ()
             yield (u1,), cost, (
                 (p, (sol.snap(b1_next), extend_a2(info, t, a2real, z2_of(z1real))))
                 for z1real, (p, b1_next) in branches
@@ -423,8 +422,7 @@ def _pbp_solve(
 
     dp = MemoArgmin(sol.memo, resolve_budget(budget), "value nodes", expand)
     b1_roots = initial_belief1_roots(model, info)
-    for z1real in sorted(b1_roots):
-        p, b1 = b1_roots[z1real]
+    for z1real, (p, b1) in b1_roots.items():
         a2real = merge_realization(info.a2[0], {info.z1[0]: z1real})
         b1 = sol.snap(b1)
         sol.roots[z1real] = (p, b1, a2real)

@@ -219,6 +219,50 @@ class TestUpdateBelief2:
         with pytest.raises(DomainGap):
             belief2_step(model, info, b2, partial, g2)
 
+    def test_one_agent1_step_per_inner_belief(self, monkeypatch):
+        """The shared step is a mixture of agent-1 steps: one belief1_step
+        per distinct inner belief, and no update_belief1."""
+        import nested_dp.beliefs as beliefs_mod
+
+        model = certification_instance(0)
+        info = build_delayed_structure(model, 1)
+        stepped = []
+        real_step = beliefs_mod.belief1_step
+
+        def counting_step(model, info, b1, u1, gamma2):
+            stepped.append(b1)
+            return real_step(model, info, b1, u1, gamma2)
+
+        def no_update(*args):
+            raise AssertionError("belief2_step called update_belief1")
+
+        monkeypatch.setattr(beliefs_mod, "belief1_step", counting_step)
+        monkeypatch.setattr(beliefs_mod, "update_belief1", no_update)
+        for _, b2 in initial_belief2_roots(model, info).values():
+            points = b2.belief1_support()
+            assert len(points) > 1
+            stepped.clear()
+            g1 = Prescription.for_agent1(0, {b: 0 for b in points})
+            belief2_step(model, info, b2, g1, gamma2_const(info, model, 0, 0))
+            assert sorted(stepped, key=Belief1.sort_key) == points
+
+    @pytest.mark.parametrize("d", range(4))
+    def test_entries_factor_through_mixture(self, d):
+        """Every reachable shared-belief entry is mixture()[b1] * b1(x, ell)."""
+        model = certification_instance(1)
+        info = build_delayed_structure(model, d)
+        frontier = [b2 for _, b2 in initial_belief2_roots(model, info).values()]
+        while frontier:
+            b2 = frontier.pop()
+            mix = b2.mixture()
+            assert sum(mix.values()) == 1
+            for (x, ell, b1), w in b2.items():
+                assert w == mix[b1] * b1.prob(x, ell)
+            if b2.t < model.horizon:
+                g1 = Prescription.for_agent1(b2.t, {b: b2.t % 2 for b in mix})
+                g2 = gamma2_const(info, model, b2.t, 1)
+                frontier.extend(nxt for _, nxt in belief2_step(model, info, b2, g1, g2).values())
+
     def test_marginal_and_mixture_agree(self):
         model = certification_instance(1)
         info = build_delayed_structure(model, 1)

@@ -174,6 +174,19 @@ def split_delay_structure(model):
     return info_from_json(model, {"kind": "explicit", "m1": m1, "m2": m2, "a2": a2})
 
 
+def test_identity_sweep_on_split_delay_structure():
+    """Recursive beliefs and costs against direct conditioning on a
+    structure whose private data persist across stages.  Replaying agent
+    1's actions off its memory leaves gamma1's domain here, so the sweep
+    conditions with agent 2 alone following the decoration."""
+    from nested_dp.certify import certify_belief_and_cost_identities
+
+    model = certification_instance(0, horizon=2)
+    report = certify_belief_and_cost_identities(model, split_delay_structure(model))
+    assert report["ok"], report["failures"]
+    assert report["belief1_checks"] > 0 and report["belief2_checks"] > 0
+
+
 class TestCompiledPlans:
     """The compiled index plans agree with symbolic merging on every input."""
 

@@ -165,6 +165,20 @@ class TestCli:
         assert f"model file {path} is invalid: $.info.m1: must be a list" in captured.err
         assert "Traceback" not in captured.err
 
+    def test_explicit_info_breaking_nestedness_is_located_domain_error(self, tmp_path, capsys):
+        """A well-formed `info` field whose agent-2 memory holds agent 1's
+        observation is rejected with the stage and rule, not solved."""
+        doc = model_to_json(certification_instance(0))
+        own_obs = [[[0, "Y1"]] for _ in range(3)]
+        doc["info"] = {"kind": "explicit", "m1": own_obs, "m2": own_obs, "a2": [[], [], []]}
+        path = tmp_path / "unnested.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["solve", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"model file {path} is invalid: $.info: t=0 [window]: m2 holds agent-1 variable Y1@0" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_solve_reports_value(self, tmp_path, capsys):
         path = write_model(tmp_path, certification_instance(0))
         assert cli_main(["solve", path]) == 0
