@@ -107,6 +107,16 @@ class Belief1:
     def support(self) -> list[tuple[int, PrivateReal]]:
         return [key for key, _ in self.entries]
 
+    def private_support(self) -> tuple[PrivateReal, ...]:
+        """Distinct private realizations of the support, in entry order:
+        the only arguments an agent-2 prescription is read at by a step or
+        a cost from this belief."""
+        ells = self.__dict__.get("_ells")
+        if ells is None:
+            ells = tuple(dict.fromkeys(ell for (_, ell), _ in self.entries))
+            object.__setattr__(self, "_ells", ells)
+        return ells
+
     def sort_key(self):
         return self.entries
 
@@ -439,6 +449,7 @@ def belief2_step(
     b2: Belief2,
     gamma1: Prescription,
     gamma2: Prescription,
+    step1=None,
 ) -> dict[tuple[int, ...], tuple[Fraction, Belief2]]:
     """All one-step continuations of a Belief2 under a prescription pair:
     realized shared-increment tuple -> (probability, posterior).
@@ -450,12 +461,17 @@ def belief2_step(
     under the z2[t+1] part of z1.  This relies on two nestedness rules that
     `check_nestedness` enforces: accessibility (a2[t] inside m1[t], which
     gives the factorization) and novelty (z2[t+1] inside z1[t+1]).
+
+    `step1`, when given, replaces `belief1_step` for the inner steps (the
+    solver passes a cached one).  The default is looked up at call time, so
+    a rebound `belief1_step` is the one called.
     """
     t = b2.t
     if t >= model.horizon:
         raise ValueError(f"no transition out of the final time {t}")
     z2_of = merge_picker(info, info.z2[t + 1], info.z1[t + 1])
-    parts = ((w, belief1_step(model, info, b1, gamma1(b1), gamma2)) for b1, w in b2.mixture().items())
+    step = step1 or belief1_step
+    parts = ((w, step(model, info, b1, gamma1(b1), gamma2)) for b1, w in b2.mixture().items())
     return _mixture_branches(t + 1, parts, z2_of)
 
 

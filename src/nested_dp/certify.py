@@ -193,7 +193,7 @@ def certify_belief_and_cost_identities(
         return the consistent draws annotated with their oracle-side inner
         beliefs, so the cost checks can reuse them."""
         t = b2.t
-        runner = PrescriptionTeamStrategy(model, info, presc, partial=True)
+        runner = PrescriptionTeamStrategy(model, info, presc, partial=True, chain=chain)
         records = _consistent_draws(model, info, joint, runner, t, a2real)
         # agent 1's actions are replayed off its memory, which can take its
         # belief out of gamma1's domain: only agent 2 follows the decoration

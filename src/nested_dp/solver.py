@@ -5,7 +5,9 @@ Three solvers live here:
   solve_exact      -- joint minimization over prescription pairs at every
                       reachable shared-belief realization, by memoized
                       top-down recursion from the positive-probability
-                      time-0 roots.  Yields the team optimum.
+                      time-0 roots, with agent 2's prescriptions scanned
+                      only on the belief's private support.  Yields the
+                      team optimum.
 
   solve_pbp_exact  -- agent 1's best response to a fixed agent-2
                       prescription family, recursing over (agent-1 belief,
@@ -44,6 +46,7 @@ import hashlib
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from . import lattice as lat
 from .beliefs import (
@@ -96,10 +99,17 @@ __all__ = [
 A2Real = tuple[int, ...]
 
 
-def all_agent2_prescriptions(t: int, l2_reals: list[tuple[int, ...]], n_actions: int):
-    """Every total map from private realizations to actions, lexicographic."""
-    for actions in itertools.product(range(n_actions), repeat=len(l2_reals)):
-        yield Prescription.for_agent2(t, dict(zip(l2_reals, actions)))
+def all_agent2_prescriptions(
+    t: int, l2_reals: list[tuple[int, ...]], n_actions: int, live: list[tuple[int, ...]] | None = None
+):
+    """Every total map from private realizations to actions, lexicographic.
+    With `live`, a sub-list of `l2_reals`, only the maps that play 0
+    everywhere off it, in the same relative order."""
+    if live is None:
+        live = l2_reals
+    idle = dict.fromkeys(l2_reals, 0)
+    for actions in itertools.product(range(n_actions), repeat=len(live)):
+        yield Prescription.for_agent2(t, {**idle, **dict(zip(live, actions))})
 
 
 def all_agent1_prescriptions(t: int, points: list[Belief1], n_actions: int):
@@ -170,6 +180,23 @@ class ExactSolution:
     memo: dict[Belief2, tuple[Fraction, Prescription, Prescription]]
     pairs_enumerated: int
 
+    @cached_property
+    def table(self) -> dict[tuple[int, A2Real], tuple[Prescription, Prescription]]:
+        """The solved joint policy as {(t, accessible realization): (gamma1,
+        gamma2)}, read along its own argmin tree on first use: one entry per
+        tree node.  Shared by every reader; do not mutate."""
+        table: dict[tuple[int, A2Real], tuple[Prescription, Prescription]] = {}
+
+        def walk(b2: Belief2, a2real: A2Real):
+            g1, g2 = table[(b2.t, a2real)] = self.prescriptions_at(b2)
+            if b2.t < self.model.horizon:
+                for z2real, (_, nxt) in belief2_step(self.model, self.info, b2, g1, g2).items():
+                    walk(nxt, extend_a2(self.info, b2.t, a2real, z2real))
+
+        for a2real, (_, b2) in self.roots.items():
+            walk(b2, a2real)
+        return table
+
     def prescriptions_at(self, b2: Belief2) -> tuple[Prescription, Prescription]:
         if b2 not in self.memo:
             raise MissingKey(f"no solved entry for the shared belief at t={b2.t}")
@@ -185,29 +212,48 @@ class ExactSolution:
 def solve_exact(model: TeamModel, info: InfoStructure, budget: int | None = None) -> ExactSolution:
     """Team optimum over prescription strategies.
 
-    At each reachable shared belief the solver scans the full cross product
-    of agent-1 prescriptions (maps from the belief's inner points to
-    actions) and agent-2 prescriptions (total maps from private
-    realizations to actions); branch weights are the Bayes denominators of
-    the shared-belief update.  The root value is the probability-weighted
-    sum over time-0 accessible realizations.
+    At each reachable shared belief b2 the solver scans agent-1
+    prescriptions (maps from b2's inner points to actions) against agent-2
+    prescriptions that vary only on the private realizations in b2's
+    support and play 0 off it (each still total on the private
+    realizations); branch weights are the Bayes denominators of the
+    shared-belief update.  The root value is the probability-weighted sum
+    over time-0 accessible realizations.
+
+    The restriction keeps the full scan's first minimizer.  The stage cost
+    reads gamma2 only on b2's private support, and so does every agent-1
+    step, since each inner belief's support lies inside b2's.  Candidates
+    that differ only off the support therefore tie exactly, with equal
+    successors, and the one playing 0 there comes first in lexicographic
+    order.  Agent-1 steps are cached for the whole solve on (b1, u1, gamma2
+    on b1's private support).
     """
     T = model.horizon
+    steps: dict = {}
+
+    def step1(model, info, b1, u1, g2):
+        key = (b1, u1, tuple(g2(ell) for ell in b1.private_support()))
+        hit = steps.get(key)
+        if hit is None:
+            hit = steps[key] = belief1_step(model, info, b1, u1, g2)
+        return hit
 
     def expand(b2: Belief2):
         t = b2.t
         points = b2.belief1_support()
+        support = {ell for (_, ell, _), _ in b2.items()}
         l2_reals = enumerate_private(info, model, t)
+        live = [ell for ell in l2_reals if ell in support]
         n_u1 = model.action_space(1, t).size
         n_u2 = model.action_space(2, t).size
-        n_pairs = (n_u1 ** len(points)) * (n_u2 ** len(l2_reals))
-        return t, n_pairs, candidates(b2, t, points, l2_reals, n_u1, n_u2)
+        n_pairs = (n_u1 ** len(points)) * (n_u2 ** len(live))
+        return t, n_pairs, candidates(b2, t, points, l2_reals, live, n_u1, n_u2)
 
-    def candidates(b2, t, points, l2_reals, n_u1, n_u2):
+    def candidates(b2, t, points, l2_reals, live, n_u1, n_u2):
         for g1 in all_agent1_prescriptions(t, points, n_u1):
-            for g2 in all_agent2_prescriptions(t, l2_reals, n_u2):
+            for g2 in all_agent2_prescriptions(t, l2_reals, n_u2, live):
                 cost = expected_cost2(model, b2, g1, g2)
-                branches = belief2_step(model, info, b2, g1, g2).values() if t < T else ()
+                branches = belief2_step(model, info, b2, g1, g2, step1).values() if t < T else ()
                 yield (g1, g2), cost, branches
 
     dp = MemoArgmin({}, resolve_budget(budget), "prescription pairs", expand)
@@ -220,30 +266,19 @@ def solve_exact(model: TeamModel, info: InfoStructure, budget: int | None = None
 
 def prescription_table(solution: ExactSolution) -> dict[tuple[int, A2Real], tuple[Prescription, Prescription]]:
     """The solved joint policy as {(t, accessible realization): (gamma1,
-    gamma2)}, read along its own argmin tree: one entry per tree node."""
-    model, info = solution.model, solution.info
-    table: dict[tuple[int, A2Real], tuple[Prescription, Prescription]] = {}
-
-    def walk(b2: Belief2, a2real: A2Real):
-        g1, g2 = table[(b2.t, a2real)] = solution.prescriptions_at(b2)
-        if b2.t < model.horizon:
-            for z2real, (_, nxt) in belief2_step(model, info, b2, g1, g2).items():
-                walk(nxt, extend_a2(info, b2.t, a2real, z2real))
-
-    for a2real, (_, b2) in solution.roots.items():
-        walk(b2, a2real)
-    return table
+    gamma2)}: `solution.table`, walked once per solution."""
+    return solution.table
 
 
 def optimal_psi2(model: TeamModel, info: InfoStructure, solution: ExactSolution) -> "TablePsi2":
     """Agent-2 prescription family realized by the solved joint policy along
     its own argmin tree, keyed by (t, accessible realization)."""
-    return TablePsi2({key: g2 for key, (_, g2) in prescription_table(solution).items()})
+    return TablePsi2({key: g2 for key, (_, g2) in solution.table.items()})
 
 
 def extract_control_strategy(solution: ExactSolution) -> "PrescriptionTeamStrategy":
     """Executable team strategy from a solved joint policy."""
-    return PrescriptionTeamStrategy(solution.model, solution.info, prescription_table(solution))
+    return PrescriptionTeamStrategy(solution.model, solution.info, solution.table)
 
 
 # ---------------------------------------------------------------------------
@@ -273,36 +308,47 @@ class TablePsi2:
 
 
 class ConstantPsi2:
-    """One fixed action regardless of time, shared data, or private data."""
+    """One fixed action regardless of time, shared data, or private data.
+    Each stage's prescription is built once and then reused."""
 
     def __init__(self, model: TeamModel, info: InfoStructure, action: int):
         self.model = model
         self.info = info
         self.action = action
+        self._built: dict[int, Prescription] = {}
 
     def prescription(self, t: int, a2real: A2Real) -> Prescription:
-        reals = enumerate_private(self.info, self.model, t)
-        return Prescription.for_agent2(t, {ell: self.action for ell in reals})
+        presc = self._built.get(t)
+        if presc is None:
+            reals = enumerate_private(self.info, self.model, t)
+            presc = self._built[t] = Prescription.for_agent2(t, dict.fromkeys(reals, self.action))
+        return presc
 
 
 class HashedPsi2:
     """Deterministic pseudo-random total family: the action at each
     (t, accessible realization, private realization) is a digest of the key.
-    Handy as an arbitrary-but-reproducible fixed strategy in experiments."""
+    Handy as an arbitrary-but-reproducible fixed strategy in experiments.
+    Each (t, accessible realization)'s prescription is built once and then
+    reused."""
 
     def __init__(self, model: TeamModel, info: InfoStructure, seed: int):
         self.model = model
         self.info = info
         self.seed = seed
+        self._built: dict[tuple[int, A2Real], Prescription] = {}
 
     def prescription(self, t: int, a2real: A2Real) -> Prescription:
-        reals = enumerate_private(self.info, self.model, t)
-        n = self.model.action_space(2, t).size
-        table = {}
-        for ell in reals:
-            digest = hashlib.sha256(repr((self.seed, t, a2real, ell)).encode()).digest()
-            table[ell] = digest[0] % n
-        return Prescription.for_agent2(t, table)
+        presc = self._built.get((t, a2real))
+        if presc is None:
+            reals = enumerate_private(self.info, self.model, t)
+            n = self.model.action_space(2, t).size
+            table = {}
+            for ell in reals:
+                digest = hashlib.sha256(repr((self.seed, t, a2real, ell)).encode()).digest()
+                table[ell] = digest[0] % n
+            presc = self._built[(t, a2real)] = Prescription.for_agent2(t, table)
+        return presc
 
 
 def psi2_from_json(doc: dict, model: TeamModel, info: InfoStructure):
@@ -494,13 +540,22 @@ class PrescriptionTeamStrategy:
     A history outside the table raises MissingKey.  A `partial` table (a
     prescription decoration of some tree paths) instead sends both agents
     to action 0 there, and agent 1 stops tracking its belief from then on.
+    `chain` lets several strategies on one (model, info) share one belief
+    chain and its step cache.
     """
 
-    def __init__(self, model: TeamModel, info: InfoStructure, table: dict, partial: bool = False):
+    def __init__(
+        self,
+        model: TeamModel,
+        info: InfoStructure,
+        table: dict,
+        partial: bool = False,
+        chain: Belief1Chain | None = None,
+    ):
         self.info = info
         self.table = table
         self.partial = partial
-        self.chain = Belief1Chain(model, info)
+        self.chain = Belief1Chain(model, info) if chain is None else chain
 
     def fresh_state(self):
         return {}

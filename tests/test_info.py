@@ -187,6 +187,40 @@ def test_identity_sweep_on_split_delay_structure():
     assert report["belief1_checks"] > 0 and report["belief2_checks"] > 0
 
 
+def test_identity_sweep_shares_one_belief_chain(monkeypatch):
+    """Every tree node's runner steps agent 1's belief through the sweep's
+    one chain: one set of roots, one update per distinct step."""
+    import nested_dp.solver as solver_mod
+    from nested_dp.certify import certify_belief_and_cost_identities
+
+    roots, updates = [], []
+    real_roots, real_update = solver_mod.initial_belief1_roots, solver_mod.update_belief1
+
+    def counting_roots(*args):
+        roots.append(args)
+        return real_roots(*args)
+
+    def counting_update(*args):
+        updates.append(args[2:])
+        return real_update(*args)
+
+    monkeypatch.setattr(solver_mod, "initial_belief1_roots", counting_roots)
+    monkeypatch.setattr(solver_mod, "update_belief1", counting_update)
+    model = model_with_horizon(2)
+    report = certify_belief_and_cost_identities(model, build_delayed_structure(model, 1))
+    assert report == {
+        "ok": True,
+        "belief1_checks": 328,
+        "cost1_checks": 656,
+        "belief2_checks": 385,
+        "cost2_checks": 3952,
+        "marginal_checks": 385,
+        "failures": [],
+    }
+    assert len(roots) == 1
+    assert len(updates) == len(set(updates))
+
+
 class TestCompiledPlans:
     """The compiled index plans agree with symbolic merging on every input."""
 

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nested_dp import oracle as orc
-from nested_dp.beliefs import belief1_from_vector, belief1_vector, initial_belief2_roots
+from nested_dp.beliefs import belief1_from_vector, belief1_vector, belief2_step, initial_belief2_roots
 from nested_dp.certify import certify_pbp_against_enumeration
 from nested_dp.decoupled import embed, solve_decoupled_pbp
 from nested_dp.errors import MissingKey, ResourceLimitExceeded
@@ -20,6 +20,7 @@ from nested_dp.solver import (
     AlphaBoundInputs,
     ConstantPsi2,
     HashedPsi2,
+    MemoArgmin,
     PrescriptionTeamStrategy,
     TablePsi2,
     alpha_bound,
@@ -37,6 +38,101 @@ from nested_dp.solver import (
     solve_pbp_exact,
 )
 from nested_dp.info import enumerate_private
+from test_info import split_delay_structure
+
+
+def full_scan_solve(model, info):
+    """The joint DP without the support restriction or the step cache:
+    every agent-2 map over `enumerate_private` at every node.  Returns the
+    value and the memo."""
+    T = model.horizon
+
+    def expand(b2):
+        t = b2.t
+        points = b2.belief1_support()
+        l2_reals = enumerate_private(info, model, t)
+        n_u1 = model.action_space(1, t).size
+        n_u2 = model.action_space(2, t).size
+        return t, 0, (
+            ((g1, g2), expected_cost2(model, b2, g1, g2),
+             belief2_step(model, info, b2, g1, g2).values() if t < T else ())
+            for g1 in all_agent1_prescriptions(t, points, n_u1)
+            for g2 in all_agent2_prescriptions(t, l2_reals, n_u2)
+        )
+
+    dp = MemoArgmin({}, 0, "prescription pairs", expand)
+    value = sum((p * dp.value(b2) for p, b2 in initial_belief2_roots(model, info).values()), Fraction(0))
+    return value, dp.memo
+
+
+def assert_matches_full_scan(model, info):
+    solution = solve_exact(model, info)
+    value, memo = full_scan_solve(model, info)
+    assert solution.value == value
+    # same keys, same (v, g1, g2) rows, same visit order
+    assert list(solution.memo.items()) == list(memo.items())
+
+
+class TestSupportRestriction:
+    """solve_exact scans agent-2 prescriptions only on the shared belief's
+    private support; its memo must equal the full scan's, row for row."""
+
+    @pytest.mark.parametrize("d", [0, 1])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_full_scan(self, seed, d):
+        model = certification_instance(seed)
+        assert_matches_full_scan(model, build_delayed_structure(model, d))
+
+    def test_matches_full_scan_split_delay(self):
+        model = certification_instance(0, horizon=2)
+        assert_matches_full_scan(model, split_delay_structure(model))
+
+    @settings(max_examples=30)
+    @given(st.integers(0, 10_000), st.sampled_from([1, 2]), st.sampled_from([0, 1]))
+    def test_matches_full_scan_generated(self, seed, horizon, d):
+        model = certification_instance(seed, horizon=horizon)
+        assert_matches_full_scan(model, build_delayed_structure(model, d))
+
+    def test_pairs_count_restricted_maps(self):
+        model = certification_instance(0, horizon=2)
+        info = split_delay_structure(model)
+        solution = solve_exact(model, info)
+        expected = 0
+        for b2 in solution.memo:
+            support = {ell for (_, ell, _), _ in b2.items()}
+            expected += 2 ** len(b2.belief1_support()) * 2 ** len(support)
+        assert solution.pairs_enumerated == expected
+        full = sum(
+            2 ** len(b2.belief1_support()) * 2 ** len(enumerate_private(info, model, b2.t))
+            for b2 in solution.memo
+        )
+        assert solution.pairs_enumerated < full
+
+    def test_one_agent1_step_per_cache_key(self, monkeypatch):
+        """Within one solve, belief1_step runs once per (b1, u1, gamma2 on
+        b1's private support); the inner steps of belief2_step repeat."""
+        import nested_dp.beliefs as beliefs_mod
+
+        model = certification_instance(0, horizon=2)
+        info = split_delay_structure(model)
+        keys = []
+        inner = []
+        real_step1, real_step2 = beliefs_mod.belief1_step, solver_mod.belief2_step
+
+        def counting_step1(model, info, b1, u1, gamma2):
+            keys.append((b1, u1, tuple(gamma2(ell) for ell in b1.private_support())))
+            return real_step1(model, info, b1, u1, gamma2)
+
+        def counting_step2(model, info, b2, *rest):
+            inner.append(len(b2.mixture()))
+            return real_step2(model, info, b2, *rest)
+
+        monkeypatch.setattr(beliefs_mod, "belief1_step", counting_step1)
+        monkeypatch.setattr(solver_mod, "belief1_step", counting_step1)
+        monkeypatch.setattr(solver_mod, "belief2_step", counting_step2)
+        solve_exact(model, info)
+        assert keys and len(keys) == len(set(keys))
+        assert sum(inner) > len(keys)
 
 
 class TestSolveExact:
@@ -187,6 +283,25 @@ class TestPrescriptionTable:
             later = range(1, model.horizon + 1)
             assert all(traj.value_of((kind, t)) == 0 for kind in ("U1", "U2") for t in later)
 
+    def test_extractions_share_one_walk(self, monkeypatch):
+        model = certification_instance(0)
+        info = build_delayed_structure(model, 1)
+        solution = solve_exact(model, info)
+        calls = []
+        real_step = solver_mod.belief2_step
+
+        def counting_step(*args):
+            calls.append(args[2])
+            return real_step(*args)
+
+        monkeypatch.setattr(solver_mod, "belief2_step", counting_step)
+        strategy = extract_control_strategy(solution)
+        psi2 = optimal_psi2(model, info, solution)
+        table = prescription_table(solution)
+        assert strategy.table is table
+        assert set(psi2.entries) == set(table)
+        assert len(calls) == sum(1 for t, _ in table if t < model.horizon)
+
     def test_execution_needs_no_shared_belief_step(self, solved, monkeypatch):
         model, info, solution, joint = solved
         strategy = extract_control_strategy(solution)
@@ -212,6 +327,20 @@ class TestPsi2Families:
         info = build_delayed_structure(model, 1)
         a, b = HashedPsi2(model, info, 9), HashedPsi2(model, info, 9)
         assert a.prescription(1, (0, 1)) == b.prescription(1, (0, 1))
+
+    @pytest.mark.parametrize("make", [
+        lambda model, info: ConstantPsi2(model, info, 1),
+        lambda model, info: HashedPsi2(model, info, 9),
+    ])
+    def test_prescriptions_built_once(self, make):
+        model = certification_instance(0)
+        info = build_delayed_structure(model, 1)
+        keys = list(prescription_table(solve_exact(model, info)))
+        psi2 = make(model, info)
+        first = [psi2.prescription(t, a2) for t, a2 in keys]
+        for (t, a2), presc in zip(keys, first):
+            assert psi2.prescription(t, a2) is presc
+            assert make(model, info).prescription(t, a2).table == presc.table
 
     def test_table_json_round_trip(self):
         model = convergence_instance(1)
