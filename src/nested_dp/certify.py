@@ -187,32 +187,33 @@ def certify_belief_and_cost_identities(
 
     # -- shared side ------------------------------------------------------
     b2_roots = initial_belief2_roots(model, info)
+    # agent 1's belief at (t, m1real) given agent 2's decorations so far: it
+    # does not depend on gamma1, so nodes that differ only there share it
+    inner_beliefs: dict = {}
 
-    def certify_node(b2: Belief2, a2real, presc: dict):
+    def certify_node(b2: Belief2, a2real, presc: dict, entries):
         """Check the node's shared belief against direct conditioning and
-        return the consistent draws annotated with their oracle-side inner
-        beliefs, so the cost checks can reuse them."""
+        return the consistent draws among `entries` and the oracle-side
+        distribution of (state, private realization, inner belief), so the
+        cost checks can reuse it."""
         t = b2.t
         runner = PrescriptionTeamStrategy(model, info, presc, partial=True, chain=chain)
-        records = _consistent_draws(model, info, joint, runner, t, a2real)
+        records = _consistent_draws(model, info, entries, runner, t, a2real)
         # agent 1's actions are replayed off its memory, which can take its
         # belief out of gamma1's domain: only agent 2 follows the decoration
         gamma2s = {key: g2 for key, (_, g2) in presc.items()}
         agent2 = _Agent2Prescribed(info, lambda s, a2: gamma2s.get((s, a2)))
-        annotated = []
+        gamma2_path = tuple(gamma2s.items())
         oracle_triples: dict = {}
         total = Fraction(0)
-        cond_cache: dict = {}
         for omega, p, traj in records:
             m1real = traj.read(info.m1[t])
-            b1 = cond_cache.get(m1real)
+            b1 = inner_beliefs.get((t, m1real, gamma2_path))
             if b1 is None:
                 cond = orc.condition_on_memory1(joint, model, info, agent2, t, m1real)
                 b1 = Belief1.from_weights(t, dict(cond))
-                cond_cache[m1real] = b1
-            ell = traj.read(info.l2[t])
-            annotated.append((p, traj.xs[t], ell, b1))
-            key = (traj.xs[t], ell, b1)
+                inner_beliefs[t, m1real, gamma2_path] = b1
+            key = (traj.xs[t], traj.read(info.l2[t]), b1)
             oracle_triples[key] = oracle_triples.get(key, Fraction(0)) + p
             total += p
         oracle_triples = {k: w / total for k, w in oracle_triples.items()}
@@ -225,11 +226,15 @@ def certify_belief_and_cost_identities(
         report["marginal_checks"] += 1
         if b2.marginal_state_private() != marg or b2.mixture_state_private() != marg:
             fail("belief2-marginal", (t, a2real))
-        return annotated, total
+        return [(omega, p) for omega, p, _ in records], oracle_triples
 
-    def walk(b2: Belief2, a2real, presc: dict):
+    def walk(b2: Belief2, a2real, presc: dict, entries):
+        """Certify the subtree at (b2, a2real).  `entries` holds every draw
+        consistent with it: a child's decoration adds actions at t only, so
+        the runners agree on every action before t, and a2 only grows
+        (recall), so a child's consistent draws are among its parent's."""
         t = b2.t
-        annotated, total = certify_node(b2, a2real, presc)
+        consistent, oracle_triples = certify_node(b2, a2real, presc, entries)
         points = b2.belief1_support()
         l2_reals = enumerate_private(info, model, t)
         n_u1 = model.action_space(1, t).size
@@ -238,25 +243,27 @@ def certify_belief_and_cost_identities(
             for g2 in all_agent2_prescriptions(t, l2_reals, n_u2):
                 lhs = expected_cost2(model, b2, g1, g2)
                 rhs = Fraction(0)
-                for p, x_t, ell, b1 in annotated:
-                    rhs += p * model.cost(t, x_t, g1(b1), g2(ell))
+                for (x_t, ell, b1), w in oracle_triples.items():
+                    rhs += w * model.cost(t, x_t, g1(b1), g2(ell))
                 report["cost2_checks"] += 1
-                if lhs != rhs / total:
+                if lhs != rhs:
                     fail("cost2", (t, a2real))
                 if t < T:
                     decorated = dict(presc)
                     decorated[(t, a2real)] = (g1, g2)
                     for z2real, (_, nxt) in belief2_step(model, info, b2, g1, g2).items():
-                        walk(nxt, extend_a2(info, t, a2real, z2real), decorated)
+                        walk(nxt, extend_a2(info, t, a2real, z2real), decorated, consistent)
 
     for a2real, (_, b2) in b2_roots.items():
-        walk(b2, a2real, {})
+        walk(b2, a2real, {}, joint.entries)
     return report
 
 
-def _consistent_draws(model, info, joint, runner, t, a2real):
+def _consistent_draws(model, info, entries, runner, t, a2real):
+    """The (omega, p, trajectory) of the draws among `entries` whose
+    accessible realization at t is a2real under `runner`."""
     out = []
-    for omega, p in joint.entries:
+    for omega, p in entries:
         traj = orc.trajectory(model, info, runner, omega)
         if traj.read(info.a2[t]) == a2real:
             out.append((omega, p, traj))

@@ -382,7 +382,23 @@ def exhaustive_min(
     simulated once.  Ties resolve to the first minimizer in the stage-major
     enumeration order, i.e. the lexicographically smallest assignment
     sequence (reachable memories sorted, agent 1 before agent 2, actions
-    ascending)."""
+    ascending).
+
+    The walk is a branch and bound.  After a stage-t assignment with t < T,
+    every completion costs at least
+
+        sum over draws of p * (cost so far + state_min[t+1][x_{t+1}])
+            + stage_min[t+2] + ... + stage_min[T],
+
+    where state_min[s][x] is the least stage-s cost over both actions at
+    state x and stage_min[s] its least value over x as well; the draws'
+    probabilities sum to one.  The bound reads only the cost table, so it
+    holds for costs of any sign.  A subtree whose bound is >= the incumbent
+    is skipped: none of its leaves is strictly smaller, and a leaf replaces
+    the incumbent only when it is strictly smaller, so the value and the
+    first minimizer are those of the full walk.  `strategies_tested` counts
+    the leaves that were fully evaluated, at most the enumeration length;
+    at T = 0 nothing is pruned."""
     cap = resolve_budget(budget)
     estimate = strategy_count_formula(model, info, joint)
     if estimate > cap:
@@ -393,43 +409,74 @@ def exhaustive_min(
     T = model.horizon
     best: list = [None, None]  # (value, stage tables)
     tested = [0]
+    state_min = [
+        [
+            min(
+                model.cost(t, x, u1, u2)
+                for u1 in range(model.action_space(1, t).size)
+                for u2 in range(model.action_space(2, t).size)
+            )
+            for x in range(model.state_space(t).size)
+        ]
+        for t in range(T + 1)
+    ]
+    # tail_min[s]: least total cost of the stages s..T, whatever the states
+    tail_min = [Fraction(0)] * (T + 2)
+    for s in range(T, -1, -1):
+        tail_min[s] = tail_min[s + 1] + min(state_min[s])
 
     # contexts: (world context, probability, accumulated cost)
     contexts = [
         (ctx, p, Fraction(0)) for ctx, (_, p) in zip(_initial_contexts(model, joint), joint.entries)
     ]
 
-    def stage_assignments(t, contexts):
-        infosets1 = sorted({tuple(c[0][1][v] for v in info.m1[t]) for c in contexts})
-        infosets2 = sorted({tuple(c[0][1][v] for v in info.m2[t]) for c in contexts})
+    def stage_assignments(t, keyed):
+        infosets1 = sorted({k1 for k1, *_ in keyed})
+        infosets2 = sorted({k2 for _, k2, *_ in keyed})
         n1 = model.action_space(1, t).size
         n2 = model.action_space(2, t).size
         for acts1 in itertools.product(range(n1), repeat=len(infosets1)):
             for acts2 in itertools.product(range(n2), repeat=len(infosets2)):
                 yield dict(zip(infosets1, acts1)), dict(zip(infosets2, acts2))
 
+    def leaves(keyed, tables):
+        """Evaluate every stage-T assignment below `tables` to the end.  The
+        last stage's cost reads a draw only through its memories and state,
+        so draws are pooled on those."""
+        so_far = sum((p * acc for *_, p, acc in keyed), Fraction(0))
+        weights: dict = {}
+        for k1, k2, (_, _, x), p, _ in keyed:
+            weights[k1, k2, x] = weights.get((k1, k2, x), Fraction(0)) + p
+        for table1, table2 in stage_assignments(T, keyed):
+            value = so_far
+            for (k1, k2, x), w in weights.items():
+                value += w * model.cost(T, x, table1[k1], table2[k2])
+            tested[0] += 1
+            if best[0] is None or value < best[0]:
+                best[0] = value
+                best[1] = tables + [(table1, table2)]
+
     def rec(t, contexts, tables):
-        for table1, table2 in stage_assignments(t, contexts):
-            stage_cost = Fraction(0)
+        # each draw's memories at t, read once for all stage-t assignments
+        keyed = [
+            (tuple(ctx[1][v] for v in info.m1[t]), tuple(ctx[1][v] for v in info.m2[t]), ctx, p, acc)
+            for ctx, p, acc in contexts
+        ]
+        if t == T:
+            leaves(keyed, tables)
+            return
+        for table1, table2 in stage_assignments(t, keyed):
             advanced = []
-            for ctx, p, acc in contexts:
-                _, values, x = ctx
-                u1 = table1[tuple(values[v] for v in info.m1[t])]
-                u2 = table2[tuple(values[v] for v in info.m2[t])]
-                acc = acc + model.cost(t, x, u1, u2)
-                if t == T:
-                    stage_cost += p * acc
-                else:
-                    advanced.append((_step_context(model, ctx, t, u1, u2), p, acc))
-            tables.append((table1, table2))
-            if t == T:
-                tested[0] += 1
-                if best[0] is None or stage_cost < best[0]:
-                    best[0] = stage_cost
-                    best[1] = [(dict(a), dict(b)) for a, b in tables]
-            else:
-                rec(t + 1, advanced, tables)
-            tables.pop()
+            bound = tail_min[t + 2]
+            for k1, k2, ctx, p, acc in keyed:
+                u1, u2 = table1[k1], table2[k2]
+                nxt = _step_context(model, ctx, t, u1, u2)
+                acc = acc + model.cost(t, ctx[2], u1, u2)
+                bound += p * (acc + state_min[t + 1][nxt[2]])
+                advanced.append((nxt, p, acc))
+            if best[0] is not None and bound >= best[0]:
+                continue
+            rec(t + 1, advanced, tables + [(table1, table2)])
 
     rec(0, contexts, [])
     if best[1] is None:

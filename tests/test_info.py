@@ -221,6 +221,32 @@ def test_identity_sweep_shares_one_belief_chain(monkeypatch):
     assert len(updates) == len(set(updates))
 
 
+def test_identity_sweep_replays_only_the_parents_draws(monkeypatch):
+    """A node replays only the draws consistent with its parent, and finds
+    exactly the draws a replay of the whole joint finds: a child's
+    decoration adds actions at t only, and a2 only grows."""
+    import nested_dp.certify as certify_mod
+    from nested_dp import oracle as orc
+
+    model = model_with_horizon(2)
+    info = build_delayed_structure(model, 1)
+    joint = orc.build_joint(model)
+    real = certify_mod._consistent_draws
+    replayed = []
+
+    def checked(model, info, entries, runner, t, a2real):
+        out = real(model, info, entries, runner, t, a2real)
+        full = real(model, info, joint.entries, runner, t, a2real)
+        assert [(omega, p) for omega, p, _ in out] == [(omega, p) for omega, p, _ in full]
+        replayed.append(len(entries))
+        return out
+
+    monkeypatch.setattr(certify_mod, "_consistent_draws", checked)
+    report = certify_mod.certify_belief_and_cost_identities(model, info)
+    assert report["ok"], report["failures"]
+    assert sum(replayed) < len(replayed) * len(joint)
+
+
 class TestCompiledPlans:
     """The compiled index plans agree with symbolic merging on every input."""
 

@@ -2,6 +2,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nested_dp import oracle as orc
 from nested_dp.errors import ResourceLimitExceeded, ZeroProbabilityEvent
@@ -41,6 +43,36 @@ def static_model(T=0, nx=2, cost_fn=None):
         v1_dists=tuple(Dist.point_mass(1, 0) for _ in range(T + 1)),
         v2_dists=tuple(Dist.point_mass(1, 0) for _ in range(T + 1)),
     )
+
+
+def moving_model(T, cost_fn):
+    """static_model whose state moves to (x + u1 + u2) mod 2: open-loop,
+    but every stage's actions change the later costs."""
+    model = static_model(T=T, cost_fn=cost_fn)
+    move = tuple(
+        tuple(tuple(tuple(((x + u1 + u2) % 2,) for u2 in range(2)) for u1 in range(2)) for x in range(2))
+        for _ in range(T)
+    )
+    return replace(model, transition=move)
+
+
+# Stage costs for moving_model(2, .): every cost negative; signs mixed
+# within and across stages (a bound that took later costs as >= 0 would
+# lose the minimizer here); mixed signs with ties (u1 == u2 costs 0).
+SIGNED_COSTS = {
+    "negative": lambda t, x, u1, u2: Fraction(-1 - 2 * x - u1 * (1 + t) - 3 * u2 * (1 - x), 4),
+    "mixed": lambda t, x, u1, u2: Fraction((2 * u1 + u2, 1 - 4 * x - u2 + u1, -2 + 3 * u1 * x - u2)[t], 2),
+    "mixed-ties": lambda t, x, u1, u2: Fraction((u1 - u2) * (2 * x - 1) * (1 - 2 * (t % 2))),
+}
+
+
+def first_minimizer(model, info, joint):
+    """The least value over the full enumeration, its first minimizer, and
+    the enumeration length."""
+    strategies = list(orc.enumerate_strategies(model, info, joint))
+    values = [orc.evaluate_strategy(joint, model, info, s) for s in strategies]
+    best = min(values)
+    return best, strategies[values.index(best)], len(values)
 
 
 class TestBuildJoint:
@@ -139,9 +171,41 @@ class TestExhaustiveMin:
         result = orc.exhaustive_min(model, info, joint)
         assert result.value == min(values)
         assert all(result.value <= v for v in values)
-        assert result.strategies_tested == len(values)
+        # the bound skips subtrees, so fewer leaves than strategies are evaluated
+        assert result.strategies_tested <= len(values)
         # ties resolve to the first minimizer in enumeration order
         assert result.strategy == strategies[values.index(result.value)]
+
+    @settings(max_examples=6, deadline=None)
+    @given(seed=st.integers(0, 39), d=st.sampled_from([0, 1]))
+    def test_pruned_walk_matches_full_enumeration(self, seed, d):
+        model = certification_instance(seed, horizon=1)
+        info = build_delayed_structure(model, d)
+        joint = orc.build_joint(model)
+        value, strategy, count = first_minimizer(model, info, joint)
+        result = orc.exhaustive_min(model, info, joint)
+        assert result.value == value
+        assert result.strategy == strategy
+        assert result.strategies_tested <= count
+
+    @pytest.mark.parametrize("cost_fn", SIGNED_COSTS.values(), ids=SIGNED_COSTS.keys())
+    def test_bound_holds_for_costs_of_any_sign(self, cost_fn):
+        model = moving_model(2, cost_fn)
+        info = build_delayed_structure(model, 1)
+        joint = orc.build_joint(model)
+        value, strategy, count = first_minimizer(model, info, joint)
+        result = orc.exhaustive_min(model, info, joint)
+        assert result.value == value
+        assert result.strategy == strategy
+        assert result.strategies_tested <= count
+
+    @pytest.mark.parametrize("name", ["negative", "mixed"])
+    def test_bound_prunes_costs_of_any_sign(self, name):
+        model = moving_model(2, SIGNED_COSTS[name])
+        info = build_delayed_structure(model, 1)
+        joint = orc.build_joint(model)
+        _, _, count = first_minimizer(model, info, joint)
+        assert orc.exhaustive_min(model, info, joint).strategies_tested < count
 
     def test_count_formula_matches_enumeration(self):
         model = certification_instance(1, horizon=1)

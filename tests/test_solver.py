@@ -182,6 +182,18 @@ class TestSolveExact:
         brute = orc.exhaustive_min(model, info, joint)
         assert solution.value == brute.value
 
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("d", [0, 1])
+    def test_matches_oracle_at_horizon_2(self, seed, d):
+        model = certification_instance(seed)
+        info = build_delayed_structure(model, d)
+        solution = solve_exact(model, info)
+        joint = orc.build_joint(model)
+        brute = orc.exhaustive_min(model, info, joint)
+        assert solution.value == brute.value
+        assert orc.evaluate_strategy(joint, model, info, brute.strategy) == brute.value
+        assert orc.evaluate_strategy(joint, model, info, extract_control_strategy(solution)) == solution.value
+
     def test_values_nonnegative_and_argmin_domains(self):
         model = certification_instance(3)
         info = build_delayed_structure(model, 1)
