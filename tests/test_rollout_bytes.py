@@ -1,0 +1,116 @@
+"""Cross-version pins on the rollout stream.
+
+The golden digests are SHA-256 sums of `Report.to_bytes()` (and of the
+`simulate` stdout) computed by the `randrange`-based sampler that predates
+the compiled draw plan; any change to the seeding, the draw order or the
+rejection draw changes them.  The sampler test checks `_Sampler.draw`
+against that `randrange` walk on the same seeded stream.
+"""
+
+import hashlib
+import random
+import runpy
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from nested_dp.cli import cli_main
+from nested_dp.generators import certification_instance, convergence_instance
+from nested_dp.info import build_delayed_structure
+from nested_dp.model import Dist
+from nested_dp.sim import RolloutConfig, _Sampler, rollout
+from nested_dp.solver import (
+    HashedPsi2,
+    extract_control_strategy,
+    extract_pbp_strategy,
+    solve_exact,
+    solve_pbp_exact,
+)
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            (0, "c6b28bf15689a019c506e9529f8b996c6bde3066f3e5549f7662e626752a3601"),
+            (11, "bc77d6818c95a8cbfe7c3c1c12c4305f0b0ed0ab578117b4dbbefa9c1bda8c36"),
+        ],
+    )
+    def test_certification_d1(self, seed, digest):
+        model = certification_instance(0, horizon=2)
+        info = build_delayed_structure(model, 1)
+        solution = solve_exact(model, info)
+        strategy = extract_control_strategy(solution)
+        report = rollout(model, info, strategy, RolloutConfig(seed=seed, episodes=3000), solution.value)
+        assert sha256(report.to_bytes()) == digest
+
+    def test_pbp_d2_with_point_mass_noises(self):
+        """Every noise of convergence_instance is a point mass (denominator
+        1), so each episode makes six degenerate draws that still consume
+        the stream."""
+        model = convergence_instance(0)
+        info = build_delayed_structure(model, 2)
+        solution = solve_pbp_exact(model, info, HashedPsi2(model, info, 7))
+        report = rollout(model, info, extract_pbp_strategy(solution), RolloutConfig(seed=3, episodes=2000))
+        assert sha256(report.to_bytes()) == "2f4677575b6a40f1a02fee83f00e3c5614889a569070692cb3fa3a7daf7d52b6"
+
+    def test_simulate_stdout_on_example_model(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["make_example_model.py", "--out", str(tmp_path)])
+        with pytest.raises(SystemExit) as done:
+            runpy.run_path(str(SCRIPTS / "make_example_model.py"), run_name="__main__")
+        assert done.value.code == 0
+        capsys.readouterr()
+        assert cli_main(["simulate", str(tmp_path / "model.json"), "--seed", "7", "--episodes", "300"]) == 0
+        out = capsys.readouterr().out
+        assert sha256(out.encode()) == "1d8154aa65b072b5e7c6a374b986c4a175157183b7ffbc137747c2b6dfd6190c"
+
+
+def reference_draw(sampler: _Sampler, rng: random.Random) -> int:
+    """`randrange` below the common denominator, then the threshold walk."""
+    r = rng.randrange(sampler.denom)
+    for i, threshold in enumerate(sampler.thresholds):
+        if r < threshold:
+            return i
+    raise AssertionError("thresholds must cover the denominator")
+
+
+DENOMINATORS = [1, 2, 3, 5, 12, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 10**12 + 39]
+
+
+@st.composite
+def numerators(draw):
+    """Nonnegative numerators over a denominator D that sum to D.  One of
+    them is 1, so the reduced weights have D as their common denominator;
+    repeated cut points give zero-mass outcomes anywhere, ends included."""
+    denom = draw(st.sampled_from(DENOMINATORS))
+    cuts = sorted(draw(st.lists(st.integers(0, denom - 1), max_size=6)))
+    parts = [b - a for a, b in zip([0] + cuts, cuts + [denom - 1])]
+    parts.insert(draw(st.integers(0, len(parts))), 1)
+    return parts
+
+
+class TestSamplerDraw:
+    @given(parts=numerators(), seed=st.text(max_size=8), draws=st.integers(1, 6))
+    @example(parts=[0, 1, 0], seed="", draws=4)
+    @example(parts=[0, 0, 3, 1, 0, 8, 0], seed="z", draws=6)
+    @example(parts=[2**32 - 1, 1, 0], seed="x", draws=3)
+    def test_matches_randrange_walk(self, parts, seed, draws):
+        denom = sum(parts)
+        sampler = _Sampler(Dist(tuple(Fraction(p, denom) for p in parts)))
+        assert sampler.denom == denom
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for _ in range(draws):
+            index = sampler.draw(ours)
+            assert index == reference_draw(sampler, theirs)
+            assert parts[index] > 0
+            assert ours.getstate() == theirs.getstate()
