@@ -18,7 +18,7 @@ from nested_dp import oracle as orc
 from nested_dp.certify import certify_dp_optimality
 from nested_dp.generators import certification_instance
 from nested_dp.info import build_delayed_structure
-from nested_dp.solver import extract_control_strategy, solve_exact
+from nested_dp.solver import extract_control_strategy
 
 
 def main() -> int:
@@ -34,9 +34,8 @@ def main() -> int:
         info = build_delayed_structure(model, args.delay)
         start = time.perf_counter()
         report = certify_dp_optimality(model, info)
-        solution = solve_exact(model, info)
-        joint = orc.build_joint(model)
-        replay = orc.evaluate_strategy(joint, model, info, extract_control_strategy(solution))
+        solution = report["solution"]
+        replay = orc.evaluate_strategy(report["joint"], model, info, extract_control_strategy(solution))
         elapsed = time.perf_counter() - start
         ok = report["ok"] and replay == solution.value
         failures += 0 if ok else 1

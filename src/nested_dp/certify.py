@@ -62,7 +62,8 @@ __all__ = [
 
 def certify_dp_optimality(model: TeamModel, info: InfoStructure, budget: int | None = None) -> dict:
     """Solve by prescription DP and by exhaustive strategy search; exact
-    value equality is the pass condition."""
+    value equality is the pass condition.  The report carries the
+    `solution` and `joint` it built, for callers that replay the policy."""
     solution = solve_exact(model, info, budget)
     joint = orc.build_joint(model, budget)
     brute = orc.exhaustive_min(model, info, joint, budget)
@@ -72,6 +73,8 @@ def certify_dp_optimality(model: TeamModel, info: InfoStructure, budget: int | N
         "brute_value": brute.value,
         "strategies_tested": brute.strategies_tested,
         "dp_nodes": len(solution.memo),
+        "solution": solution,
+        "joint": joint,
     }
 
 

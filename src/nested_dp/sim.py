@@ -6,11 +6,14 @@ numerators, so the sampled law equals the declared rational law and no
 float enters the episode itself.  Floats appear only in the report, where
 exact Fractions are rounded to the nearest double.
 
-Determinism contract: episode e uses `random.Random(f"{seed}:{e}")`, whose
-string seeding is the stable SHA-512 based scheme, so identical
-(seed, episodes, strategy, model) produce byte-identical reports on any
-platform, and episodes can be generated independently (hence in parallel)
-without changing the stream.
+Determinism contract: episode e reseeds one generator with the string
+`f"{seed}:{e}"`, so its stream is the one `random.Random(f"{seed}:{e}")`
+gives; string seeding is the stable SHA-512 based scheme.  Each draw equals
+`randrange(denom)`, a rejection draw on `getrandbits(denom.bit_length())`,
+followed by the threshold walk.  Identical (seed, episodes, strategy,
+model) therefore produce byte-identical reports on any platform, and
+episodes can be generated independently without changing the stream.
+`tests/test_rollout_bytes.py` pins the report bytes.
 """
 
 from __future__ import annotations
@@ -18,8 +21,10 @@ from __future__ import annotations
 import json
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .info import InfoStructure
 from .model import Dist, TeamModel, format_ratio
@@ -62,23 +67,38 @@ class Report:
 
 
 class _Sampler:
-    """Exact categorical sampler: integer thresholds under one denominator."""
+    """Exact categorical sampler: integer thresholds under one denominator.
+
+    `draw` equals `randrange(denom)` followed by the threshold walk, and
+    leaves the generator in the same state.  `plan_entry` is the
+    `(k, denom, thresholds)` triple, with `k = denom.bit_length()`, that
+    `_draw_plan` consumes; `rollout` reseeds one generator with
+    `f"{seed}:{e}"` for episode e and draws one plan of these per episode.
+    """
 
     def __init__(self, dist: Dist):
         denom = math.lcm(*(w.denominator for w in dist.weights))
-        acc = 0
-        self.thresholds = []
-        for w in dist.weights:
-            acc += w.numerator * (denom // w.denominator)
-            self.thresholds.append(acc)
         self.denom = denom
+        self.thresholds = tuple(accumulate(w.numerator * (denom // w.denominator) for w in dist.weights))
+        self.plan_entry = (denom.bit_length(), denom, self.thresholds)
 
     def draw(self, rng: random.Random) -> int:
-        r = rng.randrange(self.denom)
-        for i, threshold in enumerate(self.thresholds):
-            if r < threshold:
-                return i
-        raise AssertionError("thresholds must cover the denominator")
+        return _draw_plan((self.plan_entry,), rng.getrandbits)[0]
+
+
+def _draw_plan(plan, getrandbits) -> tuple[int, ...]:
+    """One outcome index per plan entry, in plan order.
+
+    Each draw is `randrange(denom)` as CPython computes it: k random bits,
+    redrawn while they reach denom (so a denominator of 1 still consumes
+    the stream), then the first threshold above the integer."""
+    draws = []
+    for k, denom, thresholds in plan:
+        r = getrandbits(k)
+        while r >= denom:
+            r = getrandbits(k)
+        draws.append(bisect_right(thresholds, r))
+    return tuple(draws)
 
 
 def rollout(
@@ -94,32 +114,28 @@ def rollout(
     then disturbance and next noises per step) so seeds pin trajectories.
     """
     T = model.horizon
-    x0_sampler = _Sampler(model.x0_dist)
-    w_samplers = [_Sampler(model.w_dist(t)) for t in range(T)]
-    v1_samplers = [_Sampler(model.v_dist(1, t)) for t in range(T + 1)]
-    v2_samplers = [_Sampler(model.v_dist(2, t)) for t in range(T + 1)]
+    dists = [model.x0_dist, model.v_dist(1, 0), model.v_dist(2, 0)]
+    for t in range(T):
+        dists += [model.w_dist(t), model.v_dist(1, t + 1), model.v_dist(2, t + 1)]
+    plan = tuple(_Sampler(dist).plan_entry for dist in dists)
 
     # trajectories are deterministic given (strategy, draw), so tally how
     # often each draw occurs and do the exact arithmetic once per draw
+    rng = random.Random()
+    reseed, getrandbits = rng.seed, rng.getrandbits
     counts: dict = {}
     for episode in range(config.episodes):
-        rng = random.Random(f"{config.seed}:{episode}")
-        x0 = x0_sampler.draw(rng)
-        v1s = [v1_samplers[0].draw(rng)]
-        v2s = [v2_samplers[0].draw(rng)]
-        ws = []
-        for t in range(T):
-            ws.append(w_samplers[t].draw(rng))
-            v1s.append(v1_samplers[t + 1].draw(rng))
-            v2s.append(v2_samplers[t + 1].draw(rng))
-        omega = (x0, tuple(ws), tuple(v1s), tuple(v2s))
-        counts[omega] = counts.get(omega, 0) + 1
+        reseed(f"{config.seed}:{episode}")
+        draws = _draw_plan(plan, getrandbits)
+        counts[draws] = counts.get(draws, 0) + 1
 
     n = config.episodes
     per_time_sum = [Fraction(0)] * (T + 1)
     total_sum = Fraction(0)
     squares = Fraction(0)
-    for omega, count in counts.items():
+    for draws, count in counts.items():
+        # draws is (x0, v1_0, v2_0, w_0, v1_1, v2_1, w_1, ...)
+        omega = (draws[0], draws[3::3], draws[1::3], draws[2::3])
         costs = trajectory(model, info, strategy, omega).stage_costs
         total = sum(costs, Fraction(0))
         total_sum += count * total

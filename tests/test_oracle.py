@@ -1,11 +1,16 @@
+import runpy
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nested_dp import certify
 from nested_dp import oracle as orc
+from nested_dp import solver
 from nested_dp.errors import ResourceLimitExceeded, ZeroProbabilityEvent
 from nested_dp.generators import HashedTeamStrategy, certification_instance
 from nested_dp.info import VarRef, build_delayed_structure
@@ -66,13 +71,24 @@ SIGNED_COSTS = {
 }
 
 
+def stage_major(strategy):
+    """The key of `exhaustive_min`'s tie-break: per t, agent 1's actions and
+    then agent 2's, each over its sorted memories.  `enumerate_strategies`
+    puts agent 2's whole stack outermost, a different order."""
+    return tuple(
+        (tuple(a for _, a in table1), tuple(a for _, a in table2))
+        for table1, table2 in zip(strategy.g1, strategy.g2)
+    )
+
+
 def first_minimizer(model, info, joint):
-    """The least value over the full enumeration, its first minimizer, and
-    the enumeration length."""
+    """The least value over the full enumeration, its first minimizer in
+    stage-major order, and the enumeration length."""
     strategies = list(orc.enumerate_strategies(model, info, joint))
     values = [orc.evaluate_strategy(joint, model, info, s) for s in strategies]
     best = min(values)
-    return best, strategies[values.index(best)], len(values)
+    first = min((s for s, v in zip(strategies, values) if v == best), key=stage_major)
+    return best, first, len(values)
 
 
 class TestBuildJoint:
@@ -173,8 +189,9 @@ class TestExhaustiveMin:
         assert all(result.value <= v for v in values)
         # the bound skips subtrees, so fewer leaves than strategies are evaluated
         assert result.strategies_tested <= len(values)
-        # ties resolve to the first minimizer in enumeration order
-        assert result.strategy == strategies[values.index(result.value)]
+        # ties resolve to the first minimizer in stage-major order
+        minimizers = [s for s, v in zip(strategies, values) if v == result.value]
+        assert result.strategy == min(minimizers, key=stage_major)
 
     @settings(max_examples=6, deadline=None)
     @given(seed=st.integers(0, 39), d=st.sampled_from([0, 1]))
@@ -228,6 +245,33 @@ class TestExhaustiveMin:
         with pytest.raises(ResourceLimitExceeded) as err:
             orc.exhaustive_min(model, info, joint, budget=10)
         assert err.value.estimate > 10
+
+
+def test_certify_script_solves_and_builds_once_per_seed(monkeypatch, capsys):
+    """The script replays the solution and joint that certify_dp_optimality
+    already built."""
+    calls = {"solve_exact": 0, "build_joint": 0}
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    solve = counting(solver.solve_exact)
+    build = counting(orc.build_joint)
+    monkeypatch.setattr(solver, "solve_exact", solve)
+    monkeypatch.setattr(certify, "solve_exact", solve)
+    monkeypatch.setattr(orc, "build_joint", build)
+    script = Path(__file__).resolve().parent.parent / "scripts" / "certify_optimality.py"
+    monkeypatch.setattr(sys, "argv", [script.name, "--seeds", "0", "1", "--horizon", "1", "--delay", "1"])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_path(str(script), run_name="__main__")
+    assert done.value.code == 0
+    assert calls == {"solve_exact": 2, "build_joint": 2}
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and all(line.endswith("OK") for line in lines)
 
 
 class TestCondition:
