@@ -30,18 +30,28 @@ so a zero denominator is a bug signal, not a recoverable state.
 All beliefs are immutable, canonically ordered (sorted support, reduced
 fractions, zero weights dropped), and hashable, so equal distributions are
 structurally equal and usable as memoization keys.
+
+The arithmetic of a step is over exact integers: each input belief and
+primitive distribution is scaled once to integer numerators over one
+common denominator (cached on the instance, as `Dist.scaled` and
+`scaled()` here), the joint weights of a step accumulate as integers over
+the product of those denominators, and a Fraction is built only for each
+branch probability and each posterior entry.  So the entries are still
+canonical reduced Fractions, equal to the ones a Fraction accumulator gives.
 """
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from types import MappingProxyType
 
 from .errors import DomainGap, ZeroProbabilityObservation
 from .info import InfoStructure, merge_picker, step_plan
-from .model import TeamModel, format_ratio, parse_ratio
+from .model import TeamModel, format_ratio, parse_ratio, scale_to_integers
 
 __all__ = [
     "Belief1",
@@ -77,8 +87,27 @@ def _canon_entries(weights: dict, sort_key) -> tuple:
     return entries
 
 
+def _belief2_order(key) -> tuple:
+    x, ell, b1 = key
+    return (x, ell, b1.sort_key())
+
+
+class _Scaled:
+    """Integer form of a belief's entries, cached on the instance."""
+
+    def scaled(self) -> tuple[int, tuple]:
+        """The entries over one common denominator D: (D, ((key, n), ...)),
+        each weight n / D, in entry order.  Cached."""
+        scaled = self.__dict__.get("_scaled")
+        if scaled is None:
+            denom, nums = scale_to_integers(w for _, w in self.entries)
+            scaled = (denom, tuple(zip((key for key, _ in self.entries), nums)))
+            object.__setattr__(self, "_scaled", scaled)
+        return scaled
+
+
 @dataclass(frozen=True)
-class Belief1:
+class Belief1(_Scaled):
     """Distribution over (state, private realization) pairs at time t."""
 
     t: int
@@ -133,7 +162,7 @@ class Belief1:
 
 
 @dataclass(frozen=True)
-class Belief2:
+class Belief2(_Scaled):
     """Distribution over (state, private realization, Belief1) triples."""
 
     t: int
@@ -151,7 +180,7 @@ class Belief2:
         for (x, ell, b1) in weights:
             if b1.t != t:
                 raise ValueError(f"support belief at t={b1.t} inside a t={t} state")
-        return Belief2(t, _canon_entries(weights, lambda k: (k[0], k[1], k[2].sort_key())))
+        return Belief2(t, _canon_entries(weights, _belief2_order))
 
     def items(self):
         return self.entries
@@ -159,17 +188,37 @@ class Belief2:
     def support(self):
         return [key for key, _ in self.entries]
 
-    def mixture(self) -> dict[Belief1, Fraction]:
-        """The weight of each inner belief: every entry is mixture()[b1] *
-        b1(x, ell)."""
-        out: dict[Belief1, Fraction] = {}
-        for (_, _, b1), w in self.entries:
-            out[b1] = out.get(b1, Fraction(0)) + w
+    def mixture_numerators(self) -> tuple[int, MappingProxyType]:
+        """The mixture weights over the entries' common denominator D:
+        (D, {b1: n}), read-only, in order of first appearance.  Cached."""
+        mix = self.__dict__.get("_mix")
+        if mix is None:
+            denom, entries = self.scaled()
+            nums: dict[Belief1, int] = {}
+            for (_, _, b1), n in entries:
+                nums[b1] = nums.get(b1, 0) + n
+            mix = (denom, MappingProxyType(nums))
+            object.__setattr__(self, "_mix", mix)
+        return mix
+
+    def mixture(self) -> MappingProxyType:
+        """The weight of each inner belief, read-only: every entry is
+        mixture()[b1] * b1(x, ell).  Cached."""
+        out = self.__dict__.get("_mixture")
+        if out is None:
+            denom, nums = self.mixture_numerators()
+            out = MappingProxyType({b1: Fraction(n, denom) for b1, n in nums.items()})
+            object.__setattr__(self, "_mixture", out)
         return out
 
     def belief1_support(self) -> list[Belief1]:
-        """Distinct inner beliefs, in canonical order (prescription domains)."""
-        return sorted(self.mixture(), key=Belief1.sort_key)
+        """Distinct inner beliefs, in canonical order (prescription domains).
+        The order is sorted once per instance; each call returns a new list."""
+        points = self.__dict__.get("_points")
+        if points is None:
+            points = tuple(sorted(self.mixture_numerators()[1], key=Belief1.sort_key))
+            object.__setattr__(self, "_points", points)
+        return list(points)
 
     def marginal_state_private(self) -> dict[tuple[int, PrivateReal], Fraction]:
         out: dict[tuple[int, PrivateReal], Fraction] = {}
@@ -206,7 +255,7 @@ class Belief2:
 
 
 @dataclass(frozen=True)
-class MarginalBelief:
+class MarginalBelief(_Scaled):
     """Per-agent filtered belief used under decoupled dynamics.
 
     Agent 1's version is a distribution over its own state; agent 2's is
@@ -302,24 +351,33 @@ class Prescription:
 
 # ---------------------------------------------------------------------------
 # The Bayes-branch kernel shared by every one-step update: accumulate the
-# joint weight of each (observed key, support point), then normalize per key.
+# joint weight of each (observed key, support point) as an integer numerator
+# over one common denominator, then normalize per key.  Each step scales its
+# inputs once (`Dist.scaled`, `_Scaled.scaled`), so the inner loops multiply
+# and add integers; a Fraction is built only for each branch probability and
+# each posterior entry.
 # ---------------------------------------------------------------------------
 
 
 def _joint() -> defaultdict:
-    """Accumulator for `{observed key: {support point: joint weight}}`."""
-    return defaultdict(lambda: defaultdict(Fraction))
+    """Accumulator for `{observed key: {support point: n}}`, each joint
+    weight n / D over one common denominator D."""
+    return defaultdict(lambda: defaultdict(int))
 
 
-def _branches(acc: dict, make) -> dict:
-    """Turn `{key: {support: weight}}` into `{key: (total, make(normalized
-    weights))}`: each key's Bayes denominator and posterior.  The result is
-    built in sorted key order, so iterating it needs no further sort."""
+def _branches(acc: dict, denom: int, make, order=None) -> dict:
+    """Turn `{key: {support: n}}`, joint weights n / denom with every n
+    positive, into `{key: (total / denom, make(entries))}`: each key's Bayes
+    denominator, and its posterior as canonical entries (the (support, n)
+    items sorted, by the key function `order` when given; weights n / total
+    as reduced Fractions).  The result is built in sorted key order, so
+    iterating it needs no further sort."""
     out = {}
     for key in sorted(acc):
-        weights = acc[key]
-        total = sum(weights.values())
-        out[key] = (total, make({k: w / total for k, w in weights.items()}))
+        nums = acc[key]
+        total = sum(nums.values())
+        items = sorted(nums.items(), key=order)
+        out[key] = (Fraction(total, denom), make(tuple((k, Fraction(n, total)) for k, n in items)))
     return out
 
 
@@ -344,14 +402,18 @@ def initial_belief1_roots(
     plan = step_plan(info, -1)
     z1_of = plan.picker(info.z1[0])
     ell_of = plan.picker(info.l2[0])
+    dx, xs = model.x0_dist.scaled()
+    dv1, v1s = model.v_dist(1, 0).scaled()
+    dv2, v2s = model.v_dist(2, 0).scaled()
     acc = _joint()
-    for x0, px in model.x0_dist.items():
-        for v1, pv1 in model.v_dist(1, 0).items():
+    for x0, nx in xs:
+        for v1, nv1 in v1s:
             y1 = model.h(1, 0, x0, v1)
-            for v2, pv2 in model.v_dist(2, 0).items():
+            n1 = nx * nv1
+            for v2, nv2 in v2s:
                 slots = (y1, model.h(2, 0, x0, v2))
-                acc[z1_of(slots)][(x0, ell_of(slots))] += px * pv1 * pv2
-    return _branches(acc, partial(Belief1.from_weights, 0))
+                acc[z1_of(slots)][(x0, ell_of(slots))] += n1 * nv2
+    return _branches(acc, dx * dv1 * dv2, partial(Belief1, 0))
 
 
 def initial_belief1(model: TeamModel, info: InfoStructure, z1_0: tuple[int, ...]) -> Belief1:
@@ -379,17 +441,23 @@ def belief1_step(
     plan = step_plan(info, t)
     z1_of = plan.picker(info.z1[t + 1])
     ell_next_of = plan.picker(info.l2[t + 1])
+    db, entries = b1.scaled()
+    dw, ws = model.w_dist(t).scaled()
+    dv1, v1s = model.v_dist(1, t + 1).scaled()
+    dv2, v2s = model.v_dist(2, t + 1).scaled()
     acc = _joint()
-    for (x, ell), p in b1.items():
+    for (x, ell), n in entries:
         u2 = gamma2(ell)
-        for w, pw in model.w_dist(t).items():
+        for w, nw in ws:
             x_next = model.f(t, x, u1, u2, w)
-            for v1, pv1 in model.v_dist(1, t + 1).items():
+            nxw = n * nw
+            for v1, nv1 in v1s:
                 y1_next = model.h(1, t + 1, x_next, v1)
-                for v2, pv2 in model.v_dist(2, t + 1).items():
+                n1 = nxw * nv1
+                for v2, nv2 in v2s:
                     slots = ell + (y1_next, model.h(2, t + 1, x_next, v2), u1, u2)
-                    acc[z1_of(slots)][(x_next, ell_next_of(slots))] += p * pw * pv1 * pv2
-    return _branches(acc, partial(Belief1.from_weights, t + 1))
+                    acc[z1_of(slots)][(x_next, ell_next_of(slots))] += n1 * nv2
+    return _branches(acc, db * dw * dv1 * dv2, partial(Belief1, t + 1))
 
 
 def update_belief1(
@@ -414,17 +482,28 @@ def update_belief1(
 # ---------------------------------------------------------------------------
 
 
-def _mixture_branches(t: int, parts, key_of) -> dict[tuple[int, ...], tuple[Fraction, Belief2]]:
+def _mixture_branches(
+    t: int, denom: int, parts, key_of
+) -> dict[tuple[int, ...], tuple[Fraction, Belief2]]:
     """Shared-belief branches from agent-1 branches.  `parts` yields (w,
-    {z1: (q, b1')}) pairs; each branch adds w * q * b1'(x, ell) to the entry
-    (x, ell, b1') under the key `key_of(z1)`."""
-    acc = _joint()
+    {z1: (q, b1')}) pairs, the mixture weight w an integer over `denom`;
+    each branch adds (w / denom) * q * b1'(x, ell) to the entry (x, ell,
+    b1') under the key `key_of(z1)`.  With b1' scaled as (d, {(x, ell): n}),
+    that term is w * q.numerator * n over denom * q.denominator * d, so the
+    terms share the denominator denom * L, L the lcm of q.denominator * d."""
+    terms = []
     for w, branches in parts:
         for z1, (q, b1) in branches.items():
-            weights = acc[key_of(z1)]
-            for (x, ell), p in b1.items():
-                weights[(x, ell, b1)] += w * q * p
-    return _branches(acc, partial(Belief2.from_weights, t))
+            d, entries = b1.scaled()
+            terms.append((w * q.numerator, q.denominator * d, key_of(z1), b1, entries))
+    common = math.lcm(*(d for _, d, *_ in terms))
+    acc = _joint()
+    for c, d, key, b1, entries in terms:
+        c *= common // d
+        weights = acc[key]
+        for (x, ell), n in entries:
+            weights[(x, ell, b1)] += c * n
+    return _branches(acc, denom * common, partial(Belief2, t), lambda kv: _belief2_order(kv[0]))
 
 
 def initial_belief2_roots(
@@ -434,7 +513,7 @@ def initial_belief2_roots(
     beliefs: each agent-1 root z1 -> (q, b1) puts weight q * b1(x, ell) on
     (x, ell, b1) under the a2[0] part of z1 (a2[0] lies inside m1[0] = z1[0])."""
     a2_of = merge_picker(info, info.a2[0], info.z1[0])
-    return _mixture_branches(0, [(1, initial_belief1_roots(model, info))], a2_of)
+    return _mixture_branches(0, 1, [(1, initial_belief1_roots(model, info))], a2_of)
 
 
 def initial_belief2(model: TeamModel, info: InfoStructure, a2_0: tuple[int, ...]) -> Belief2:
@@ -455,12 +534,13 @@ def belief2_step(
     realized shared-increment tuple -> (probability, posterior).
 
     The step is a mixture of agent-1 steps.  Each entry of b2 factors as
-    w(b1) * b1(x, ell), with w from `Belief2.mixture`, so each inner belief
-    b1 takes one `belief1_step` under its action gamma1(b1), and its branch
-    z1 -> (q, b1') adds w * q * b1'(x', ell') to the entry (x', ell', b1')
-    under the z2[t+1] part of z1.  This relies on two nestedness rules that
-    `check_nestedness` enforces: accessibility (a2[t] inside m1[t], which
-    gives the factorization) and novelty (z2[t+1] inside z1[t+1]).
+    w(b1) * b1(x, ell), with w from `Belief2.mixture_numerators`, so each
+    inner belief b1 takes one `belief1_step` under its action gamma1(b1), and
+    its branch z1 -> (q, b1') adds w * q * b1'(x', ell') to the entry (x',
+    ell', b1') under the z2[t+1] part of z1.  This relies on two nestedness
+    rules that `check_nestedness` enforces: accessibility (a2[t] inside
+    m1[t], which gives the factorization) and novelty (z2[t+1] inside
+    z1[t+1]).
 
     `step1`, when given, replaces `belief1_step` for the inner steps (the
     solver passes a cached one).  The default is looked up at call time, so
@@ -471,8 +551,9 @@ def belief2_step(
         raise ValueError(f"no transition out of the final time {t}")
     z2_of = merge_picker(info, info.z2[t + 1], info.z1[t + 1])
     step = step1 or belief1_step
-    parts = ((w, step(model, info, b1, gamma1(b1), gamma2)) for b1, w in b2.mixture().items())
-    return _mixture_branches(t + 1, parts, z2_of)
+    denom, mixture = b2.mixture_numerators()
+    parts = ((w, step(model, info, b1, gamma1(b1), gamma2)) for b1, w in mixture.items())
+    return _mixture_branches(t + 1, denom, parts, z2_of)
 
 
 def update_belief2(

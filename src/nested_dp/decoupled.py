@@ -197,11 +197,13 @@ def embed(dec: DecoupledModel) -> TeamModel:
 
 def initial_theta1_roots(dec: DecoupledModel) -> dict[int, tuple[Fraction, MarginalBelief]]:
     """Agent 1's time-0 observation values -> (probability, own-state filter)."""
+    dx, xs = dec.x1_dist.scaled()
+    dv, vs = dec.v1_dists[0].scaled()
     acc = _joint()
-    for x1, px in dec.x1_dist.items():
-        for v1, pv in dec.v1_dists[0].items():
-            acc[dec.obs1[0][x1][v1]][x1] += px * pv
-    return _branches(acc, partial(MarginalBelief.from_weights, 1, 0))
+    for x1, nx in xs:
+        for v1, nv in vs:
+            acc[dec.obs1[0][x1][v1]][x1] += nx * nv
+    return _branches(acc, dx * dv, partial(MarginalBelief, 1, 0))
 
 
 def initial_theta2_roots(
@@ -212,14 +214,16 @@ def initial_theta2_roots(
     plan = step_plan(info, -1)
     a2_of = plan.picker(info.a2[0])
     ell_of = plan.picker(info.l2[0])
+    dx, xs = dec.x2_dist.scaled()
+    dv, vs = dec.v2_dists[0].scaled()
     acc = _joint()
-    for x2, px in dec.x2_dist.items():
-        for v2, pv in dec.v2_dists[0].items():
+    for x2, nx in xs:
+        for v2, nv in vs:
             # agent-2 compositions never reference agent-1 data, so the
             # sentinel y1 slot is never read
             slots = (-1, dec.obs2[0][x2][v2])
-            acc[a2_of(slots)][(x2, ell_of(slots))] += px * pv
-    return _branches(acc, partial(MarginalBelief.from_weights, 2, 0))
+            acc[a2_of(slots)][(x2, ell_of(slots))] += nx * nv
+    return _branches(acc, dx * dv, partial(MarginalBelief, 2, 0))
 
 
 def theta1_step(
@@ -228,13 +232,16 @@ def theta1_step(
     """Predict through agent 1's own chain, then condition on each possible
     next observation: y1' -> (branch probability, posterior)."""
     t = theta.t
+    dtheta, entries = theta.scaled()
+    dw, ws = dec.w1_dists[t].scaled()
+    dv, vs = dec.v1_dists[t + 1].scaled()
     acc = _joint()
-    for x1, p in theta.items():
-        for w1, pw in dec.w1_dists[t].items():
+    for x1, n in entries:
+        for w1, nw in ws:
             x1n = dec.f1[t][x1][u1][w1]
-            for v1, pv in dec.v1_dists[t + 1].items():
-                acc[dec.obs1[t + 1][x1n][v1]][x1n] += p * pw * pv
-    return _branches(acc, partial(MarginalBelief.from_weights, 1, t + 1))
+            for v1, nv in vs:
+                acc[dec.obs1[t + 1][x1n][v1]][x1n] += n * nw * nv
+    return _branches(acc, dtheta * dw * dv, partial(MarginalBelief, 1, t + 1))
 
 
 def theta2_step(
@@ -246,15 +253,18 @@ def theta2_step(
     plan = step_plan(info, t)
     z2_of = plan.picker(info.z2[t + 1])
     ell_next_of = plan.picker(info.l2[t + 1])
+    dtheta, entries = theta.scaled()
+    dw, ws = dec.w2_dists[t].scaled()
+    dv, vs = dec.v2_dists[t + 1].scaled()
     acc = _joint()
-    for (x2, ell), p in theta.items():
+    for (x2, ell), n in entries:
         u2 = gamma2(ell)
-        for w2, pw in dec.w2_dists[t].items():
+        for w2, nw in ws:
             x2n = dec.f2[t][x2][u2][w2]
-            for v2, pv in dec.v2_dists[t + 1].items():
+            for v2, nv in vs:
                 slots = ell + (-1, dec.obs2[t + 1][x2n][v2], -1, u2)
-                acc[z2_of(slots)][(x2n, ell_next_of(slots))] += p * pw * pv
-    return _branches(acc, partial(MarginalBelief.from_weights, 2, t + 1))
+                acc[z2_of(slots)][(x2n, ell_next_of(slots))] += n * nw * nv
+    return _branches(acc, dtheta * dw * dv, partial(MarginalBelief, 2, t + 1))
 
 
 def update_theta(

@@ -21,6 +21,7 @@ tables are indexed time-major.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -32,6 +33,7 @@ __all__ = [
     "Violation",
     "parse_ratio",
     "format_ratio",
+    "scale_to_integers",
     "validate_model",
     "transition_kernel",
     "observation_kernel",
@@ -49,6 +51,14 @@ def parse_ratio(text: str) -> Fraction:
 def format_ratio(value: Fraction) -> str:
     """Format a Fraction canonically as "p/q" (denominator always present)."""
     return f"{value.numerator}/{value.denominator}"
+
+
+def scale_to_integers(weights: Iterable[Fraction]) -> tuple[int, tuple[int, ...]]:
+    """Exact integer form of rational weights: their common denominator D
+    (the lcm of the denominators) and the numerators w * D, in order."""
+    weights = tuple(weights)
+    denom = math.lcm(*(w.denominator for w in weights))
+    return denom, tuple(w.numerator * (denom // w.denominator) for w in weights)
 
 
 @dataclass(frozen=True)
@@ -108,6 +118,16 @@ class Dist:
 
     def items(self) -> Iterable[tuple[int, Fraction]]:
         return ((i, w) for i, w in enumerate(self.weights) if w > 0)
+
+    def scaled(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """The weights over one common denominator D: (D, ((i, n), ...)),
+        weight i = n / D, for the outcomes of positive weight.  Cached."""
+        scaled = self.__dict__.get("_scaled")
+        if scaled is None:
+            denom, nums = scale_to_integers(self.weights)
+            scaled = (denom, tuple((i, n) for i, n in enumerate(nums) if n))
+            object.__setattr__(self, "_scaled", scaled)
+        return scaled
 
     @staticmethod
     def point_mass(n: int, at: int) -> "Dist":

@@ -398,14 +398,13 @@ def exhaustive_min(
     the incumbent only when it is strictly smaller, so the value and the
     first minimizer are those of the full walk.  `strategies_tested` counts
     the leaves that were fully evaluated, at most the enumeration length;
-    at T = 0 nothing is pruned."""
+    at T = 0 nothing is pruned.
+
+    The budget is charged on those leaves, not on the enumeration length
+    (`strategy_count_formula`), which the bound makes a loose estimate of
+    the work: the walk raises ResourceLimitExceeded, naming the stage and
+    the count, as soon as one leaf more than the cap would be evaluated."""
     cap = resolve_budget(budget)
-    estimate = strategy_count_formula(model, info, joint)
-    if estimate > cap:
-        raise ResourceLimitExceeded(
-            f"about {estimate} strategies to enumerate, over the cap of {cap}",
-            estimate=estimate,
-        )
     T = model.horizon
     best: list = [None, None]  # (value, stage tables)
     tested = [0]
@@ -448,10 +447,15 @@ def exhaustive_min(
         for k1, k2, (_, _, x), p, _ in keyed:
             weights[k1, k2, x] = weights.get((k1, k2, x), Fraction(0)) + p
         for table1, table2 in stage_assignments(T, keyed):
+            tested[0] += 1
+            if tested[0] > cap:
+                raise ResourceLimitExceeded(
+                    f"strategies evaluated passed the cap of {cap} at t={T}: {tested[0]} counted",
+                    estimate=tested[0],
+                )
             value = so_far
             for (k1, k2, x), w in weights.items():
                 value += w * model.cost(T, x, table1[k1], table2[k2])
-            tested[0] += 1
             if best[0] is None or value < best[0]:
                 best[0] = value
                 best[1] = tables + [(table1, table2)]

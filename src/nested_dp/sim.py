@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .info import InfoStructure
-from .model import Dist, TeamModel, format_ratio
+from .model import Dist, TeamModel, format_ratio, scale_to_integers
 from .oracle import trajectory
 
 __all__ = ["RolloutConfig", "Report", "rollout"]
@@ -77,9 +77,9 @@ class _Sampler:
     """
 
     def __init__(self, dist: Dist):
-        denom = math.lcm(*(w.denominator for w in dist.weights))
+        denom, nums = scale_to_integers(dist.weights)
         self.denom = denom
-        self.thresholds = tuple(accumulate(w.numerator * (denom // w.denominator) for w in dist.weights))
+        self.thresholds = tuple(accumulate(nums))
         self.plan_entry = (denom.bit_length(), denom, self.thresholds)
 
     def draw(self, rng: random.Random) -> int:

@@ -49,7 +49,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import lattice as lat
-from .beliefs import (
+from .beliefs import (  # expected_cost2 is re-exported for callers of this module
     Belief1,
     Belief2,
     Prescription,
@@ -73,7 +73,7 @@ from .info import (  # extend_a2 is re-exported for callers of this module
     merge_realization,
 )
 from .limits import resolve_budget
-from .model import TeamModel
+from .model import TeamModel, scale_to_integers
 
 __all__ = [
     "MemoArgmin",
@@ -227,9 +227,16 @@ def solve_exact(model: TeamModel, info: InfoStructure, budget: int | None = None
     successors, and the one playing 0 there comes first in lexicographic
     order.  Agent-1 steps are cached for the whole solve on (b1, u1, gamma2
     on b1's private support).
+
+    Stage costs are read off one integer table per node.  With b2's entries
+    n / D and stage-t costs k / K over common denominators,
+    h[(b1, ell)][u1][u2] = sum over x of n * k(x, u1, u2), and a pair's
+    stage cost is the sum of h[(b1, ell)][gamma1(b1)][gamma2(ell)] over the
+    support, divided by D * K: exactly `expected_cost2`.
     """
     T = model.horizon
     steps: dict = {}
+    costs = [_scaled_costs(model.cost_table[t]) for t in range(T + 1)]
 
     def step1(model, info, b1, u1, g2):
         key = (b1, u1, tuple(g2(ell) for ell in b1.private_support()))
@@ -250,9 +257,35 @@ def solve_exact(model: TeamModel, info: InfoStructure, budget: int | None = None
         return t, n_pairs, candidates(b2, t, points, l2_reals, live, n_u1, n_u2)
 
     def candidates(b2, t, points, l2_reals, live, n_u1, n_u2):
+        denom, entries = b2.scaled()
+        cost_denom, units = costs[t]
+        scale = denom * cost_denom
+        # h[(b1, ell)][u1][u2], keyed by (b1's index in points, ell's in live)
+        h: dict = {}
+        where1 = {b1: i for i, b1 in enumerate(points)}
+        where2 = {ell: j for j, ell in enumerate(live)}
+        for (x, ell, b1), n in entries:
+            cell = (where1[b1], where2[ell])
+            rows = h.get(cell)
+            if rows is None:
+                rows = h[cell] = [[0] * n_u2 for _ in range(n_u1)]
+            for row, ks in zip(rows, units[x]):
+                for u2, k in enumerate(ks):
+                    row[u2] += n * k
+        gammas2 = [
+            (g2, [g2(ell) for ell in live])
+            for g2 in all_agent2_prescriptions(t, l2_reals, n_u2, live)
+        ]
         for g1 in all_agent1_prescriptions(t, points, n_u1):
-            for g2 in all_agent2_prescriptions(t, l2_reals, n_u2, live):
-                cost = expected_cost2(model, b2, g1, g2)
+            acts1 = [g1(b1) for b1 in points]
+            # by_ell[j][u2]: the stage cost at live[j] under gamma1, per agent-2 action
+            by_ell = [[0] * n_u2 for _ in live]
+            for (i, j), rows in h.items():
+                total = by_ell[j]
+                for u2, v in enumerate(rows[acts1[i]]):
+                    total[u2] += v
+            for g2, acts2 in gammas2:
+                cost = Fraction(sum(row[u2] for row, u2 in zip(by_ell, acts2)), scale)
                 branches = belief2_step(model, info, b2, g1, g2, step1).values() if t < T else ()
                 yield (g1, g2), cost, branches
 
@@ -262,6 +295,14 @@ def solve_exact(model: TeamModel, info: InfoStructure, budget: int | None = None
     for p, b2 in roots.values():
         total += p * dp.value(b2)
     return ExactSolution(model, info, total, roots, dp.memo, dp.spent)
+
+
+def _scaled_costs(stage) -> tuple[int, list]:
+    """A stage's cost table cost[x][u1][u2] over one common denominator K:
+    (K, k) with cost[x][u1][u2] = k[x][u1][u2] / K."""
+    denom, nums = scale_to_integers(c for x_row in stage for u1_row in x_row for c in u1_row)
+    flat = iter(nums)
+    return denom, [[[next(flat) for _ in u1_row] for u1_row in x_row] for x_row in stage]
 
 
 def prescription_table(solution: ExactSolution) -> dict[tuple[int, A2Real], tuple[Prescription, Prescription]]:

@@ -1,0 +1,507 @@
+"""Differential tests of the integer Bayes kernels.
+
+The reference here is the Fraction accumulator the integer kernels
+replaced: every joint weight a product of Fractions, summed per (observed
+key, support point), normalized by Fraction division and made canonical by
+`from_weights`.  The eight kernel sites -- `initial_belief1_roots`,
+`belief1_step`, `initial_belief2_roots`, `belief2_step` and the four
+`decoupled` theta kernels -- must return equal branches, in equal order,
+with Fraction probabilities and entries, on every input below.  A
+reference solve built from these kernels and `expected_cost2` checks the
+solver's integer stage-cost tables the same way.
+"""
+
+import random
+from collections import defaultdict
+from dataclasses import replace
+from fractions import Fraction
+from functools import partial
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from nested_dp import decoupled as dec_mod
+from nested_dp.beliefs import (
+    Belief1,
+    Belief2,
+    MarginalBelief,
+    Prescription,
+    belief1_step,
+    belief2_step,
+    expected_cost2,
+    initial_belief1_roots,
+    initial_belief2_roots,
+)
+from nested_dp.generators import certification_instance, convergence_instance, decoupled_instance
+from nested_dp.info import build_delayed_structure, enumerate_private, merge_picker, step_plan
+from nested_dp.model import Dist, FiniteSpace
+from nested_dp.sim import _Sampler
+from nested_dp.solver import MemoArgmin, all_agent1_prescriptions, all_agent2_prescriptions, solve_exact
+from test_info import split_delay_structure
+
+# ---------------------------------------------------------------------------
+# The Fraction reference.
+# ---------------------------------------------------------------------------
+
+
+def ref_joint():
+    return defaultdict(lambda: defaultdict(Fraction))
+
+
+def ref_branches(acc, make):
+    out = {}
+    for key in sorted(acc):
+        weights = acc[key]
+        total = sum(weights.values())
+        out[key] = (total, make({k: w / total for k, w in weights.items()}))
+    return out
+
+
+def ref_initial_belief1_roots(model, info):
+    plan = step_plan(info, -1)
+    z1_of = plan.picker(info.z1[0])
+    ell_of = plan.picker(info.l2[0])
+    acc = ref_joint()
+    for x0, px in model.x0_dist.items():
+        for v1, pv1 in model.v_dist(1, 0).items():
+            y1 = model.h(1, 0, x0, v1)
+            for v2, pv2 in model.v_dist(2, 0).items():
+                slots = (y1, model.h(2, 0, x0, v2))
+                acc[z1_of(slots)][(x0, ell_of(slots))] += px * pv1 * pv2
+    return ref_branches(acc, partial(Belief1.from_weights, 0))
+
+
+def ref_belief1_step(model, info, b1, u1, gamma2):
+    t = b1.t
+    plan = step_plan(info, t)
+    z1_of = plan.picker(info.z1[t + 1])
+    ell_next_of = plan.picker(info.l2[t + 1])
+    acc = ref_joint()
+    for (x, ell), p in b1.items():
+        u2 = gamma2(ell)
+        for w, pw in model.w_dist(t).items():
+            x_next = model.f(t, x, u1, u2, w)
+            for v1, pv1 in model.v_dist(1, t + 1).items():
+                y1_next = model.h(1, t + 1, x_next, v1)
+                for v2, pv2 in model.v_dist(2, t + 1).items():
+                    slots = ell + (y1_next, model.h(2, t + 1, x_next, v2), u1, u2)
+                    acc[z1_of(slots)][(x_next, ell_next_of(slots))] += p * pw * pv1 * pv2
+    return ref_branches(acc, partial(Belief1.from_weights, t + 1))
+
+
+def ref_mixture(b2):
+    out = {}
+    for (_, _, b1), w in b2.entries:
+        out[b1] = out.get(b1, Fraction(0)) + w
+    return out
+
+
+def ref_mixture_branches(t, parts, key_of):
+    acc = ref_joint()
+    for w, branches in parts:
+        for z1, (q, b1) in branches.items():
+            weights = acc[key_of(z1)]
+            for (x, ell), p in b1.items():
+                weights[(x, ell, b1)] += w * q * p
+    return ref_branches(acc, partial(Belief2.from_weights, t))
+
+
+def ref_initial_belief2_roots(model, info):
+    a2_of = merge_picker(info, info.a2[0], info.z1[0])
+    return ref_mixture_branches(0, [(1, ref_initial_belief1_roots(model, info))], a2_of)
+
+
+def ref_belief2_step(model, info, b2, gamma1, gamma2):
+    t = b2.t
+    z2_of = merge_picker(info, info.z2[t + 1], info.z1[t + 1])
+    parts = (
+        (w, ref_belief1_step(model, info, b1, gamma1(b1), gamma2)) for b1, w in ref_mixture(b2).items()
+    )
+    return ref_mixture_branches(t + 1, parts, z2_of)
+
+
+def ref_initial_theta1_roots(dec):
+    acc = ref_joint()
+    for x1, px in dec.x1_dist.items():
+        for v1, pv in dec.v1_dists[0].items():
+            acc[dec.obs1[0][x1][v1]][x1] += px * pv
+    return ref_branches(acc, partial(MarginalBelief.from_weights, 1, 0))
+
+
+def ref_initial_theta2_roots(dec, info):
+    plan = step_plan(info, -1)
+    a2_of = plan.picker(info.a2[0])
+    ell_of = plan.picker(info.l2[0])
+    acc = ref_joint()
+    for x2, px in dec.x2_dist.items():
+        for v2, pv in dec.v2_dists[0].items():
+            slots = (-1, dec.obs2[0][x2][v2])
+            acc[a2_of(slots)][(x2, ell_of(slots))] += px * pv
+    return ref_branches(acc, partial(MarginalBelief.from_weights, 2, 0))
+
+
+def ref_theta1_step(dec, theta, u1):
+    t = theta.t
+    acc = ref_joint()
+    for x1, p in theta.items():
+        for w1, pw in dec.w1_dists[t].items():
+            x1n = dec.f1[t][x1][u1][w1]
+            for v1, pv in dec.v1_dists[t + 1].items():
+                acc[dec.obs1[t + 1][x1n][v1]][x1n] += p * pw * pv
+    return ref_branches(acc, partial(MarginalBelief.from_weights, 1, t + 1))
+
+
+def ref_theta2_step(dec, info, theta, gamma2):
+    t = theta.t
+    plan = step_plan(info, t)
+    z2_of = plan.picker(info.z2[t + 1])
+    ell_next_of = plan.picker(info.l2[t + 1])
+    acc = ref_joint()
+    for (x2, ell), p in theta.items():
+        u2 = gamma2(ell)
+        for w2, pw in dec.w2_dists[t].items():
+            x2n = dec.f2[t][x2][u2][w2]
+            for v2, pv in dec.v2_dists[t + 1].items():
+                slots = ell + (-1, dec.obs2[t + 1][x2n][v2], -1, u2)
+                acc[z2_of(slots)][(x2n, ell_next_of(slots))] += p * pw * pv
+    return ref_branches(acc, partial(MarginalBelief.from_weights, 2, t + 1))
+
+
+def reference_solve(model, info):
+    """`solve_exact` with the Fraction kernels and `expected_cost2`: the same
+    support restriction and enumeration order, no step cache."""
+    T = model.horizon
+
+    def expand(b2):
+        t = b2.t
+        points = sorted(ref_mixture(b2), key=Belief1.sort_key)
+        support = {ell for (_, ell, _), _ in b2.items()}
+        l2_reals = enumerate_private(info, model, t)
+        live = [ell for ell in l2_reals if ell in support]
+        n_u1 = model.action_space(1, t).size
+        n_u2 = model.action_space(2, t).size
+        return t, 0, (
+            ((g1, g2), expected_cost2(model, b2, g1, g2),
+             ref_belief2_step(model, info, b2, g1, g2).values() if t < T else ())
+            for g1 in all_agent1_prescriptions(t, points, n_u1)
+            for g2 in all_agent2_prescriptions(t, l2_reals, n_u2, live)
+        )
+
+    dp = MemoArgmin({}, 10**9, "prescription pairs", expand)
+    roots = ref_initial_belief2_roots(model, info)
+    value = sum((p * dp.value(b2) for p, b2 in roots.values()), Fraction(0))
+    return value, dp.memo
+
+
+# ---------------------------------------------------------------------------
+# Comparison walks.
+# ---------------------------------------------------------------------------
+
+
+def assert_same_branches(ours, ref):
+    assert list(ours) == list(ref)
+    for key, (q, post) in ours.items():
+        q_ref, post_ref = ref[key]
+        assert type(q) is Fraction and q == q_ref
+        assert post == post_ref
+        assert all(type(w) is Fraction for _, w in post.entries)
+
+
+def walk_team(model, info, rng, pairs_per_node=2, max_steps=None):
+    """Compare the four team kernels at every node reached by a few random
+    prescription pairs per node, stopping after `max_steps` shared steps
+    when given.  Returns the number of shared steps compared."""
+    assert_same_branches(initial_belief1_roots(model, info), ref_initial_belief1_roots(model, info))
+    roots = initial_belief2_roots(model, info)
+    assert_same_branches(roots, ref_initial_belief2_roots(model, info))
+    frontier = [b2 for _, b2 in roots.values()]
+    steps = 0
+    while frontier and steps != max_steps:
+        b2 = frontier.pop()
+        t = b2.t
+        if t >= model.horizon:
+            continue
+        points = b2.belief1_support()
+        l2_reals = enumerate_private(info, model, t)
+        n_u1 = model.action_space(1, t).size
+        n_u2 = model.action_space(2, t).size
+        for _ in range(pairs_per_node):
+            g1 = Prescription.for_agent1(t, {b1: rng.randrange(n_u1) for b1 in points})
+            g2 = Prescription.for_agent2(t, {ell: rng.randrange(n_u2) for ell in l2_reals})
+            for b1 in points:
+                assert_same_branches(
+                    belief1_step(model, info, b1, g1(b1), g2), ref_belief1_step(model, info, b1, g1(b1), g2)
+                )
+            branches = belief2_step(model, info, b2, g1, g2)
+            assert_same_branches(branches, ref_belief2_step(model, info, b2, g1, g2))
+            frontier.extend(nxt for _, nxt in branches.values())
+            steps += 1
+    return steps
+
+
+def walk_decoupled(dec, rng):
+    """Compare the four theta kernels along every agent-1 action and one
+    random agent-2 prescription per shared node."""
+    emb = dec_mod.embed(dec)
+    info = build_delayed_structure(emb, 1)
+    roots1 = dec_mod.initial_theta1_roots(dec)
+    assert_same_branches(roots1, ref_initial_theta1_roots(dec))
+    roots2 = dec_mod.initial_theta2_roots(dec, info)
+    assert_same_branches(roots2, ref_initial_theta2_roots(dec, info))
+    T = dec.horizon
+    frontier = [theta for _, theta in roots1.values()]
+    while frontier:
+        theta = frontier.pop()
+        if theta.t >= T:
+            continue
+        for u1 in range(len(dec.f1[theta.t][0])):
+            branches = dec_mod.theta1_step(dec, theta, u1)
+            assert_same_branches(branches, ref_theta1_step(dec, theta, u1))
+            frontier.extend(nxt for _, nxt in branches.values())
+    frontier = [theta for _, theta in roots2.values()]
+    while frontier:
+        theta = frontier.pop()
+        t = theta.t
+        if t >= T:
+            continue
+        n_u2 = len(dec.f2[t][0])
+        g2 = Prescription.for_agent2(t, {ell: rng.randrange(n_u2) for ell in enumerate_private(info, emb, t)})
+        branches = dec_mod.theta2_step(dec, info, theta, g2)
+        assert_same_branches(branches, ref_theta2_step(dec, info, theta, g2))
+        frontier.extend(nxt for _, nxt in branches.values())
+
+
+def odd_dist(rng, n):
+    """Weights over odd, unequal denominators, with a zero outcome when n > 2."""
+    nums = [rng.randrange(1, 8) for _ in range(n)]
+    if n > 2:
+        nums[rng.randrange(n)] = 0
+    total = sum(nums)
+    return Dist(tuple(Fraction(k, total) for k in nums))
+
+
+def noisy_model(seed, horizon=2):
+    """certification_instance with noisy observations of both agents at every
+    time, primitive laws over odd denominators, and costs of mixed signs over
+    non-unit denominators."""
+    base = certification_instance(seed, horizon)
+    rng = random.Random(f"noisy:{seed}")
+    T, nx = horizon, 2
+    stages = range(T + 1)
+    return replace(
+        base,
+        noises1=tuple(FiniteSpace("V1", 2) for _ in stages),
+        noises2=tuple(FiniteSpace("V2", 3) for _ in stages),
+        obs1=tuple(tuple(tuple((x + v) % 2 for v in range(2)) for x in range(nx)) for _ in stages),
+        obs2=tuple(tuple(tuple(x if v < 2 else 1 - x for v in range(3)) for x in range(nx)) for _ in stages),
+        x0_dist=odd_dist(rng, nx),
+        w_dists=tuple(odd_dist(rng, 3) for _ in range(T)),
+        disturbances=tuple(FiniteSpace("W", 3) for _ in range(T)),
+        transition=tuple(
+            tuple(
+                tuple(tuple(tuple((x + u1 * w + u2) % nx for w in range(3)) for u2 in range(2)) for u1 in range(2))
+                for x in range(nx)
+            )
+            for _ in range(T)
+        ),
+        v1_dists=tuple(odd_dist(rng, 2) for _ in stages),
+        v2_dists=tuple(odd_dist(rng, 3) for _ in stages),
+        cost_table=tuple(
+            tuple(
+                tuple(
+                    tuple(Fraction(rng.randrange(-9, 10), rng.choice((1, 3, 5, 6, 7))) for _ in range(2))
+                    for _ in range(2)
+                )
+                for _ in range(nx)
+            )
+            for _ in stages
+        ),
+    )
+
+
+def noisy_decoupled(seed, horizon=2, perfect_obs_1=False):
+    """decoupled_instance with noisy observations of both chains at every
+    time and primitive laws over odd denominators."""
+    base = decoupled_instance(seed, horizon, perfect_obs_1)
+    rng = random.Random(f"noisy-dec:{seed}")
+    stages = range(horizon + 1)
+    return replace(
+        base,
+        noises1=tuple(FiniteSpace("V1", 2) for _ in stages),
+        noises2=tuple(FiniteSpace("V2", 3) for _ in stages),
+        obs1=tuple(tuple(tuple((x + v) % 2 for v in range(2)) for x in range(2)) for _ in stages),
+        obs2=tuple(tuple(tuple(x if v < 2 else 1 - x for v in range(3)) for x in range(2)) for _ in stages),
+        x1_dist=odd_dist(rng, 2),
+        x2_dist=odd_dist(rng, 2),
+        w1_dists=tuple(odd_dist(rng, 2) for _ in range(horizon)),
+        w2_dists=tuple(odd_dist(rng, 2) for _ in range(horizon)),
+        v1_dists=tuple(odd_dist(rng, 2) for _ in stages),
+        v2_dists=tuple(odd_dist(rng, 3) for _ in stages),
+    )
+
+
+# ---------------------------------------------------------------------------
+# The tests.
+# ---------------------------------------------------------------------------
+
+
+class TestTeamKernels:
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("d", range(4))
+    def test_certification_instances(self, seed, d):
+        model = certification_instance(seed)
+        assert walk_team(model, build_delayed_structure(model, d), random.Random(d)) > 0
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_split_delay_structure(self, seed):
+        model = certification_instance(seed)
+        assert walk_team(model, split_delay_structure(model), random.Random(seed)) > 0
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_convergence_instance(self, d):
+        model = convergence_instance(0)
+        assert walk_team(model, build_delayed_structure(model, d), random.Random(d)) > 0
+
+    @pytest.mark.parametrize("d", [0, 1, 2])
+    def test_odd_denominators_and_full_noise(self, d):
+        model = noisy_model(0)
+        assert walk_team(model, build_delayed_structure(model, d), random.Random(d)) > 0
+
+    @given(
+        seed=st.integers(0, 10**6),
+        horizon=st.integers(1, 2),
+        d=st.integers(0, 3),
+        noisy=st.booleans(),
+        choices=st.integers(0, 2**32),
+    )
+    def test_sweep(self, seed, horizon, d, noisy, choices):
+        model = (noisy_model if noisy else certification_instance)(seed, horizon)
+        info = build_delayed_structure(model, min(d, horizon + 1))
+        walk_team(model, info, random.Random(choices), pairs_per_node=1, max_steps=8)
+
+
+class TestDecoupledKernels:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("perfect", [False, True])
+    def test_decoupled_instance(self, seed, perfect):
+        walk_decoupled(decoupled_instance(seed, horizon=3, perfect_obs_1=perfect), random.Random(seed))
+
+    @pytest.mark.parametrize("perfect", [False, True])
+    def test_odd_denominators_and_full_noise(self, perfect):
+        walk_decoupled(noisy_decoupled(0, horizon=3, perfect_obs_1=perfect), random.Random(1))
+
+    @given(
+        seed=st.integers(0, 10**6),
+        horizon=st.integers(1, 3),
+        perfect=st.booleans(),
+        noisy=st.booleans(),
+        choices=st.integers(0, 2**32),
+    )
+    def test_sweep(self, seed, horizon, perfect, noisy, choices):
+        dec = (noisy_decoupled if noisy else decoupled_instance)(seed, horizon, perfect)
+        walk_decoupled(dec, random.Random(choices))
+
+
+class TestStageCostTables:
+    """`solve_exact` reads stage costs off integer tables; the reference
+    reads them through `expected_cost2` over the Fraction kernels."""
+
+    @pytest.mark.parametrize(
+        "make, d",
+        [
+            (lambda: certification_instance(0), 1),
+            (lambda: certification_instance(1), 3),
+            (lambda: noisy_model(0), 1),
+            (lambda: noisy_model(1), 0),
+        ],
+    )
+    def test_memo_equals_reference_solve(self, make, d):
+        model = make()
+        info = build_delayed_structure(model, d)
+        solution = solve_exact(model, info)
+        value, memo = reference_solve(model, info)
+        assert solution.value == value
+        assert list(solution.memo.items()) == list(memo.items())
+
+    def test_noisy_model_costs_have_mixed_signs_and_denominators(self):
+        costs = [c for stage in noisy_model(0).cost_table for row in stage for r in row for c in r]
+        assert min(costs) < 0 < max(costs)
+        assert any(c.denominator > 1 for c in costs)
+
+
+class TestScaledForms:
+    @given(nums=st.lists(st.integers(0, 50), min_size=1, max_size=6).filter(any))
+    def test_dist_scaled_matches_sampler(self, nums):
+        total = sum(nums)
+        dist = Dist(tuple(Fraction(k, total) for k in nums))
+        denom, items = dist.scaled()
+        sampler = _Sampler(dist)
+        assert denom == sampler.denom
+        assert items == tuple((i, w * denom) for i, w in dist.items())
+        assert dist.scaled() is dist.scaled()
+
+    def test_belief_scaled_is_exact(self):
+        model = noisy_model(0)
+        info = build_delayed_structure(model, 1)
+        for _, b2 in initial_belief2_roots(model, info).values():
+            denom, entries = b2.scaled()
+            assert [(k, Fraction(n, denom)) for k, n in entries] == list(b2.entries)
+            for b1 in b2.belief1_support():
+                d1, e1 = b1.scaled()
+                assert [(k, Fraction(n, d1)) for k, n in e1] == list(b1.entries)
+
+    def test_mixture_is_cached_and_read_only(self):
+        model = certification_instance(0)
+        info = build_delayed_structure(model, 1)
+        for _, b2 in initial_belief2_roots(model, info).values():
+            mix = b2.mixture()
+            assert b2.mixture() is mix
+            assert dict(mix) == ref_mixture(b2)
+            with pytest.raises(TypeError):
+                mix[next(iter(mix))] = Fraction(0)
+            points = b2.belief1_support()
+            assert points == sorted(ref_mixture(b2), key=Belief1.sort_key)
+            points.clear()
+            assert b2.belief1_support() == sorted(ref_mixture(b2), key=Belief1.sort_key)
+
+
+class TestValidation:
+    """The kernels build beliefs without re-checking them; the public
+    constructors still check."""
+
+    B1 = Belief1.from_weights(0, {(0, ()): Fraction(1)})
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Belief1.from_weights(0, {}),
+            lambda: Belief1.from_weights(0, {(0, ()): Fraction(0)}),
+            lambda: Belief1.from_weights(0, {(0, ()): Fraction(1, 2)}),
+            lambda: Belief2.from_weights(0, {}),
+            lambda: Belief2.from_weights(0, {(0, (), TestValidation.B1): Fraction(2, 3)}),
+            lambda: Belief2.from_weights(1, {(0, (), TestValidation.B1): Fraction(1)}),
+            lambda: MarginalBelief.from_weights(1, 0, {}),
+            lambda: MarginalBelief.from_weights(2, 0, {(0, ()): Fraction(3, 2)}),
+        ],
+        ids=["b1-empty", "b1-zero", "b1-half", "b2-empty", "b2-two-thirds", "b2-wrong-time",
+             "marginal-empty", "marginal-over"],
+    )
+    def test_from_weights_raises(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+    @pytest.mark.parametrize(
+        "cls, doc",
+        [
+            (Belief1, {"t": 0, "entries": []}),
+            (Belief1, {"t": 0, "entries": [[[0, []], "1/3"]]}),
+            (Belief2, {"t": 0, "entries": []}),
+            (Belief2, {"t": 0, "entries": [[[0, [], {"t": 0, "entries": [[[0, []], "1/1"]]}], "1/2"]]}),
+            (Belief2, {"t": 1, "entries": [[[0, [], {"t": 0, "entries": [[[0, []], "1/1"]]}], "1/1"]]}),
+        ],
+        ids=["b1-empty", "b1-third", "b2-empty", "b2-half", "b2-wrong-time"],
+    )
+    def test_from_json_raises(self, cls, doc):
+        with pytest.raises(ValueError):
+            cls.from_json(doc)

@@ -14,6 +14,7 @@ from nested_dp import solver
 from nested_dp.errors import ResourceLimitExceeded, ZeroProbabilityEvent
 from nested_dp.generators import HashedTeamStrategy, certification_instance
 from nested_dp.info import VarRef, build_delayed_structure
+from nested_dp.limits import DEFAULT_BUDGET
 from nested_dp.model import Dist, FiniteSpace, TeamModel
 
 
@@ -245,6 +246,26 @@ class TestExhaustiveMin:
         with pytest.raises(ResourceLimitExceeded) as err:
             orc.exhaustive_min(model, info, joint, budget=10)
         assert err.value.estimate > 10
+
+    def test_resource_guard_names_stage_and_count(self):
+        model = certification_instance(0)
+        info = build_delayed_structure(model, 1)
+        joint = orc.build_joint(model)
+        with pytest.raises(ResourceLimitExceeded, match=r"cap of 10 at t=2: 11 counted") as err:
+            orc.exhaustive_min(model, info, joint, budget=10)
+        assert err.value.estimate == 11
+
+    def test_budget_charges_leaves_not_the_enumeration(self, monkeypatch):
+        """At T=3, d=0 the enumeration is 16,777,216 strategies, over the
+        default cap, but the pruned walk evaluates a few thousand."""
+        monkeypatch.delenv("NESTED_DP_BUDGET", raising=False)
+        model = certification_instance(0, horizon=3)
+        info = build_delayed_structure(model, 0)
+        joint = orc.build_joint(model)
+        assert orc.strategy_count_formula(model, info, joint) > DEFAULT_BUDGET
+        result = orc.exhaustive_min(model, info, joint)
+        assert result.strategies_tested <= DEFAULT_BUDGET
+        assert result.value == solver.solve_exact(model, info).value == Fraction(73, 32)
 
 
 def test_certify_script_solves_and_builds_once_per_seed(monkeypatch, capsys):
