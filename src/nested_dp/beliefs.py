@@ -38,6 +38,13 @@ common denominator (cached on the instance, as `Dist.scaled` and
 the product of those denominators, and a Fraction is built only for each
 branch probability and each posterior entry.  So the entries are still
 canonical reduced Fractions, equal to the ones a Fraction accumulator gives.
+
+Within one solve a `StepCache` interns the posteriors (hash-consing): each
+distinct agent-1 posterior is kept as one object, and a shared posterior is
+looked up by its integer signature -- the branch's numerators divided by
+their gcd -- before any sort or Fraction is spent on it, so an equal belief
+reached again is the object built the first time.  The cache belongs to
+the solve that made it; nothing is interned across solves.
 """
 
 from __future__ import annotations
@@ -62,6 +69,7 @@ __all__ = [
     "update_belief2",
     "belief1_step",
     "belief2_step",
+    "StepCache",
     "expected_cost1",
     "expected_cost2",
     "initial_belief1",
@@ -365,20 +373,46 @@ def _joint() -> defaultdict:
     return defaultdict(lambda: defaultdict(int))
 
 
-def _branches(acc: dict, denom: int, make, order=None) -> dict:
+def _branches(acc: dict, denom: int, make, order=None, interned=None) -> dict:
     """Turn `{key: {support: n}}`, joint weights n / denom with every n
     positive, into `{key: (total / denom, make(entries))}`: each key's Bayes
     denominator, and its posterior as canonical entries (the (support, n)
     items sorted, by the key function `order` when given; weights n / total
     as reduced Fractions).  The result is built in sorted key order, so
-    iterating it needs no further sort."""
+    iterating it needs no further sort.
+
+    With `interned`, a {signature: posterior} table, a branch whose
+    `_signature` is in the table takes the stored posterior, and no sort or
+    Fraction is spent on it; a new posterior is built as above and stored."""
     out = {}
     for key in sorted(acc):
         nums = acc[key]
         total = sum(nums.values())
-        items = sorted(nums.items(), key=order)
-        out[key] = (Fraction(total, denom), make(tuple((k, Fraction(n, total)) for k, n in items)))
+        if interned is None:
+            post = _posterior(nums, total, make, order)
+        else:
+            sig = _signature(nums)
+            post = interned.get(sig)
+            if post is None:
+                post = interned[sig] = _posterior(nums, total, make, order)
+        out[key] = (Fraction(total, denom), post)
     return out
+
+
+def _posterior(nums: dict, total: int, make, order):
+    """make(canonical entries) of a branch `{support: n}`, weights n / total."""
+    items = sorted(nums.items(), key=order)
+    return make(tuple((k, Fraction(n, total)) for k, n in items))
+
+
+def _signature(nums: dict) -> frozenset:
+    """The posterior of a branch `{support: n}`, n positive, as a hashable
+    integer key: the (support, n // g) pairs, g the gcd of the n.  A reduced
+    vector of positive integers fixes the ratios n / total, so two branches
+    have equal signatures exactly when their posteriors are equal (a
+    shared belief's support points carry its time in their inner belief)."""
+    g = math.gcd(*nums.values())
+    return frozenset((k, n // g) for k, n in nums.items())
 
 
 def _condition(branches: dict, key, message: str, *args):
@@ -483,14 +517,15 @@ def update_belief1(
 
 
 def _mixture_branches(
-    t: int, denom: int, parts, key_of
+    t: int, denom: int, parts, key_of, interned=None
 ) -> dict[tuple[int, ...], tuple[Fraction, Belief2]]:
     """Shared-belief branches from agent-1 branches.  `parts` yields (w,
     {z1: (q, b1')}) pairs, the mixture weight w an integer over `denom`;
     each branch adds (w / denom) * q * b1'(x, ell) to the entry (x, ell,
     b1') under the key `key_of(z1)`.  With b1' scaled as (d, {(x, ell): n}),
     that term is w * q.numerator * n over denom * q.denominator * d, so the
-    terms share the denominator denom * L, L the lcm of q.denominator * d."""
+    terms share the denominator denom * L, L the lcm of q.denominator * d.
+    `interned` is passed on to `_branches`."""
     terms = []
     for w, branches in parts:
         for z1, (q, b1) in branches.items():
@@ -503,7 +538,7 @@ def _mixture_branches(
         weights = acc[key]
         for (x, ell), n in entries:
             weights[(x, ell, b1)] += c * n
-    return _branches(acc, denom * common, partial(Belief2, t), lambda kv: _belief2_order(kv[0]))
+    return _branches(acc, denom * common, partial(Belief2, t), lambda kv: _belief2_order(kv[0]), interned)
 
 
 def initial_belief2_roots(
@@ -522,13 +557,47 @@ def initial_belief2(model: TeamModel, info: InfoStructure, a2_0: tuple[int, ...]
     )
 
 
+class StepCache:
+    """Solve-scope tables that let `belief2_step` build each distinct Bayes
+    step and posterior once, and reuse it as one object:
+
+      steps     agent-1 steps, keyed on (b1, u1, gamma2 on b1's private
+                support), each posterior replaced by its interned copy;
+      beliefs1  each distinct agent-1 posterior, keyed on itself;
+      beliefs2  each distinct shared posterior, keyed on its `_signature`.
+
+    A solver makes one for a solve and drops it with the solve; no table
+    outlives it.  The steps run through the module's `belief1_step`, looked
+    up at call time, so a rebound `belief1_step` is the one called."""
+
+    __slots__ = ("steps", "beliefs1", "beliefs2")
+
+    def __init__(self):
+        self.steps: dict = {}
+        self.beliefs1: dict[Belief1, Belief1] = {}
+        self.beliefs2: dict[frozenset, Belief2] = {}
+
+    def step1(
+        self, model: TeamModel, info: InfoStructure, b1: Belief1, u1: int, gamma2: Prescription
+    ) -> dict[tuple[int, ...], tuple[Fraction, Belief1]]:
+        """`belief1_step`, cached, with interned posteriors."""
+        key = (b1, u1, tuple(gamma2(ell) for ell in b1.private_support()))
+        hit = self.steps.get(key)
+        if hit is None:
+            intern = self.beliefs1.setdefault
+            hit = self.steps[key] = {
+                z1: (q, intern(post, post)) for z1, (q, post) in belief1_step(model, info, b1, u1, gamma2).items()
+            }
+        return hit
+
+
 def belief2_step(
     model: TeamModel,
     info: InfoStructure,
     b2: Belief2,
     gamma1: Prescription,
     gamma2: Prescription,
-    step1=None,
+    cache: StepCache | None = None,
 ) -> dict[tuple[int, ...], tuple[Fraction, Belief2]]:
     """All one-step continuations of a Belief2 under a prescription pair:
     realized shared-increment tuple -> (probability, posterior).
@@ -542,18 +611,20 @@ def belief2_step(
     m1[t], which gives the factorization) and novelty (z2[t+1] inside
     z1[t+1]).
 
-    `step1`, when given, replaces `belief1_step` for the inner steps (the
-    solver passes a cached one).  The default is looked up at call time, so
-    a rebound `belief1_step` is the one called.
+    With a `cache` (the solver passes one per solve), the inner steps come
+    from `cache.step1` and each posterior equal to one the cache has seen
+    is returned as that same object; the branches are equal either way.
+    Without one, `belief1_step` is looked up at call time, so a rebound
+    `belief1_step` is the one called.
     """
     t = b2.t
     if t >= model.horizon:
         raise ValueError(f"no transition out of the final time {t}")
     z2_of = merge_picker(info, info.z2[t + 1], info.z1[t + 1])
-    step = step1 or belief1_step
+    step = belief1_step if cache is None else cache.step1
     denom, mixture = b2.mixture_numerators()
     parts = ((w, step(model, info, b1, gamma1(b1), gamma2)) for b1, w in mixture.items())
-    return _mixture_branches(t + 1, denom, parts, z2_of)
+    return _mixture_branches(t + 1, denom, parts, z2_of, None if cache is None else cache.beliefs2)
 
 
 def update_belief2(

@@ -53,6 +53,7 @@ from .beliefs import (  # expected_cost2 is re-exported for callers of this modu
     Belief1,
     Belief2,
     Prescription,
+    StepCache,
     belief1_from_vector,
     belief1_step,
     belief1_vector,
@@ -226,7 +227,10 @@ def solve_exact(model: TeamModel, info: InfoStructure, budget: int | None = None
     that differ only off the support therefore tie exactly, with equal
     successors, and the one playing 0 there comes first in lexicographic
     order.  Agent-1 steps are cached for the whole solve on (b1, u1, gamma2
-    on b1's private support).
+    on b1's private support), and one `StepCache` interns the posteriors of
+    every Bayes step: an equal belief reached again is found by its integer
+    signature and returned as the object first built, so memo lookups on it
+    succeed by identity.  The cache is made here and dropped with the solve.
 
     Stage costs are read off one integer table per node.  With b2's entries
     n / D and stage-t costs k / K over common denominators,
@@ -235,15 +239,8 @@ def solve_exact(model: TeamModel, info: InfoStructure, budget: int | None = None
     support, divided by D * K: exactly `expected_cost2`.
     """
     T = model.horizon
-    steps: dict = {}
+    cache = StepCache()
     costs = [_scaled_costs(model.cost_table[t]) for t in range(T + 1)]
-
-    def step1(model, info, b1, u1, g2):
-        key = (b1, u1, tuple(g2(ell) for ell in b1.private_support()))
-        hit = steps.get(key)
-        if hit is None:
-            hit = steps[key] = belief1_step(model, info, b1, u1, g2)
-        return hit
 
     def expand(b2: Belief2):
         t = b2.t
@@ -286,7 +283,7 @@ def solve_exact(model: TeamModel, info: InfoStructure, budget: int | None = None
                     total[u2] += v
             for g2, acts2 in gammas2:
                 cost = Fraction(sum(row[u2] for row, u2 in zip(by_ell, acts2)), scale)
-                branches = belief2_step(model, info, b2, g1, g2, step1).values() if t < T else ()
+                branches = belief2_step(model, info, b2, g1, g2, cache).values() if t < T else ()
                 yield (g1, g2), cost, branches
 
     dp = MemoArgmin({}, resolve_budget(budget), "prescription pairs", expand)

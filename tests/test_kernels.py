@@ -8,7 +8,8 @@ key, support point), normalized by Fraction division and made canonical by
 `decoupled` theta kernels -- must return equal branches, in equal order,
 with Fraction probabilities and entries, on every input below.  A
 reference solve built from these kernels and `expected_cost2` checks the
-solver's integer stage-cost tables the same way.
+solver's integer stage-cost tables the same way, and a solve whose shared
+steps take no `StepCache` checks the solve-scope interning of posteriors.
 """
 
 import random
@@ -22,11 +23,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nested_dp import decoupled as dec_mod
+from nested_dp import solver as solver_mod
 from nested_dp.beliefs import (
     Belief1,
     Belief2,
     MarginalBelief,
     Prescription,
+    _belief2_order,
+    _branches,
+    _signature,
     belief1_step,
     belief2_step,
     expected_cost2,
@@ -428,6 +433,123 @@ class TestStageCostTables:
         costs = [c for stage in noisy_model(0).cost_table for row in stage for r in row for c in r]
         assert min(costs) < 0 < max(costs)
         assert any(c.denominator > 1 for c in costs)
+
+
+def uncached_solve(model, info):
+    """`solve_exact` with every shared step taken by `belief2_step` without a
+    cache: no step is reused and no posterior is interned."""
+    real = solver_mod.belief2_step
+
+    def uncached(model, info, b2, g1, g2, cache=None):
+        return real(model, info, b2, g1, g2)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver_mod, "belief2_step", uncached)
+        return solve_exact(model, info)
+
+
+def solve_recording(model, info):
+    """`solve_exact`, and every posterior its shared steps returned."""
+    real = solver_mod.belief2_step
+    seen = []
+
+    def recording(model, info, b2, g1, g2, cache=None):
+        branches = real(model, info, b2, g1, g2, cache)
+        seen.extend(post for _, post in branches.values())
+        return branches
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver_mod, "belief2_step", recording)
+        return solve_exact(model, info), seen
+
+
+def assert_one_object_per_value(objects):
+    """Equal objects are one object; returns the number of distinct values."""
+    ids = {}
+    for obj in objects:
+        ids.setdefault(obj, set()).add(id(obj))
+    assert all(len(same) == 1 for same in ids.values())
+    return len(ids)
+
+
+class TestInterning:
+    """`solve_exact` interns its Bayes-step posteriors in a `StepCache`; the
+    memo must equal that of a solve whose shared steps are built afresh."""
+
+    @staticmethod
+    def assert_same_memo(model, info):
+        ours, ref = solve_exact(model, info), uncached_solve(model, info)
+        assert ours.value == ref.value
+        assert ours.pairs_enumerated == ref.pairs_enumerated
+        assert list(ours.memo.items()) == list(ref.memo.items())
+
+    @pytest.mark.parametrize("d", range(4))
+    def test_certification_instance(self, d):
+        model = certification_instance(0)
+        self.assert_same_memo(model, build_delayed_structure(model, d))
+
+    def test_split_delay_structure(self):
+        model = certification_instance(2)
+        self.assert_same_memo(model, split_delay_structure(model))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_convergence_instance(self, d):
+        model = convergence_instance(0)
+        self.assert_same_memo(model, build_delayed_structure(model, d))
+
+    @given(
+        seed=st.integers(0, 10**6),
+        horizon=st.integers(1, 2),
+        d=st.integers(0, 3),
+        noisy=st.booleans(),
+    )
+    def test_sweep(self, seed, horizon, d, noisy):
+        # noisy models past T=1 take seconds per uncached solve
+        model = noisy_model(seed, 1) if noisy else certification_instance(seed, horizon)
+        self.assert_same_memo(model, build_delayed_structure(model, min(d, model.horizon + 1)))
+
+    def test_equal_beliefs_are_one_object(self):
+        model = certification_instance(0)
+        solution, seen = solve_recording(model, split_delay_structure(model))
+        distinct = assert_one_object_per_value(seen)
+        assert len(seen) > distinct  # posteriors repeat, so the tables are hit
+        inner = [b1 for b2 in seen for b1 in b2.belief1_support()]
+        assert len(inner) > assert_one_object_per_value(inner)
+        # every memo key past the roots is the object a step returned
+        assert {id(b2) for b2 in solution.memo if b2.t > 0} <= {id(b2) for b2 in seen}
+
+    def test_solves_share_no_belief(self):
+        model = certification_instance(0)
+        info = split_delay_structure(model)
+        (first, seen), second = solve_recording(model, info), solve_exact(model, info)
+        assert list(first.memo.items()) == list(second.memo.items())
+        assert not {id(b2) for b2 in second.memo} & {id(b2) for b2 in [*first.memo, *seen]}
+
+    @given(
+        nums=st.lists(st.integers(1, 50), min_size=2, max_size=5),
+        k=st.integers(2, 9),
+        denom=st.integers(1, 10**6),
+    )
+    def test_signature_is_scale_free(self, nums, k, denom):
+        b1 = Belief1.from_weights(1, {(0, ()): Fraction(1)})
+        keys = [(x, (), b1) for x in range(len(nums))]
+        total = sum(nums)
+        denom *= k * total  # room for every branch probability below 1
+        make, order = partial(Belief2, 1), lambda kv: _belief2_order(kv[0])
+        base = dict(zip(keys, nums))
+        scaled = dict(zip(reversed(keys), [k * n for n in reversed(nums)]))
+        assert _signature(scaled) == _signature(base)
+        interned = {}
+        (q, post), = _branches({(): base}, denom, make, order, interned).values()
+        (q_scaled, post_scaled), = _branches({(): scaled}, denom, make, order, interned).values()
+        assert post_scaled is post
+        assert post == _branches({(): scaled}, denom, make, order)[()][1]
+        assert (q, q_scaled) == (Fraction(total, denom), Fraction(k * total, denom))
+        bumped = {**base, keys[0]: nums[0] + 1}
+        assert _signature(bumped) != _signature(base)
+        (_, post_bumped), = _branches({(): bumped}, denom, make, order, interned).values()
+        assert post_bumped != post
+        assert len(interned) == 2
 
 
 class TestScaledForms:

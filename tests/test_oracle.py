@@ -5,7 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nested_dp import certify
@@ -196,6 +196,9 @@ class TestExhaustiveMin:
 
     @settings(max_examples=6, deadline=None)
     @given(seed=st.integers(0, 39), d=st.sampled_from([0, 1]))
+    @example(seed=10, d=0)  # pairs whose minimizers tie across stage orders
+    @example(seed=33, d=0)
+    @example(seed=33, d=1)
     def test_pruned_walk_matches_full_enumeration(self, seed, d):
         model = certification_instance(seed, horizon=1)
         info = build_delayed_structure(model, d)

@@ -1,10 +1,15 @@
-"""Cross-version pins on the rollout stream.
+"""Cross-version pins on the rollout stream and the CLI's output bytes.
 
 The golden digests are SHA-256 sums of `Report.to_bytes()` (and of the
 `simulate` stdout) computed by the `randrange`-based sampler that predates
 the compiled draw plan; any change to the seeding, the draw order or the
 rejection draw changes them.  The sampler test checks `_Sampler.draw`
 against that `randrange` walk on the same seeded stream.
+
+The example-command pins are SHA-256 sums of what `solve`, `oracle` and
+`pbp` print, and of the `solve --policy-out` file, on the files that
+`scripts/make_example_model.py` writes; they were computed before the
+solve-scope interning of Bayes-step posteriors.
 """
 
 import hashlib
@@ -38,6 +43,17 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+@pytest.fixture
+def examples(tmp_path, monkeypatch, capsys):
+    """The directory `scripts/make_example_model.py` writes its files into."""
+    monkeypatch.setattr(sys, "argv", ["make_example_model.py", "--out", str(tmp_path)])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_path(str(SCRIPTS / "make_example_model.py"), run_name="__main__")
+    assert done.value.code == 0
+    capsys.readouterr()
+    return tmp_path
+
+
 class TestGoldenBytes:
     @pytest.mark.parametrize(
         "seed, digest",
@@ -64,15 +80,36 @@ class TestGoldenBytes:
         report = rollout(model, info, extract_pbp_strategy(solution), RolloutConfig(seed=3, episodes=2000))
         assert sha256(report.to_bytes()) == "2f4677575b6a40f1a02fee83f00e3c5614889a569070692cb3fa3a7daf7d52b6"
 
-    def test_simulate_stdout_on_example_model(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(sys, "argv", ["make_example_model.py", "--out", str(tmp_path)])
-        with pytest.raises(SystemExit) as done:
-            runpy.run_path(str(SCRIPTS / "make_example_model.py"), run_name="__main__")
-        assert done.value.code == 0
-        capsys.readouterr()
-        assert cli_main(["simulate", str(tmp_path / "model.json"), "--seed", "7", "--episodes", "300"]) == 0
+    def test_simulate_stdout_on_example_model(self, examples, capsys):
+        assert cli_main(["simulate", str(examples / "model.json"), "--seed", "7", "--episodes", "300"]) == 0
         out = capsys.readouterr().out
         assert sha256(out.encode()) == "1d8154aa65b072b5e7c6a374b986c4a175157183b7ffbc137747c2b6dfd6190c"
+
+
+class TestExampleCommandBytes:
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["solve", "model.json"], "925df5d5d85e1ded2479b16a3ca83e2735884ded8c5828baf0a5b1a50ec026b8"),
+            (["oracle", "model.json", "--with-solve"],
+             "914efe7e6fcc541662d4ed5746f6b03e02cd7877886c4e5bea76f6a5205a39c5"),
+            (["pbp", "model_rich_obs.json", "--psi2", "psi2.json"],
+             "30d4f30170ce1d98354752f66f3e6f89e1be19a27eadbd279e5bb0bc2e1ec9a7"),
+        ],
+        ids=["solve", "oracle-with-solve", "pbp"],
+    )
+    def test_stdout(self, examples, capsys, argv, digest):
+        argv = [str(examples / a) if a.endswith(".json") else a for a in argv]
+        assert cli_main(argv) == 0
+        assert sha256(capsys.readouterr().out.encode()) == digest
+
+    def test_solve_policy_file(self, examples, capsys):
+        policy = examples / "policy.json"
+        assert cli_main(["solve", str(examples / "model.json"), "--policy-out", str(policy)]) == 0
+        assert sha256(capsys.readouterr().out.encode()) == (
+            "925df5d5d85e1ded2479b16a3ca83e2735884ded8c5828baf0a5b1a50ec026b8"
+        )
+        assert sha256(policy.read_bytes()) == "508add713367f5a7858142e07adb72621fa977ce6969160ec47ef57630c6de27"
 
 
 def reference_draw(sampler: _Sampler, rng: random.Random) -> int:
