@@ -39,12 +39,12 @@ the product of those denominators, and a Fraction is built only for each
 branch probability and each posterior entry.  So the entries are still
 canonical reduced Fractions, equal to the ones a Fraction accumulator gives.
 
-Within one solve a `StepCache` interns the posteriors (hash-consing): each
-distinct agent-1 posterior is kept as one object, and a shared posterior is
-looked up by its integer signature -- the branch's numerators divided by
-their gcd -- before any sort or Fraction is spent on it, so an equal belief
-reached again is the object built the first time.  The cache belongs to
-the solve that made it; nothing is interned across solves.
+A `StepCache`, one per solve and kept on its solution, is the one memo of
+Bayes steps and interns their posteriors (hash-consing): each distinct
+agent-1 posterior is one object, and a shared posterior is looked up by its
+integer signature -- the branch's numerators divided by their gcd -- before
+any sort or Fraction is spent on it, so an equal belief reached again is
+the object built the first time.  Nothing is interned across solves.
 """
 
 from __future__ import annotations
@@ -56,8 +56,8 @@ from fractions import Fraction
 from functools import partial
 from types import MappingProxyType
 
-from .errors import DomainGap, ZeroProbabilityObservation
-from .info import InfoStructure, merge_picker, step_plan
+from .errors import DomainGap, MissingKey, ZeroProbabilityObservation
+from .info import InfoStructure, step_plan
 from .model import TeamModel, format_ratio, parse_ratio, scale_to_integers
 
 __all__ = [
@@ -306,7 +306,7 @@ class Prescription:
 
     agent: int
     t: int
-    domain: str  # "private" | "belief" | "lattice"
+    domain: str  # "private" | "belief"
     table: tuple[tuple[object, int], ...]
 
     def __hash__(self):
@@ -322,9 +322,9 @@ class Prescription:
         return Prescription(2, t, "private", table)
 
     @staticmethod
-    def for_agent1(t: int, mapping: dict[Belief1, int], domain: str = "belief") -> "Prescription":
+    def for_agent1(t: int, mapping: dict[Belief1, int]) -> "Prescription":
         table = tuple(sorted(mapping.items(), key=lambda kv: kv[0].sort_key()))
-        return Prescription(1, t, domain, table)
+        return Prescription(1, t, "belief", table)
 
     def __call__(self, key) -> int:
         table = self.__dict__.get("_map")
@@ -337,9 +337,6 @@ class Prescription:
             raise DomainGap(
                 f"prescription (agent {self.agent}, t={self.t}) undefined at {key!r}"
             ) from None
-
-    def keys(self):
-        return [k for k, _ in self.table]
 
     def to_json(self) -> dict:
         if self.domain == "private":
@@ -503,12 +500,7 @@ def update_belief1(
     z1: tuple[int, ...],
 ) -> Belief1:
     """Condition the one-step prediction on the realized new information."""
-    return _condition(
-        belief1_step(model, info, b1, u1, gamma2),
-        z1,
-        "new information {} impossible at t={} under the given belief and actions",
-        b1.t,
-    )
+    return StepCache().update1(model, info, b1, u1, gamma2, z1)
 
 
 # ---------------------------------------------------------------------------
@@ -546,9 +538,8 @@ def initial_belief2_roots(
 ) -> dict[tuple[int, ...], tuple[Fraction, Belief2]]:
     """Positive-probability time-0 accessible realizations and their shared
     beliefs: each agent-1 root z1 -> (q, b1) puts weight q * b1(x, ell) on
-    (x, ell, b1) under the a2[0] part of z1 (a2[0] lies inside m1[0] = z1[0])."""
-    a2_of = merge_picker(info, info.a2[0], info.z1[0])
-    return _mixture_branches(0, 1, [(1, initial_belief1_roots(model, info))], a2_of)
+    (x, ell, b1) under the a2[0] part of z1 (a2[0] = z2[0] lies inside m1[0] = z1[0])."""
+    return StepCache().roots2(model, info)
 
 
 def initial_belief2(model: TeamModel, info: InfoStructure, a2_0: tuple[int, ...]) -> Belief2:
@@ -558,24 +549,50 @@ def initial_belief2(model: TeamModel, info: InfoStructure, a2_0: tuple[int, ...]
 
 
 class StepCache:
-    """Solve-scope tables that let `belief2_step` build each distinct Bayes
-    step and posterior once, and reuse it as one object:
+    """The Bayes-step memo of one (model, info), whose keys do not name
+    them: each distinct agent-1 root set, agent-1 step and posterior is
+    built once and reused as one object.
 
+      roots     `initial_belief1_roots`, built on first use;
       steps     agent-1 steps, keyed on (b1, u1, gamma2 on b1's private
-                support), each posterior replaced by its interned copy;
-      beliefs1  each distinct agent-1 posterior, keyed on itself;
+                support);
+      beliefs1  each distinct agent-1 posterior (in roots and steps);
       beliefs2  each distinct shared posterior, keyed on its `_signature`.
 
-    A solver makes one for a solve and drops it with the solve; no table
-    outlives it.  The steps run through the module's `belief1_step`, looked
-    up at call time, so a rebound `belief1_step` is the one called."""
+    The roots and steps run through the module's `initial_belief1_roots`
+    and `belief1_step`, looked up at call time, so a rebound function is
+    the one called."""
 
-    __slots__ = ("steps", "beliefs1", "beliefs2")
+    __slots__ = ("roots", "steps", "beliefs1", "beliefs2")
 
     def __init__(self):
+        self.roots: dict | None = None
         self.steps: dict = {}
         self.beliefs1: dict[Belief1, Belief1] = {}
         self.beliefs2: dict[frozenset, Belief2] = {}
+
+    def _interned(self, branches: dict) -> dict:
+        intern = self.beliefs1.setdefault
+        return {z1: (q, intern(post, post)) for z1, (q, post) in branches.items()}
+
+    def roots1(self, model: TeamModel, info: InfoStructure) -> dict[tuple[int, ...], tuple[Fraction, Belief1]]:
+        """`initial_belief1_roots`, cached, with interned posteriors."""
+        if self.roots is None:
+            self.roots = self._interned(initial_belief1_roots(model, info))
+        return self.roots
+
+    def roots2(self, model: TeamModel, info: InfoStructure) -> dict[tuple[int, ...], tuple[Fraction, Belief2]]:
+        """`initial_belief2_roots`, built on the cached agent-1 roots, with
+        interned posteriors."""
+        z2_of = step_plan(info, -1).z2_of  # a2[0] = z2[0]
+        return _mixture_branches(0, 1, [(1, self.roots1(model, info))], z2_of, self.beliefs2)
+
+    def root1(self, model: TeamModel, info: InfoStructure, z1: tuple[int, ...]) -> Belief1:
+        """Agent 1's time-0 belief after the new information z1."""
+        roots = self.roots1(model, info)
+        if z1 not in roots:
+            raise MissingKey(f"unreachable initial information {z1}")
+        return roots[z1][1]
 
     def step1(
         self, model: TeamModel, info: InfoStructure, b1: Belief1, u1: int, gamma2: Prescription
@@ -584,11 +601,15 @@ class StepCache:
         key = (b1, u1, tuple(gamma2(ell) for ell in b1.private_support()))
         hit = self.steps.get(key)
         if hit is None:
-            intern = self.beliefs1.setdefault
-            hit = self.steps[key] = {
-                z1: (q, intern(post, post)) for z1, (q, post) in belief1_step(model, info, b1, u1, gamma2).items()
-            }
+            hit = self.steps[key] = self._interned(belief1_step(model, info, b1, u1, gamma2))
         return hit
+
+    def update1(
+        self, model: TeamModel, info: InfoStructure, b1: Belief1, u1: int, gamma2: Prescription, z1: tuple[int, ...]
+    ) -> Belief1:
+        """`update_belief1`, cached: the posterior of `step1`'s branch z1."""
+        message = "new information {} impossible at t={} under the given belief and actions"
+        return _condition(self.step1(model, info, b1, u1, gamma2), z1, message, b1.t)
 
 
 def belief2_step(
@@ -597,34 +618,29 @@ def belief2_step(
     b2: Belief2,
     gamma1: Prescription,
     gamma2: Prescription,
-    cache: StepCache | None = None,
+    cache: StepCache,
 ) -> dict[tuple[int, ...], tuple[Fraction, Belief2]]:
     """All one-step continuations of a Belief2 under a prescription pair:
     realized shared-increment tuple -> (probability, posterior).
 
     The step is a mixture of agent-1 steps.  Each entry of b2 factors as
     w(b1) * b1(x, ell), with w from `Belief2.mixture_numerators`, so each
-    inner belief b1 takes one `belief1_step` under its action gamma1(b1), and
+    inner belief b1 takes one agent-1 step under its action gamma1(b1), and
     its branch z1 -> (q, b1') adds w * q * b1'(x', ell') to the entry (x',
     ell', b1') under the z2[t+1] part of z1.  This relies on two nestedness
     rules that `check_nestedness` enforces: accessibility (a2[t] inside
     m1[t], which gives the factorization) and novelty (z2[t+1] inside
     z1[t+1]).
 
-    With a `cache` (the solver passes one per solve), the inner steps come
-    from `cache.step1` and each posterior equal to one the cache has seen
-    is returned as that same object; the branches are equal either way.
-    Without one, `belief1_step` is looked up at call time, so a rebound
-    `belief1_step` is the one called.
+    The agent-1 steps come from `cache.step1`, and each posterior equal to
+    one the cache has seen is returned as that same object.
     """
     t = b2.t
     if t >= model.horizon:
         raise ValueError(f"no transition out of the final time {t}")
-    z2_of = merge_picker(info, info.z2[t + 1], info.z1[t + 1])
-    step = belief1_step if cache is None else cache.step1
     denom, mixture = b2.mixture_numerators()
-    parts = ((w, step(model, info, b1, gamma1(b1), gamma2)) for b1, w in mixture.items())
-    return _mixture_branches(t + 1, denom, parts, z2_of, None if cache is None else cache.beliefs2)
+    parts = ((w, cache.step1(model, info, b1, gamma1(b1), gamma2)) for b1, w in mixture.items())
+    return _mixture_branches(t + 1, denom, parts, step_plan(info, t).z2_of, cache.beliefs2)
 
 
 def update_belief2(
@@ -636,7 +652,7 @@ def update_belief2(
     z2: tuple[int, ...],
 ) -> Belief2:
     return _condition(
-        belief2_step(model, info, b2, gamma1, gamma2),
+        belief2_step(model, info, b2, gamma1, gamma2, StepCache()),
         z2,
         "shared increment {} impossible at t={} under the given belief and prescriptions",
         b2.t,

@@ -31,16 +31,16 @@ from .beliefs import (
     Belief1,
     Belief2,
     Prescription,
+    StepCache,
     belief2_step,
     expected_cost1,
     expected_cost2,
-    initial_belief2_roots,
 )
 from .info import InfoStructure, enumerate_private, merge_realization
 from .model import TeamModel
 from .solver import (
-    Belief1Chain,
     PrescriptionTeamStrategy,
+    _observed,
     alpha_bound,
     all_agent1_prescriptions,
     all_agent2_prescriptions,
@@ -116,17 +116,19 @@ def _m1_histories(model: TeamModel, info: InfoStructure, joint, tables):
     return per_t
 
 
-def _chain_belief1(model, info, chain, tables, t, m1real) -> tuple[Belief1, list[Prescription]]:
+def _chain_belief1(model, info, cache, tables, t, m1real) -> tuple[Belief1, list[Prescription]]:
     """Recompute agent 1's belief at (t, m1real) by chaining the update from
-    time 0, reading actions and new information off the realization."""
+    time 0 through `cache`, reading actions and new information off the
+    realization."""
     values = dict(zip(info.m1[t], m1real))
     gammas = [
         _gamma2_from_tables(model, info, tables, s, tuple(values[v] for v in info.a2[s]))
         for s in range(t + 1)
     ]
-    belief = chain.root(values)
+    belief = cache.root1(model, info, tuple(values[v] for v in info.z1[0]))
     for s in range(t):
-        belief = chain.step(belief, gammas[s], *chain.observed(s + 1, values))
+        u1, z1 = _observed(info, s + 1, values)
+        belief = cache.update1(model, info, belief, u1, gammas[s], z1)
     return belief, gammas
 
 
@@ -162,13 +164,14 @@ def certify_belief_and_cost_identities(
 
     # -- agent-1 side -----------------------------------------------------
     seen: set = set()
-    chain = Belief1Chain(model, info)
+    # one Bayes-step memo for the whole sweep: chains, runners and the walk
+    cache = StepCache()
     for tables in orc.enumerate_agent2_strategies(model, info, joint):
         strategy2 = orc._Agent2TableOnly(info, tables)
         histories = _m1_histories(model, info, joint, tables)
         for t in range(T + 1):
             for m1real in histories[t]:
-                b1, gammas = _chain_belief1(model, info, chain, tables, t, m1real)
+                b1, gammas = _chain_belief1(model, info, cache, tables, t, m1real)
                 key = (t, m1real, tuple(g.table for g in gammas))
                 if key in seen:
                     continue
@@ -189,7 +192,7 @@ def certify_belief_and_cost_identities(
                         fail("cost1", (t, m1real, u1))
 
     # -- shared side ------------------------------------------------------
-    b2_roots = initial_belief2_roots(model, info)
+    b2_roots = cache.roots2(model, info)
     # agent 1's belief at (t, m1real) given agent 2's decorations so far: it
     # does not depend on gamma1, so nodes that differ only there share it
     inner_beliefs: dict = {}
@@ -200,7 +203,7 @@ def certify_belief_and_cost_identities(
         distribution of (state, private realization, inner belief), so the
         cost checks can reuse it."""
         t = b2.t
-        runner = PrescriptionTeamStrategy(model, info, presc, partial=True, chain=chain)
+        runner = PrescriptionTeamStrategy(model, info, presc, partial=True, cache=cache)
         records = _consistent_draws(model, info, entries, runner, t, a2real)
         # agent 1's actions are replayed off its memory, which can take its
         # belief out of gamma1's domain: only agent 2 follows the decoration
@@ -254,7 +257,7 @@ def certify_belief_and_cost_identities(
                 if t < T:
                     decorated = dict(presc)
                     decorated[(t, a2real)] = (g1, g2)
-                    for z2real, (_, nxt) in belief2_step(model, info, b2, g1, g2).items():
+                    for z2real, (_, nxt) in belief2_step(model, info, b2, g1, g2, cache).items():
                         walk(nxt, extend_a2(info, t, a2real, z2real), decorated, consistent)
 
     for a2real, (_, b2) in b2_roots.items():

@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 from . import decoupled as dec_mod
 from . import lattice as lat
@@ -33,8 +34,9 @@ from . import solver as solver_mod
 from .errors import NestedDPError
 from .info import build_delayed_structure, check_nestedness, info_from_json
 from .model import (
+    _SPACE_KEYS,
     format_ratio,
-    load_model_file,
+    model_from_json,
     parse_ratio,
     validate_model,
 )
@@ -53,8 +55,27 @@ def _reject(path: str, violations: list) -> None:
         raise NestedDPError(f"model file {path} is invalid: {violations[0]}{more}")
 
 
+def _load_model(path: str):
+    """(model, document) of a model file whose shape `_check_model` accepts;
+    a decoupled file yields its product embedding."""
+    doc = _load_checked(path, "model", _check_model)
+    if doc.get("kind") == "decoupled":
+        return dec_mod.embed(dec_mod.decoupled_from_json(doc)), doc
+    return model_from_json(doc), doc
+
+
+def _load_decoupled(args, command: str):
+    """(decoupled model, product embedding, info structure) of `args.model`."""
+    doc = _load_checked(args.model, "model", _check_model)
+    if doc.get("kind") != "decoupled":
+        raise NestedDPError(f"{command} expects a decoupled model file")
+    dec = dec_mod.decoupled_from_json(doc)
+    model = dec_mod.embed(dec)
+    return dec, model, _load_info(args.model, doc, model, args.delay)
+
+
 def _load(path: str, delay_override: int | None):
-    model, doc = load_model_file(path)
+    model, doc = _load_model(path)
     _reject(path, validate_model(model))
     return model, doc, _load_info(path, doc, model, delay_override)
 
@@ -75,13 +96,14 @@ def _load_info(path: str, doc: dict, model, delay_override: int | None):
     return info
 
 
-def _load_checked(path: str, what: str, check, model, info):
-    """A JSON document whose shape `check` accepts; a violation becomes a
-    NestedDPError naming the file, the JSON path and the rule."""
+def _load_checked(path: str, what: str, check, *context):
+    """A JSON document whose shape `check(doc, *context)` accepts; a
+    violation becomes a NestedDPError naming the file, the JSON path and
+    the rule."""
     with open(path) as fh:
         doc = json.load(fh)
     try:
-        check(doc, model, info)
+        check(doc, *context)
     except NestedDPError as exc:
         raise NestedDPError(f"{what} file {path} is invalid: {exc}") from None
     return doc
@@ -91,8 +113,8 @@ def _load_psi2(path: str, model, info):
     return solver_mod.psi2_from_json(_load_checked(path, "psi2", _check_psi2, model, info), model, info)
 
 
-# Shape checks for psi2 and strategy documents: each raises NestedDPError
-# "<JSON path>: <rule>" at the first violation.
+# Shape checks for model, info, psi2 and strategy documents: each raises
+# NestedDPError "<JSON path>: <rule>" at the first violation.
 
 
 def _expect(ok: bool, where: str, rule: str) -> None:
@@ -114,6 +136,64 @@ def _list_of(node, where: str, length: int | None = None) -> list:
 def _realization(node, vars, where: str, model, info) -> None:
     for i, (value, var) in enumerate(zip(_list_of(node, where, len(vars)), vars)):
         _int_below(value, info.var_space_size(model, var), f"{where}[{i}]")
+
+
+def _leaves(node, where: str, depth: int, check) -> None:
+    """`check(value, path)` on every value of a nested list `depth` deep."""
+    if depth == 0:
+        return check(node, where)
+    for i, child in enumerate(_list_of(node, where)):
+        _leaves(child, f"{where}[{i}]", depth - 1, check)
+
+
+def _ratio(node, where: str) -> Fraction:
+    try:
+        if isinstance(node, str):
+            return parse_ratio(node)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise NestedDPError(f"{where}: must be a 'p/q' string")
+
+
+def _dist(node, where: str) -> None:
+    weights = [_ratio(w, f"{where}[{i}]") for i, w in enumerate(_list_of(node, where))]
+    ok = weights and all(0 <= w <= 1 for w in weights) and sum(weights) == 1
+    _expect(ok, where, "must be probabilities in [0, 1] that sum to 1")
+
+
+def _space(node, where: str) -> None:
+    _expect(isinstance(node, dict), where, "must be an object")
+    size = node.get("size")
+    _expect(type(size) is int and size >= 1, f"{where}.size", "must be a positive integer")
+    if "labels" in node:
+        _list_of(node["labels"], f"{where}.labels", size)
+
+
+def _check_model(doc) -> None:
+    """The shape `model_from_json` reads (a decoupled document is left to
+    `decoupled_from_json`); `validate_model` then checks it against the
+    declared spaces."""
+    _expect(isinstance(doc, dict), "$", "must be an object")
+    if doc.get("kind") == "decoupled":
+        return
+    T = doc.get("horizon")
+    _expect(type(T) is int and T >= 0, "$.horizon", "must be a non-negative integer")
+    spaces = doc.get("spaces")
+    _expect(isinstance(spaces, dict), "$.spaces", "must be an object")
+    for key in _SPACE_KEYS:
+        node = spaces.get(key)
+        _expect(isinstance(node, dict), f"$.spaces.{key}", "must be an object")
+        if "per_time" in node:
+            _leaves(node["per_time"], f"$.spaces.{key}.per_time", 1, _space)
+        else:
+            _space(node, f"$.spaces.{key}")
+    for key, depth in (("transition", 5), ("obs1", 3), ("obs2", 3)):
+        _leaves(doc.get(key), f"$.{key}", depth, lambda v, where: _expect(type(v) is int, where, "must be an integer"))
+    _leaves(doc.get("cost"), "$.cost", 4, _ratio)
+    dists = doc.get("dists")
+    _expect(isinstance(dists, dict), "$.dists", "must be an object")
+    for key, depth in (("X0", 0), ("W", 1), ("V1", 1), ("V2", 1)):
+        _leaves(dists.get(key), f"$.dists.{key}", depth, _dist)
 
 
 def _check_info(doc, model) -> None:
@@ -174,7 +254,7 @@ def _check_strategy(doc, model, info) -> None:
 
 
 def _cmd_validate(args) -> int:
-    model, _ = load_model_file(args.model)  # no info structure needed to validate
+    model, _ = _load_model(args.model)  # no info structure needed to validate
     violations = validate_model(model)
     _emit({"violations": [{"path": v.path, "message": v.message} for v in violations]})
     return 0
@@ -217,13 +297,7 @@ def _solve_decoupled(args) -> int:
     """Team optimum on the product embedding, then the same value recovered
     through the reduced-key solver with the extracted optimal prescription
     family: the executable content of the decoupled reduction."""
-    with open(args.model) as fh:
-        doc = json.load(fh)
-    if doc.get("kind") != "decoupled":
-        raise NestedDPError("--decoupled expects a decoupled model file")
-    dec = dec_mod.decoupled_from_json(doc)
-    model = dec_mod.embed(dec)
-    info = _load_info(args.model, doc, model, args.delay)
+    dec, model, info = _load_decoupled(args, "--decoupled")
     solution = solver_mod.solve_exact(model, info, args.budget)
     psi2 = solver_mod.optimal_psi2(model, info, solution)
     reduced = dec_mod.solve_decoupled_pbp(
@@ -379,13 +453,7 @@ def _cmd_quantize(args) -> int:
 
 
 def _cmd_check_factorization(args) -> int:
-    with open(args.model) as fh:
-        doc = json.load(fh)
-    if doc.get("kind") != "decoupled":
-        raise NestedDPError("check-factorization expects a decoupled model file")
-    dec = dec_mod.decoupled_from_json(doc)
-    model = dec_mod.embed(dec)
-    info = _load_info(args.model, doc, model, args.delay)
+    dec, model, info = _load_decoupled(args, "check-factorization")
     split = (dec.states1[0].size, dec.states2[0].size)
     joint = oracle_mod.build_joint(model, args.budget)
     from .generators import HashedTeamStrategy

@@ -20,8 +20,10 @@ tables are indexed time-major.
 
 from __future__ import annotations
 
-import json
+import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -39,7 +41,6 @@ __all__ = [
     "observation_kernel",
     "model_to_json",
     "model_from_json",
-    "load_model_file",
 ]
 
 
@@ -80,14 +81,6 @@ class FiniteSpace:
                 )
             if len(set(self.element_labels)) != self.size:
                 raise ValueError(f"space {self.label!r}: element labels not distinct")
-
-    def elements(self) -> range:
-        return range(self.size)
-
-    def name_of(self, i: int) -> str:
-        if self.element_labels is not None:
-            return self.element_labels[i]
-        return str(i)
 
 
 @dataclass(frozen=True)
@@ -176,20 +169,11 @@ class TeamModel:
     v2_dists: tuple[Dist, ...]
 
     # -- space accessors -------------------------------------------------
-    def state_space(self, t: int) -> FiniteSpace:
-        return self.states[t]
-
     def action_space(self, agent: int, t: int) -> FiniteSpace:
         return (self.actions1 if agent == 1 else self.actions2)[t]
 
     def obs_space(self, agent: int, t: int) -> FiniteSpace:
         return (self.observations1 if agent == 1 else self.observations2)[t]
-
-    def w_space(self, t: int) -> FiniteSpace:
-        return self.disturbances[t]
-
-    def v_space(self, agent: int, t: int) -> FiniteSpace:
-        return (self.noises1 if agent == 1 else self.noises2)[t]
 
     # -- table accessors -------------------------------------------------
     def f(self, t: int, x: int, u1: int, u2: int, w: int) -> int:
@@ -260,6 +244,11 @@ def validate_model(model: TeamModel) -> list[Violation]:
         out.append(Violation("horizon", f"horizon {T} is negative"))
         return out
 
+    def stages(name: str, table, expected: int, noun: str = "stages") -> range:
+        if len(table) != expected:
+            out.append(Violation(name, f"{len(table)} {noun}, expected {expected}"))
+        return range(min(expected, len(table)))
+
     per_time = {
         "states": (model.states, T + 1),
         "actions1": (model.actions1, T + 1),
@@ -271,94 +260,58 @@ def validate_model(model: TeamModel) -> list[Violation]:
         "observations2": (model.observations2, T + 1),
     }
     for name, (spaces, expected) in per_time.items():
-        if len(spaces) != expected:
-            out.append(Violation(name, f"{len(spaces)} spaces declared, expected {expected}"))
+        stages(name, spaces, expected, "spaces declared")
     if out:
         return out
 
+    def entries(path: str, stage, dims: tuple[int, ...], problem) -> None:
+        """Report each entry of the index grid `dims` that `stage` lacks, or
+        whose value v has a `problem(v)`."""
+        for index in itertools.product(*map(range, dims)):
+            where = path + "".join(f"[{i}]" for i in index)
+            try:
+                value = functools.reduce(operator.getitem, index, stage)
+            except (IndexError, TypeError):
+                out.append(Violation(where, "missing entry"))
+                continue
+            message = problem(value)
+            if message:
+                out.append(Violation(where, message))
+
     # transition table: shape and codomain
-    if len(model.transition) != T:
-        out.append(Violation("transition", f"{len(model.transition)} stages, expected {T}"))
-    for t in range(min(T, len(model.transition))):
-        stage = model.transition[t]
-        nx, nu1 = model.states[t].size, model.actions1[t].size
-        nu2, nw = model.actions2[t].size, model.disturbances[t].size
-        nxn = model.states[t + 1].size
+    for t in stages("transition", model.transition, T):
+        stage, nx, nxn = model.transition[t], model.states[t].size, model.states[t + 1].size
         if len(stage) != nx:
             out.append(Violation(f"transition[{t}]", f"{len(stage)} rows, expected {nx}"))
             continue
-        for x in range(nx):
-            for u1 in range(nu1):
-                for u2 in range(nu2):
-                    for w in range(nw):
-                        try:
-                            nxt = stage[x][u1][u2][w]
-                        except (IndexError, TypeError):
-                            out.append(
-                                Violation(f"transition[{t}][{x}][{u1}][{u2}][{w}]", "missing entry")
-                            )
-                            continue
-                        if not (0 <= nxt < nxn):
-                            out.append(
-                                Violation(
-                                    f"transition[{t}][{x}][{u1}][{u2}][{w}]",
-                                    f"next state {nxt} outside 0..{nxn - 1}",
-                                )
-                            )
+        dims = (nx, model.actions1[t].size, model.actions2[t].size, model.disturbances[t].size)
+        entries(f"transition[{t}]", stage, dims,
+                lambda nxt: None if 0 <= nxt < nxn else f"next state {nxt} outside 0..{nxn - 1}")
 
     # observation tables
     for agent, table, noises, obs_spaces in (
         (1, model.obs1, model.noises1, model.observations1),
         (2, model.obs2, model.noises2, model.observations2),
     ):
-        name = f"obs{agent}"
-        if len(table) != T + 1:
-            out.append(Violation(name, f"{len(table)} stages, expected {T + 1}"))
-        for t in range(min(T + 1, len(table))):
-            nx, nv, ny = model.states[t].size, noises[t].size, obs_spaces[t].size
-            for x in range(nx):
-                for v in range(nv):
-                    try:
-                        y = table[t][x][v]
-                    except (IndexError, TypeError):
-                        out.append(Violation(f"{name}[{t}][{x}][{v}]", "missing entry"))
-                        continue
-                    if not (0 <= y < ny):
-                        out.append(
-                            Violation(f"{name}[{t}][{x}][{v}]", f"observation {y} outside 0..{ny - 1}")
-                        )
+        for t in stages(f"obs{agent}", table, T + 1):
+            ny = obs_spaces[t].size
+            entries(f"obs{agent}[{t}]", table[t], (model.states[t].size, noises[t].size),
+                    lambda y: None if 0 <= y < ny else f"observation {y} outside 0..{ny - 1}")
 
     # cost table: shape and non-negativity
-    if len(model.cost_table) != T + 1:
-        out.append(Violation("cost", f"{len(model.cost_table)} stages, expected {T + 1}"))
-    for t in range(min(T + 1, len(model.cost_table))):
-        nx, nu1, nu2 = model.states[t].size, model.actions1[t].size, model.actions2[t].size
-        for x in range(nx):
-            for u1 in range(nu1):
-                for u2 in range(nu2):
-                    try:
-                        c = model.cost_table[t][x][u1][u2]
-                    except (IndexError, TypeError):
-                        out.append(Violation(f"cost[{t}][{x}][{u1}][{u2}]", "missing entry"))
-                        continue
-                    if c < 0:
-                        out.append(
-                            Violation(f"cost[{t}][{x}][{u1}][{u2}]", f"cost {c} is negative")
-                        )
+    for t in stages("cost", model.cost_table, T + 1):
+        dims = (model.states[t].size, model.actions1[t].size, model.actions2[t].size)
+        entries(f"cost[{t}]", model.cost_table[t], dims, lambda c: f"cost {c} is negative" if c < 0 else None)
 
     # primitive distributions
     _check_dist(model.x0_dist, "dists.X0", model.states[0].size, out)
-    if len(model.w_dists) != T:
-        out.append(Violation("dists.W", f"{len(model.w_dists)} distributions, expected {T}"))
-    for t in range(min(T, len(model.w_dists))):
-        _check_dist(model.w_dists[t], f"dists.W[{t}]", model.disturbances[t].size, out)
-    for agent, dists, noises in ((1, model.v1_dists, model.noises1), (2, model.v2_dists, model.noises2)):
-        if len(dists) != T + 1:
-            out.append(
-                Violation(f"dists.V{agent}", f"{len(dists)} distributions, expected {T + 1}")
-            )
-        for t in range(min(T + 1, len(dists))):
-            _check_dist(dists[t], f"dists.V{agent}[{t}]", noises[t].size, out)
+    for name, dists, spaces, expected in (
+        ("W", model.w_dists, model.disturbances, T),
+        ("V1", model.v1_dists, model.noises1, T + 1),
+        ("V2", model.v2_dists, model.noises2, T + 1),
+    ):
+        for t in stages(f"dists.{name}", dists, expected, "distributions"):
+            _check_dist(dists[t], f"dists.{name}[{t}]", spaces[t].size, out)
 
     return out
 
@@ -489,8 +442,8 @@ def model_to_json(model: TeamModel) -> dict:
 
 def model_from_json(doc: dict) -> TeamModel:
     T = doc["horizon"]
-    counts = {"X": T + 1, "U1": T + 1, "U2": T + 1, "W": max(T, 1), "V1": T + 1, "V2": T + 1, "Y1": T + 1, "Y2": T + 1}
-    counts["W"] = T  # disturbances exist only where transitions do
+    # disturbances exist only where transitions do
+    counts = {"X": T + 1, "U1": T + 1, "U2": T + 1, "W": T, "V1": T + 1, "V2": T + 1, "Y1": T + 1, "Y2": T + 1}
     per_time: dict[str, tuple[FiniteSpace, ...]] = {}
     for key in _SPACE_KEYS:
         node = doc["spaces"][key]
@@ -520,15 +473,3 @@ def model_from_json(doc: dict) -> TeamModel:
         v1_dists=tuple(_dist_from_json(d) for d in dists["V1"]),
         v2_dists=tuple(_dist_from_json(d) for d in dists["V2"]),
     )
-
-
-def load_model_file(path: str) -> tuple[TeamModel, dict]:
-    """Read a model file; returns (model, raw document) so callers can pick
-    up the `info` and `kind` fields."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("kind") == "decoupled":
-        from . import decoupled as _dec
-
-        return _dec.embed(_dec.decoupled_from_json(doc)), doc
-    return model_from_json(doc), doc

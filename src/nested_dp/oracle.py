@@ -415,7 +415,7 @@ def exhaustive_min(
                 for u1 in range(model.action_space(1, t).size)
                 for u2 in range(model.action_space(2, t).size)
             )
-            for x in range(model.state_space(t).size)
+            for x in range(model.states[t].size)
         ]
         for t in range(T + 1)
     ]

@@ -30,10 +30,11 @@ return identical policies.
 
 Solved policies run through two executors.  `PrescriptionTeamStrategy`
 executes a table {(t, accessible realization): (gamma1, gamma2)}, the form
-`prescription_table` reads off a joint solve; `PbpAgent1Strategy` executes a
-person-by-person policy.  Both read the accessible realization straight off
-the realized history and share one cached agent-1 belief chain,
-`Belief1Chain`.
+`ExactSolution.table` reads off a joint solve; `PbpAgent1Strategy` executes
+a person-by-person policy.  Both read the accessible realization straight
+off the realized history and step agent 1's belief through the solve's
+`beliefs.StepCache`, kept on the solution: the updates do not depend on
+the strategy, so the executed policy's Bayes steps are ones the solve took.
 
 The memo contract for concurrent use: values are idempotent (recomputing a
 key yields an equal Fraction), so insert-if-absent with duplicated work is
@@ -55,14 +56,10 @@ from .beliefs import (  # expected_cost2 is re-exported for callers of this modu
     Prescription,
     StepCache,
     belief1_from_vector,
-    belief1_step,
     belief1_vector,
     belief2_step,
     expected_cost1,
     expected_cost2,
-    initial_belief1_roots,
-    initial_belief2_roots,
-    update_belief1,
 )
 from .errors import MissingKey, ResourceLimitExceeded
 from .info import (  # extend_a2 is re-exported for callers of this module
@@ -70,8 +67,7 @@ from .info import (  # extend_a2 is re-exported for callers of this module
     VarRef,
     enumerate_private,
     extend_a2,
-    merge_picker,
-    merge_realization,
+    step_plan,
 )
 from .limits import resolve_budget
 from .model import TeamModel, scale_to_integers
@@ -89,7 +85,6 @@ __all__ = [
     "extract_control_strategy",
     "extract_pbp_strategy",
     "optimal_psi2",
-    "prescription_table",
     "TablePsi2",
     "ConstantPsi2",
     "HashedPsi2",
@@ -180,29 +175,25 @@ class ExactSolution:
     roots: dict[A2Real, tuple[Fraction, Belief2]]
     memo: dict[Belief2, tuple[Fraction, Prescription, Prescription]]
     pairs_enumerated: int
+    cache: StepCache = field(default_factory=StepCache, compare=False, repr=False)
 
     @cached_property
     def table(self) -> dict[tuple[int, A2Real], tuple[Prescription, Prescription]]:
         """The solved joint policy as {(t, accessible realization): (gamma1,
         gamma2)}, read along its own argmin tree on first use: one entry per
-        tree node.  Shared by every reader; do not mutate."""
+        tree node, each step found in the solve's cache.  Shared by every
+        reader; do not mutate."""
         table: dict[tuple[int, A2Real], tuple[Prescription, Prescription]] = {}
 
         def walk(b2: Belief2, a2real: A2Real):
-            g1, g2 = table[(b2.t, a2real)] = self.prescriptions_at(b2)
+            g1, g2 = table[(b2.t, a2real)] = self.memo[b2][1:]
             if b2.t < self.model.horizon:
-                for z2real, (_, nxt) in belief2_step(self.model, self.info, b2, g1, g2).items():
+                for z2real, (_, nxt) in belief2_step(self.model, self.info, b2, g1, g2, self.cache).items():
                     walk(nxt, extend_a2(self.info, b2.t, a2real, z2real))
 
         for a2real, (_, b2) in self.roots.items():
             walk(b2, a2real)
         return table
-
-    def prescriptions_at(self, b2: Belief2) -> tuple[Prescription, Prescription]:
-        if b2 not in self.memo:
-            raise MissingKey(f"no solved entry for the shared belief at t={b2.t}")
-        _, g1, g2 = self.memo[b2]
-        return g1, g2
 
     def value_at(self, b2: Belief2) -> Fraction:
         if b2 not in self.memo:
@@ -230,7 +221,9 @@ def solve_exact(model: TeamModel, info: InfoStructure, budget: int | None = None
     on b1's private support), and one `StepCache` interns the posteriors of
     every Bayes step: an equal belief reached again is found by its integer
     signature and returned as the object first built, so memo lookups on it
-    succeed by identity.  The cache is made here and dropped with the solve.
+    succeed by identity.  The cache is made here and kept on the solution
+    as `ExactSolution.cache`, where the policy walk and the executor reuse
+    its steps.
 
     Stage costs are read off one integer table per node.  With b2's entries
     n / D and stage-t costs k / K over common denominators,
@@ -287,11 +280,11 @@ def solve_exact(model: TeamModel, info: InfoStructure, budget: int | None = None
                 yield (g1, g2), cost, branches
 
     dp = MemoArgmin({}, resolve_budget(budget), "prescription pairs", expand)
-    roots = initial_belief2_roots(model, info)
+    roots = cache.roots2(model, info)
     total = Fraction(0)
     for p, b2 in roots.values():
         total += p * dp.value(b2)
-    return ExactSolution(model, info, total, roots, dp.memo, dp.spent)
+    return ExactSolution(model, info, total, roots, dp.memo, dp.spent, cache)
 
 
 def _scaled_costs(stage) -> tuple[int, list]:
@@ -302,12 +295,6 @@ def _scaled_costs(stage) -> tuple[int, list]:
     return denom, [[[next(flat) for _ in u1_row] for u1_row in x_row] for x_row in stage]
 
 
-def prescription_table(solution: ExactSolution) -> dict[tuple[int, A2Real], tuple[Prescription, Prescription]]:
-    """The solved joint policy as {(t, accessible realization): (gamma1,
-    gamma2)}: `solution.table`, walked once per solution."""
-    return solution.table
-
-
 def optimal_psi2(model: TeamModel, info: InfoStructure, solution: ExactSolution) -> "TablePsi2":
     """Agent-2 prescription family realized by the solved joint policy along
     its own argmin tree, keyed by (t, accessible realization)."""
@@ -315,8 +302,9 @@ def optimal_psi2(model: TeamModel, info: InfoStructure, solution: ExactSolution)
 
 
 def extract_control_strategy(solution: ExactSolution) -> "PrescriptionTeamStrategy":
-    """Executable team strategy from a solved joint policy."""
-    return PrescriptionTeamStrategy(solution.model, solution.info, solution.table)
+    """Executable team strategy from a solved joint policy, stepping agent
+    1's belief through the solve's cache."""
+    return PrescriptionTeamStrategy(solution.model, solution.info, solution.table, cache=solution.cache)
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +406,8 @@ class PbpSolution:
     resolution: int | None  # lattice resolution, None for the exact solve
     private_lists: dict[int, list] = field(default_factory=dict)
     _value_of: object = None
+    cache: StepCache = field(default_factory=StepCache, compare=False, repr=False)
+    _snaps: dict[Belief1, Belief1] = field(default_factory=dict, compare=False, repr=False)
 
     def action_at(self, b1: Belief1, a2real: A2Real) -> int:
         key = (b1, a2real)
@@ -432,12 +422,16 @@ class PbpSolution:
         return self.model.states[t].size * len(self.private_lists[t])
 
     def snap(self, b1: Belief1) -> Belief1:
-        """The lattice point nearest to b1 (b1 itself for the exact solve)."""
+        """The lattice point nearest to b1 (b1 itself for the exact solve),
+        computed once per belief."""
         if self.resolution is None:
             return b1
-        plist = self.private_lists[b1.t]
-        vec = belief1_vector(self.model, plist, b1)
-        return belief1_from_vector(b1.t, plist, lat.nearest_point(vec, self.resolution))
+        point = self._snaps.get(b1)
+        if point is None:
+            plist = self.private_lists[b1.t]
+            vec = belief1_vector(self.model, plist, b1)
+            point = self._snaps[b1] = belief1_from_vector(b1.t, plist, lat.nearest_point(vec, self.resolution))
+        return point
 
     def sup_value(self, t: int) -> Fraction:
         """Largest memoized value at stage t (zero beyond the horizon)."""
@@ -488,6 +482,7 @@ def _pbp_solve(
     T = model.horizon
     private_lists = {t: enumerate_private(info, model, t) for t in range(T + 1)}
     sol = PbpSolution(model, info, psi2, Fraction(0), {}, {}, resolution, private_lists)
+    cache = sol.cache
 
     def expand(node):
         return node[0].t, 1, actions(*node)
@@ -495,19 +490,19 @@ def _pbp_solve(
     def actions(b1: Belief1, a2real: A2Real):
         t = b1.t
         g2 = psi2.prescription(t, a2real)
-        z2_of = merge_picker(info, info.z2[t + 1], info.z1[t + 1]) if t < T else None
+        z2_of = step_plan(info, t).z2_of if t < T else None
         for u1 in range(model.action_space(1, t).size):
             cost = expected_cost1(model, b1, u1, g2)
-            branches = belief1_step(model, info, b1, u1, g2).items() if t < T else ()
+            branches = cache.step1(model, info, b1, u1, g2).items() if t < T else ()
             yield (u1,), cost, (
                 (p, (sol.snap(b1_next), extend_a2(info, t, a2real, z2_of(z1real))))
                 for z1real, (p, b1_next) in branches
             )
 
     dp = MemoArgmin(sol.memo, resolve_budget(budget), "value nodes", expand)
-    b1_roots = initial_belief1_roots(model, info)
-    for z1real, (p, b1) in b1_roots.items():
-        a2real = merge_realization(info.a2[0], {info.z1[0]: z1real})
+    a2_of = step_plan(info, -1).z2_of  # a2[0] = z2[0]
+    for z1real, (p, b1) in cache.roots1(model, info).items():
+        a2real = a2_of(z1real)
         b1 = sol.snap(b1)
         sol.roots[z1real] = (p, b1, a2real)
         sol.value += p * dp.value((b1, a2real))
@@ -538,35 +533,9 @@ def solve_pbp_approx(
 # ---------------------------------------------------------------------------
 
 
-class Belief1Chain:
-    """Agent 1's exact belief along a realized history, read off agent 1's
-    own entries of `values`.  Steps are cached on (b1, u1, gamma2, z1), so
-    long simulations pay dictionary lookups, not Bayes arithmetic."""
-
-    def __init__(self, model: TeamModel, info: InfoStructure):
-        self.model = model
-        self.info = info
-        self._roots = initial_belief1_roots(model, info)
-        self._cache: dict = {}
-
-    def root(self, values) -> Belief1:
-        z1 = tuple(values[v] for v in self.info.z1[0])
-        if z1 not in self._roots:
-            raise MissingKey(f"unreachable initial information {z1}")
-        return self._roots[z1][1]
-
-    def observed(self, t: int, values) -> tuple[int, tuple[int, ...]]:
-        """Agent 1's action at t - 1 and its new information at t."""
-        return values[VarRef(t - 1, "U1")], tuple(values[v] for v in self.info.z1[t])
-
-    def step(self, b1: Belief1, g2: Prescription, u1: int, z1: tuple[int, ...]) -> Belief1:
-        """The belief at b1.t + 1, given agent 2's prescription at b1.t and
-        what `observed` reads at b1.t + 1."""
-        key = (b1, u1, g2, z1)
-        nxt = self._cache.get(key)
-        if nxt is None:
-            nxt = self._cache[key] = update_belief1(self.model, self.info, b1, u1, g2, z1)
-        return nxt
+def _observed(info: InfoStructure, t: int, values) -> tuple[int, tuple[int, ...]]:
+    """Agent 1's action at t - 1 and its new information at t, in `values`."""
+    return values[VarRef(t - 1, "U1")], tuple(values[v] for v in info.z1[t])
 
 
 class PrescriptionTeamStrategy:
@@ -578,8 +547,9 @@ class PrescriptionTeamStrategy:
     A history outside the table raises MissingKey.  A `partial` table (a
     prescription decoration of some tree paths) instead sends both agents
     to action 0 there, and agent 1 stops tracking its belief from then on.
-    `chain` lets several strategies on one (model, info) share one belief
-    chain and its step cache.
+    Agent 1's belief steps through `cache`, a `StepCache` of this (model,
+    info): the solve's, so that it finds the steps the solve took, or one
+    several strategies share.
     """
 
     def __init__(
@@ -588,24 +558,27 @@ class PrescriptionTeamStrategy:
         info: InfoStructure,
         table: dict,
         partial: bool = False,
-        chain: Belief1Chain | None = None,
+        cache: StepCache | None = None,
     ):
+        self.model = model
         self.info = info
         self.table = table
         self.partial = partial
-        self.chain = Belief1Chain(model, info) if chain is None else chain
+        self.cache = StepCache() if cache is None else cache
 
     def fresh_state(self):
         return {}
 
     def act(self, st, t, values):
+        model, info = self.model, self.info
         if t == 0:
-            b1 = self.chain.root(values)
+            b1 = self.cache.root1(model, info, tuple(values[v] for v in info.z1[0]))
         elif st["g2"] is None:
             return 0, 0
         else:
-            b1 = self.chain.step(st["b1"], st["g2"], *self.chain.observed(t, values))
-        a2 = tuple(values[v] for v in self.info.a2[t])
+            u1, z1 = _observed(info, t, values)
+            b1 = self.cache.update1(model, info, st["b1"], u1, st["g2"], z1)
+        a2 = tuple(values[v] for v in info.a2[t])
         pair = self.table.get((t, a2))
         if pair is None:
             if not self.partial:
@@ -614,13 +587,13 @@ class PrescriptionTeamStrategy:
             return 0, 0
         g1, g2 = pair
         st["b1"], st["g2"] = b1, g2
-        return g1(b1), g2(tuple(values[v] for v in self.info.l2[t]))
+        return g1(b1), g2(tuple(values[v] for v in info.l2[t]))
 
 
 class PbpAgent1Strategy:
     """Execute a person-by-person policy: agent 1 tracks its belief chain
     (quantized chain for lattice policies), agent 2 follows the fixed
-    prescription family.
+    prescription family.  Both chains step through the solve's cache.
 
     For lattice policies the recursive chain can meet a realized
     observation its quantized prior rules out; the runner then re-anchors by
@@ -633,32 +606,19 @@ class PbpAgent1Strategy:
         self.pbp = pbp
         self.model = pbp.model
         self.info = pbp.info
-        self.chain = Belief1Chain(pbp.model, pbp.info)
-        self._approx_cache: dict = {}
 
     def fresh_state(self):
         return {}
 
     def act(self, st, t, values):
-        info = self.info
+        model, info, cache = self.model, self.info, self.pbp.cache
         if t == 0:
-            st["exact"] = self.chain.root(values)
-            st["b1"] = self.pbp.snap(st["exact"])
+            exact = b1 = cache.root1(model, info, tuple(values[v] for v in info.z1[0]))
         else:
-            u1, z1 = self.chain.observed(t, values)
-            exact_next = self.chain.step(st["exact"], st["g2"], u1, z1)
-            akey = (st["b1"], u1, st["g2"], z1)
-            if akey in self._approx_cache:
-                b1_next = self._approx_cache[akey]
-            else:
-                branches = belief1_step(self.model, info, st["b1"], u1, st["g2"])
-                if z1 in branches:
-                    b1_next = self.pbp.snap(branches[z1][1])
-                else:
-                    b1_next = self.pbp.snap(exact_next)
-                self._approx_cache[akey] = b1_next
-            st["exact"] = exact_next
-            st["b1"] = b1_next
+            u1, z1 = _observed(info, t, values)
+            exact = cache.update1(model, info, st["exact"], u1, st["g2"], z1)
+            b1 = cache.step1(model, info, st["b1"], u1, st["g2"]).get(z1, (None, exact))[1]
+        st["exact"], st["b1"] = exact, self.pbp.snap(b1)
         a2 = tuple(values[v] for v in info.a2[t])
         g2 = st["g2"] = self.pbp.psi2.prescription(t, a2)
         ell = tuple(values[v] for v in info.l2[t])

@@ -8,6 +8,7 @@ from nested_dp.beliefs import (
     Belief1,
     Belief2,
     Prescription,
+    StepCache,
     belief1_from_vector,
     belief1_step,
     belief1_vector,
@@ -192,7 +193,7 @@ class TestUpdateBelief2:
         assert len(b2.support()) == 1
         g1 = Prescription.for_agent1(0, {b2.belief1_support()[0]: 0})
         g2 = gamma2_const(info, model, 0, 1)
-        step = belief2_step(model, info, b2, g1, g2)
+        step = belief2_step(model, info, b2, g1, g2, StepCache())
         assert len(step) == 1
         (z2, (p, nxt)), = step.items()
         assert p == 1 and len(nxt.support()) == 1
@@ -203,7 +204,7 @@ class TestUpdateBelief2:
         b2 = initial_belief2(model, info, (1,))
         g1 = Prescription.for_agent1(0, {b2.belief1_support()[0]: 0})
         g2 = gamma2_const(info, model, 0, 1)
-        (z2,) = belief2_step(model, info, b2, g1, g2).keys()
+        (z2,) = belief2_step(model, info, b2, g1, g2, StepCache()).keys()
         bad = tuple((v + 1) % 2 for v in z2)
         with pytest.raises(ZeroProbabilityObservation):
             update_belief2(model, info, b2, g1, g2, bad)
@@ -217,7 +218,7 @@ class TestUpdateBelief2:
         partial = Prescription.for_agent1(0, {points[0]: 0})
         g2 = gamma2_const(info, model, 0, 0)
         with pytest.raises(DomainGap):
-            belief2_step(model, info, b2, partial, g2)
+            belief2_step(model, info, b2, partial, g2, StepCache())
 
     def test_one_agent1_step_per_inner_belief(self, monkeypatch):
         """The shared step is a mixture of agent-1 steps: one belief1_step
@@ -243,7 +244,7 @@ class TestUpdateBelief2:
             assert len(points) > 1
             stepped.clear()
             g1 = Prescription.for_agent1(0, {b: 0 for b in points})
-            belief2_step(model, info, b2, g1, gamma2_const(info, model, 0, 0))
+            belief2_step(model, info, b2, g1, gamma2_const(info, model, 0, 0), StepCache())
             assert sorted(stepped, key=Belief1.sort_key) == points
 
     @pytest.mark.parametrize("d", range(4))
@@ -261,7 +262,7 @@ class TestUpdateBelief2:
             if b2.t < model.horizon:
                 g1 = Prescription.for_agent1(b2.t, {b: b2.t % 2 for b in mix})
                 g2 = gamma2_const(info, model, b2.t, 1)
-                frontier.extend(nxt for _, nxt in belief2_step(model, info, b2, g1, g2).values())
+                frontier.extend(nxt for _, nxt in belief2_step(model, info, b2, g1, g2, StepCache()).values())
 
     def test_marginal_and_mixture_agree(self):
         model = certification_instance(1)
@@ -334,7 +335,7 @@ class TestBranchWeights:
             l2_reals = enumerate_private(info, model, 0)
             for g1 in all_agent1_prescriptions(0, b2.belief1_support(), 2):
                 for g2 in all_agent2_prescriptions(0, l2_reals, 2):
-                    step = belief2_step(model, info, b2, g1, g2)
+                    step = belief2_step(model, info, b2, g1, g2, StepCache())
                     assert sum(p for p, _ in step.values()) == 1
 
 
@@ -343,17 +344,16 @@ class TestSupportGrowth:
         """Distinct belief realizations at each t are at most the number of
         (memory, prescription-history) pairs that produce them."""
         from nested_dp.certify import _chain_belief1, _m1_histories
-        from nested_dp.solver import Belief1Chain
 
         model = certification_instance(0)
         info = build_delayed_structure(model, 1)
         joint = orc.build_joint(model)
         tables = next(iter(orc.enumerate_agent2_strategies(model, info, joint)))
         histories = _m1_histories(model, info, joint, tables)
-        chain = Belief1Chain(model, info)
+        cache = StepCache()
         for t in range(model.horizon + 1):
             beliefs = {
-                _chain_belief1(model, info, chain, tables, t, m1real)[0] for m1real in histories[t]
+                _chain_belief1(model, info, cache, tables, t, m1real)[0] for m1real in histories[t]
             }
             assert len(beliefs) <= len(histories[t])
 

@@ -188,24 +188,25 @@ def test_identity_sweep_on_split_delay_structure():
 
 
 def test_identity_sweep_shares_one_belief_chain(monkeypatch):
-    """Every tree node's runner steps agent 1's belief through the sweep's
-    one chain: one set of roots, one update per distinct step."""
-    import nested_dp.solver as solver_mod
+    """The agent-1 chains, every tree node's runner and the shared walk step
+    through the sweep's one cache: one set of roots, one agent-1 step per
+    distinct cache key."""
+    import nested_dp.beliefs as beliefs_mod
     from nested_dp.certify import certify_belief_and_cost_identities
 
-    roots, updates = [], []
-    real_roots, real_update = solver_mod.initial_belief1_roots, solver_mod.update_belief1
+    roots, steps = [], []
+    real_roots, real_step = beliefs_mod.initial_belief1_roots, beliefs_mod.belief1_step
 
     def counting_roots(*args):
         roots.append(args)
         return real_roots(*args)
 
-    def counting_update(*args):
-        updates.append(args[2:])
-        return real_update(*args)
+    def counting_step(model, info, b1, u1, gamma2):
+        steps.append((b1, u1, tuple(gamma2(ell) for ell in b1.private_support())))
+        return real_step(model, info, b1, u1, gamma2)
 
-    monkeypatch.setattr(solver_mod, "initial_belief1_roots", counting_roots)
-    monkeypatch.setattr(solver_mod, "update_belief1", counting_update)
+    monkeypatch.setattr(beliefs_mod, "initial_belief1_roots", counting_roots)
+    monkeypatch.setattr(beliefs_mod, "belief1_step", counting_step)
     model = model_with_horizon(2)
     report = certify_belief_and_cost_identities(model, build_delayed_structure(model, 1))
     assert report == {
@@ -218,7 +219,7 @@ def test_identity_sweep_shares_one_belief_chain(monkeypatch):
         "failures": [],
     }
     assert len(roots) == 1
-    assert len(updates) == len(set(updates))
+    assert steps and len(steps) == len(set(steps))
 
 
 def test_identity_sweep_replays_only_the_parents_draws(monkeypatch):

@@ -9,7 +9,8 @@ key, support point), normalized by Fraction division and made canonical by
 with Fraction probabilities and entries, on every input below.  A
 reference solve built from these kernels and `expected_cost2` checks the
 solver's integer stage-cost tables the same way, and a solve whose shared
-steps take no `StepCache` checks the solve-scope interning of posteriors.
+steps each take a fresh `StepCache` checks the solve-scope interning of
+posteriors.
 """
 
 import random
@@ -29,6 +30,7 @@ from nested_dp.beliefs import (
     Belief2,
     MarginalBelief,
     Prescription,
+    StepCache,
     _belief2_order,
     _branches,
     _signature,
@@ -238,7 +240,7 @@ def walk_team(model, info, rng, pairs_per_node=2, max_steps=None):
                 assert_same_branches(
                     belief1_step(model, info, b1, g1(b1), g2), ref_belief1_step(model, info, b1, g1(b1), g2)
                 )
-            branches = belief2_step(model, info, b2, g1, g2)
+            branches = belief2_step(model, info, b2, g1, g2, StepCache())
             assert_same_branches(branches, ref_belief2_step(model, info, b2, g1, g2))
             frontier.extend(nxt for _, nxt in branches.values())
             steps += 1
@@ -436,12 +438,12 @@ class TestStageCostTables:
 
 
 def uncached_solve(model, info):
-    """`solve_exact` with every shared step taken by `belief2_step` without a
-    cache: no step is reused and no posterior is interned."""
+    """`solve_exact` with every shared step taken by `belief2_step` on a
+    fresh cache: no step is reused and no posterior is interned."""
     real = solver_mod.belief2_step
 
-    def uncached(model, info, b2, g1, g2, cache=None):
-        return real(model, info, b2, g1, g2)
+    def uncached(model, info, b2, g1, g2, cache):
+        return real(model, info, b2, g1, g2, StepCache())
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver_mod, "belief2_step", uncached)
@@ -453,7 +455,7 @@ def solve_recording(model, info):
     real = solver_mod.belief2_step
     seen = []
 
-    def recording(model, info, b2, g1, g2, cache=None):
+    def recording(model, info, b2, g1, g2, cache):
         branches = real(model, info, b2, g1, g2, cache)
         seen.extend(post for _, post in branches.values())
         return branches

@@ -127,6 +127,43 @@ class TestCli:
         assert str(path) in captured.err
         assert "transition[0][0][0][0][0]: next state 7 outside 0..1" in captured.err
 
+    @pytest.mark.parametrize(
+        "command, edit, located",
+        [
+            (["solve"], lambda doc: doc.update(horizon="2"), "$.horizon: must be a non-negative integer"),
+            (["solve"], lambda doc: doc.update(horizon=None), "$.horizon: must be a non-negative integer"),
+            (["solve"], lambda doc: doc["spaces"]["X"].update(size="3"), "$.spaces.X.size: must be a positive integer"),
+            (["solve"], lambda doc: doc.update(transition=5), "$.transition: must be a list"),
+            (
+                ["solve"],
+                lambda doc: doc["transition"][0][0][0][0].__setitem__(0, 1.0),
+                "$.transition[0][0][0][0][0]: must be an integer",
+            ),
+            (["solve"], lambda doc: doc.update(spaces=[]), "$.spaces: must be an object"),
+            (["solve"], lambda doc: doc["spaces"].pop("X"), "$.spaces.X: must be an object"),
+            (["solve"], lambda doc: doc["cost"][0][0][0].__setitem__(0, "1/0"), "$.cost[0][0][0][0]: must be a 'p/q' string"),
+            (
+                ["validate"],
+                lambda doc: doc["dists"].update(X0=["1/2", "1/3"]),
+                "$.dists.X0: must be probabilities in [0, 1] that sum to 1",
+            ),
+            (["solve"], lambda doc: [doc], "$: must be an object"),
+            (["validate"], lambda doc: [doc], "$: must be an object"),
+            (["solve", "--decoupled"], lambda doc: [doc], "$: must be an object"),
+        ],
+    )
+    def test_malformed_model_is_located_domain_error(self, tmp_path, capsys, command, edit, located):
+        doc = model_to_json(certification_instance(0))
+        doc["info"] = {"kind": "delayed", "d": 1}
+        replaced = edit(doc)
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(replaced if isinstance(replaced, list) else doc))
+        assert cli_main([command[0], str(path)] + command[1:]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"model file {path} is invalid: {located}" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_missing_file_is_domain_error(self, capsys):
         assert cli_main(["solve", "/nonexistent/model.json"]) == 1
         assert "error:" in capsys.readouterr().err

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nested_dp import oracle as orc
-from nested_dp.beliefs import belief1_from_vector, belief1_vector, belief2_step, initial_belief2_roots
+from nested_dp.beliefs import StepCache, belief1_from_vector, belief1_vector, belief2_step, initial_belief2_roots
 from nested_dp.certify import certify_pbp_against_enumeration
 from nested_dp.decoupled import embed, solve_decoupled_pbp
 from nested_dp.errors import MissingKey, ResourceLimitExceeded
@@ -15,6 +15,7 @@ from nested_dp.generators import certification_instance, convergence_instance, d
 from nested_dp.info import build_delayed_structure
 from nested_dp.lattice import build_lattice, lattice_size, quantize
 from nested_dp.model import Dist, FiniteSpace
+from nested_dp.sim import RolloutConfig, rollout
 from nested_dp import solver as solver_mod
 from nested_dp.solver import (
     AlphaBoundInputs,
@@ -31,7 +32,6 @@ from nested_dp.solver import (
     extract_pbp_strategy,
     make_alpha_inputs,
     optimal_psi2,
-    prescription_table,
     psi2_from_json,
     solve_exact,
     solve_pbp_approx,
@@ -42,8 +42,9 @@ from test_info import split_delay_structure
 
 
 def full_scan_solve(model, info):
-    """The joint DP without the support restriction or the step cache:
-    every agent-2 map over `enumerate_private` at every node.  Returns the
+    """The joint DP without the support restriction or a shared step cache
+    (each step gets a fresh `StepCache`): every agent-2 map over
+    `enumerate_private` at every node.  Returns the
     value and the memo."""
     T = model.horizon
 
@@ -55,7 +56,7 @@ def full_scan_solve(model, info):
         n_u2 = model.action_space(2, t).size
         return t, 0, (
             ((g1, g2), expected_cost2(model, b2, g1, g2),
-             belief2_step(model, info, b2, g1, g2).values() if t < T else ())
+             belief2_step(model, info, b2, g1, g2, StepCache()).values() if t < T else ())
             for g1 in all_agent1_prescriptions(t, points, n_u1)
             for g2 in all_agent2_prescriptions(t, l2_reals, n_u2)
         )
@@ -128,7 +129,6 @@ class TestSupportRestriction:
             return real_step2(model, info, b2, *rest)
 
         monkeypatch.setattr(beliefs_mod, "belief1_step", counting_step1)
-        monkeypatch.setattr(solver_mod, "belief1_step", counting_step1)
         monkeypatch.setattr(solver_mod, "belief2_step", counting_step2)
         solve_exact(model, info)
         assert keys and len(keys) == len(set(keys))
@@ -258,7 +258,7 @@ class TestPrescriptionTable:
         model = certification_instance(seed)
         info = build_delayed_structure(model, d)
         solution = solve_exact(model, info)
-        table = prescription_table(solution)
+        table = solution.table
         assert set(table) == set(optimal_psi2(model, info, solution).entries)
         # The argmin tree's nodes are the (t, accessible realization) pairs the
         # executed policy reaches with positive probability.
@@ -281,14 +281,14 @@ class TestPrescriptionTable:
     def test_missing_final_stage_names_it(self, solved):
         model, info, solution, joint = solved
         T = model.horizon
-        table = {key: pair for key, pair in prescription_table(solution).items() if key[0] < T}
+        table = {key: pair for key, pair in solution.table.items() if key[0] < T}
         strategy = PrescriptionTeamStrategy(model, info, table)
         with pytest.raises(MissingKey, match=f"no prescription pair for t={T}, accessible realization"):
             orc.evaluate_strategy(joint, model, info, strategy)
 
     def test_partial_table_plays_zero_off_the_table(self, solved):
         model, info, solution, joint = solved
-        table = {key: pair for key, pair in prescription_table(solution).items() if key[0] == 0}
+        table = {key: pair for key, pair in solution.table.items() if key[0] == 0}
         strategy = PrescriptionTeamStrategy(model, info, table, partial=True)
         for omega, _ in joint.entries:
             traj = orc.trajectory(model, info, strategy, omega)
@@ -309,7 +309,7 @@ class TestPrescriptionTable:
         monkeypatch.setattr(solver_mod, "belief2_step", counting_step)
         strategy = extract_control_strategy(solution)
         psi2 = optimal_psi2(model, info, solution)
-        table = prescription_table(solution)
+        table = solution.table
         assert strategy.table is table
         assert set(psi2.entries) == set(table)
         assert len(calls) == sum(1 for t, _ in table if t < model.horizon)
@@ -323,6 +323,77 @@ class TestPrescriptionTable:
 
         monkeypatch.setattr(solver_mod, "belief2_step", forbidden)
         assert orc.evaluate_strategy(joint, model, info, strategy) == solution.value
+
+
+class TestSharedStepCache:
+    """A solution keeps its solve's `StepCache`, and the policy walk, the
+    executors, the oracle replay and a rollout run on it: executing the
+    solved policy takes no Bayes step the solve did not already take."""
+
+    @staticmethod
+    def count_bayes_steps(monkeypatch):
+        import nested_dp.beliefs as beliefs_mod
+
+        calls = []
+        real_step, real_roots = beliefs_mod.belief1_step, beliefs_mod.initial_belief1_roots
+
+        def counting_step(model, info, b1, u1, gamma2):
+            calls.append("belief1_step")
+            return real_step(model, info, b1, u1, gamma2)
+
+        def counting_roots(model, info):
+            calls.append("initial_belief1_roots")
+            return real_roots(model, info)
+
+        monkeypatch.setattr(beliefs_mod, "belief1_step", counting_step)
+        monkeypatch.setattr(beliefs_mod, "initial_belief1_roots", counting_roots)
+        return calls
+
+    @staticmethod
+    def execute(model, info, strategy, value):
+        joint = orc.build_joint(model)
+        assert orc.evaluate_strategy(joint, model, info, strategy) == value
+        report = rollout(model, info, strategy, RolloutConfig(seed=3, episodes=500), value)
+        assert abs(report.mean_cost - float(value)) <= 5 * report.stderr + 1e-9
+
+    @pytest.mark.parametrize("make", [
+        lambda: (certification_instance(0), split_delay_structure),
+        lambda: (certification_instance(0, horizon=3), lambda model: build_delayed_structure(model, 1)),
+    ])
+    def test_exact_policy_runs_on_the_solve_cache(self, make, monkeypatch):
+        model, structure = make()
+        info = structure(model)
+        calls = self.count_bayes_steps(monkeypatch)
+        solution = solve_exact(model, info)
+        assert calls and solution.cache.steps
+        calls.clear()
+        strategy = extract_control_strategy(solution)
+        assert strategy.cache is solution.cache
+        self.execute(model, info, strategy, solution.value)
+        assert calls == []
+
+    @pytest.mark.parametrize("make", [
+        lambda: (certification_instance(0), split_delay_structure),
+        lambda: (certification_instance(0, horizon=3), lambda model: build_delayed_structure(model, 1)),
+    ])
+    def test_pbp_policy_runs_on_the_solve_cache(self, make, monkeypatch):
+        model, structure = make()
+        info = structure(model)
+        psi2 = HashedPsi2(model, info, 7)
+        calls = self.count_bayes_steps(monkeypatch)
+        pbp = solve_pbp_exact(model, info, psi2)
+        assert calls and pbp.cache.steps
+        calls.clear()
+        self.execute(model, info, extract_pbp_strategy(pbp), pbp.value)
+        assert calls == []
+
+    def test_cache_is_not_compared_or_shown(self):
+        model = certification_instance(0)
+        info = build_delayed_structure(model, 1)
+        first, second = solve_exact(model, info), solve_exact(model, info)
+        assert first.cache is not second.cache
+        assert first == second
+        assert "cache" not in repr(first)
 
 
 class TestPsi2Families:
@@ -347,7 +418,7 @@ class TestPsi2Families:
     def test_prescriptions_built_once(self, make):
         model = certification_instance(0)
         info = build_delayed_structure(model, 1)
-        keys = list(prescription_table(solve_exact(model, info)))
+        keys = list(solve_exact(model, info).table)
         psi2 = make(model, info)
         first = [psi2.prescription(t, a2) for t, a2 in keys]
         for (t, a2), presc in zip(keys, first):
