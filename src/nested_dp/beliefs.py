@@ -17,7 +17,9 @@ puts a2[t] inside m1[t], so conditioning on agent 1's memory refines
 conditioning on the accessible information.  The shared step is therefore
 computed from agent-1 steps, one per inner belief, and the novelty rule
 (z2[t+1] inside z1[t+1]) reads each branch's shared increment off agent 1's
-new information.  `belief1_step` and `initial_belief1_roots` are the only
+new information.  `SharedStep` is that computation, the only one: each
+agent-1 step becomes an integer part of the shared step, and a pair's step
+is the sum of its parts.  `belief1_step` and `initial_belief1_roots` are the only
 Bayes kernels that run over the model's primitive draws.
 
 Both updates are pure Bayes steps driven by realized new information; no
@@ -69,6 +71,7 @@ __all__ = [
     "update_belief2",
     "belief1_step",
     "belief2_step",
+    "SharedStep",
     "StepCache",
     "expected_cost1",
     "expected_cost2",
@@ -431,8 +434,7 @@ def initial_belief1_roots(
     """All positive-probability realizations of agent 1's time-0 new
     information, with their probabilities and conditional beliefs."""
     plan = step_plan(info, -1)
-    z1_of = plan.picker(info.z1[0])
-    ell_of = plan.picker(info.l2[0])
+    z1_of, ell_of = plan.read_z1, plan.read_l2
     dx, xs = model.x0_dist.scaled()
     dv1, v1s = model.v_dist(1, 0).scaled()
     dv2, v2s = model.v_dist(2, 0).scaled()
@@ -470,8 +472,7 @@ def belief1_step(
     if t >= model.horizon:
         raise ValueError(f"no transition out of the final time {t}")
     plan = step_plan(info, t)
-    z1_of = plan.picker(info.z1[t + 1])
-    ell_next_of = plan.picker(info.l2[t + 1])
+    z1_of, ell_next_of = plan.read_z1, plan.read_l2
     db, entries = b1.scaled()
     dw, ws = model.w_dist(t).scaled()
     dv1, v1s = model.v_dist(1, t + 1).scaled()
@@ -508,29 +509,60 @@ def update_belief1(
 # ---------------------------------------------------------------------------
 
 
-def _mixture_branches(
-    t: int, denom: int, parts, key_of, interned=None
-) -> dict[tuple[int, ...], tuple[Fraction, Belief2]]:
-    """Shared-belief branches from agent-1 branches.  `parts` yields (w,
-    {z1: (q, b1')}) pairs, the mixture weight w an integer over `denom`;
-    each branch adds (w / denom) * q * b1'(x, ell) to the entry (x, ell,
-    b1') under the key `key_of(z1)`.  With b1' scaled as (d, {(x, ell): n}),
-    that term is w * q.numerator * n over denom * q.denominator * d, so the
-    terms share the denominator denom * L, L the lcm of q.denominator * d.
-    `interned` is passed on to `_branches`."""
+def _mixture_parts(denom: int, steps, key_of) -> tuple[int, list[dict]]:
+    """Each agent-1 step's contribution to a shared step, over one common
+    denominator.  `steps` lists (w, {z1: (q, b1')}) pairs, the mixture
+    weight w an integer over `denom`; a step adds (w / denom) * q *
+    b1'(x, ell) to the entry (x, ell, b1') under the key `key_of(z1)`.  With
+    b1' scaled as (d, {(x, ell): n}), that term is w * q.numerator * n over
+    denom * q.denominator * d, so every term of every step shares the
+    denominator denom * L, L the lcm of the q.denominator * d.  Returns
+    (denom * L, parts), one part {key: {(x, ell, b1'): n}} per step, in
+    order: the summands that `_mixture_branches` adds up."""
     terms = []
-    for w, branches in parts:
+    for w, branches in steps:
+        step = []
         for z1, (q, b1) in branches.items():
             d, entries = b1.scaled()
-            terms.append((w * q.numerator, q.denominator * d, key_of(z1), b1, entries))
-    common = math.lcm(*(d for _, d, *_ in terms))
-    acc = _joint()
-    for c, d, key, b1, entries in terms:
-        c *= common // d
-        weights = acc[key]
-        for (x, ell), n in entries:
-            weights[(x, ell, b1)] += c * n
-    return _branches(acc, denom * common, partial(Belief2, t), lambda kv: _belief2_order(kv[0]), interned)
+            step.append((w * q.numerator, q.denominator * d, key_of(z1), b1, entries))
+        terms.append(step)
+    common = math.lcm(*(d for step in terms for _, d, *_ in step))
+    parts = []
+    for step in terms:
+        part: dict = {}
+        for c, d, key, b1, entries in step:
+            c *= common // d
+            weights = part.get(key)
+            if weights is None:
+                weights = part[key] = {}
+            for (x, ell), n in entries:
+                entry = (x, ell, b1)
+                weights[entry] = weights.get(entry, 0) + c * n
+        parts.append(part)
+    return denom * common, parts
+
+
+def _mixture_branches(
+    t: int, denom: int, parts: list[dict], interned=None
+) -> dict[tuple[int, ...], tuple[Fraction, Belief2]]:
+    """Shared-belief branches at time t from `_mixture_parts` parts over
+    `denom`: each key's entries summed over the parts, then normalized by
+    `_branches`, which `interned` is passed on to.  A key that one part
+    alone holds is read off that part without a copy."""
+    groups: dict = {}
+    summed = set()  # keys whose group is a copy, owned here
+    for part in parts:
+        for key, weights in part.items():
+            group = groups.get(key)
+            if group is None:
+                groups[key] = weights
+                continue
+            if key not in summed:
+                summed.add(key)
+                group = groups[key] = dict(group)
+            for entry, n in weights.items():
+                group[entry] = group.get(entry, 0) + n
+    return _branches(groups, denom, partial(Belief2, t), lambda kv: _belief2_order(kv[0]), interned)
 
 
 def initial_belief2_roots(
@@ -585,7 +617,7 @@ class StepCache:
         """`initial_belief2_roots`, built on the cached agent-1 roots, with
         interned posteriors."""
         z2_of = step_plan(info, -1).z2_of  # a2[0] = z2[0]
-        return _mixture_branches(0, 1, [(1, self.roots1(model, info))], z2_of, self.beliefs2)
+        return _mixture_branches(0, *_mixture_parts(1, [(1, self.roots1(model, info))], z2_of), self.beliefs2)
 
     def root1(self, model: TeamModel, info: InfoStructure, z1: tuple[int, ...]) -> Belief1:
         """Agent 1's time-0 belief after the new information z1."""
@@ -598,9 +630,18 @@ class StepCache:
         self, model: TeamModel, info: InfoStructure, b1: Belief1, u1: int, gamma2: Prescription
     ) -> dict[tuple[int, ...], tuple[Fraction, Belief1]]:
         """`belief1_step`, cached, with interned posteriors."""
-        key = (b1, u1, tuple(gamma2(ell) for ell in b1.private_support()))
+        return self.step1_on(model, info, b1, u1, tuple(map(gamma2, b1.private_support())))
+
+    def step1_on(
+        self, model: TeamModel, info: InfoStructure, b1: Belief1, u1: int, acts: tuple[int, ...]
+    ) -> dict[tuple[int, ...], tuple[Fraction, Belief1]]:
+        """`step1` under agent 2 playing acts[k] at b1.private_support()[k],
+        the only arguments the step reads its prescription at; on a miss
+        the step runs under that restriction of the prescription."""
+        key = (b1, u1, acts)
         hit = self.steps.get(key)
         if hit is None:
+            gamma2 = Prescription.for_agent2(b1.t, dict(zip(b1.private_support(), acts)))
             hit = self.steps[key] = self._interned(belief1_step(model, info, b1, u1, gamma2))
         return hit
 
@@ -633,14 +674,45 @@ def belief2_step(
     z1[t+1]).
 
     The agent-1 steps come from `cache.step1`, and each posterior equal to
-    one the cache has seen is returned as that same object.
+    one the cache has seen is returned as that same object.  The mixture
+    is a `SharedStep` over these agent-1 steps, one per inner belief: the
+    table the joint solver builds per node, here for one pair.
     """
-    t = b2.t
-    if t >= model.horizon:
-        raise ValueError(f"no transition out of the final time {t}")
-    denom, mixture = b2.mixture_numerators()
-    parts = ((w, cache.step1(model, info, b1, gamma1(b1), gamma2)) for b1, w in mixture.items())
-    return _mixture_branches(t + 1, denom, parts, step_plan(info, t).z2_of, cache.beliefs2)
+    choices = ((b1, gamma1(b1), tuple(map(gamma2, b1.private_support()))) for b1 in b2.mixture_numerators()[1])
+    step = SharedStep(model, info, b2, cache, choices)
+    return step.branches(step.parts)
+
+
+class SharedStep:
+    """Shared steps out of one Belief2 b2, by agent-1 step: the one code
+    path of `belief2_step`, and the per-node table of the joint solver's
+    scan.
+
+    `choices` yields (b1, u1, acts) triples: an inner belief of b2, its
+    agent-1 action, and agent 2's actions on b1.private_support().  Each
+    choice's agent-1 step comes from `cache.step1_on` and is turned once
+    into its contribution to the shared step (`_mixture_parts`); all the
+    contributions share one denominator, so `parts[k]`, the k-th choice's,
+    is a table of integers.  `branches(parts)` sums the parts of one
+    prescription pair, one per inner belief, and returns its
+    `belief2_step` branches, each posterior interned in `interned` (the
+    cache's shared-posterior table; None builds every posterior afresh).
+    """
+
+    __slots__ = ("t", "denom", "parts", "interned")
+
+    def __init__(self, model: TeamModel, info: InfoStructure, b2: Belief2, cache: StepCache, choices):
+        t = b2.t
+        if t >= model.horizon:
+            raise ValueError(f"no transition out of the final time {t}")
+        denom, mixture = b2.mixture_numerators()
+        steps = [(mixture[b1], cache.step1_on(model, info, b1, u1, acts)) for b1, u1, acts in choices]
+        self.t = t
+        self.denom, self.parts = _mixture_parts(denom, steps, step_plan(info, t).z2_of)
+        self.interned = cache.beliefs2
+
+    def branches(self, parts: list[dict]) -> dict[tuple[int, ...], tuple[Fraction, Belief2]]:
+        return _mixture_branches(self.t + 1, self.denom, parts, self.interned)
 
 
 def update_belief2(

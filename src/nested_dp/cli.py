@@ -138,12 +138,13 @@ def _realization(node, vars, where: str, model, info) -> None:
         _int_below(value, info.var_space_size(model, var), f"{where}[{i}]")
 
 
-def _leaves(node, where: str, depth: int, check) -> None:
-    """`check(value, path)` on every value of a nested list `depth` deep."""
-    if depth == 0:
+def _leaves(node, where: str, shape: tuple, check) -> None:
+    """`check(value, path)` on every value of a nested list of the given
+    shape: one length per level, None where any length will do."""
+    if not shape:
         return check(node, where)
-    for i, child in enumerate(_list_of(node, where)):
-        _leaves(child, f"{where}[{i}]", depth - 1, check)
+    for i, child in enumerate(_list_of(node, where, shape[0])):
+        _leaves(child, f"{where}[{i}]", shape[1:], check)
 
 
 def _ratio(node, where: str) -> Fraction:
@@ -170,12 +171,12 @@ def _space(node, where: str) -> None:
 
 
 def _check_model(doc) -> None:
-    """The shape `model_from_json` reads (a decoupled document is left to
-    `decoupled_from_json`); `validate_model` then checks it against the
-    declared spaces."""
+    """The shape `model_from_json` reads, or `_check_decoupled`'s for a
+    decoupled document; `validate_model` then checks a team model against
+    the declared spaces."""
     _expect(isinstance(doc, dict), "$", "must be an object")
     if doc.get("kind") == "decoupled":
-        return
+        return _check_decoupled(doc)
     T = doc.get("horizon")
     _expect(type(T) is int and T >= 0, "$.horizon", "must be a non-negative integer")
     spaces = doc.get("spaces")
@@ -184,16 +185,43 @@ def _check_model(doc) -> None:
         node = spaces.get(key)
         _expect(isinstance(node, dict), f"$.spaces.{key}", "must be an object")
         if "per_time" in node:
-            _leaves(node["per_time"], f"$.spaces.{key}.per_time", 1, _space)
+            _leaves(node["per_time"], f"$.spaces.{key}.per_time", (None,), _space)
         else:
             _space(node, f"$.spaces.{key}")
     for key, depth in (("transition", 5), ("obs1", 3), ("obs2", 3)):
-        _leaves(doc.get(key), f"$.{key}", depth, lambda v, where: _expect(type(v) is int, where, "must be an integer"))
-    _leaves(doc.get("cost"), "$.cost", 4, _ratio)
+        _leaves(doc.get(key), f"$.{key}", (None,) * depth, lambda v, where: _expect(type(v) is int, where, "must be an integer"))
+    _leaves(doc.get("cost"), "$.cost", (None,) * 4, _ratio)
     dists = doc.get("dists")
     _expect(isinstance(dists, dict), "$.dists", "must be an object")
     for key, depth in (("X0", 0), ("W", 1), ("V1", 1), ("V2", 1)):
-        _leaves(dists.get(key), f"$.dists.{key}", depth, _dist)
+        _leaves(dists.get(key), f"$.dists.{key}", (None,) * depth, _dist)
+
+
+def _check_decoupled(doc) -> None:
+    """The shape `decoupled_from_json` reads, down to every table's
+    dimensions and value range: the product embedding reads every entry,
+    and no later check runs on the decoupled model."""
+    T = doc.get("horizon")
+    _expect(type(T) is int and T >= 0, "$.horizon", "must be a non-negative integer")
+    spaces = doc.get("spaces")
+    _expect(isinstance(spaces, dict), "$.spaces", "must be an object")
+    size = {}
+    for key in ("X1", "X2", "U1", "U2", "W1", "W2", "V1", "V2", "Y1", "Y2"):
+        _space(spaces.get(key), f"$.spaces.{key}")
+        size[key] = spaces[key]["size"]
+    for agent in "12":
+        x, u, w, v, y = (size[kind + agent] for kind in "XUWVY")
+        _leaves(doc.get(f"f{agent}"), f"$.f{agent}", (T, x, u, w), lambda node, where, n=x: _int_below(node, n, where))
+        _leaves(doc.get(f"obs{agent}"), f"$.obs{agent}", (T + 1, x, v), lambda node, where, n=y: _int_below(node, n, where))
+    _leaves(doc.get("cost"), "$.cost", (T + 1, size["X1"], size["X2"], size["U1"], size["U2"]), _ratio)
+    dists = doc.get("dists")
+    _expect(isinstance(dists, dict), "$.dists", "must be an object")
+    for key, stages, space in (
+        ("X1_0", (), "X1"), ("X2_0", (), "X2"), ("W1", (T,), "W1"), ("W2", (T,), "W2"),
+        ("V1", (T + 1,), "V1"), ("V2", (T + 1,), "V2"),
+    ):
+        n = size[space]
+        _leaves(dists.get(key), f"$.dists.{key}", stages, lambda node, where, n=n: _dist(_list_of(node, where, n), where))
 
 
 def _check_info(doc, model) -> None:

@@ -284,19 +284,21 @@ class StepContext:
     `picker(vars)` resolves a composition to slot indices the first time it
     is asked for and returns the function that reads a realization of it
     off a slot tuple.  Resolution is per composition, so a step that never
-    asks for z2 never fails on it.  `z2_of` reads the shared increment
-    z2[t+1] off a realization of agent 1's new information z1[t+1] (at
-    t = -1, a2[0] = z2[0] off z1[0]), resolved on first use.  Plans are
-    built once per (structure, t) and cached on the structure: get them
-    with `step_plan`.
+    asks for z2 never fails on it.  `read_z1` and `read_l2` are the
+    pickers of agent 1's new information z1[t+1] and of the private
+    composition l2[t+1], and `z2_of` reads the shared increment z2[t+1] off
+    a realization of z1[t+1] (at t = -1, a2[0] = z2[0] off z1[0]); each is
+    resolved on first use and then held as an attribute.  Plans are built
+    once per (structure, t) and cached on the structure: get them with
+    `step_plan`.
     """
 
-    __slots__ = ("t", "_info", "_slot_of", "_pickers", "_z2_of")
+    __slots__ = ("t", "_info", "_slot_of", "_pickers", "_read_z1", "_read_l2", "_z2_of")
 
     def __init__(self, info: InfoStructure, t: int):
         self.t = t
         self._info = info
-        self._z2_of = None
+        self._read_z1 = self._read_l2 = self._z2_of = None
         private = info.l2[t] if t >= 0 else ()
         fresh = (VarRef(t + 1, "Y1"), VarRef(t + 1, "Y2"))
         if t >= 0:
@@ -310,6 +312,18 @@ class StepContext:
         if pick is None:
             pick = self._pickers[vars] = _compile(self._slot_of, vars, self._missing)
         return pick
+
+    @property
+    def read_z1(self) -> Callable[[tuple], tuple[int, ...]]:
+        if self._read_z1 is None:
+            self._read_z1 = self.picker(self._info.z1[self.t + 1])
+        return self._read_z1
+
+    @property
+    def read_l2(self) -> Callable[[tuple], tuple[int, ...]]:
+        if self._read_l2 is None:
+            self._read_l2 = self.picker(self._info.l2[self.t + 1])
+        return self._read_l2
 
     @property
     def z2_of(self) -> Callable[[tuple], tuple[int, ...]]:

@@ -7,7 +7,13 @@ Three solvers live here:
                       top-down recursion from the positive-probability
                       time-0 roots, with agent 2's prescriptions scanned
                       only on the belief's private support.  Yields the
-                      team optimum.
+                      team optimum.  The scan runs over action tuples
+                      against per-node integer tables -- stage costs, and
+                      each agent-1 step's part of the shared step -- and
+                      builds prescriptions only for the stored minimizer;
+                      the final stage, whose objective is separable across
+                      agent 2's private realizations, scores each agent-1
+                      tuple once.
 
   solve_pbp_exact  -- agent 1's best response to a fixed agent-2
                       prescription family, recursing over (agent-1 belief,
@@ -54,6 +60,7 @@ from .beliefs import (  # expected_cost2 is re-exported for callers of this modu
     Belief1,
     Belief2,
     Prescription,
+    SharedStep,
     StepCache,
     belief1_from_vector,
     belief1_vector,
@@ -217,40 +224,55 @@ def solve_exact(model: TeamModel, info: InfoStructure, budget: int | None = None
     step, since each inner belief's support lies inside b2's.  Candidates
     that differ only off the support therefore tie exactly, with equal
     successors, and the one playing 0 there comes first in lexicographic
-    order.  Agent-1 steps are cached for the whole solve on (b1, u1, gamma2
-    on b1's private support), and one `StepCache` interns the posteriors of
-    every Bayes step: an equal belief reached again is found by its integer
-    signature and returned as the object first built, so memo lookups on it
-    succeed by identity.  The cache is made here and kept on the solution
-    as `ExactSolution.cache`, where the policy walk and the executor reuse
-    its steps.
+    order.
 
-    Stage costs are read off one integer table per node.  With b2's entries
-    n / D and stage-t costs k / K over common denominators,
-    h[(b1, ell)][u1][u2] = sum over x of n * k(x, u1, u2), and a pair's
-    stage cost is the sum of h[(b1, ell)][gamma1(b1)][gamma2(ell)] over the
-    support, divided by D * K: exactly `expected_cost2`.
+    The scan runs over action tuples: a1 holds agent 1's action at each
+    inner point, a2 agent 2's at each live private realization, both in
+    lexicographic order, and the two `Prescription`s are built once per
+    node, for the stored minimizer.  Stage costs are read off one integer
+    table per node: with b2's entries n / D and stage-t costs k / K over
+    common denominators, h[(b1, ell)][u1][u2] = sum over x of n * k(x, u1,
+    u2), and a pair's stage cost is the sum of h[(b1, ell)][a1(b1)][a2(ell)]
+    over the support, divided by D * K: exactly `expected_cost2`.
+
+    At t = T a pair's value is its stage cost, which for fixed a1 is a sum
+    of one term per live realization, r_ell[a2(ell)].  So for fixed a1 the
+    minimizing a2 are the product of the argmin sets of the r_ell, whose
+    lexicographically first element takes each r_ell's first argmin, and
+    the scan's first minimizer is that a2 under the first a1 of least
+    total: every pair with an earlier a1 costs more.  Each a1 is scored
+    once, with integer comparisons, and the node builds one Fraction.
+
+    At t < T the node's `beliefs.SharedStep` turns each agent-1 step it can
+    take -- an inner belief b1, its action, agent 2's actions on b1's
+    private support -- into that step's integer part of the shared step,
+    once; a pair's `belief2_step` branches are the sum of |points| parts,
+    interned by signature.  Agent-1 steps are cached for the whole solve in
+    one `StepCache`, which interns the posteriors of every Bayes step: an
+    equal belief reached again is found by its integer signature and
+    returned as the object first built, so memo lookups on it succeed by
+    identity.  The cache is kept on the solution as `ExactSolution.cache`,
+    where the policy walk and the executor reuse its steps.
     """
     T = model.horizon
     cache = StepCache()
     costs = [_scaled_costs(model.cost_table[t]) for t in range(T + 1)]
+    l2_lists = [enumerate_private(info, model, t) for t in range(T + 1)]
 
     def expand(b2: Belief2):
         t = b2.t
         points = b2.belief1_support()
-        support = {ell for (_, ell, _), _ in b2.items()}
-        l2_reals = enumerate_private(info, model, t)
-        live = [ell for ell in l2_reals if ell in support]
+        live = _live(b2, l2_lists[t])
         n_u1 = model.action_space(1, t).size
         n_u2 = model.action_space(2, t).size
         n_pairs = (n_u1 ** len(points)) * (n_u2 ** len(live))
-        return t, n_pairs, candidates(b2, t, points, l2_reals, live, n_u1, n_u2)
+        scan = final_stage if t == T else candidates
+        return t, n_pairs, scan(b2, t, points, live, n_u1, n_u2)
 
-    def candidates(b2, t, points, l2_reals, live, n_u1, n_u2):
+    def cost_table(b2, t, points, live, n_u1, n_u2):
+        """(D * K, h) with h[(i, j)][u1][u2] for points[i] and live[j]."""
         denom, entries = b2.scaled()
         cost_denom, units = costs[t]
-        scale = denom * cost_denom
-        # h[(b1, ell)][u1][u2], keyed by (b1's index in points, ell's in live)
         h: dict = {}
         where1 = {b1: i for i, b1 in enumerate(points)}
         where2 = {ell: j for j, ell in enumerate(live)}
@@ -262,29 +284,79 @@ def solve_exact(model: TeamModel, info: InfoStructure, budget: int | None = None
             for row, ks in zip(rows, units[x]):
                 for u2, k in enumerate(ks):
                     row[u2] += n * k
-        gammas2 = [
-            (g2, [g2(ell) for ell in live])
-            for g2 in all_agent2_prescriptions(t, l2_reals, n_u2, live)
+        return denom * cost_denom, h
+
+    def by_ell(h, a1, n_live, n_u2):
+        """r[j][u2]: the stage cost at live[j] under a1, per agent-2 action."""
+        r = [[0] * n_u2 for _ in range(n_live)]
+        for (i, j), rows in h.items():
+            total = r[j]
+            for u2, v in enumerate(rows[a1[i]]):
+                total[u2] += v
+        return r
+
+    def final_stage(b2, t, points, live, n_u1, n_u2):
+        scale, h = cost_table(b2, t, points, live, n_u1, n_u2)
+        best = None
+        for a1 in itertools.product(range(n_u1), repeat=len(points)):
+            total, a2 = 0, []
+            for r in by_ell(h, a1, len(live), n_u2):
+                low = min(r)
+                total += low
+                a2.append(r.index(low))
+            if best is None or total < best[0]:
+                best = (total, a1, tuple(a2))
+        total, a1, a2 = best
+        yield (a1, a2), Fraction(total, scale), ()
+
+    def candidates(b2, t, points, live, n_u1, n_u2):
+        scale, h = cost_table(b2, t, points, live, n_u1, n_u2)
+        # each inner belief reads a2 at the live positions of its private support
+        where2 = {ell: j for j, ell in enumerate(live)}
+        reads = [[where2[ell] for ell in b1.private_support()] for b1 in points]
+        all_a2 = list(itertools.product(range(n_u2), repeat=len(live)))
+        choices = [
+            (b1, u1, acts)
+            for b1, read in zip(points, reads)
+            for u1 in range(n_u1)
+            for acts in itertools.product(range(n_u2), repeat=len(read))
         ]
-        for g1 in all_agent1_prescriptions(t, points, n_u1):
-            acts1 = [g1(b1) for b1 in points]
-            # by_ell[j][u2]: the stage cost at live[j] under gamma1, per agent-2 action
-            by_ell = [[0] * n_u2 for _ in live]
-            for (i, j), rows in h.items():
-                total = by_ell[j]
-                for u2, v in enumerate(rows[acts1[i]]):
-                    total[u2] += v
-            for g2, acts2 in gammas2:
-                cost = Fraction(sum(row[u2] for row, u2 in zip(by_ell, acts2)), scale)
-                branches = belief2_step(model, info, b2, g1, g2, cache).values() if t < T else ()
-                yield (g1, g2), cost, branches
+        step = SharedStep(model, info, b2, cache, choices)
+        part_of = dict(zip(choices, step.parts))
+        # by_u1[i][u1][a2]: the part of points[i]'s agent-1 step under (u1, a2)
+        by_u1 = [
+            [{a2: part_of[(b1, u1, tuple(a2[j] for j in read))] for a2 in all_a2} for u1 in range(n_u1)]
+            for b1, read in zip(points, reads)
+        ]
+        for a1 in itertools.product(range(n_u1), repeat=len(points)):
+            r = by_ell(h, a1, len(live), n_u2)
+            by_a2 = [parts[u1] for parts, u1 in zip(by_u1, a1)]
+            for a2 in all_a2:
+                cost = Fraction(sum(row[u2] for row, u2 in zip(r, a2)), scale)
+                yield (a1, a2), cost, step.branches([parts[a2] for parts in by_a2]).values()
 
     dp = MemoArgmin({}, resolve_budget(budget), "prescription pairs", expand)
     roots = cache.roots2(model, info)
     total = Fraction(0)
     for p, b2 in roots.values():
         total += p * dp.value(b2)
-    return ExactSolution(model, info, total, roots, dp.memo, dp.spent, cache)
+    memo = {b2: (v, *_prescriptions(b2, l2_lists[b2.t], a1, a2)) for b2, (v, a1, a2) in dp.memo.items()}
+    return ExactSolution(model, info, total, roots, memo, dp.spent, cache)
+
+
+def _live(b2: Belief2, l2_reals: list[A2Real]) -> list[A2Real]:
+    """The private realizations in b2's support, in `l2_reals` order."""
+    support = {ell for (_, ell, _), _ in b2.items()}
+    return [ell for ell in l2_reals if ell in support]
+
+
+def _prescriptions(b2: Belief2, l2_reals: list[A2Real], a1: tuple, a2: tuple) -> tuple[Prescription, Prescription]:
+    """The prescription pair of the action tuples (a1, a2) at b2: a1 over
+    b2's inner points, a2 over its live private realizations, 0 elsewhere."""
+    t = b2.t
+    table2 = dict.fromkeys(l2_reals, 0)
+    table2.update(zip(_live(b2, l2_reals), a2))
+    return Prescription.for_agent1(t, dict(zip(b2.belief1_support(), a1))), Prescription.for_agent2(t, table2)
 
 
 def _scaled_costs(stage) -> tuple[int, list]:

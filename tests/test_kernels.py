@@ -8,8 +8,9 @@ key, support point), normalized by Fraction division and made canonical by
 `decoupled` theta kernels -- must return equal branches, in equal order,
 with Fraction probabilities and entries, on every input below.  A
 reference solve built from these kernels and `expected_cost2` checks the
-solver's integer stage-cost tables the same way, and a solve whose shared
-steps each take a fresh `StepCache` checks the solve-scope interning of
+solver's integer stage-cost tables and its action-tuple scan the same
+way, and a solve whose nodes' shared-step tables each take a fresh
+`StepCache` and intern nothing checks the solve-scope interning of
 posteriors.
 """
 
@@ -40,6 +41,7 @@ from nested_dp.beliefs import (
     initial_belief1_roots,
     initial_belief2_roots,
 )
+from nested_dp.errors import ResourceLimitExceeded
 from nested_dp.generators import certification_instance, convergence_instance, decoupled_instance
 from nested_dp.info import build_delayed_structure, enumerate_private, merge_picker, step_plan
 from nested_dp.model import Dist, FiniteSpace
@@ -175,10 +177,14 @@ def ref_theta2_step(dec, info, theta, gamma2):
     return ref_branches(acc, partial(MarginalBelief.from_weights, 2, t + 1))
 
 
-def reference_solve(model, info):
-    """`solve_exact` with the Fraction kernels and `expected_cost2`: the same
-    support restriction and enumeration order, no step cache."""
+def reference_solve(model, info, budget=10**9):
+    """`solve_exact` with the Fraction kernels and `expected_cost2`: every
+    prescription pair scored in full, with the same support restriction,
+    enumeration order and budget charge, and no step cache.  Returns the
+    value, the memo, the pairs charged and each expansion's (t, charge), in
+    order."""
     T = model.horizon
+    charges = []
 
     def expand(b2):
         t = b2.t
@@ -188,17 +194,18 @@ def reference_solve(model, info):
         live = [ell for ell in l2_reals if ell in support]
         n_u1 = model.action_space(1, t).size
         n_u2 = model.action_space(2, t).size
-        return t, 0, (
+        charges.append((t, n_u1 ** len(points) * n_u2 ** len(live)))
+        return t, charges[-1][1], (
             ((g1, g2), expected_cost2(model, b2, g1, g2),
              ref_belief2_step(model, info, b2, g1, g2).values() if t < T else ())
             for g1 in all_agent1_prescriptions(t, points, n_u1)
             for g2 in all_agent2_prescriptions(t, l2_reals, n_u2, live)
         )
 
-    dp = MemoArgmin({}, 10**9, "prescription pairs", expand)
+    dp = MemoArgmin({}, budget, "prescription pairs", expand)
     roots = ref_initial_belief2_roots(model, info)
     value = sum((p * dp.value(b2) for p, b2 in roots.values()), Fraction(0))
-    return value, dp.memo
+    return value, dp.memo, dp.spent, charges
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +334,19 @@ def noisy_model(seed, horizon=2):
     )
 
 
+def with_costs(model, kind, rng):
+    """The model with its cost table kept ("original"), all zero ("zero"),
+    or drawn from {-1, 0, 1} ("ties"): every pair ties in the second, and
+    many pairs tie, at costs of both signs, in the third."""
+    if kind == "original":
+        return model
+    draw = (lambda: Fraction(0)) if kind == "zero" else (lambda: Fraction(rng.randrange(-1, 2)))
+    table = tuple(
+        tuple(tuple(tuple(draw() for _ in row) for row in x_rows) for x_rows in stage) for stage in model.cost_table
+    )
+    return replace(model, cost_table=table)
+
+
 def noisy_decoupled(seed, horizon=2, perfect_obs_1=False):
     """decoupled_instance with noisy observations of both chains at every
     time and primitive laws over odd denominators."""
@@ -421,15 +441,18 @@ class TestStageCostTables:
             (lambda: certification_instance(1), 3),
             (lambda: noisy_model(0), 1),
             (lambda: noisy_model(1), 0),
+            (lambda: with_costs(certification_instance(0, 1), "zero", random.Random(3)), 2),
+            (lambda: with_costs(certification_instance(0, 1), "ties", random.Random(3)), 2),
         ],
     )
     def test_memo_equals_reference_solve(self, make, d):
         model = make()
         info = build_delayed_structure(model, d)
         solution = solve_exact(model, info)
-        value, memo = reference_solve(model, info)
+        value, memo, spent, _ = reference_solve(model, info)
         assert solution.value == value
         assert list(solution.memo.items()) == list(memo.items())
+        assert solution.pairs_enumerated == spent
 
     def test_noisy_model_costs_have_mixed_signs_and_denominators(self):
         costs = [c for stage in noisy_model(0).cost_table for row in stage for r in row for c in r]
@@ -437,31 +460,78 @@ class TestStageCostTables:
         assert any(c.denominator > 1 for c in costs)
 
 
-def uncached_solve(model, info):
-    """`solve_exact` with every shared step taken by `belief2_step` on a
-    fresh cache: no step is reused and no posterior is interned."""
-    real = solver_mod.belief2_step
+class TestActionTupleScan:
+    """`solve_exact` scans action tuples over per-node integer tables, with
+    a separable final stage; the reference scores every prescription pair
+    through the Fraction kernels.  Values, memo rows in order, pair counts
+    and budget messages must agree."""
 
-    def uncached(model, info, b2, g1, g2, cache):
-        return real(model, info, b2, g1, g2, StepCache())
+    CAP = 1500  # pairs: keeps each reference solve under a second
+
+    @given(
+        seed=st.integers(0, 10**6),
+        horizon=st.integers(1, 3),
+        d=st.integers(0, 4),
+        noisy=st.booleans(),
+        costs=st.sampled_from(["original", "zero", "ties"]),
+        pick=st.integers(0, 2**16),
+    )
+    def test_sweep(self, seed, horizon, d, noisy, costs, pick):
+        model = (noisy_model if noisy else certification_instance)(seed, horizon)
+        model = with_costs(model, costs, random.Random(seed))
+        info = build_delayed_structure(model, min(d, horizon + 1))
+        try:
+            value, memo, spent, charges = reference_solve(model, info, self.CAP)
+        except ResourceLimitExceeded as exc:
+            self.assert_same_limit(model, info, self.CAP, str(exc))
+            return
+        solution = solve_exact(model, info, self.CAP)
+        assert solution.value == value
+        assert list(solution.memo.items()) == list(memo.items())
+        assert solution.pairs_enumerated == spent
+        # a cap one pair short of some final-stage node's charge trips inside it
+        finals = [k for k, (t, _) in enumerate(charges) if t == horizon]
+        k = finals[pick % len(finals)]
+        cap = sum(charge for _, charge in charges[: k + 1]) - 1
+        with pytest.raises(ResourceLimitExceeded) as ref_exc:
+            reference_solve(model, info, cap)
+        assert f" at t={horizon}: " in str(ref_exc.value)
+        self.assert_same_limit(model, info, cap, str(ref_exc.value))
+
+    @staticmethod
+    def assert_same_limit(model, info, cap, message):
+        with pytest.raises(ResourceLimitExceeded) as exc:
+            solve_exact(model, info, cap)
+        assert str(exc.value) == message
+
+
+def uncached_solve(model, info):
+    """`solve_exact` with every node's `SharedStep` table on a fresh cache
+    and every shared posterior built afresh: no agent-1 step is reused
+    across nodes and no posterior is interned."""
+
+    class Uncached(solver_mod.SharedStep):
+        def __init__(self, model, info, b2, cache, choices):
+            super().__init__(model, info, b2, StepCache(), choices)
+            self.interned = None
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver_mod, "belief2_step", uncached)
+        mp.setattr(solver_mod, "SharedStep", Uncached)
         return solve_exact(model, info)
 
 
 def solve_recording(model, info):
     """`solve_exact`, and every posterior its shared steps returned."""
-    real = solver_mod.belief2_step
     seen = []
 
-    def recording(model, info, b2, g1, g2, cache):
-        branches = real(model, info, b2, g1, g2, cache)
-        seen.extend(post for _, post in branches.values())
-        return branches
+    class Recording(solver_mod.SharedStep):
+        def branches(self, parts):
+            out = super().branches(parts)
+            seen.extend(post for _, post in out.values())
+            return out
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver_mod, "belief2_step", recording)
+        mp.setattr(solver_mod, "SharedStep", Recording)
         return solve_exact(model, info), seen
 
 

@@ -357,6 +357,25 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out["all_equal"] is True
 
+    @pytest.mark.parametrize(
+        "command, edit, located",
+        [
+            (["solve", "--decoupled"], {"horizon": "2"}, "$.horizon: must be a non-negative integer"),
+            (["check-factorization"], {"f1": 5}, "$.f1: must be a list"),
+            (["check-factorization"], {"f2": [[[[0]]]]}, "$.f2: must have 2 elements, not 1"),
+            (["solve", "--decoupled"], {"obs2": [[[0], [5]]] * 3}, "$.obs2[0][1][0]: must be an integer in 0..1"),
+        ],
+    )
+    def test_malformed_decoupled_model_is_located_domain_error(self, tmp_path, capsys, command, edit, located):
+        doc = decoupled_to_json(decoupled_instance(0))
+        doc.update(edit, info={"kind": "delayed", "d": 1})
+        path = tmp_path / "dec.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main([command[0], str(path)] + command[1:]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"model file {path} is invalid: {located}" in captured.err
+
     def test_budget_env_var(self, tmp_path, monkeypatch, capsys):
         path = write_model(tmp_path, certification_instance(0))
         monkeypatch.setenv("NESTED_DP_BUDGET", "3")

@@ -111,25 +111,27 @@ class TestSupportRestriction:
 
     def test_one_agent1_step_per_cache_key(self, monkeypatch):
         """Within one solve, belief1_step runs once per (b1, u1, gamma2 on
-        b1's private support); the inner steps of belief2_step repeat."""
+        b1's private support); the agent-1 steps that the nodes' shared-step
+        tables look up repeat across nodes."""
         import nested_dp.beliefs as beliefs_mod
 
         model = certification_instance(0, horizon=2)
         info = split_delay_structure(model)
         keys = []
         inner = []
-        real_step1, real_step2 = beliefs_mod.belief1_step, solver_mod.belief2_step
+        real_step1 = beliefs_mod.belief1_step
 
         def counting_step1(model, info, b1, u1, gamma2):
             keys.append((b1, u1, tuple(gamma2(ell) for ell in b1.private_support())))
             return real_step1(model, info, b1, u1, gamma2)
 
-        def counting_step2(model, info, b2, *rest):
-            inner.append(len(b2.mixture()))
-            return real_step2(model, info, b2, *rest)
+        class CountingSharedStep(solver_mod.SharedStep):
+            def __init__(self, model, info, b2, cache, choices):
+                inner.append(len(choices))
+                super().__init__(model, info, b2, cache, choices)
 
         monkeypatch.setattr(beliefs_mod, "belief1_step", counting_step1)
-        monkeypatch.setattr(solver_mod, "belief2_step", counting_step2)
+        monkeypatch.setattr(solver_mod, "SharedStep", CountingSharedStep)
         solve_exact(model, info)
         assert keys and len(keys) == len(set(keys))
         assert sum(inner) > len(keys)
