@@ -47,6 +47,15 @@ agent-1 posterior is one object, and a shared posterior is looked up by its
 integer signature -- the branch's numerators divided by their gcd -- before
 any sort or Fraction is spent on it, so an equal belief reached again is
 the object built the first time.  Nothing is interned across solves.
+
+The cache also gives each distinct agent-1 posterior a per-solve id, a
+dense index in order of first sight.  The shared step keys its integer
+entries on (x, ell, id) rather than on the inner belief itself, so summing
+parts and signing a branch hash tuples of integers; a new shared posterior
+maps each id back to its belief and sorts by `_belief2_order`.  The shared
+step's branch totals stay integers over its one denominator, which the
+joint solver's integer argmin reads directly; `belief2_step` turns them
+into Fraction probabilities.
 """
 
 from __future__ import annotations
@@ -379,38 +388,39 @@ def _branches(acc: dict, denom: int, make, order=None, interned=None) -> dict:
     denominator, and its posterior as canonical entries (the (support, n)
     items sorted, by the key function `order` when given; weights n / total
     as reduced Fractions).  The result is built in sorted key order, so
-    iterating it needs no further sort.
-
-    With `interned`, a {signature: posterior} table, a branch whose
-    `_signature` is in the table takes the stored posterior, and no sort or
-    Fraction is spent on it; a new posterior is built as above and stored."""
+    iterating it needs no further sort.  `interned` is passed on to
+    `_posterior`."""
     out = {}
     for key in sorted(acc):
         nums = acc[key]
         total = sum(nums.values())
-        if interned is None:
-            post = _posterior(nums, total, make, order)
-        else:
-            sig = _signature(nums)
-            post = interned.get(sig)
-            if post is None:
-                post = interned[sig] = _posterior(nums, total, make, order)
-        out[key] = (Fraction(total, denom), post)
+        out[key] = (Fraction(total, denom), _posterior(nums, total, make, order, interned))
     return out
 
 
-def _posterior(nums: dict, total: int, make, order):
-    """make(canonical entries) of a branch `{support: n}`, weights n / total."""
-    items = sorted(nums.items(), key=order)
-    return make(tuple((k, Fraction(n, total)) for k, n in items))
+def _posterior(nums: dict, total: int, make, order, interned=None):
+    """make(canonical entries) of a branch `{support: n}`, weights n / total.
+
+    With `interned`, a {signature: posterior} table, a branch whose
+    `_signature` is in the table takes the stored posterior, and no sort or
+    Fraction is spent on it; a new posterior is built and stored."""
+    if interned is None:
+        return make(tuple((k, Fraction(n, total)) for k, n in sorted(nums.items(), key=order)))
+    sig = _signature(nums)
+    post = interned.get(sig)
+    if post is None:
+        post = interned[sig] = _posterior(nums, total, make, order)
+    return post
 
 
 def _signature(nums: dict) -> frozenset:
     """The posterior of a branch `{support: n}`, n positive, as a hashable
     integer key: the (support, n // g) pairs, g the gcd of the n.  A reduced
     vector of positive integers fixes the ratios n / total, so two branches
-    have equal signatures exactly when their posteriors are equal (a
-    shared belief's support points carry its time in their inner belief)."""
+    have equal signatures exactly when their posteriors are equal.  A shared
+    step's support points are (x, ell, i), i the solve's id of the inner
+    belief (`StepCache.ids`), which carries its time, so the key hashes
+    integers only."""
     g = math.gcd(*nums.values())
     return frozenset((k, n // g) for k, n in nums.items())
 
@@ -509,46 +519,49 @@ def update_belief1(
 # ---------------------------------------------------------------------------
 
 
-def _mixture_parts(denom: int, steps, key_of) -> tuple[int, list[dict]]:
+def _mixture_parts(denom: int, steps, key_of, ids: dict) -> tuple[int, list[dict]]:
     """Each agent-1 step's contribution to a shared step, over one common
     denominator.  `steps` lists (w, {z1: (q, b1')}) pairs, the mixture
     weight w an integer over `denom`; a step adds (w / denom) * q *
-    b1'(x, ell) to the entry (x, ell, b1') under the key `key_of(z1)`.  With
-    b1' scaled as (d, {(x, ell): n}), that term is w * q.numerator * n over
-    denom * q.denominator * d, so every term of every step shares the
-    denominator denom * L, L the lcm of the q.denominator * d.  Returns
-    (denom * L, parts), one part {key: {(x, ell, b1'): n}} per step, in
-    order: the summands that `_mixture_branches` adds up."""
+    b1'(x, ell) to the entry (x, ell, i) under the key `key_of(z1)`, i =
+    ids[b1'] the solve's id of b1' (`StepCache.ids`).  With b1' scaled as
+    (d, {(x, ell): n}), that term is w * q.numerator * n over denom *
+    q.denominator * d, so every term of every step shares the denominator
+    denom * L, L the lcm of the q.denominator * d.  Returns (denom * L,
+    parts), one part {key: {(x, ell, i): n}} per step, in order: the
+    summands that `_mixture_branches` adds up."""
     terms = []
     for w, branches in steps:
         step = []
         for z1, (q, b1) in branches.items():
             d, entries = b1.scaled()
-            step.append((w * q.numerator, q.denominator * d, key_of(z1), b1, entries))
+            step.append((w * q.numerator, q.denominator * d, key_of(z1), ids[b1], entries))
         terms.append(step)
     common = math.lcm(*(d for step in terms for _, d, *_ in step))
     parts = []
     for step in terms:
         part: dict = {}
-        for c, d, key, b1, entries in step:
+        for c, d, key, i, entries in step:
             c *= common // d
             weights = part.get(key)
             if weights is None:
                 weights = part[key] = {}
             for (x, ell), n in entries:
-                entry = (x, ell, b1)
+                entry = (x, ell, i)
                 weights[entry] = weights.get(entry, 0) + c * n
         parts.append(part)
     return denom * common, parts
 
 
 def _mixture_branches(
-    t: int, denom: int, parts: list[dict], interned=None
-) -> dict[tuple[int, ...], tuple[Fraction, Belief2]]:
-    """Shared-belief branches at time t from `_mixture_parts` parts over
-    `denom`: each key's entries summed over the parts, then normalized by
-    `_branches`, which `interned` is passed on to.  A key that one part
-    alone holds is read off that part without a copy."""
+    t: int, parts: list[dict], points: list[Belief1], interned=None
+) -> dict[tuple[int, ...], tuple[int, Belief2]]:
+    """Shared-belief branches at time t from `_mixture_parts` parts: each
+    key's entries summed over the parts, in sorted key order, as {key:
+    (total, posterior)} with the integer total over the parts' denominator.
+    A key that one part alone holds is read off that part without a copy.
+    A new posterior maps each entry (x, ell, i) back to (x, ell, points[i])
+    and sorts by `_belief2_order`; `interned` is passed on to `_posterior`."""
     groups: dict = {}
     summed = set()  # keys whose group is a copy, owned here
     for part in parts:
@@ -562,7 +575,20 @@ def _mixture_branches(
                 group = groups[key] = dict(group)
             for entry, n in weights.items():
                 group[entry] = group.get(entry, 0) + n
-    return _branches(groups, denom, partial(Belief2, t), lambda kv: _belief2_order(kv[0]), interned)
+
+    def make(entries):
+        return Belief2(t, tuple(((x, ell, points[i]), w) for (x, ell, i), w in entries))
+
+    def order(item):
+        x, ell, i = item[0]
+        return _belief2_order((x, ell, points[i]))
+
+    out = {}
+    for key in sorted(groups):
+        nums = groups[key]
+        total = sum(nums.values())
+        out[key] = (total, _posterior(nums, total, make, order, interned))
+    return out
 
 
 def initial_belief2_roots(
@@ -588,24 +614,37 @@ class StepCache:
       roots     `initial_belief1_roots`, built on first use;
       steps     agent-1 steps, keyed on (b1, u1, gamma2 on b1's private
                 support);
-      beliefs1  each distinct agent-1 posterior (in roots and steps);
+      ids       each distinct agent-1 posterior (in roots and steps), keyed
+                by value, to its id: a dense index in order of first sight;
+      points    the posteriors by id, each the object first built;
       beliefs2  each distinct shared posterior, keyed on its `_signature`.
+
+    A shared step keys its entries on (x, ell, id), so merging and signing
+    them hashes integers only; a new shared posterior maps the ids back
+    through `points`.
 
     The roots and steps run through the module's `initial_belief1_roots`
     and `belief1_step`, looked up at call time, so a rebound function is
     the one called."""
 
-    __slots__ = ("roots", "steps", "beliefs1", "beliefs2")
+    __slots__ = ("roots", "steps", "ids", "points", "beliefs2")
 
     def __init__(self):
         self.roots: dict | None = None
         self.steps: dict = {}
-        self.beliefs1: dict[Belief1, Belief1] = {}
+        self.ids: dict[Belief1, int] = {}
+        self.points: list[Belief1] = []
         self.beliefs2: dict[frozenset, Belief2] = {}
 
     def _interned(self, branches: dict) -> dict:
-        intern = self.beliefs1.setdefault
-        return {z1: (q, intern(post, post)) for z1, (q, post) in branches.items()}
+        ids, points = self.ids, self.points
+        out = {}
+        for z1, (q, post) in branches.items():
+            i = ids.setdefault(post, len(points))
+            if i == len(points):
+                points.append(post)
+            out[z1] = (q, points[i])
+        return out
 
     def roots1(self, model: TeamModel, info: InfoStructure) -> dict[tuple[int, ...], tuple[Fraction, Belief1]]:
         """`initial_belief1_roots`, cached, with interned posteriors."""
@@ -617,7 +656,8 @@ class StepCache:
         """`initial_belief2_roots`, built on the cached agent-1 roots, with
         interned posteriors."""
         z2_of = step_plan(info, -1).z2_of  # a2[0] = z2[0]
-        return _mixture_branches(0, *_mixture_parts(1, [(1, self.roots1(model, info))], z2_of), self.beliefs2)
+        denom, parts = _mixture_parts(1, [(1, self.roots1(model, info))], z2_of, self.ids)
+        return _fractions(_mixture_branches(0, parts, self.points, self.beliefs2), denom)
 
     def root1(self, model: TeamModel, info: InfoStructure, z1: tuple[int, ...]) -> Belief1:
         """Agent 1's time-0 belief after the new information z1."""
@@ -676,11 +716,17 @@ def belief2_step(
     The agent-1 steps come from `cache.step1`, and each posterior equal to
     one the cache has seen is returned as that same object.  The mixture
     is a `SharedStep` over these agent-1 steps, one per inner belief: the
-    table the joint solver builds per node, here for one pair.
+    table the joint solver builds per node, here for one pair, whose
+    integer branch totals become Fractions here.
     """
     choices = ((b1, gamma1(b1), tuple(map(gamma2, b1.private_support()))) for b1 in b2.mixture_numerators()[1])
     step = SharedStep(model, info, b2, cache, choices)
-    return step.branches(step.parts)
+    return _fractions(step.branches(step.parts), step.denom)
+
+
+def _fractions(branches: dict, denom: int) -> dict:
+    """`_mixture_branches` output with each integer total as total / denom."""
+    return {key: (Fraction(total, denom), post) for key, (total, post) in branches.items()}
 
 
 class SharedStep:
@@ -691,15 +737,17 @@ class SharedStep:
     `choices` yields (b1, u1, acts) triples: an inner belief of b2, its
     agent-1 action, and agent 2's actions on b1.private_support().  Each
     choice's agent-1 step comes from `cache.step1_on` and is turned once
-    into its contribution to the shared step (`_mixture_parts`); all the
-    contributions share one denominator, so `parts[k]`, the k-th choice's,
-    is a table of integers.  `branches(parts)` sums the parts of one
-    prescription pair, one per inner belief, and returns its
-    `belief2_step` branches, each posterior interned in `interned` (the
-    cache's shared-posterior table; None builds every posterior afresh).
+    into its contribution to the shared step (`_mixture_parts`), its
+    entries keyed on the cache's inner-belief ids; all the contributions
+    share the one denominator `denom`, so `parts[k]`, the k-th choice's, is
+    a table of integers.  `branches(parts)` sums the parts of one
+    prescription pair, one per inner belief, and returns its branches as
+    {z2: (total, posterior)}, each branch probability the integer total /
+    `denom`, each posterior interned in `interned` (the cache's
+    shared-posterior table; None builds every posterior afresh).
     """
 
-    __slots__ = ("t", "denom", "parts", "interned")
+    __slots__ = ("t", "denom", "parts", "points", "interned")
 
     def __init__(self, model: TeamModel, info: InfoStructure, b2: Belief2, cache: StepCache, choices):
         t = b2.t
@@ -708,11 +756,12 @@ class SharedStep:
         denom, mixture = b2.mixture_numerators()
         steps = [(mixture[b1], cache.step1_on(model, info, b1, u1, acts)) for b1, u1, acts in choices]
         self.t = t
-        self.denom, self.parts = _mixture_parts(denom, steps, step_plan(info, t).z2_of)
+        self.denom, self.parts = _mixture_parts(denom, steps, step_plan(info, t).z2_of, cache.ids)
+        self.points = cache.points
         self.interned = cache.beliefs2
 
-    def branches(self, parts: list[dict]) -> dict[tuple[int, ...], tuple[Fraction, Belief2]]:
-        return _mixture_branches(self.t + 1, self.denom, parts, self.interned)
+    def branches(self, parts: list[dict]) -> dict[tuple[int, ...], tuple[int, Belief2]]:
+        return _mixture_branches(self.t + 1, parts, self.points, self.interned)
 
 
 def update_belief2(

@@ -156,6 +156,14 @@ def _ratio(node, where: str) -> Fraction:
     raise NestedDPError(f"{where}: must be a 'p/q' string")
 
 
+def _ratio_option(text: str, where: str) -> Fraction:
+    """A 'p/q' command-line value; anything else is a located error."""
+    try:
+        return parse_ratio(text)
+    except (ValueError, ZeroDivisionError):
+        raise NestedDPError(f"{where} ({text!r}) is not a p/q ratio") from None
+
+
 def _dist(node, where: str) -> None:
     weights = [_ratio(w, f"{where}[{i}]") for i, w in enumerate(_list_of(node, where))]
     ok = weights and all(0 <= w <= 1 for w in weights) and sum(weights) == 1
@@ -398,10 +406,10 @@ def _cmd_pbp_approx(args) -> int:
 
 
 def _cmd_alpha(args) -> int:
+    jl = _ratio_option(args.jl, "--jl") if args.jl else None
     model, _, info = _load(args.model, args.delay)
     psi2 = _load_psi2(args.psi2, model, info)
     pbp = solver_mod.solve_pbp_approx(model, info, psi2, args.n, args.budget)
-    jl = parse_ratio(args.jl) if args.jl else None
     inputs = solver_mod.make_alpha_inputs(pbp, jl)
     alphas = solver_mod.alpha_bound(inputs, model.horizon)
     _emit(
@@ -464,7 +472,9 @@ def _cmd_lattice(args) -> int:
 
 
 def _cmd_quantize(args) -> int:
-    vector = tuple(parse_ratio(part) for part in args.vector.split(","))
+    vector = tuple(
+        _ratio_option(part, f"--vector: coordinate {k}") for k, part in enumerate(args.vector.split(","), 1)
+    )
     if min(vector) < 0 or sum(vector) != 1:
         raise NestedDPError("--vector must be a probability vector")
     bound = lat.error_bound(len(vector), args.n)  # rejects n < 1

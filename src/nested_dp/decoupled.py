@@ -42,7 +42,7 @@ from .model import (
     _space_to_json,
 )
 from .oracle import JointTable, condition, trajectory
-from .solver import MemoArgmin
+from .solver import MemoArgmin, _over_lcm
 
 __all__ = [
     "DecoupledModel",
@@ -468,7 +468,7 @@ def solve_decoupled_pbp(
         return (theta1.t, x1, theta2, a2real)
 
     def expand(node):
-        return node[0].t, 1, actions(*node)
+        return (node[0].t, 1, *_over_lcm(actions(*node)))
 
     def actions(theta1: MarginalBelief, theta2: MarginalBelief, a2real):
         t = theta1.t

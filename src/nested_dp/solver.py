@@ -28,6 +28,14 @@ Three solvers live here:
 
 All three, and `decoupled.solve_decoupled_pbp`, run on `MemoArgmin`, one
 memoized top-down argmin that owns the memo, the budget and the tie-break.
+It scores in exact integers: each node gives its candidates' costs and
+successor weights as integers over one per-node scale, a candidate's value
+is kept as an unreduced integer ratio and compared with the best by
+cross-multiplying, and each node builds one Fraction, its value.  The joint
+solve's scale is the stage-cost denominator times its shared step's; the
+person-by-person solves scale each node's Fraction costs and step
+probabilities to their lcm (`_over_lcm`).
+
 Top-down recursion (rather than bottom-up tabulation) is deliberate: the
 reachable belief set is tiny compared to the continuum, and only reachable
 realizations influence the objective.  Candidates are enumerated in a fixed
@@ -51,6 +59,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -127,15 +136,23 @@ def all_agent1_prescriptions(t: int, points: list[Belief1], n_actions: int):
 
 
 class MemoArgmin:
-    """Memoized top-down argmin over information states.
+    """Memoized top-down argmin over information states, in exact integers.
 
     For a node missing from the memo, `expand(node)` returns its stage t,
-    its charge against the budget, and its candidates: (decision tuple,
-    stage cost, weighted successor nodes), in enumeration order.  Successors
-    are solved in the order given, so memo insertion order is the visit
-    order.  The first minimizer wins and is stored as
-    memo[key(node)] = (value, *decision); `key` defaults to the node itself.
-    `spent` is the running total of charges.
+    its charge against the budget, a positive integer `scale`, and its
+    candidates: (decision tuple, cost, weighted successor nodes), in
+    enumeration order, each cost and successor weight an integer over
+    `scale`.  A candidate's value is (cost + sum of weight * value of
+    successor) / scale.  The loop keeps that sum as an unreduced integer
+    ratio n / d, folding in each successor value's numerator and
+    denominator, and compares it with the best so far by cross-multiplying;
+    every candidate shares `scale`, so it drops out of the comparison.
+    Only a strictly smaller value replaces the best, so the first minimizer
+    wins, and the node builds one Fraction, its value, stored as
+    memo[key(node)] = (value, *decision); `key` defaults to the node
+    itself.  Successors are solved in the order given, so memo insertion
+    order is the visit order.  `spent` is the running total of charges,
+    checked after `expand` returns and before any candidate is scored.
     """
 
     def __init__(self, memo: dict, cap: int, unit: str, expand, key=None):
@@ -151,7 +168,7 @@ class MemoArgmin:
         hit = self.memo.get(key)
         if hit is not None:
             return hit[0]
-        t, charge, candidates = self.expand(node)
+        t, charge, scale, candidates = self.expand(node)
         self.spent += charge
         if self.spent > self.cap:
             raise ResourceLimitExceeded(
@@ -159,14 +176,36 @@ class MemoArgmin:
                 f"{self.spent} counted, {charge} of them at this node",
                 estimate=self.spent,
             )
+        value = self.value
         best = None
-        for decision, v, successors in candidates:
-            for p, nxt in successors:
-                v += p * self.value(nxt)
-            if best is None or v < best[0]:
-                best = (v, *decision)
-        self.memo[key] = best
-        return best[0]
+        for decision, n, successors in candidates:
+            d = 1  # the candidate's value so far is n / (d * scale)
+            for w, nxt in successors:
+                v = value(nxt)
+                b = v.denominator
+                if b == d:
+                    n += w * v.numerator
+                else:
+                    n = n * b + w * v.numerator * d
+                    d *= b
+            if best is None or n * best_d < best_n * d:
+                best, best_n, best_d = decision, n, d
+        v = Fraction(best_n, best_d * scale)
+        self.memo[key] = (v, *best)
+        return v
+
+
+def _over_lcm(candidates) -> tuple[int, list]:
+    """Candidates with Fraction costs and successor weights, as `MemoArgmin`
+    takes them: (scale, rows), scale the lcm of every denominator and each
+    cost and weight an integer over it."""
+    rows = [(decision, cost, list(successors)) for decision, cost, successors in candidates]
+    scale = math.lcm(*(c.denominator for _, c, _ in rows), *(p.denominator for *_, succ in rows for p, _ in succ))
+    return scale, [
+        (decision, cost.numerator * (scale // cost.denominator),
+         [(p.numerator * (scale // p.denominator), nxt) for p, nxt in succ])
+        for decision, cost, succ in rows
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -246,13 +285,24 @@ def solve_exact(model: TeamModel, info: InfoStructure, budget: int | None = None
     At t < T the node's `beliefs.SharedStep` turns each agent-1 step it can
     take -- an inner belief b1, its action, agent 2's actions on b1's
     private support -- into that step's integer part of the shared step,
-    once; a pair's `belief2_step` branches are the sum of |points| parts,
-    interned by signature.  Agent-1 steps are cached for the whole solve in
-    one `StepCache`, which interns the posteriors of every Bayes step: an
-    equal belief reached again is found by its integer signature and
-    returned as the object first built, so memo lookups on it succeed by
-    identity.  The cache is kept on the solution as `ExactSolution.cache`,
-    where the policy walk and the executor reuse its steps.
+    once, its entries keyed on the solve's inner-belief ids; the scan reads
+    these parts by position (inner belief, then u1, then agent 2's actions
+    on b1's support), and a pair's `belief2_step` branches are the sum of
+    |points| parts, interned by signature.  Agent-1 steps are cached for the
+    whole solve in one `StepCache`, which interns the posteriors of every
+    Bayes step: an equal belief reached again is found by its integer
+    signature and returned as the object first built, so memo lookups on it
+    succeed by identity.  The cache is kept on the solution as
+    `ExactSolution.cache`, where the policy walk and the executor reuse its
+    steps.
+
+    Every pair is scored in `MemoArgmin`'s integer loop.  With S = D * K
+    the stage-cost denominator and Dn the `SharedStep`'s, a node's scale is
+    S * Dn: a pair's cost c / S enters as c * Dn and a branch of integer
+    total n (probability n / Dn) as the weight n * S.  The final stage's
+    one candidate is its cost over S.  The node's table, the shared step
+    included, is built before the budget is charged; its pairs are scanned
+    after.
     """
     T = model.horizon
     cache = StepCache()
@@ -267,7 +317,7 @@ def solve_exact(model: TeamModel, info: InfoStructure, budget: int | None = None
         n_u2 = model.action_space(2, t).size
         n_pairs = (n_u1 ** len(points)) * (n_u2 ** len(live))
         scan = final_stage if t == T else candidates
-        return t, n_pairs, scan(b2, t, points, live, n_u1, n_u2)
+        return (t, n_pairs, *scan(b2, t, points, live, n_u1, n_u2))
 
     def cost_table(b2, t, points, live, n_u1, n_u2):
         """(D * K, h) with h[(i, j)][u1][u2] for points[i] and live[j]."""
@@ -297,17 +347,21 @@ def solve_exact(model: TeamModel, info: InfoStructure, budget: int | None = None
 
     def final_stage(b2, t, points, live, n_u1, n_u2):
         scale, h = cost_table(b2, t, points, live, n_u1, n_u2)
-        best = None
-        for a1 in itertools.product(range(n_u1), repeat=len(points)):
-            total, a2 = 0, []
-            for r in by_ell(h, a1, len(live), n_u2):
-                low = min(r)
-                total += low
-                a2.append(r.index(low))
-            if best is None or total < best[0]:
-                best = (total, a1, tuple(a2))
-        total, a1, a2 = best
-        yield (a1, a2), Fraction(total, scale), ()
+
+        def scan():
+            best = None
+            for a1 in itertools.product(range(n_u1), repeat=len(points)):
+                total, a2 = 0, []
+                for r in by_ell(h, a1, len(live), n_u2):
+                    low = min(r)
+                    total += low
+                    a2.append(r.index(low))
+                if best is None or total < best[0]:
+                    best = (total, a1, tuple(a2))
+            total, a1, a2 = best
+            yield (a1, a2), total, ()
+
+        return scale, scan()
 
     def candidates(b2, t, points, live, n_u1, n_u2):
         scale, h = cost_table(b2, t, points, live, n_u1, n_u2)
@@ -322,18 +376,29 @@ def solve_exact(model: TeamModel, info: InfoStructure, budget: int | None = None
             for acts in itertools.product(range(n_u2), repeat=len(read))
         ]
         step = SharedStep(model, info, b2, cache, choices)
-        part_of = dict(zip(choices, step.parts))
-        # by_u1[i][u1][a2]: the part of points[i]'s agent-1 step under (u1, a2)
-        by_u1 = [
-            [{a2: part_of[(b1, u1, tuple(a2[j] for j in read))] for a2 in all_a2} for u1 in range(n_u1)]
-            for b1, read in zip(points, reads)
-        ]
-        for a1 in itertools.product(range(n_u1), repeat=len(points)):
-            r = by_ell(h, a1, len(live), n_u2)
-            by_a2 = [parts[u1] for parts, u1 in zip(by_u1, a1)]
-            for a2 in all_a2:
-                cost = Fraction(sum(row[u2] for row, u2 in zip(r, a2)), scale)
-                yield (a1, a2), cost, step.branches([parts[a2] for parts in by_a2]).values()
+        # by_u1[i][u1][k]: the part of points[i]'s agent-1 step under (u1,
+        # all_a2[k]), read off the parts by position: choices run over
+        # points, then u1, then agent 2's actions on the read positions
+        by_u1, start = [], 0
+        for read in reads:
+            n_acts = n_u2 ** len(read)
+            at = [sum(a2[j] * n_u2 ** e for e, j in enumerate(reversed(read))) for a2 in all_a2]
+            by_u1.append([[step.parts[start + u1 * n_acts + k] for k in at] for u1 in range(n_u1)])
+            start += n_u1 * n_acts
+        # a pair's value is (c / scale + sum of (total / denom) * value):
+        # its cost c * denom and weights total * scale over scale * denom
+        denom = step.denom
+
+        def pairs():
+            for a1 in itertools.product(range(n_u1), repeat=len(points)):
+                r = by_ell(h, a1, len(live), n_u2)
+                by_a2 = [parts[u1] for parts, u1 in zip(by_u1, a1)]
+                for k, a2 in enumerate(all_a2):
+                    cost = sum(row[u2] for row, u2 in zip(r, a2)) * denom
+                    branches = step.branches([parts[k] for parts in by_a2])
+                    yield (a1, a2), cost, [(total * scale, b2n) for total, b2n in branches.values()]
+
+        return scale * denom, pairs()
 
     dp = MemoArgmin({}, resolve_budget(budget), "prescription pairs", expand)
     roots = cache.roots2(model, info)
@@ -557,7 +622,7 @@ def _pbp_solve(
     cache = sol.cache
 
     def expand(node):
-        return node[0].t, 1, actions(*node)
+        return (node[0].t, 1, *_over_lcm(actions(*node)))
 
     def actions(b1: Belief1, a2real: A2Real):
         t = b1.t

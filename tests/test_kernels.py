@@ -7,11 +7,14 @@ key, support point), normalized by Fraction division and made canonical by
 `belief1_step`, `initial_belief2_roots`, `belief2_step` and the four
 `decoupled` theta kernels -- must return equal branches, in equal order,
 with Fraction probabilities and entries, on every input below.  A
-reference solve built from these kernels and `expected_cost2` checks the
-solver's integer stage-cost tables and its action-tuple scan the same
-way, and a solve whose nodes' shared-step tables each take a fresh
-`StepCache` and intern nothing checks the solve-scope interning of
-posteriors.
+reference solve built from these kernels, `expected_cost2` and
+`ref_argmin` -- the Fraction argmin that `MemoArgmin`'s integer loop
+replaced -- checks the solver's integer stage-cost tables and its
+action-tuple scan the same way, and a solve whose nodes' shared-step tables
+each take a fresh `StepCache` and intern nothing checks the solve-scope
+interning of posteriors.  `MemoArgmin` itself is checked against
+`ref_argmin` on random candidate DAGs, and the person-by-person and
+decoupled solves against `ref_argmin` over their Fraction candidates.
 """
 
 import random
@@ -37,16 +40,26 @@ from nested_dp.beliefs import (
     _signature,
     belief1_step,
     belief2_step,
+    expected_cost1,
     expected_cost2,
     initial_belief1_roots,
     initial_belief2_roots,
 )
 from nested_dp.errors import ResourceLimitExceeded
 from nested_dp.generators import certification_instance, convergence_instance, decoupled_instance
-from nested_dp.info import build_delayed_structure, enumerate_private, merge_picker, step_plan
+from nested_dp.info import build_delayed_structure, enumerate_private, extend_a2, merge_picker, step_plan
 from nested_dp.model import Dist, FiniteSpace
 from nested_dp.sim import _Sampler
-from nested_dp.solver import MemoArgmin, all_agent1_prescriptions, all_agent2_prescriptions, solve_exact
+from nested_dp.solver import (
+    HashedPsi2,
+    MemoArgmin,
+    PbpSolution,
+    all_agent1_prescriptions,
+    all_agent2_prescriptions,
+    solve_exact,
+    solve_pbp_approx,
+    solve_pbp_exact,
+)
 from test_info import split_delay_structure
 
 # ---------------------------------------------------------------------------
@@ -177,10 +190,50 @@ def ref_theta2_step(dec, info, theta, gamma2):
     return ref_branches(acc, partial(MarginalBelief.from_weights, 2, t + 1))
 
 
+class ref_argmin:
+    """The Fraction argmin that `MemoArgmin` replaced, kept as its
+    reference.  `expand(node)` returns (t, charge, candidates), each
+    candidate (decision tuple, Fraction cost, (Fraction weight, successor)
+    pairs); a candidate's value is its cost plus each weight times its
+    successor's value, accumulated in Fractions, and the first minimizer is
+    stored as memo[key(node)] = (value, *decision)."""
+
+    def __init__(self, memo, cap, unit, expand, key=None):
+        self.memo = memo
+        self.cap = cap
+        self.unit = unit
+        self.expand = expand
+        self.key = key
+        self.spent = 0
+
+    def value(self, node):
+        key = node if self.key is None else self.key(node)
+        hit = self.memo.get(key)
+        if hit is not None:
+            return hit[0]
+        t, charge, candidates = self.expand(node)
+        self.spent += charge
+        if self.spent > self.cap:
+            raise ResourceLimitExceeded(
+                f"{self.unit} passed the cap of {self.cap} at t={t}: "
+                f"{self.spent} counted, {charge} of them at this node",
+                estimate=self.spent,
+            )
+        best = None
+        for decision, v, successors in candidates:
+            for p, nxt in successors:
+                v += p * self.value(nxt)
+            if best is None or v < best[0]:
+                best = (v, *decision)
+        self.memo[key] = best
+        return best[0]
+
+
 def reference_solve(model, info, budget=10**9):
-    """`solve_exact` with the Fraction kernels and `expected_cost2`: every
-    prescription pair scored in full, with the same support restriction,
-    enumeration order and budget charge, and no step cache.  Returns the
+    """`solve_exact` with the Fraction kernels, `expected_cost2` and
+    `ref_argmin`: every prescription pair scored in full, with the same
+    support restriction, enumeration order and budget charge, and no step
+    cache.  Returns the
     value, the memo, the pairs charged and each expansion's (t, charge), in
     order."""
     T = model.horizon
@@ -202,10 +255,79 @@ def reference_solve(model, info, budget=10**9):
             for g2 in all_agent2_prescriptions(t, l2_reals, n_u2, live)
         )
 
-    dp = MemoArgmin({}, budget, "prescription pairs", expand)
+    dp = ref_argmin({}, budget, "prescription pairs", expand)
     roots = ref_initial_belief2_roots(model, info)
     value = sum((p * dp.value(b2) for p, b2 in roots.values()), Fraction(0))
     return value, dp.memo, dp.spent, charges
+
+
+def reference_pbp(model, info, psi2, resolution=None):
+    """The person-by-person solve's Fraction candidates -- `expected_cost1`
+    and the cached agent-1 step's branch probabilities, snapped as the
+    solve snaps them -- scored by `ref_argmin`.  Returns the value and the
+    memo."""
+    T = model.horizon
+    plists = {t: enumerate_private(info, model, t) for t in range(T + 1)}
+    sol = PbpSolution(model, info, psi2, Fraction(0), {}, {}, resolution, plists)
+    cache = sol.cache
+
+    def expand(node):
+        b1, a2real = node
+        t = b1.t
+        g2 = psi2.prescription(t, a2real)
+        z2_of = step_plan(info, t).z2_of if t < T else None
+        return t, 1, (
+            ((u1,), expected_cost1(model, b1, u1, g2), (
+                (p, (sol.snap(b1n), extend_a2(info, t, a2real, z2_of(z1))))
+                for z1, (p, b1n) in (cache.step1(model, info, b1, u1, g2).items() if t < T else ())
+            ))
+            for u1 in range(model.action_space(1, t).size)
+        )
+
+    dp = ref_argmin(sol.memo, 10**9, "value nodes", expand)
+    a2_of = step_plan(info, -1).z2_of
+    roots = cache.roots1(model, info).items()
+    value = sum((p * dp.value((sol.snap(b1), a2_of(z1))) for z1, (p, b1) in roots), Fraction(0))
+    return value, dp.memo
+
+
+def reference_decoupled(dec, info, psi2, perfect_obs_1=False):
+    """`solve_decoupled_pbp`'s Fraction candidates, scored by `ref_argmin`.
+    Returns the value and the memo."""
+    T = dec.horizon
+
+    def point_key(node):
+        theta1, theta2, a2real = node
+        ((x1, _),) = theta1.items()
+        return (theta1.t, x1, theta2, a2real)
+
+    def expand(node):
+        theta1, theta2, a2real = node
+        t = theta1.t
+        g2 = psi2.prescription(t, a2real)
+        b2 = dec_mod.theta2_step(dec, info, theta2, g2).items() if t < T else ()
+
+        def candidates():
+            for u1 in range(dec.actions1[t].size):
+                v = Fraction(0)
+                for x1, p1 in theta1.items():
+                    for (x2, ell), p2 in theta2.items():
+                        v += p1 * p2 * dec.cost(t, x1, x2, u1, g2(ell))
+                b1 = dec_mod.theta1_step(dec, theta1, u1).values() if t < T else ()
+                yield (u1,), v, (
+                    (p1 * p2, (th1n, th2n, extend_a2(info, t, a2real, z2real)))
+                    for p1, th1n in b1
+                    for z2real, (p2, th2n) in b2
+                )
+
+        return t, 1, candidates()
+
+    dp = ref_argmin({}, 10**9, "value nodes", expand, point_key if perfect_obs_1 else None)
+    total = Fraction(0)
+    for p1, th1 in dec_mod.initial_theta1_roots(dec).values():
+        for a2real, (p2, th2) in dec_mod.initial_theta2_roots(dec, info).items():
+            total += p1 * p2 * dp.value((th1, th2, a2real))
+    return total, dp.memo
 
 
 # ---------------------------------------------------------------------------
@@ -503,6 +625,119 @@ class TestActionTupleScan:
         with pytest.raises(ResourceLimitExceeded) as exc:
             solve_exact(model, info, cap)
         assert str(exc.value) == message
+
+
+def random_dag(rng, costs):
+    """A random candidate DAG for `MemoArgmin`: (roots, {node: (t, charge,
+    scale, candidates)}), nodes in layers t = 0..depth, each candidate
+    (decision, integer cost, [(integer weight, node one layer down)]).
+    Costs are drawn from [-40, 40] ("mixed"), are all 0 ("zero"), or are
+    drawn from {-1, 0, 1} ("ties"); weights from [0, 5], so some successors
+    count for nothing, and a successor may repeat."""
+    draw = {"mixed": lambda: rng.randint(-40, 40), "zero": lambda: 0, "ties": lambda: rng.randint(-1, 1)}[costs]
+    depth = rng.randint(0, 4)
+    layers, size = [], 0
+    for _ in range(depth + 1):
+        width = rng.randint(1, 4)
+        layers.append(range(size, size + width))
+        size += width
+    nodes = {}
+    for t, layer in enumerate(layers):
+        for node in layer:
+            candidates = [
+                ((k,), draw(), [
+                    (rng.randint(0, 5), rng.choice(layers[t + 1])) for _ in range(rng.randint(0, 3) if t < depth else 0)
+                ])
+                for k in range(rng.randint(1, 4))
+            ]
+            nodes[node] = (t, rng.randint(0, 3), rng.randint(1, 12), candidates)
+    return list(layers[0]), nodes
+
+
+def fraction_candidates(nodes, charges):
+    """`ref_argmin`'s expand over a `random_dag`: each integer over the
+    node's scale as a Fraction; every expansion's (t, charge) is appended to
+    `charges`."""
+
+    def expand(node):
+        t, charge, scale, candidates = nodes[node]
+        charges.append((t, charge))
+        return t, charge, (
+            (decision, Fraction(cost, scale), [(Fraction(w, scale), nxt) for w, nxt in successors])
+            for decision, cost, successors in candidates
+        )
+
+    return expand
+
+
+class TestMemoArgmin:
+    """`MemoArgmin` scores candidates as integer ratios over a per-node
+    scale; `ref_argmin`, the Fraction loop it replaced, must give equal
+    values, memo rows in order, charges and budget messages."""
+
+    @given(seed=st.integers(0, 2**32), costs=st.sampled_from(["mixed", "zero", "ties"]), pick=st.integers(0, 2**16))
+    def test_sweep(self, seed, costs, pick):
+        roots, nodes = random_dag(random.Random(seed), costs)
+        charges = []
+        ref = ref_argmin({}, 10**9, "value nodes", fraction_candidates(nodes, charges))
+        ours = MemoArgmin({}, 10**9, "value nodes", nodes.__getitem__)
+        assert [ours.value(r) for r in roots] == [ref.value(r) for r in roots]
+        assert list(ours.memo.items()) == list(ref.memo.items())
+        assert all(type(v) is Fraction for v, _ in ours.memo.values())
+        assert ours.spent == ref.spent
+        # a cap one short of some charged expansion trips there
+        charged = [k for k, (_, charge) in enumerate(charges) if charge]
+        if not charged:
+            return
+        k = charged[pick % len(charged)]
+        cap = sum(charge for _, charge in charges[: k + 1]) - 1
+        with pytest.raises(ResourceLimitExceeded) as ref_exc:
+            ref = ref_argmin({}, cap, "value nodes", fraction_candidates(nodes, []))
+            for r in roots:
+                ref.value(r)
+        with pytest.raises(ResourceLimitExceeded) as exc:
+            ours = MemoArgmin({}, cap, "value nodes", nodes.__getitem__)
+            for r in roots:
+                ours.value(r)
+        assert str(exc.value) == str(ref_exc.value)
+        assert f"at t={charges[k][0]}: {cap + 1} counted" in str(exc.value)
+
+    @given(
+        seed=st.integers(0, 10**6),
+        horizon=st.integers(1, 2),
+        d=st.integers(0, 3),
+        noisy=st.booleans(),
+        resolution=st.sampled_from([None, 1, 2, 3, 5]),
+    )
+    def test_pbp_memos(self, seed, horizon, d, noisy, resolution):
+        model = (noisy_model if noisy else certification_instance)(seed, horizon)
+        info = build_delayed_structure(model, min(d, horizon + 1))
+        psi2 = HashedPsi2(model, info, seed)
+        if resolution is None:
+            ours = solve_pbp_exact(model, info, psi2)
+        else:
+            ours = solve_pbp_approx(model, info, psi2, resolution)
+        value, memo = reference_pbp(model, info, psi2, resolution)
+        assert ours.value == value
+        assert list(ours.memo.items()) == list(memo.items())
+
+    @given(
+        seed=st.integers(0, 10**6),
+        horizon=st.integers(1, 3),
+        d=st.integers(0, 2),
+        perfect=st.booleans(),
+        noisy=st.booleans(),
+    )
+    def test_decoupled_memos(self, seed, horizon, d, perfect, noisy):
+        perfect = perfect and not noisy  # noisy models observe their own state through noise
+        dec = (noisy_decoupled if noisy else decoupled_instance)(seed, horizon, perfect)
+        emb = dec_mod.embed(dec)
+        info = build_delayed_structure(emb, min(d, horizon + 1))
+        psi2 = HashedPsi2(emb, info, seed)
+        ours = dec_mod.solve_decoupled_pbp(dec, info, psi2, perfect)
+        value, memo = reference_decoupled(dec, info, psi2, perfect)
+        assert ours.value == value
+        assert list(ours.memo.items()) == list(memo.items())
 
 
 def uncached_solve(model, info):

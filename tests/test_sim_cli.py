@@ -191,6 +191,24 @@ class TestCli:
         assert doc["point"] == ["1/16"] * 16
         assert doc["distance"] == "0/1"
 
+    @pytest.mark.parametrize(
+        "vector, located",
+        [
+            ("1/0,1", "--vector: coordinate 1 ('1/0') is not a p/q ratio"),
+            ("a,b", "--vector: coordinate 1 ('a') is not a p/q ratio"),
+            ("1/2,x", "--vector: coordinate 2 ('x') is not a p/q ratio"),
+        ],
+    )
+    def test_quantize_bad_coordinate_is_located(self, vector, located, capsys):
+        assert cli_main(["quantize", "--vector", vector, "--n", "2"]) == 1
+        assert capsys.readouterr().err == f"error: {located}\n"
+
+    def test_alpha_bad_lipschitz_is_located(self, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model_to_json(certification_instance(0))))
+        assert cli_main(["alpha", str(path), "--psi2", "unused.json", "--n", "2", "--jl", "1/0"]) == 1
+        assert capsys.readouterr().err == "error: --jl ('1/0') is not a p/q ratio\n"
+
     def test_malformed_explicit_info_is_located_domain_error(self, tmp_path, capsys):
         doc = model_to_json(certification_instance(0))
         doc["info"] = {"kind": "explicit", "m1": 5, "m2": [], "a2": []}

@@ -21,7 +21,6 @@ from nested_dp.solver import (
     AlphaBoundInputs,
     ConstantPsi2,
     HashedPsi2,
-    MemoArgmin,
     PrescriptionTeamStrategy,
     TablePsi2,
     alpha_bound,
@@ -39,13 +38,14 @@ from nested_dp.solver import (
 )
 from nested_dp.info import enumerate_private
 from test_info import split_delay_structure
+from test_kernels import ref_argmin
 
 
 def full_scan_solve(model, info):
     """The joint DP without the support restriction or a shared step cache
     (each step gets a fresh `StepCache`): every agent-2 map over
-    `enumerate_private` at every node.  Returns the
-    value and the memo."""
+    `enumerate_private` at every node, scored by the Fraction `ref_argmin`.
+    Returns the value and the memo."""
     T = model.horizon
 
     def expand(b2):
@@ -61,7 +61,7 @@ def full_scan_solve(model, info):
             for g2 in all_agent2_prescriptions(t, l2_reals, n_u2)
         )
 
-    dp = MemoArgmin({}, 0, "prescription pairs", expand)
+    dp = ref_argmin({}, 0, "prescription pairs", expand)
     value = sum((p * dp.value(b2) for p, b2 in initial_belief2_roots(model, info).values()), Fraction(0))
     return value, dp.memo
 
