@@ -468,7 +468,7 @@ def solve_decoupled_pbp(
         return (theta1.t, x1, theta2, a2real)
 
     def expand(node):
-        return (node[0].t, 1, *_over_lcm(actions(*node)))
+        return node[0].t, 1, _over_lcm(actions(*node))
 
     def actions(theta1: MarginalBelief, theta2: MarginalBelief, a2real):
         t = theta1.t

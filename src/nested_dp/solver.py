@@ -30,11 +30,12 @@ All three, and `decoupled.solve_decoupled_pbp`, run on `MemoArgmin`, one
 memoized top-down argmin that owns the memo, the budget and the tie-break.
 It scores in exact integers: each node gives its candidates' costs and
 successor weights as integers over one per-node scale, a candidate's value
-is kept as an unreduced integer ratio and compared with the best by
-cross-multiplying, and each node builds one Fraction, its value.  The joint
-solve's scale is the stage-cost denominator times its shared step's; the
-person-by-person solves scale each node's Fraction costs and step
-probabilities to their lcm (`_over_lcm`).
+is kept as an integer ratio over the lcm of its successors' denominators
+and compared with the best by cross-multiplying, and each node builds one
+Fraction, its value.  A node's candidates are built only after its charge
+passes the budget.  The joint solve's scale is the stage-cost denominator
+times its shared step's; the person-by-person solves scale each node's
+Fraction costs and step probabilities to their lcm (`_over_lcm`).
 
 Top-down recursion (rather than bottom-up tabulation) is deliberate: the
 reachable belief set is tiny compared to the continuum, and only reachable
@@ -139,20 +140,22 @@ class MemoArgmin:
     """Memoized top-down argmin over information states, in exact integers.
 
     For a node missing from the memo, `expand(node)` returns its stage t,
-    its charge against the budget, a positive integer `scale`, and its
-    candidates: (decision tuple, cost, weighted successor nodes), in
-    enumeration order, each cost and successor weight an integer over
-    `scale`.  A candidate's value is (cost + sum of weight * value of
-    successor) / scale.  The loop keeps that sum as an unreduced integer
+    its charge against the budget, and an iterator of its candidates that
+    first yields a positive integer `scale` and then each candidate:
+    (decision tuple, cost, weighted successor nodes), in enumeration
+    order, each cost and successor weight an integer over `scale`.  The
+    charge is added to `spent` and checked against the cap before the
+    iterator is advanced, so a node the cap refuses does none of the work
+    its candidates need.  A candidate's value is (cost + sum of weight *
+    value of successor) / scale.  The loop keeps that sum as an integer
     ratio n / d, folding in each successor value's numerator and
-    denominator, and compares it with the best so far by cross-multiplying;
-    every candidate shares `scale`, so it drops out of the comparison.
-    Only a strictly smaller value replaces the best, so the first minimizer
-    wins, and the node builds one Fraction, its value, stored as
-    memo[key(node)] = (value, *decision); `key` defaults to the node
-    itself.  Successors are solved in the order given, so memo insertion
-    order is the visit order.  `spent` is the running total of charges,
-    checked after `expand` returns and before any candidate is scored.
+    denominator by lcm, and compares it with the best so far by
+    cross-multiplying; every candidate shares `scale`, so it drops out of
+    the comparison.  Only a strictly smaller value replaces the best, so
+    the first minimizer wins, and the node builds one Fraction, its value,
+    stored as memo[key(node)] = (value, *decision); `key` defaults to the
+    node itself.  Successors are solved in the order given, so memo
+    insertion order is the visit order.
     """
 
     def __init__(self, memo: dict, cap: int, unit: str, expand, key=None):
@@ -168,7 +171,7 @@ class MemoArgmin:
         hit = self.memo.get(key)
         if hit is not None:
             return hit[0]
-        t, charge, scale, candidates = self.expand(node)
+        t, charge, candidates = self.expand(node)
         self.spent += charge
         if self.spent > self.cap:
             raise ResourceLimitExceeded(
@@ -176,18 +179,17 @@ class MemoArgmin:
                 f"{self.spent} counted, {charge} of them at this node",
                 estimate=self.spent,
             )
-        value = self.value
+        value, gcd = self.value, math.gcd
+        scale = next(candidates)
         best = None
         for decision, n, successors in candidates:
             d = 1  # the candidate's value so far is n / (d * scale)
             for w, nxt in successors:
                 v = value(nxt)
                 b = v.denominator
-                if b == d:
-                    n += w * v.numerator
-                else:
-                    n = n * b + w * v.numerator * d
-                    d *= b
+                g = gcd(d, b)
+                n = n * (b // g) + w * v.numerator * (d // g)
+                d = d // g * b
             if best is None or n * best_d < best_n * d:
                 best, best_n, best_d = decision, n, d
         v = Fraction(best_n, best_d * scale)
@@ -195,17 +197,17 @@ class MemoArgmin:
         return v
 
 
-def _over_lcm(candidates) -> tuple[int, list]:
+def _over_lcm(candidates):
     """Candidates with Fraction costs and successor weights, as `MemoArgmin`
-    takes them: (scale, rows), scale the lcm of every denominator and each
-    cost and weight an integer over it."""
+    takes them: first the scale, the lcm of every denominator, then each
+    candidate with its cost and weights as integers over it.  Nothing runs
+    before the first item is asked for."""
     rows = [(decision, cost, list(successors)) for decision, cost, successors in candidates]
     scale = math.lcm(*(c.denominator for _, c, _ in rows), *(p.denominator for *_, succ in rows for p, _ in succ))
-    return scale, [
-        (decision, cost.numerator * (scale // cost.denominator),
-         [(p.numerator * (scale // p.denominator), nxt) for p, nxt in succ])
-        for decision, cost, succ in rows
-    ]
+    yield scale
+    for decision, cost, succ in rows:
+        yield (decision, cost.numerator * (scale // cost.denominator),
+               [(p.numerator * (scale // p.denominator), nxt) for p, nxt in succ])
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +302,9 @@ def solve_exact(model: TeamModel, info: InfoStructure, budget: int | None = None
     the stage-cost denominator and Dn the `SharedStep`'s, a node's scale is
     S * Dn: a pair's cost c / S enters as c * Dn and a branch of integer
     total n (probability n / Dn) as the weight n * S.  The final stage's
-    one candidate is its cost over S.  The node's table, the shared step
-    included, is built before the budget is charged; its pairs are scanned
-    after.
+    one candidate is its cost over S.  Each node's tables, the shared step
+    included, are built only after its pairs are charged and the charge
+    passes the budget.
     """
     T = model.horizon
     cache = StepCache()
@@ -317,7 +319,7 @@ def solve_exact(model: TeamModel, info: InfoStructure, budget: int | None = None
         n_u2 = model.action_space(2, t).size
         n_pairs = (n_u1 ** len(points)) * (n_u2 ** len(live))
         scan = final_stage if t == T else candidates
-        return (t, n_pairs, *scan(b2, t, points, live, n_u1, n_u2))
+        return t, n_pairs, scan(b2, t, points, live, n_u1, n_u2)
 
     def cost_table(b2, t, points, live, n_u1, n_u2):
         """(D * K, h) with h[(i, j)][u1][u2] for points[i] and live[j]."""
@@ -347,21 +349,18 @@ def solve_exact(model: TeamModel, info: InfoStructure, budget: int | None = None
 
     def final_stage(b2, t, points, live, n_u1, n_u2):
         scale, h = cost_table(b2, t, points, live, n_u1, n_u2)
-
-        def scan():
-            best = None
-            for a1 in itertools.product(range(n_u1), repeat=len(points)):
-                total, a2 = 0, []
-                for r in by_ell(h, a1, len(live), n_u2):
-                    low = min(r)
-                    total += low
-                    a2.append(r.index(low))
-                if best is None or total < best[0]:
-                    best = (total, a1, tuple(a2))
-            total, a1, a2 = best
-            yield (a1, a2), total, ()
-
-        return scale, scan()
+        yield scale
+        best = None
+        for a1 in itertools.product(range(n_u1), repeat=len(points)):
+            total, a2 = 0, []
+            for r in by_ell(h, a1, len(live), n_u2):
+                low = min(r)
+                total += low
+                a2.append(r.index(low))
+            if best is None or total < best[0]:
+                best = (total, a1, tuple(a2))
+        total, a1, a2 = best
+        yield (a1, a2), total, ()
 
     def candidates(b2, t, points, live, n_u1, n_u2):
         scale, h = cost_table(b2, t, points, live, n_u1, n_u2)
@@ -388,17 +387,14 @@ def solve_exact(model: TeamModel, info: InfoStructure, budget: int | None = None
         # a pair's value is (c / scale + sum of (total / denom) * value):
         # its cost c * denom and weights total * scale over scale * denom
         denom = step.denom
-
-        def pairs():
-            for a1 in itertools.product(range(n_u1), repeat=len(points)):
-                r = by_ell(h, a1, len(live), n_u2)
-                by_a2 = [parts[u1] for parts, u1 in zip(by_u1, a1)]
-                for k, a2 in enumerate(all_a2):
-                    cost = sum(row[u2] for row, u2 in zip(r, a2)) * denom
-                    branches = step.branches([parts[k] for parts in by_a2])
-                    yield (a1, a2), cost, [(total * scale, b2n) for total, b2n in branches.values()]
-
-        return scale * denom, pairs()
+        yield scale * denom
+        for a1 in itertools.product(range(n_u1), repeat=len(points)):
+            r = by_ell(h, a1, len(live), n_u2)
+            by_a2 = [parts[u1] for parts, u1 in zip(by_u1, a1)]
+            for k, a2 in enumerate(all_a2):
+                cost = sum(row[u2] for row, u2 in zip(r, a2)) * denom
+                branches = step.branches([parts[k] for parts in by_a2])
+                yield (a1, a2), cost, [(total * scale, b2n) for total, b2n in branches.values()]
 
     dp = MemoArgmin({}, resolve_budget(budget), "prescription pairs", expand)
     roots = cache.roots2(model, info)
@@ -622,7 +618,7 @@ def _pbp_solve(
     cache = sol.cache
 
     def expand(node):
-        return (node[0].t, 1, *_over_lcm(actions(*node)))
+        return node[0].t, 1, _over_lcm(actions(*node))
 
     def actions(b1: Belief1, a2real: A2Real):
         t = b1.t

@@ -620,6 +620,40 @@ class TestActionTupleScan:
         assert f" at t={horizon}: " in str(ref_exc.value)
         self.assert_same_limit(model, info, cap, str(ref_exc.value))
 
+    @pytest.mark.parametrize(
+        "make, d",
+        [
+            (lambda: certification_instance(0, 2), 1),
+            (lambda: certification_instance(1, 2), 2),
+            (lambda: noisy_model(0, 2), 1),
+            (lambda: noisy_model(1, 2), 0),
+        ],
+    )
+    def test_refused_node_builds_no_shared_step(self, make, d):
+        """A cap one pair short of a non-final node's charge trips there
+        before that node's `SharedStep` is built: every table built belongs
+        to an earlier non-final node."""
+        model = make()
+        info = build_delayed_structure(model, d)
+        _, _, _, charges = reference_solve(model, info)
+        earlier = [k for k, (t, charge) in enumerate(charges) if t < model.horizon and charge]
+        assert earlier
+        for k in earlier:
+            cap = sum(charge for _, charge in charges[: k + 1]) - 1
+            built = []
+
+            class Counted(solver_mod.SharedStep):
+                def __init__(self, *args):
+                    built.append(len(built))
+                    super().__init__(*args)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(solver_mod, "SharedStep", Counted)
+                with pytest.raises(ResourceLimitExceeded) as exc:
+                    solve_exact(model, info, cap)
+            assert f" at t={charges[k][0]}: {cap + 1} counted" in str(exc.value)
+            assert len(built) == sum(t < model.horizon for t, _ in charges[:k])
+
     @staticmethod
     def assert_same_limit(model, info, cap, message):
         with pytest.raises(ResourceLimitExceeded) as exc:
@@ -670,6 +704,24 @@ def fraction_candidates(nodes, charges):
     return expand
 
 
+def integer_candidates(nodes, started):
+    """`MemoArgmin`'s expand over a `random_dag`: each node's scale, then
+    its candidates; each node whose iterator is advanced is appended to
+    `started`."""
+
+    def expand(node):
+        t, charge, scale, candidates = nodes[node]
+
+        def rows():
+            started.append(node)
+            yield scale
+            yield from candidates
+
+        return t, charge, rows()
+
+    return expand
+
+
 class TestMemoArgmin:
     """`MemoArgmin` scores candidates as integer ratios over a per-node
     scale; `ref_argmin`, the Fraction loop it replaced, must give equal
@@ -680,7 +732,7 @@ class TestMemoArgmin:
         roots, nodes = random_dag(random.Random(seed), costs)
         charges = []
         ref = ref_argmin({}, 10**9, "value nodes", fraction_candidates(nodes, charges))
-        ours = MemoArgmin({}, 10**9, "value nodes", nodes.__getitem__)
+        ours = MemoArgmin({}, 10**9, "value nodes", integer_candidates(nodes, []))
         assert [ours.value(r) for r in roots] == [ref.value(r) for r in roots]
         assert list(ours.memo.items()) == list(ref.memo.items())
         assert all(type(v) is Fraction for v, _ in ours.memo.values())
@@ -695,12 +747,15 @@ class TestMemoArgmin:
             ref = ref_argmin({}, cap, "value nodes", fraction_candidates(nodes, []))
             for r in roots:
                 ref.value(r)
+        started = []
         with pytest.raises(ResourceLimitExceeded) as exc:
-            ours = MemoArgmin({}, cap, "value nodes", nodes.__getitem__)
+            ours = MemoArgmin({}, cap, "value nodes", integer_candidates(nodes, started))
             for r in roots:
                 ours.value(r)
         assert str(exc.value) == str(ref_exc.value)
         assert f"at t={charges[k][0]}: {cap + 1} counted" in str(exc.value)
+        # the refused node's candidates were never started
+        assert len(started) == k
 
     @given(
         seed=st.integers(0, 10**6),
