@@ -15,10 +15,7 @@ from .beliefs import (
     Prescription,
     expected_cost1,
     expected_cost2,
-    initial_belief1,
-    initial_belief2,
     update_belief1,
-    update_belief2,
 )
 from .errors import (
     DomainGap,

@@ -77,17 +77,13 @@ __all__ = [
     "MarginalBelief",
     "Prescription",
     "update_belief1",
-    "update_belief2",
     "belief1_step",
     "belief2_step",
     "SharedStep",
     "StepCache",
     "expected_cost1",
     "expected_cost2",
-    "initial_belief1",
-    "initial_belief2",
     "initial_belief1_roots",
-    "initial_belief2_roots",
     "belief1_vector",
     "belief1_from_vector",
 ]
@@ -382,24 +378,23 @@ def _joint() -> defaultdict:
     return defaultdict(lambda: defaultdict(int))
 
 
-def _branches(acc: dict, denom: int, make, order=None, interned=None) -> dict:
+def _branches(acc: dict, denom: int, make) -> dict:
     """Turn `{key: {support: n}}`, joint weights n / denom with every n
     positive, into `{key: (total / denom, make(entries))}`: each key's Bayes
     denominator, and its posterior as canonical entries (the (support, n)
-    items sorted, by the key function `order` when given; weights n / total
-    as reduced Fractions).  The result is built in sorted key order, so
-    iterating it needs no further sort.  `interned` is passed on to
-    `_posterior`."""
+    items sorted; weights n / total as reduced Fractions).  The result is
+    built in sorted key order, so iterating it needs no further sort."""
     out = {}
     for key in sorted(acc):
         nums = acc[key]
         total = sum(nums.values())
-        out[key] = (Fraction(total, denom), _posterior(nums, total, make, order, interned))
+        out[key] = (Fraction(total, denom), _posterior(nums, total, make))
     return out
 
 
-def _posterior(nums: dict, total: int, make, order, interned=None):
-    """make(canonical entries) of a branch `{support: n}`, weights n / total.
+def _posterior(nums: dict, total: int, make, order=None, interned=None):
+    """make(canonical entries) of a branch `{support: n}`, weights n / total,
+    the items sorted by the key function `order` when given.
 
     With `interned`, a {signature: posterior} table, a branch whose
     `_signature` is in the table takes the stored posterior, and no sort or
@@ -423,14 +418,6 @@ def _signature(nums: dict) -> frozenset:
     integers only."""
     g = math.gcd(*nums.values())
     return frozenset((k, n // g) for k, n in nums.items())
-
-
-def _condition(branches: dict, key, message: str, *args):
-    """The posterior of one branch; an absent branch had probability 0 and
-    raises ZeroProbabilityObservation with `message.format(key, *args)`."""
-    if key not in branches:
-        raise ZeroProbabilityObservation(message.format(key, *args))
-    return branches[key][1]
 
 
 # ---------------------------------------------------------------------------
@@ -457,12 +444,6 @@ def initial_belief1_roots(
                 slots = (y1, model.h(2, 0, x0, v2))
                 acc[z1_of(slots)][(x0, ell_of(slots))] += n1 * nv2
     return _branches(acc, dx * dv1 * dv2, partial(Belief1, 0))
-
-
-def initial_belief1(model: TeamModel, info: InfoStructure, z1_0: tuple[int, ...]) -> Belief1:
-    return _condition(
-        initial_belief1_roots(model, info), z1_0, "initial realization {} has probability 0"
-    )
 
 
 def belief1_step(
@@ -591,21 +572,6 @@ def _mixture_branches(
     return out
 
 
-def initial_belief2_roots(
-    model: TeamModel, info: InfoStructure
-) -> dict[tuple[int, ...], tuple[Fraction, Belief2]]:
-    """Positive-probability time-0 accessible realizations and their shared
-    beliefs: each agent-1 root z1 -> (q, b1) puts weight q * b1(x, ell) on
-    (x, ell, b1) under the a2[0] part of z1 (a2[0] = z2[0] lies inside m1[0] = z1[0])."""
-    return StepCache().roots2(model, info)
-
-
-def initial_belief2(model: TeamModel, info: InfoStructure, a2_0: tuple[int, ...]) -> Belief2:
-    return _condition(
-        initial_belief2_roots(model, info), a2_0, "accessible realization {} has probability 0"
-    )
-
-
 class StepCache:
     """The Bayes-step memo of one (model, info), whose keys do not name
     them: each distinct agent-1 root set, agent-1 step and posterior is
@@ -653,8 +619,10 @@ class StepCache:
         return self.roots
 
     def roots2(self, model: TeamModel, info: InfoStructure) -> dict[tuple[int, ...], tuple[Fraction, Belief2]]:
-        """`initial_belief2_roots`, built on the cached agent-1 roots, with
-        interned posteriors."""
+        """Positive-probability time-0 accessible realizations and their
+        shared beliefs, with interned posteriors: each cached agent-1 root
+        z1 -> (q, b1) puts weight q * b1(x, ell) on (x, ell, b1) under the
+        a2[0] part of z1 (a2[0] = z2[0] lies inside m1[0] = z1[0])."""
         z2_of = step_plan(info, -1).z2_of  # a2[0] = z2[0]
         denom, parts = _mixture_parts(1, [(1, self.roots1(model, info))], z2_of, self.ids)
         return _fractions(_mixture_branches(0, parts, self.points, self.beliefs2), denom)
@@ -688,9 +656,15 @@ class StepCache:
     def update1(
         self, model: TeamModel, info: InfoStructure, b1: Belief1, u1: int, gamma2: Prescription, z1: tuple[int, ...]
     ) -> Belief1:
-        """`update_belief1`, cached: the posterior of `step1`'s branch z1."""
-        message = "new information {} impossible at t={} under the given belief and actions"
-        return _condition(self.step1(model, info, b1, u1, gamma2), z1, message, b1.t)
+        """`update_belief1`, cached: the posterior of `step1`'s branch z1.
+        An absent branch had probability 0 and raises
+        ZeroProbabilityObservation."""
+        branches = self.step1(model, info, b1, u1, gamma2)
+        if z1 not in branches:
+            raise ZeroProbabilityObservation(
+                f"new information {z1} impossible at t={b1.t} under the given belief and actions"
+            )
+        return branches[z1][1]
 
 
 def belief2_step(
@@ -762,22 +736,6 @@ class SharedStep:
 
     def branches(self, parts: list[dict]) -> dict[tuple[int, ...], tuple[int, Belief2]]:
         return _mixture_branches(self.t + 1, parts, self.points, self.interned)
-
-
-def update_belief2(
-    model: TeamModel,
-    info: InfoStructure,
-    b2: Belief2,
-    gamma1: Prescription,
-    gamma2: Prescription,
-    z2: tuple[int, ...],
-) -> Belief2:
-    return _condition(
-        belief2_step(model, info, b2, gamma1, gamma2, StepCache()),
-        z2,
-        "shared increment {} impossible at t={} under the given belief and prescriptions",
-        b2.t,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -97,11 +97,14 @@ def _load_info(path: str, doc: dict, model, delay_override: int | None):
 
 
 def _load_checked(path: str, what: str, check, *context):
-    """A JSON document whose shape `check(doc, *context)` accepts; a
-    violation becomes a NestedDPError naming the file, the JSON path and
-    the rule."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    """A JSON document whose shape `check(doc, *context)` accepts; a file
+    that is not UTF-8 JSON, or a violation, becomes a NestedDPError naming
+    the file (and, for a violation, the JSON path and the rule)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise NestedDPError(f"{what} file {path} is not valid JSON: {exc}") from None
     try:
         check(doc, *context)
     except NestedDPError as exc:
@@ -131,6 +134,13 @@ def _list_of(node, where: str, length: int | None = None) -> list:
     if length is not None:
         _expect(len(node) == length, where, f"must have {length} elements, not {len(node)}")
     return node
+
+
+def _unique(seen: dict, key, where: str, what: str) -> None:
+    """Record `key`, met at `where`; one met before is a located error,
+    since a later entry would silently replace the earlier one."""
+    first = seen.setdefault(key, where)
+    _expect(first == where, where, f"repeats the {what} of {first}")
 
 
 def _realization(node, vars, where: str, model, info) -> None:
@@ -260,19 +270,23 @@ def _check_psi2(doc, model, info) -> None:
     elif kind == "hashed":
         _expect(type(doc.get("seed")) is int, "$.seed", "must be an integer")
     elif kind == "table":
+        seen: dict = {}
         for i, entry in enumerate(_list_of(doc.get("entries"), "$.entries")):
             where = f"$.entries[{i}]"
             t, a2real, presc = _list_of(entry, where, 3)
             _int_below(t, T + 1, f"{where}[0]")
             _realization(a2real, info.a2[t], f"{where}[1]", model, info)
+            _unique(seen, (t, tuple(a2real)), where, "[t, accessible] pair")
             _expect(
                 isinstance(presc, dict) and [presc.get(k) for k in ("agent", "t", "domain")] == [2, t, "private"],
                 f"{where}[2]",
                 f"must be an agent-2 prescription for t={t} on the private domain",
             )
+            ells: dict = {}
             for j, pair in enumerate(_list_of(presc.get("table"), f"{where}[2].table")):
                 ell, action = _list_of(pair, f"{where}[2].table[{j}]", 2)
                 _realization(ell, info.l2[t], f"{where}[2].table[{j}][0]", model, info)
+                _unique(ells, tuple(ell), f"{where}[2].table[{j}]", "private realization")
                 _int_below(action, model.action_space(2, t).size, f"{where}[2].table[{j}][1]")
     else:
         raise NestedDPError("$.kind: must be 'table', 'constant' or 'hashed'")
@@ -282,10 +296,12 @@ def _check_strategy(doc, model, info) -> None:
     _expect(isinstance(doc, dict), "$", "must be an object")
     for agent, key, memories in ((1, "g1", info.m1), (2, "g2", info.m2)):
         for t, stage in enumerate(_list_of(doc.get(key), f"$.{key}", model.horizon + 1)):
+            seen: dict = {}
             for j, pair in enumerate(_list_of(stage, f"$.{key}[{t}]")):
                 where = f"$.{key}[{t}][{j}]"
                 memory, action = _list_of(pair, where, 2)
                 _realization(memory, memories[t], f"{where}[0]", model, info)
+                _unique(seen, tuple(memory), where, "memory")
                 _int_below(action, model.action_space(agent, t).size, f"{where}[1]")
 
 

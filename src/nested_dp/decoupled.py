@@ -20,12 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .beliefs import MarginalBelief, Prescription, _branches, _condition, _joint
-from .errors import (
-    MissingKey,
-    PerfectObsViolation,
-    ZeroProbabilityObservation,
-)
+from .beliefs import MarginalBelief, Prescription, _branches, _joint
+from .errors import PerfectObsViolation, ZeroProbabilityObservation
 from .info import InfoStructure, extend_a2, merge_realization, step_plan
 from .limits import resolve_budget
 from .model import (
@@ -47,8 +43,6 @@ from .solver import MemoArgmin, _over_lcm
 __all__ = [
     "DecoupledModel",
     "embed",
-    "split_state",
-    "update_theta",
     "theta1_step",
     "theta2_step",
     "initial_theta1_roots",
@@ -94,11 +88,6 @@ class DecoupledModel:
 
     def cost(self, t, x1, x2, u1, u2) -> Fraction:
         return self.cost_table[t][x1][x2][u1][u2]
-
-
-def split_state(n2: int, x: int) -> tuple[int, int]:
-    """Decompose a product-state index into (agent-1 part, agent-2 part)."""
-    return divmod(x, n2)
 
 
 def embed(dec: DecoupledModel) -> TeamModel:
@@ -248,7 +237,14 @@ def theta2_step(
     dec: DecoupledModel, info: InfoStructure, theta: MarginalBelief, gamma2: Prescription
 ) -> dict[tuple[int, ...], tuple[Fraction, MarginalBelief]]:
     """Advance the shared filter on agent 2's chain one step under a
-    prescription, branching on the newly shared values."""
+    prescription, branching on the newly shared values.
+
+    Agent 1's filter is driven by its own action and next observation, the
+    classic predict-then-condition pair.  This filter conditions on the
+    shared data, so it is driven by (the prescription in force, the newly
+    shared values): agent 2's own action and next observation are not
+    measurable with respect to the shared information and cannot drive a
+    filter defined on it."""
     t = theta.t
     plan = step_plan(info, t)
     z2_of = plan.picker(info.z2[t + 1])
@@ -265,35 +261,6 @@ def theta2_step(
                 slots = ell + (-1, dec.obs2[t + 1][x2n][v2], -1, u2)
                 acc[z2_of(slots)][(x2n, ell_next_of(slots))] += n * nw * nv
     return _branches(acc, dtheta * dw * dv, partial(MarginalBelief, 2, t + 1))
-
-
-def update_theta(
-    dec: DecoupledModel, info: InfoStructure, agent: int, theta: MarginalBelief, driver
-) -> MarginalBelief:
-    """One filter step.
-
-    Agent 1's driver is (own action, next own observation), the classic
-    predict-then-condition pair.  Agent 2's filter conditions on the shared
-    data, so its driver is (the prescription in force, the newly shared
-    values): the literal pair (own action, own next observation) is not
-    measurable with respect to the shared information and cannot drive a
-    filter defined on it.
-    """
-    if agent == 1:
-        u1, y1_next = driver
-        return _condition(
-            theta1_step(dec, theta, u1),
-            y1_next,
-            "observation {} impossible at t={} under the filter",
-            theta.t,
-        )
-    gamma2, z2real = driver
-    return _condition(
-        theta2_step(dec, info, theta, gamma2),
-        z2real,
-        "shared increment {} impossible at t={} under the filter",
-        theta.t,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -159,16 +159,3 @@ def error_bound(m: int, n: int) -> Fraction:
     a = m // 2
     return Fraction(2 * a * (1 + a), m * n)
 
-
-def exhaustive_nearest(lattice: Lattice, point: tuple[Fraction, ...]) -> tuple[int, Fraction]:
-    """Reference implementation: scan every lattice point, minimize
-    (distance, point) so ties resolve to the lexicographically smallest.
-    Used by tests to certify the fast path."""
-    best_idx = None
-    best = None
-    for idx, q in enumerate(lattice.points):
-        cand = (tv_distance(point, q), q)
-        if best is None or cand < best:
-            best = cand
-            best_idx = idx
-    return best_idx, best[0]

@@ -61,8 +61,6 @@ __all__ = [
     "evaluate_strategy",
     "enumerate_agent2_strategies",
     "enumerate_agent1_strategies",
-    "enumerate_strategies",
-    "strategy_count_formula",
     "exhaustive_min",
     "min_over_agent1",
     "condition",
@@ -326,44 +324,6 @@ class _Agent2TableOnly:
         return 0, self.pick(t, values)
 
 
-def enumerate_strategies(model: TeamModel, info: InfoStructure, joint: JointTable):
-    """Yield every team strategy pair: agent-2 tables outermost, then every
-    agent-1 stack self-consistent against that agent-2 choice.  Any behavior
-    of any feasible strategy pair is realized by exactly the pairs yielded
-    here, so minimizing over them is exhaustive."""
-    for g2 in enumerate_agent2_strategies(model, info, joint):
-        fixed = _Agent2TableOnly(info, g2)
-        for g1 in enumerate_agent1_strategies(model, info, joint, fixed):
-            yield ExplicitStrategy(info, g1, g2)
-
-
-def strategy_count_formula(model: TeamModel, info: InfoStructure, joint: JointTable) -> int:
-    """Product over agents and times of |actions| ** |reachable memories|,
-    counting reachable memories by their observation parts under fully free
-    actions.  Action entries inside a memory are functions of the
-    observation part once both strategies are fixed, so this is an upper
-    bound on the enumeration length, exact whenever observation
-    reachability does not depend on the actions taken."""
-    T = model.horizon
-    contexts = _initial_contexts(model, joint)
-    count = 1
-    for t in range(T + 1):
-        for agent, comp in ((1, info.m1[t]), (2, info.m2[t])):
-            obs_part = {
-                tuple(values[v] for v in comp if v.kind in ("Y1", "Y2"))
-                for _, values, _ in contexts
-            }
-            count *= model.action_space(agent, t).size ** len(obs_part)
-        if t < T:
-            contexts = [
-                _step_context(model, ctx, t, u1, u2)
-                for ctx in contexts
-                for u1 in range(model.action_space(1, t).size)
-                for u2 in range(model.action_space(2, t).size)
-            ]
-    return count
-
-
 @dataclass(frozen=True)
 class ExhaustiveResult:
     value: Fraction
@@ -376,8 +336,9 @@ def exhaustive_min(
 ) -> ExhaustiveResult:
     """Exact minimum of the expected total cost over every team strategy.
 
-    No structural restriction: the search covers the same self-consistent
-    history tables `enumerate_strategies` yields, but walks them as a
+    No structural restriction: the search covers every self-consistent pair
+    of history tables (`enumerate_strategies` in `tests/test_oracle.py`
+    yields them one by one, the tests' reference), but walks them as a
     depth-first tree over joint stage assignments so shared prefixes are
     simulated once.  Ties resolve to the first minimizer in the stage-major
     enumeration order, i.e. the lexicographically smallest assignment
@@ -401,9 +362,10 @@ def exhaustive_min(
     at T = 0 nothing is pruned.
 
     The budget is charged on those leaves, not on the enumeration length
-    (`strategy_count_formula`), which the bound makes a loose estimate of
-    the work: the walk raises ResourceLimitExceeded, naming the stage and
-    the count, as soon as one leaf more than the cap would be evaluated."""
+    (`strategy_count_formula` in `tests/test_oracle.py`), which the bound
+    makes a loose estimate of the work: the walk raises
+    ResourceLimitExceeded, naming the stage and the count, as soon as one
+    leaf more than the cap would be evaluated."""
     cap = resolve_budget(budget)
     T = model.horizon
     best: list = [None, None]  # (value, stage tables)

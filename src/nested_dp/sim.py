@@ -66,24 +66,12 @@ class Report:
         return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":")).encode()
 
 
-class _Sampler:
-    """Exact categorical sampler: integer thresholds under one denominator.
-
-    `draw` equals `randrange(denom)` followed by the threshold walk, and
-    leaves the generator in the same state.  `plan_entry` is the
-    `(k, denom, thresholds)` triple, with `k = denom.bit_length()`, that
-    `_draw_plan` consumes; `rollout` reseeds one generator with
-    `f"{seed}:{e}"` for episode e and draws one plan of these per episode.
-    """
-
-    def __init__(self, dist: Dist):
-        denom, nums = scale_to_integers(dist.weights)
-        self.denom = denom
-        self.thresholds = tuple(accumulate(nums))
-        self.plan_entry = (denom.bit_length(), denom, self.thresholds)
-
-    def draw(self, rng: random.Random) -> int:
-        return _draw_plan((self.plan_entry,), rng.getrandbits)[0]
+def _plan_entry(dist: Dist) -> tuple[int, int, tuple[int, ...]]:
+    """The `(k, denom, thresholds)` triple of an exact categorical draw that
+    `_draw_plan` consumes: the cumulative integer numerators of `dist` over
+    one common denominator, and `k = denom.bit_length()`."""
+    denom, nums = scale_to_integers(dist.weights)
+    return denom.bit_length(), denom, tuple(accumulate(nums))
 
 
 def _draw_plan(plan, getrandbits) -> tuple[int, ...]:
@@ -117,7 +105,7 @@ def rollout(
     dists = [model.x0_dist, model.v_dist(1, 0), model.v_dist(2, 0)]
     for t in range(T):
         dists += [model.w_dist(t), model.v_dist(1, t + 1), model.v_dist(2, t + 1)]
-    plan = tuple(_Sampler(dist).plan_entry for dist in dists)
+    plan = tuple(map(_plan_entry, dists))
 
     # trajectories are deterministic given (strategy, draw), so tally how
     # often each draw occurs and do the exact arithmetic once per draw

@@ -50,10 +50,6 @@ a person-by-person policy.  Both read the accessible realization straight
 off the realized history and step agent 1's belief through the solve's
 `beliefs.StepCache`, kept on the solution: the updates do not depend on
 the strategy, so the executed policy's Bayes steps are ones the solve took.
-
-The memo contract for concurrent use: values are idempotent (recomputing a
-key yields an equal Fraction), so insert-if-absent with duplicated work is
-benign.  Nothing here mutates shared state besides the memo dictionaries.
 """
 
 from __future__ import annotations
@@ -66,7 +62,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import lattice as lat
-from .beliefs import (  # expected_cost2 is re-exported for callers of this module
+from .beliefs import (
     Belief1,
     Belief2,
     Prescription,
@@ -76,7 +72,6 @@ from .beliefs import (  # expected_cost2 is re-exported for callers of this modu
     belief1_vector,
     belief2_step,
     expected_cost1,
-    expected_cost2,
 )
 from .errors import MissingKey, ResourceLimitExceeded
 from .info import (  # extend_a2 is re-exported for callers of this module
@@ -274,7 +269,7 @@ def solve_exact(model: TeamModel, info: InfoStructure, budget: int | None = None
     table per node: with b2's entries n / D and stage-t costs k / K over
     common denominators, h[(b1, ell)][u1][u2] = sum over x of n * k(x, u1,
     u2), and a pair's stage cost is the sum of h[(b1, ell)][a1(b1)][a2(ell)]
-    over the support, divided by D * K: exactly `expected_cost2`.
+    over the support, divided by D * K: exactly `beliefs.expected_cost2`.
 
     At t = T a pair's value is its stage cost, which for fixed a1 is a sum
     of one term per live realization, r_ell[a2(ell)].  So for fixed a1 the

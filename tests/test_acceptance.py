@@ -35,7 +35,6 @@ from nested_dp.info import build_delayed_structure
 from nested_dp.lattice import (
     build_lattice,
     error_bound,
-    exhaustive_nearest,
     lattice_size,
     quantize,
     tv_distance,
@@ -48,6 +47,7 @@ from nested_dp.solver import (
     solve_exact,
     solve_pbp_exact,
 )
+from test_lattice import exhaustive_nearest
 
 CERT_SEEDS = (0, 1, 2, 3, 4)
 CONV_SEEDS = (1, 3, 4)

@@ -15,12 +15,8 @@ from nested_dp.beliefs import (
     belief2_step,
     expected_cost1,
     expected_cost2,
-    initial_belief1,
     initial_belief1_roots,
-    initial_belief2,
-    initial_belief2_roots,
     update_belief1,
-    update_belief2,
 )
 from nested_dp.errors import DomainGap, ZeroProbabilityObservation
 from nested_dp.generators import certification_instance
@@ -93,7 +89,7 @@ class TestUpdateBelief1:
     def test_deterministic_chain_stays_point_mass(self):
         model = deterministic_model()
         info = build_delayed_structure(model, 0)
-        b1 = initial_belief1(model, info, (1, 1))  # both agents see x0 = 1
+        b1 = initial_belief1_roots(model, info)[(1, 1)][1]  # both agents see x0 = 1
         gamma = gamma2_const(info, model, 0, 1)
         x_next = model.f(0, 1, 0, 1, 0)
         z1 = tuple(
@@ -105,7 +101,7 @@ class TestUpdateBelief1:
     def test_impossible_observation_raises(self):
         model = deterministic_model()
         info = build_delayed_structure(model, 0)
-        b1 = initial_belief1(model, info, (1, 1))
+        b1 = initial_belief1_roots(model, info)[(1, 1)][1]
         gamma = gamma2_const(info, model, 0, 1)
         x_next = model.f(0, 1, 0, 1, 0)
         bad = tuple(
@@ -166,13 +162,13 @@ class TestInitialBeliefs:
     def test_perfect_observation_collapses_state(self):
         model = deterministic_model()
         info = build_delayed_structure(model, 1)
-        b1 = initial_belief1(model, info, (1,))
+        b1 = initial_belief1_roots(model, info)[(1,)][1]
         assert all(x == 1 for (x, _), _ in b1.items())
 
     def test_empty_accessible_gives_prior(self):
         model = certification_instance(0)
         info = build_delayed_structure(model, 1)
-        b2 = initial_belief2(model, info, ())
+        b2 = StepCache().roots2(model, info)[()][1]
         marg = {}
         for (x, ell, _), w in b2.items():
             marg[x] = marg.get(x, Fraction(0)) + w
@@ -181,15 +177,15 @@ class TestInitialBeliefs:
     def test_impossible_initial_realization(self):
         model = deterministic_model()  # x0 is pinned to 1
         info = build_delayed_structure(model, 1)
-        with pytest.raises(ZeroProbabilityObservation):
-            initial_belief1(model, info, (0,))
+        roots = initial_belief1_roots(model, info)
+        assert (0,) not in roots and list(roots) == [(1,)]
 
 
 class TestUpdateBelief2:
     def test_deterministic_point_mass_chain(self):
         model = deterministic_model()
         info = build_delayed_structure(model, 0)
-        b2 = initial_belief2(model, info, (1,))
+        b2 = StepCache().roots2(model, info)[(1,)][1]
         assert len(b2.support()) == 1
         g1 = Prescription.for_agent1(0, {b2.belief1_support()[0]: 0})
         g2 = gamma2_const(info, model, 0, 1)
@@ -201,18 +197,18 @@ class TestUpdateBelief2:
     def test_impossible_increment_raises(self):
         model = deterministic_model()
         info = build_delayed_structure(model, 0)
-        b2 = initial_belief2(model, info, (1,))
+        b2 = StepCache().roots2(model, info)[(1,)][1]
         g1 = Prescription.for_agent1(0, {b2.belief1_support()[0]: 0})
         g2 = gamma2_const(info, model, 0, 1)
-        (z2,) = belief2_step(model, info, b2, g1, g2, StepCache()).keys()
+        branches = belief2_step(model, info, b2, g1, g2, StepCache())
+        (z2,) = branches.keys()
         bad = tuple((v + 1) % 2 for v in z2)
-        with pytest.raises(ZeroProbabilityObservation):
-            update_belief2(model, info, b2, g1, g2, bad)
+        assert bad not in branches
 
     def test_domain_gap_when_gamma1_misses_a_support_point(self):
         model = certification_instance(0)
         info = build_delayed_structure(model, 1)
-        b2 = initial_belief2(model, info, ())
+        b2 = StepCache().roots2(model, info)[()][1]
         points = b2.belief1_support()
         assert len(points) > 1
         partial = Prescription.for_agent1(0, {points[0]: 0})
@@ -239,7 +235,7 @@ class TestUpdateBelief2:
 
         monkeypatch.setattr(beliefs_mod, "belief1_step", counting_step)
         monkeypatch.setattr(beliefs_mod, "update_belief1", no_update)
-        for _, b2 in initial_belief2_roots(model, info).values():
+        for _, b2 in StepCache().roots2(model, info).values():
             points = b2.belief1_support()
             assert len(points) > 1
             stepped.clear()
@@ -252,7 +248,7 @@ class TestUpdateBelief2:
         """Every reachable shared-belief entry is mixture()[b1] * b1(x, ell)."""
         model = certification_instance(1)
         info = build_delayed_structure(model, d)
-        frontier = [b2 for _, b2 in initial_belief2_roots(model, info).values()]
+        frontier = [b2 for _, b2 in StepCache().roots2(model, info).values()]
         while frontier:
             b2 = frontier.pop()
             mix = b2.mixture()
@@ -267,13 +263,13 @@ class TestUpdateBelief2:
     def test_marginal_and_mixture_agree(self):
         model = certification_instance(1)
         info = build_delayed_structure(model, 1)
-        for _, b2 in initial_belief2_roots(model, info).values():
+        for _, b2 in StepCache().roots2(model, info).values():
             assert b2.marginal_state_private() == b2.mixture_state_private()
 
     def test_json_round_trip(self):
         model = certification_instance(0)
         info = build_delayed_structure(model, 1)
-        for _, b2 in initial_belief2_roots(model, info).values():
+        for _, b2 in StepCache().roots2(model, info).values():
             assert Belief2.from_json(b2.to_json()) == b2
 
 
@@ -281,7 +277,7 @@ class TestExpectedCosts:
     def test_point_mass_cost1(self):
         model = deterministic_model()
         info = build_delayed_structure(model, 1)
-        b1 = initial_belief1(model, info, (1,))
+        b1 = initial_belief1_roots(model, info)[(1,)][1]
         (x, ell), = b1.support()
         gamma = gamma2_const(info, model, 0, 1)
         assert expected_cost1(model, b1, 1, gamma) == model.cost(0, x, 1, 1)
@@ -309,14 +305,14 @@ class TestExpectedCosts:
             ),
         )
         info = build_delayed_structure(zero, 1)
-        b2 = initial_belief2(zero, info, ())
+        b2 = StepCache().roots2(zero, info)[()][1]
         g1 = Prescription.for_agent1(0, {b: 0 for b in b2.belief1_support()})
         assert expected_cost2(zero, b2, g1, gamma2_const(info, zero, 0, 0)) == 0
 
     def test_point_mass_cost2(self):
         model = deterministic_model()
         info = build_delayed_structure(model, 0)
-        b2 = initial_belief2(model, info, (1,))
+        b2 = StepCache().roots2(model, info)[(1,)][1]
         ((x, ell, b1),) = b2.support()
         g1 = Prescription.for_agent1(0, {b1: 1})
         g2 = gamma2_const(info, model, 0, 0)
@@ -331,7 +327,7 @@ class TestBranchWeights:
 
         model = certification_instance(2)
         info = build_delayed_structure(model, 1)
-        for _, b2 in initial_belief2_roots(model, info).values():
+        for _, b2 in StepCache().roots2(model, info).values():
             l2_reals = enumerate_private(info, model, 0)
             for g1 in all_agent1_prescriptions(0, b2.belief1_support(), 2):
                 for g2 in all_agent2_prescriptions(0, l2_reals, 2):

@@ -14,9 +14,9 @@ from nested_dp.decoupled import (
     initial_theta2_roots,
     solve_decoupled_pbp,
     theta1_step,
-    update_theta,
+    theta2_step,
 )
-from nested_dp.errors import PerfectObsViolation, ZeroProbabilityObservation
+from nested_dp.errors import PerfectObsViolation
 from nested_dp.generators import (
     HashedTeamStrategy,
     coupled_counterexample,
@@ -106,12 +106,14 @@ class TestThetaFilters:
         assert dict(nxt.items()) == {k: v for k, v in predicted.items() if v > 0}
 
     def test_impossible_driver_raises(self):
+        """An observation the filter rules out has no branch: with perfect
+        own observations the branches are the reachable next states."""
         dec = decoupled_instance(0, perfect_obs_1=True)
         theta = MarginalBelief.from_weights(1, 0, {0: Fraction(1)})
         branches = theta1_step(dec, theta, 0)
+        assert set(branches) == {dec.f1[0][0][0][w1] for w1, _ in dec.w1_dists[0].items()}
         missing = next((y for y in range(2) if y not in branches), -1)
-        with pytest.raises(ZeroProbabilityObservation):
-            update_theta(dec, None, 1, theta, (0, missing))
+        assert missing not in branches
 
     @pytest.mark.parametrize("seed", range(2))
     def test_filter_chain_equals_conditioning(self, seed):
@@ -127,8 +129,8 @@ class TestThetaFilters:
             traj = orc.trajectory(emb, info, strategy, omega)
             theta = initial_theta1_roots(dec)[traj.value_of(("Y1", 0))][1]
             for t in range(emb.horizon):
-                step = (traj.value_of(("U1", t)), traj.value_of(("Y1", t + 1)))
-                theta = update_theta(dec, info, 1, theta, step)
+                u1, y1 = traj.value_of(("U1", t)), traj.value_of(("Y1", t + 1))
+                theta = theta1_step(dec, theta, u1)[y1][1]
                 m1real = traj.read(info.m1[t + 1])
                 cond = orc.condition_on_memory1(
                     joint, emb, info, strategy, t + 1, m1real, query=[("X", t + 1)]
@@ -164,7 +166,7 @@ class TestThetaFilters:
             for t in range(emb.horizon):
                 gamma = psi2.prescription(t, a2real)
                 z2next = traj.read(info.z2[t + 1])
-                theta = update_theta(dec, info, 2, theta, (gamma, z2next))
+                theta = theta2_step(dec, info, theta, gamma)[z2next][1]
                 from nested_dp.solver import extend_a2
 
                 a2real = extend_a2(info, t, a2real, z2next)

@@ -44,14 +44,14 @@ def test_belief_serialization_golden_file():
     """The shared-belief JSON format is pinned: sorted support entries with
     p/q weight strings, inner beliefs nested.  Regenerating the same belief
     must reproduce the stored document exactly."""
-    from nested_dp.beliefs import Belief2, initial_belief2
+    from nested_dp.beliefs import Belief2, StepCache
     from nested_dp.generators import certification_instance
     from nested_dp.info import build_delayed_structure
 
     stored = json.loads((FIXTURES / "belief_golden.json").read_text())
     model = certification_instance(0)
     info = build_delayed_structure(model, 1)
-    b2 = initial_belief2(model, info, ())
+    b2 = StepCache().roots2(model, info)[()][1]
     assert b2.to_json() == stored
     assert Belief2.from_json(stored) == b2
 

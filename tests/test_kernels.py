@@ -4,7 +4,7 @@ The reference here is the Fraction accumulator the integer kernels
 replaced: every joint weight a product of Fractions, summed per (observed
 key, support point), normalized by Fraction division and made canonical by
 `from_weights`.  The eight kernel sites -- `initial_belief1_roots`,
-`belief1_step`, `initial_belief2_roots`, `belief2_step` and the four
+`belief1_step`, `StepCache.roots2`, `belief2_step` and the four
 `decoupled` theta kernels -- must return equal branches, in equal order,
 with Fraction probabilities and entries, on every input below.  A
 reference solve built from these kernels, `expected_cost2` and
@@ -37,19 +37,19 @@ from nested_dp.beliefs import (
     StepCache,
     _belief2_order,
     _branches,
+    _posterior,
     _signature,
     belief1_step,
     belief2_step,
     expected_cost1,
     expected_cost2,
     initial_belief1_roots,
-    initial_belief2_roots,
 )
 from nested_dp.errors import ResourceLimitExceeded
 from nested_dp.generators import certification_instance, convergence_instance, decoupled_instance
 from nested_dp.info import build_delayed_structure, enumerate_private, extend_a2, merge_picker, step_plan
 from nested_dp.model import Dist, FiniteSpace
-from nested_dp.sim import _Sampler
+from nested_dp.sim import _plan_entry
 from nested_dp.solver import (
     HashedPsi2,
     MemoArgmin,
@@ -349,7 +349,7 @@ def walk_team(model, info, rng, pairs_per_node=2, max_steps=None):
     prescription pairs per node, stopping after `max_steps` shared steps
     when given.  Returns the number of shared steps compared."""
     assert_same_branches(initial_belief1_roots(model, info), ref_initial_belief1_roots(model, info))
-    roots = initial_belief2_roots(model, info)
+    roots = StepCache().roots2(model, info)
     assert_same_branches(roots, ref_initial_belief2_roots(model, info))
     frontier = [b2 for _, b2 in roots.values()]
     steps = 0
@@ -902,14 +902,16 @@ class TestInterning:
         scaled = dict(zip(reversed(keys), [k * n for n in reversed(nums)]))
         assert _signature(scaled) == _signature(base)
         interned = {}
-        (q, post), = _branches({(): base}, denom, make, order, interned).values()
-        (q_scaled, post_scaled), = _branches({(): scaled}, denom, make, order, interned).values()
+        post = _posterior(base, total, make, order, interned)
+        post_scaled = _posterior(scaled, k * total, make, order, interned)
         assert post_scaled is post
-        assert post == _branches({(): scaled}, denom, make, order)[()][1]
+        assert post == _posterior(scaled, k * total, make, order)
+        (q, _), = _branches({(): base}, denom, make).values()
+        (q_scaled, _), = _branches({(): scaled}, denom, make).values()
         assert (q, q_scaled) == (Fraction(total, denom), Fraction(k * total, denom))
         bumped = {**base, keys[0]: nums[0] + 1}
         assert _signature(bumped) != _signature(base)
-        (_, post_bumped), = _branches({(): bumped}, denom, make, order, interned).values()
+        post_bumped = _posterior(bumped, total + 1, make, order, interned)
         assert post_bumped != post
         assert len(interned) == 2
 
@@ -920,15 +922,14 @@ class TestScaledForms:
         total = sum(nums)
         dist = Dist(tuple(Fraction(k, total) for k in nums))
         denom, items = dist.scaled()
-        sampler = _Sampler(dist)
-        assert denom == sampler.denom
+        assert denom == _plan_entry(dist)[1]
         assert items == tuple((i, w * denom) for i, w in dist.items())
         assert dist.scaled() is dist.scaled()
 
     def test_belief_scaled_is_exact(self):
         model = noisy_model(0)
         info = build_delayed_structure(model, 1)
-        for _, b2 in initial_belief2_roots(model, info).values():
+        for _, b2 in StepCache().roots2(model, info).values():
             denom, entries = b2.scaled()
             assert [(k, Fraction(n, denom)) for k, n in entries] == list(b2.entries)
             for b1 in b2.belief1_support():
@@ -938,7 +939,7 @@ class TestScaledForms:
     def test_mixture_is_cached_and_read_only(self):
         model = certification_instance(0)
         info = build_delayed_structure(model, 1)
-        for _, b2 in initial_belief2_roots(model, info).values():
+        for _, b2 in StepCache().roots2(model, info).values():
             mix = b2.mixture()
             assert b2.mixture() is mix
             assert dict(mix) == ref_mixture(b2)

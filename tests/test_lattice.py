@@ -9,12 +9,24 @@ from nested_dp.errors import ResourceLimitExceeded
 from nested_dp.lattice import (
     build_lattice,
     error_bound,
-    exhaustive_nearest,
     lattice_rank,
     lattice_size,
     quantize,
     tv_distance,
 )
+
+
+def exhaustive_nearest(lattice, point: tuple[Fraction, ...]) -> tuple[int, Fraction]:
+    """Reference for `quantize`: scan every lattice point, minimizing
+    (distance, point) so ties resolve to the lexicographically smallest."""
+    best_idx = None
+    best = None
+    for idx, q in enumerate(lattice.points):
+        cand = (tv_distance(point, q), q)
+        if best is None or cand < best:
+            best = cand
+            best_idx = idx
+    return best_idx, best[0]
 
 
 def simplex_point(rng: random.Random, m: int, denom: int = 600) -> tuple[Fraction, ...]:

@@ -72,6 +72,45 @@ SIGNED_COSTS = {
 }
 
 
+def enumerate_strategies(model, info, joint):
+    """Reference for `exhaustive_min`: every team strategy pair, agent-2
+    tables outermost, then every agent-1 stack self-consistent against that
+    agent-2 choice.  Any behavior of any feasible strategy pair is realized
+    by exactly the pairs yielded here, so minimizing over them is
+    exhaustive."""
+    for g2 in orc.enumerate_agent2_strategies(model, info, joint):
+        fixed = orc._Agent2TableOnly(info, g2)
+        for g1 in orc.enumerate_agent1_strategies(model, info, joint, fixed):
+            yield orc.ExplicitStrategy(info, g1, g2)
+
+
+def strategy_count_formula(model, info, joint) -> int:
+    """Product over agents and times of |actions| ** |reachable memories|,
+    counting reachable memories by their observation parts under fully free
+    actions.  Action entries inside a memory are functions of the
+    observation part once both strategies are fixed, so this is an upper
+    bound on the enumeration length, exact whenever observation
+    reachability does not depend on the actions taken."""
+    T = model.horizon
+    contexts = orc._initial_contexts(model, joint)
+    count = 1
+    for t in range(T + 1):
+        for agent, comp in ((1, info.m1[t]), (2, info.m2[t])):
+            obs_part = {
+                tuple(values[v] for v in comp if v.kind in ("Y1", "Y2"))
+                for _, values, _ in contexts
+            }
+            count *= model.action_space(agent, t).size ** len(obs_part)
+        if t < T:
+            contexts = [
+                orc._step_context(model, ctx, t, u1, u2)
+                for ctx in contexts
+                for u1 in range(model.action_space(1, t).size)
+                for u2 in range(model.action_space(2, t).size)
+            ]
+    return count
+
+
 def stage_major(strategy):
     """The key of `exhaustive_min`'s tie-break: per t, agent 1's actions and
     then agent 2's, each over its sorted memories.  `enumerate_strategies`
@@ -85,7 +124,7 @@ def stage_major(strategy):
 def first_minimizer(model, info, joint):
     """The least value over the full enumeration, its first minimizer in
     stage-major order, and the enumeration length."""
-    strategies = list(orc.enumerate_strategies(model, info, joint))
+    strategies = list(enumerate_strategies(model, info, joint))
     values = [orc.evaluate_strategy(joint, model, info, s) for s in strategies]
     best = min(values)
     first = min((s for s, v in zip(strategies, values) if v == best), key=stage_major)
@@ -183,7 +222,7 @@ class TestExhaustiveMin:
         model = certification_instance(seed, horizon=1)
         info = build_delayed_structure(model, 1)
         joint = orc.build_joint(model)
-        strategies = list(orc.enumerate_strategies(model, info, joint))
+        strategies = list(enumerate_strategies(model, info, joint))
         values = [orc.evaluate_strategy(joint, model, info, s) for s in strategies]
         result = orc.exhaustive_min(model, info, joint)
         assert result.value == min(values)
@@ -232,8 +271,8 @@ class TestExhaustiveMin:
         model = certification_instance(1, horizon=1)
         info = build_delayed_structure(model, 1)
         joint = orc.build_joint(model)
-        count = sum(1 for _ in orc.enumerate_strategies(model, info, joint))
-        assert orc.strategy_count_formula(model, info, joint) == count
+        count = sum(1 for _ in enumerate_strategies(model, info, joint))
+        assert strategy_count_formula(model, info, joint) == count
 
     def test_argmin_replays_to_value(self):
         model = certification_instance(2, horizon=1)
@@ -265,7 +304,7 @@ class TestExhaustiveMin:
         model = certification_instance(0, horizon=3)
         info = build_delayed_structure(model, 0)
         joint = orc.build_joint(model)
-        assert orc.strategy_count_formula(model, info, joint) > DEFAULT_BUDGET
+        assert strategy_count_formula(model, info, joint) > DEFAULT_BUDGET
         result = orc.exhaustive_min(model, info, joint)
         assert result.strategies_tested <= DEFAULT_BUDGET
         assert result.value == solver.solve_exact(model, info).value == Fraction(73, 32)

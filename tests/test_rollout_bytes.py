@@ -3,8 +3,9 @@
 The golden digests are SHA-256 sums of `Report.to_bytes()` (and of the
 `simulate` stdout) computed by the `randrange`-based sampler that predates
 the compiled draw plan; any change to the seeding, the draw order or the
-rejection draw changes them.  The sampler test checks `_Sampler.draw`
-against that `randrange` walk on the same seeded stream.
+rejection draw changes them.  The sampler test checks a one-entry
+`_draw_plan` of a `_plan_entry` against that `randrange` walk on the same
+seeded stream.
 
 The example-command pins are SHA-256 sums of what `solve`, `oracle` and
 `pbp` print, and of the `solve --policy-out` file, on the files that
@@ -27,7 +28,7 @@ from nested_dp.cli import cli_main
 from nested_dp.generators import certification_instance, convergence_instance
 from nested_dp.info import build_delayed_structure
 from nested_dp.model import Dist
-from nested_dp.sim import RolloutConfig, _Sampler, rollout
+from nested_dp.sim import RolloutConfig, _draw_plan, _plan_entry, rollout
 from nested_dp.solver import (
     HashedPsi2,
     extract_control_strategy,
@@ -112,10 +113,10 @@ class TestExampleCommandBytes:
         assert sha256(policy.read_bytes()) == "508add713367f5a7858142e07adb72621fa977ce6969160ec47ef57630c6de27"
 
 
-def reference_draw(sampler: _Sampler, rng: random.Random) -> int:
+def reference_draw(denom: int, thresholds: tuple[int, ...], rng: random.Random) -> int:
     """`randrange` below the common denominator, then the threshold walk."""
-    r = rng.randrange(sampler.denom)
-    for i, threshold in enumerate(sampler.thresholds):
+    r = rng.randrange(denom)
+    for i, threshold in enumerate(thresholds):
         if r < threshold:
             return i
     raise AssertionError("thresholds must cover the denominator")
@@ -143,11 +144,12 @@ class TestSamplerDraw:
     @example(parts=[2**32 - 1, 1, 0], seed="x", draws=3)
     def test_matches_randrange_walk(self, parts, seed, draws):
         denom = sum(parts)
-        sampler = _Sampler(Dist(tuple(Fraction(p, denom) for p in parts)))
-        assert sampler.denom == denom
+        entry = _plan_entry(Dist(tuple(Fraction(p, denom) for p in parts)))
+        _, plan_denom, thresholds = entry
+        assert plan_denom == denom
         ours, theirs = random.Random(seed), random.Random(seed)
         for _ in range(draws):
-            index = sampler.draw(ours)
-            assert index == reference_draw(sampler, theirs)
+            (index,) = _draw_plan((entry,), ours.getrandbits)
+            assert index == reference_draw(denom, thresholds, theirs)
             assert parts[index] > 0
             assert ours.getstate() == theirs.getstate()

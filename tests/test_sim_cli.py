@@ -10,9 +10,9 @@ from nested_dp.generators import certification_instance, convergence_instance, d
 from nested_dp.decoupled import decoupled_to_json
 from nested_dp.info import build_delayed_structure, enumerate_private
 from nested_dp.lattice import lattice_size
-from nested_dp.model import Dist, FiniteSpace, model_to_json
+from nested_dp.model import Dist, FiniteSpace, format_ratio, model_to_json
 from nested_dp.sim import RolloutConfig, rollout
-from nested_dp.solver import HashedPsi2, extract_control_strategy, solve_exact, solve_pbp_exact, TablePsi2
+from nested_dp.solver import HashedPsi2, extract_control_strategy, optimal_psi2, solve_exact, solve_pbp_exact, TablePsi2
 
 
 @pytest.fixture(scope="module")
@@ -335,6 +335,79 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"file {doc_path} is invalid: {located}" in captured.err
+
+    @pytest.mark.parametrize("kind", ["model", "psi2", "strategy"])
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            (b'{"horizon": 1,', "Expecting property name enclosed in double quotes"),
+            (b"", "Expecting value: line 1 column 1 (char 0)"),
+            (b'{"horizon": \xff}', "can't decode byte 0xff"),
+        ],
+        ids=["truncated", "empty", "not-utf8"],
+    )
+    def test_unreadable_json_names_the_file(self, tmp_path, capsys, kind, content, reason):
+        model_path = write_model(tmp_path, certification_instance(0))
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        command = {
+            "model": ["solve", str(bad)],
+            "psi2": ["pbp", model_path, "--psi2", str(bad)],
+            "strategy": ["simulate", model_path, "--seed", "1", "--episodes", "5", "--strategy", str(bad)],
+        }[kind]
+        assert cli_main(command) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {kind} file {bad} is not valid JSON: " in captured.err
+        assert reason in captured.err
+
+    def test_repeated_psi2_keys_are_located_domain_errors(self, tmp_path, capsys, solved):
+        """A repeated [t, accessible] pair, or a repeated private realization
+        in one table, is rejected wherever it stands: loading would keep the
+        last one and silently change the value."""
+        model, info, solution = solved
+        path = write_model(tmp_path, model)
+        entries = optimal_psi2(model, info, solution).to_json()["entries"]
+        k = max(i for i, (t, _, _) in enumerate(entries) if t == model.horizon)
+        other = json.loads(json.dumps(entries[k]))
+        other[2]["table"] = [[ell, 1 - a] for ell, a in other[2]["table"]]
+        repeated = json.loads(json.dumps(entries))
+        table = repeated[0][2]["table"]
+        table.append([table[0][0], 1 - table[0][1]])
+        n = len(entries)
+        cases = [
+            (entries + [other], f"$.entries[{n}]: repeats the [t, accessible] pair of $.entries[{k}]"),
+            ([other] + entries, f"$.entries[{k + 1}]: repeats the [t, accessible] pair of $.entries[0]"),
+            (
+                repeated,
+                f"$.entries[0][2].table[{len(table) - 1}]: repeats the private realization of $.entries[0][2].table[0]",
+            ),
+        ]
+        psi_path = tmp_path / "psi2.json"
+        for listed, located in cases:
+            psi_path.write_text(json.dumps({"kind": "table", "entries": listed}))
+            assert cli_main(["pbp", path, "--psi2", str(psi_path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"psi2 file {psi_path} is invalid: {located}" in captured.err
+        psi_path.write_text(json.dumps({"kind": "table", "entries": entries}))
+        assert cli_main(["pbp", path, "--psi2", str(psi_path)]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == format_ratio(solution.value)
+
+    def test_repeated_strategy_memory_is_located_domain_error(self, tmp_path, capsys):
+        model = certification_instance(0, horizon=1)
+        info = build_delayed_structure(model, 1)
+        doc = orc.exhaustive_min(model, info, orc.build_joint(model)).strategy.to_json()
+        memory, action = doc["g1"][0][0]
+        doc["g1"][0].append([memory, 1 - action])
+        path = write_model(tmp_path, model)
+        strat_path = tmp_path / "strategy.json"
+        strat_path.write_text(json.dumps(doc))
+        command = ["simulate", path, "--seed", "1", "--episodes", "5", "--strategy", str(strat_path)]
+        assert cli_main(command) == 1
+        j = len(doc["g1"][0]) - 1
+        located = f"$.g1[0][{j}]: repeats the memory of $.g1[0][0]"
+        assert f"strategy file {strat_path} is invalid: {located}" in capsys.readouterr().err
 
     def test_solve_decoupled_route(self, tmp_path, capsys):
         dec = decoupled_instance(1)

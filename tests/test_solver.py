@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nested_dp import oracle as orc
-from nested_dp.beliefs import StepCache, belief1_from_vector, belief1_vector, belief2_step, initial_belief2_roots
+from nested_dp.beliefs import StepCache, belief1_from_vector, belief1_vector, belief2_step, expected_cost2
 from nested_dp.certify import certify_pbp_against_enumeration
 from nested_dp.decoupled import embed, solve_decoupled_pbp
 from nested_dp.errors import MissingKey, ResourceLimitExceeded
@@ -26,7 +26,6 @@ from nested_dp.solver import (
     alpha_bound,
     all_agent1_prescriptions,
     all_agent2_prescriptions,
-    expected_cost2,
     extract_control_strategy,
     extract_pbp_strategy,
     make_alpha_inputs,
@@ -62,7 +61,7 @@ def full_scan_solve(model, info):
         )
 
     dp = ref_argmin({}, 0, "prescription pairs", expand)
-    value = sum((p * dp.value(b2) for p, b2 in initial_belief2_roots(model, info).values()), Fraction(0))
+    value = sum((p * dp.value(b2) for p, b2 in StepCache().roots2(model, info).values()), Fraction(0))
     return value, dp.memo
 
 
@@ -142,7 +141,7 @@ class TestSolveExact:
         model = certification_instance(0, horizon=0)
         info = build_delayed_structure(model, 1)
         solution = solve_exact(model, info)
-        roots = initial_belief2_roots(model, info)
+        roots = StepCache().roots2(model, info)
         total = Fraction(0)
         for a2real, (p, b2) in roots.items():
             candidates = []
