@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from nested_dp import oracle as orc
-from nested_dp.decoupled import check_factorization_pi1, embed
+from nested_dp.decoupled import check_factorization_pi1, embed, reachable_memories
 from nested_dp.generators import (
     HashedTeamStrategy,
     coupled_counterexample,
@@ -23,12 +23,8 @@ def sweep(model, split, info, strategy_seed):
     joint = orc.build_joint(model)
     strategy = HashedTeamStrategy(model, info, strategy_seed)
     rows = []
-    for t in range(model.horizon + 1):
-        m1s = set()
-        for omega, _ in joint.entries:
-            traj = orc.trajectory(model, info, strategy, omega)
-            m1s.add(traj.read(info.m1[t]))
-        for m1real in sorted(m1s):
+    for t, (m1s, _) in enumerate(reachable_memories(model, info, joint, strategy)):
+        for m1real in m1s:
             check = check_factorization_pi1(model, split, info, joint, strategy, t, m1real)
             rows.append((t, m1real, check.equal))
     return rows

@@ -19,8 +19,10 @@ computed from agent-1 steps, one per inner belief, and the novelty rule
 (z2[t+1] inside z1[t+1]) reads each branch's shared increment off agent 1's
 new information.  `SharedStep` is that computation, the only one: each
 agent-1 step becomes an integer part of the shared step, and a pair's step
-is the sum of its parts.  `belief1_step` and `initial_belief1_roots` are the only
-Bayes kernels that run over the model's primitive draws.
+is the sum of its parts.  `belief1_step` is the only Bayes kernel that runs
+over the model's primitive draws.  Time 0 is its step from the prior at
+t = -1, the initial state law, which moves nothing and observes time 0;
+`StepCache.roots2` is `belief2_step` from the shared prior.
 
 Both updates are pure Bayes steps driven by realized new information; no
 strategy object appears anywhere in the computation, which is the
@@ -421,29 +423,28 @@ def _signature(nums: dict) -> frozenset:
 
 
 # ---------------------------------------------------------------------------
-# Agent-1 belief: initialization and one-step update.
+# Agent-1 belief: one-step update, and time 0 as the step from the prior.
 # ---------------------------------------------------------------------------
+
+
+# A prior's step (t = -1) has no disturbance and keeps the state.  No
+# action is taken before time 0, so no plan reads a null action.
+_NO_DISTURBANCE = (1, ((0, 1),))
+_NULL2 = Prescription.for_agent2(-1, {(): 0})
+
+
+def _prior1(model: TeamModel) -> Belief1:
+    """Agent 1's belief at t = -1: the initial state law, nothing private."""
+    return Belief1(-1, tuple(((x0, ()), p) for x0, p in model.x0_dist.items()))
 
 
 def initial_belief1_roots(
     model: TeamModel, info: InfoStructure
 ) -> dict[tuple[int, ...], tuple[Fraction, Belief1]]:
     """All positive-probability realizations of agent 1's time-0 new
-    information, with their probabilities and conditional beliefs."""
-    plan = step_plan(info, -1)
-    z1_of, ell_of = plan.read_z1, plan.read_l2
-    dx, xs = model.x0_dist.scaled()
-    dv1, v1s = model.v_dist(1, 0).scaled()
-    dv2, v2s = model.v_dist(2, 0).scaled()
-    acc = _joint()
-    for x0, nx in xs:
-        for v1, nv1 in v1s:
-            y1 = model.h(1, 0, x0, v1)
-            n1 = nx * nv1
-            for v2, nv2 in v2s:
-                slots = (y1, model.h(2, 0, x0, v2))
-                acc[z1_of(slots)][(x0, ell_of(slots))] += n1 * nv2
-    return _branches(acc, dx * dv1 * dv2, partial(Belief1, 0))
+    information, with their probabilities and conditional beliefs: the
+    `belief1_step` from the prior."""
+    return belief1_step(model, info, _prior1(model), 0, _NULL2)
 
 
 def belief1_step(
@@ -457,7 +458,8 @@ def belief1_step(
     prescription): realized new-information tuple -> (probability, posterior).
 
     The probabilities are the Bayes denominators of each branch; they sum to
-    one over the returned keys.
+    one over the returned keys.  A b1 at t = -1 is a prior: its step moves
+    nothing and observes time 0, and the actions it is given are never read.
     """
     t = b1.t
     if t >= model.horizon:
@@ -465,14 +467,15 @@ def belief1_step(
     plan = step_plan(info, t)
     z1_of, ell_next_of = plan.read_z1, plan.read_l2
     db, entries = b1.scaled()
-    dw, ws = model.w_dist(t).scaled()
+    # decided before any per-stage table is indexed: index -1 reads the last stage
+    (dw, ws), f = (_NO_DISTURBANCE, None) if t < 0 else (model.w_dist(t).scaled(), model.transition[t])
     dv1, v1s = model.v_dist(1, t + 1).scaled()
     dv2, v2s = model.v_dist(2, t + 1).scaled()
     acc = _joint()
     for (x, ell), n in entries:
         u2 = gamma2(ell)
         for w, nw in ws:
-            x_next = model.f(t, x, u1, u2, w)
+            x_next = x if f is None else f[x][u1][u2][w]
             nxw = n * nw
             for v1, nv1 in v1s:
                 y1_next = model.h(1, t + 1, x_next, v1)
@@ -496,7 +499,7 @@ def update_belief1(
 
 
 # ---------------------------------------------------------------------------
-# Agent-2 (shared) belief: initialization and one-step update.
+# Agent-2 (shared) belief: one-step update.
 # ---------------------------------------------------------------------------
 
 
@@ -535,7 +538,7 @@ def _mixture_parts(denom: int, steps, key_of, ids: dict) -> tuple[int, list[dict
 
 
 def _mixture_branches(
-    t: int, parts: list[dict], points: list[Belief1], interned=None
+    t: int, parts: list[dict], points: list[Belief1], interned: dict
 ) -> dict[tuple[int, ...], tuple[int, Belief2]]:
     """Shared-belief branches at time t from `_mixture_parts` parts: each
     key's entries summed over the parts, in sorted key order, as {key:
@@ -574,13 +577,13 @@ def _mixture_branches(
 
 class StepCache:
     """The Bayes-step memo of one (model, info), whose keys do not name
-    them: each distinct agent-1 root set, agent-1 step and posterior is
-    built once and reused as one object.
+    them: each distinct agent-1 step and posterior is built once and reused
+    as one object.
 
-      roots     `initial_belief1_roots`, built on first use;
+      roots     the step from the prior (time 0), held on first use;
       steps     agent-1 steps, keyed on (b1, u1, gamma2 on b1's private
-                support);
-      ids       each distinct agent-1 posterior (in roots and steps), keyed
+                support), the step from the prior among them;
+      ids       each distinct agent-1 posterior (of the steps), keyed
                 by value, to its id: a dense index in order of first sight;
       points    the posteriors by id, each the object first built;
       beliefs2  each distinct shared posterior, keyed on its `_signature`.
@@ -589,9 +592,8 @@ class StepCache:
     them hashes integers only; a new shared posterior maps the ids back
     through `points`.
 
-    The roots and steps run through the module's `initial_belief1_roots`
-    and `belief1_step`, looked up at call time, so a rebound function is
-    the one called."""
+    The steps run through the module's `belief1_step`, looked up at call
+    time, so a rebound function is the one called."""
 
     __slots__ = ("roots", "steps", "ids", "points", "beliefs2")
 
@@ -615,17 +617,16 @@ class StepCache:
     def roots1(self, model: TeamModel, info: InfoStructure) -> dict[tuple[int, ...], tuple[Fraction, Belief1]]:
         """`initial_belief1_roots`, cached, with interned posteriors."""
         if self.roots is None:
-            self.roots = self._interned(initial_belief1_roots(model, info))
+            self.roots = self.step1(model, info, _prior1(model), 0, _NULL2)
         return self.roots
 
     def roots2(self, model: TeamModel, info: InfoStructure) -> dict[tuple[int, ...], tuple[Fraction, Belief2]]:
         """Positive-probability time-0 accessible realizations and their
-        shared beliefs, with interned posteriors: each cached agent-1 root
-        z1 -> (q, b1) puts weight q * b1(x, ell) on (x, ell, b1) under the
-        a2[0] part of z1 (a2[0] = z2[0] lies inside m1[0] = z1[0])."""
-        z2_of = step_plan(info, -1).z2_of  # a2[0] = z2[0]
-        denom, parts = _mixture_parts(1, [(1, self.roots1(model, info))], z2_of, self.ids)
-        return _fractions(_mixture_branches(0, parts, self.points, self.beliefs2), denom)
+        shared beliefs, with interned posteriors: `belief2_step` on this
+        cache from the shared prior, under null prescriptions."""
+        b1 = _prior1(model)
+        b2 = Belief2(-1, tuple(((x, ell, b1), p) for (x, ell), p in b1.entries))
+        return belief2_step(model, info, b2, Prescription.for_agent1(-1, {b1: 0}), _NULL2, self)
 
     def root1(self, model: TeamModel, info: InfoStructure, z1: tuple[int, ...]) -> Belief1:
         """Agent 1's time-0 belief after the new information z1."""
@@ -695,12 +696,7 @@ def belief2_step(
     """
     choices = ((b1, gamma1(b1), tuple(map(gamma2, b1.private_support()))) for b1 in b2.mixture_numerators()[1])
     step = SharedStep(model, info, b2, cache, choices)
-    return _fractions(step.branches(step.parts), step.denom)
-
-
-def _fractions(branches: dict, denom: int) -> dict:
-    """`_mixture_branches` output with each integer total as total / denom."""
-    return {key: (Fraction(total, denom), post) for key, (total, post) in branches.items()}
+    return {z2: (Fraction(total, step.denom), post) for z2, (total, post) in step.branches(step.parts).items()}
 
 
 class SharedStep:
@@ -717,19 +713,16 @@ class SharedStep:
     a table of integers.  `branches(parts)` sums the parts of one
     prescription pair, one per inner belief, and returns its branches as
     {z2: (total, posterior)}, each branch probability the integer total /
-    `denom`, each posterior interned in `interned` (the cache's
-    shared-posterior table; None builds every posterior afresh).
+    `denom`, each posterior interned in `interned`, the cache's
+    shared-posterior table.
     """
 
     __slots__ = ("t", "denom", "parts", "points", "interned")
 
     def __init__(self, model: TeamModel, info: InfoStructure, b2: Belief2, cache: StepCache, choices):
-        t = b2.t
-        if t >= model.horizon:
-            raise ValueError(f"no transition out of the final time {t}")
         denom, mixture = b2.mixture_numerators()
         steps = [(mixture[b1], cache.step1_on(model, info, b1, u1, acts)) for b1, u1, acts in choices]
-        self.t = t
+        self.t = t = b2.t
         self.denom, self.parts = _mixture_parts(denom, steps, step_plan(info, t).z2_of, cache.ids)
         self.points = cache.points
         self.interned = cache.beliefs2

@@ -98,17 +98,29 @@ def _load_info(path: str, doc: dict, model, delay_override: int | None):
 
 def _load_checked(path: str, what: str, check, *context):
     """A JSON document whose shape `check(doc, *context)` accepts; a file
-    that is not UTF-8 JSON, or a violation, becomes a NestedDPError naming
-    the file (and, for a violation, the JSON path and the rule)."""
+    that is not UTF-8 JSON, a repeated key or a violation becomes a
+    NestedDPError naming the file (and a violation's JSON path and rule)."""
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_distinct_keys)
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise NestedDPError(f"{what} file {path} is not valid JSON: {exc}") from None
+    except NestedDPError as exc:
+        raise NestedDPError(f"{what} file {path} is invalid: {exc}") from None
     try:
         check(doc, *context)
     except NestedDPError as exc:
         raise NestedDPError(f"{what} file {path} is invalid: {exc}") from None
+    return doc
+
+
+def _distinct_keys(pairs: list) -> dict:
+    """A JSON object as a dict; `json.load` would keep a repeated key's last value."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise NestedDPError(f"repeats the key {key!r}")
+        doc[key] = value
     return doc
 
 
@@ -514,16 +526,11 @@ def _cmd_check_factorization(args) -> int:
 
     strategy = HashedTeamStrategy(model, info, args.strategy_seed)
     checks = []
-    for t in range(model.horizon + 1):
-        m1_seen, a2_seen = set(), set()
-        for omega, _ in joint.entries:
-            traj = oracle_mod.trajectory(model, info, strategy, omega)
-            m1_seen.add(traj.read(info.m1[t]))
-            a2_seen.add(traj.read(info.a2[t]))
-        for m1real in sorted(m1_seen):
+    for t, (m1_seen, a2_seen) in enumerate(dec_mod.reachable_memories(model, info, joint, strategy)):
+        for m1real in m1_seen:
             res = dec_mod.check_factorization_pi1(model, split, info, joint, strategy, t, m1real)
             checks.append({"kind": "state-and-private", "t": t, "history": list(m1real), "equal": res.equal})
-        for a2real in sorted(a2_seen):
+        for a2real in a2_seen:
             res = dec_mod.check_factorization_pi2(model, split, info, joint, strategy, t, a2real)
             checks.append({"kind": "with-filter", "t": t, "history": list(a2real), "equal": res.equal})
     _emit({"checks": checks, "all_equal": all(c["equal"] for c in checks)})

@@ -9,6 +9,10 @@ filters, executable checks of the factorization identities, and a
 person-by-person solver that works directly on the factored keys (with a
 further reduction when agent 1 observes its own state perfectly).
 
+The filters `theta1_step` and `theta2_step` are the only code here that
+runs over primitive draws; as in `beliefs`, the time-0 filters are their
+steps from the prior at t = -1.
+
 The factorization checks deliberately accept any product-shaped TeamModel
 plus a state split, not just genuinely decoupled ones: the test suite ships
 a coupled counterexample to demonstrate the checks can fail.
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .beliefs import MarginalBelief, Prescription, _branches, _joint
+from .beliefs import _NO_DISTURBANCE, _NULL2, MarginalBelief, Prescription, _branches, _joint
 from .errors import PerfectObsViolation, ZeroProbabilityObservation
 from .info import InfoStructure, extend_a2, merge_realization, step_plan
 from .limits import resolve_budget
@@ -50,6 +54,7 @@ __all__ = [
     "FactorizationCheck",
     "check_factorization_pi1",
     "check_factorization_pi2",
+    "reachable_memories",
     "DecoupledPbpSolution",
     "solve_decoupled_pbp",
     "decoupled_from_json",
@@ -185,49 +190,34 @@ def embed(dec: DecoupledModel) -> TeamModel:
 
 
 def initial_theta1_roots(dec: DecoupledModel) -> dict[int, tuple[Fraction, MarginalBelief]]:
-    """Agent 1's time-0 observation values -> (probability, own-state filter)."""
-    dx, xs = dec.x1_dist.scaled()
-    dv, vs = dec.v1_dists[0].scaled()
-    acc = _joint()
-    for x1, nx in xs:
-        for v1, nv in vs:
-            acc[dec.obs1[0][x1][v1]][x1] += nx * nv
-    return _branches(acc, dx * dv, partial(MarginalBelief, 1, 0))
+    """Agent 1's time-0 observation values -> (probability, own-state
+    filter): the `theta1_step` from the prior."""
+    return theta1_step(dec, MarginalBelief(1, -1, tuple(dec.x1_dist.items())), 0)
 
 
 def initial_theta2_roots(
     dec: DecoupledModel, info: InfoStructure
 ) -> dict[tuple[int, ...], tuple[Fraction, MarginalBelief]]:
-    """Time-0 accessible realizations -> (probability, filter over agent 2's
-    (state, private values))."""
-    plan = step_plan(info, -1)
-    a2_of = plan.picker(info.a2[0])
-    ell_of = plan.picker(info.l2[0])
-    dx, xs = dec.x2_dist.scaled()
-    dv, vs = dec.v2_dists[0].scaled()
-    acc = _joint()
-    for x2, nx in xs:
-        for v2, nv in vs:
-            # agent-2 compositions never reference agent-1 data, so the
-            # sentinel y1 slot is never read
-            slots = (-1, dec.obs2[0][x2][v2])
-            acc[a2_of(slots)][(x2, ell_of(slots))] += nx * nv
-    return _branches(acc, dx * dv, partial(MarginalBelief, 2, 0))
+    """Time-0 accessible realizations (z2[0] = a2[0]) -> (probability, filter
+    over agent 2's (state, private values)): the `theta2_step` from the prior."""
+    prior = MarginalBelief(2, -1, tuple(((x2, ()), p) for x2, p in dec.x2_dist.items()))
+    return theta2_step(dec, info, prior, _NULL2)
 
 
 def theta1_step(
     dec: DecoupledModel, theta: MarginalBelief, u1: int
 ) -> dict[int, tuple[Fraction, MarginalBelief]]:
     """Predict through agent 1's own chain, then condition on each possible
-    next observation: y1' -> (branch probability, posterior)."""
+    next observation: y1' -> (branch probability, posterior).  A theta at
+    t = -1 is a prior: its step moves nothing and observes time 0."""
     t = theta.t
     dtheta, entries = theta.scaled()
-    dw, ws = dec.w1_dists[t].scaled()
+    (dw, ws), f = (_NO_DISTURBANCE, None) if t < 0 else (dec.w1_dists[t].scaled(), dec.f1[t])
     dv, vs = dec.v1_dists[t + 1].scaled()
     acc = _joint()
     for x1, n in entries:
         for w1, nw in ws:
-            x1n = dec.f1[t][x1][u1][w1]
+            x1n = x1 if f is None else f[x1][u1][w1]
             for v1, nv in vs:
                 acc[dec.obs1[t + 1][x1n][v1]][x1n] += n * nw * nv
     return _branches(acc, dtheta * dw * dv, partial(MarginalBelief, 1, t + 1))
@@ -250,14 +240,16 @@ def theta2_step(
     z2_of = plan.picker(info.z2[t + 1])
     ell_next_of = plan.picker(info.l2[t + 1])
     dtheta, entries = theta.scaled()
-    dw, ws = dec.w2_dists[t].scaled()
+    (dw, ws), f = (_NO_DISTURBANCE, None) if t < 0 else (dec.w2_dists[t].scaled(), dec.f2[t])
     dv, vs = dec.v2_dists[t + 1].scaled()
     acc = _joint()
     for (x2, ell), n in entries:
         u2 = gamma2(ell)
         for w2, nw in ws:
-            x2n = dec.f2[t][x2][u2][w2]
+            x2n = x2 if f is None else f[x2][u2][w2]
             for v2, nv in vs:
+                # agent-2 compositions never reference agent-1 data, so the
+                # sentinel y1 and u1 slots are never read
                 slots = ell + (-1, dec.obs2[t + 1][x2n][v2], -1, u2)
                 acc[z2_of(slots)][(x2n, ell_next_of(slots))] += n * nw * nv
     return _branches(acc, dtheta * dw * dv, partial(MarginalBelief, 2, t + 1))
@@ -275,8 +267,21 @@ class FactorizationCheck:
     equal: bool
 
 
-def _as_check(joint: dict, product: dict) -> FactorizationCheck:
-    keys = sorted(set(joint) | set(product))
+def reachable_memories(model: TeamModel, info: InfoStructure, joint: JointTable, strategy) -> list[tuple[list, list]]:
+    """Per t, the sorted realizations of m1[t] and of a2[t] that some joint
+    entry reaches under `strategy`: the histories the factorization checks
+    condition on.  Each entry is replayed once."""
+    seen = [(set(), set()) for _ in range(model.horizon + 1)]
+    for omega, _ in joint.entries:
+        traj = trajectory(model, info, strategy, omega)
+        for t, (m1s, a2s) in enumerate(seen):
+            m1s.add(traj.read(info.m1[t]))
+            a2s.add(traj.read(info.a2[t]))
+    return [(sorted(m1s), sorted(a2s)) for m1s, a2s in seen]
+
+
+def _as_check(joint: dict, product: dict, key=None) -> FactorizationCheck:
+    keys = sorted(set(joint) | set(product), key=key)
     jt = tuple((k, joint.get(k, Fraction(0))) for k in keys)
     pt = tuple((k, product.get(k, Fraction(0))) for k in keys)
     return FactorizationCheck(jt, pt, jt == pt)
@@ -369,14 +374,7 @@ def check_factorization_pi2(
         for (x2, ell), p2 in other.items()
     }
 
-    def keyfun(k):
-        x1, x2, ell, theta1 = k
-        return (x1, x2, ell, theta1.sort_key())
-
-    keys = sorted(set(lhs) | set(product), key=keyfun)
-    jt = tuple((k, lhs.get(k, Fraction(0))) for k in keys)
-    pt = tuple((k, product.get(k, Fraction(0))) for k in keys)
-    return FactorizationCheck(jt, pt, jt == pt)
+    return _as_check(lhs, product, lambda k: (*k[:3], k[3].sort_key()))
 
 
 # ---------------------------------------------------------------------------
@@ -460,9 +458,8 @@ def solve_decoupled_pbp(
     key = point_key if perfect_obs_1 else None
     dp = MemoArgmin({}, resolve_budget(budget), "value nodes", expand, key)
     total = Fraction(0)
-    roots1 = initial_theta1_roots(dec)
     roots2 = initial_theta2_roots(dec, info)
-    for p1, th1 in roots1.values():
+    for p1, th1 in initial_theta1_roots(dec).values():
         for a2real, (p2, th2) in roots2.items():
             total += p1 * p2 * dp.value((th1, th2, a2real))
     return DecoupledPbpSolution(total, dp.memo, perfect_obs_1)

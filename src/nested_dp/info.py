@@ -278,8 +278,8 @@ class StepContext:
 
     The values available at the step form one slot tuple: the private
     values at t in l2[t] order, then y1[t+1], y2[t+1], u1[t], u2[t].  For
-    t = -1, the time-0 plan, nothing is private and no action exists yet,
-    so the slots are just (y1[0], y2[0]).
+    t = -1, the step from the prior, only y1[0] and y2[0] have slots; the
+    prior's null actions that the kernels pass after them are never read.
 
     `picker(vars)` resolves a composition to slot indices the first time it
     is asked for and returns the function that reads a realization of it

@@ -256,7 +256,10 @@ class TestDecoupledSolve:
         monkeypatch.setattr(dec_mod, "theta2_step", counted)
         reduced = solve_decoupled_pbp(dec, info, HashedPsi2(emb, info, 7))
         inner_nodes = sum(1 for theta1, _, _ in reduced.memo if theta1.t < dec.horizon)
-        assert 0 < len(calls) <= inner_nodes
+        # the time-0 filters are one step from the prior at t = -1
+        priors = [args for args in calls if args[2].t == -1]
+        assert len(priors) == 1
+        assert 0 < len(calls) - len(priors) <= inner_nodes
 
     def test_perfect_obs_variant(self):
         dec = decoupled_instance(0, perfect_obs_1=True)

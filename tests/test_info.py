@@ -189,23 +189,18 @@ def test_identity_sweep_on_split_delay_structure():
 
 def test_identity_sweep_shares_one_belief_chain(monkeypatch):
     """The agent-1 chains, every tree node's runner and the shared walk step
-    through the sweep's one cache: one set of roots, one agent-1 step per
-    distinct cache key."""
+    through the sweep's one cache: one step from the prior (the time-0
+    roots), one agent-1 step per distinct cache key."""
     import nested_dp.beliefs as beliefs_mod
     from nested_dp.certify import certify_belief_and_cost_identities
 
-    roots, steps = [], []
-    real_roots, real_step = beliefs_mod.initial_belief1_roots, beliefs_mod.belief1_step
-
-    def counting_roots(*args):
-        roots.append(args)
-        return real_roots(*args)
+    steps = []
+    real_step = beliefs_mod.belief1_step
 
     def counting_step(model, info, b1, u1, gamma2):
         steps.append((b1, u1, tuple(gamma2(ell) for ell in b1.private_support())))
         return real_step(model, info, b1, u1, gamma2)
 
-    monkeypatch.setattr(beliefs_mod, "initial_belief1_roots", counting_roots)
     monkeypatch.setattr(beliefs_mod, "belief1_step", counting_step)
     model = model_with_horizon(2)
     report = certify_belief_and_cost_identities(model, build_delayed_structure(model, 1))
@@ -218,7 +213,7 @@ def test_identity_sweep_shares_one_belief_chain(monkeypatch):
         "marginal_checks": 385,
         "failures": [],
     }
-    assert len(roots) == 1
+    assert len([b1 for b1, _, _ in steps if b1.t == -1]) == 1
     assert steps and len(steps) == len(set(steps))
 
 

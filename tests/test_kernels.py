@@ -3,10 +3,11 @@
 The reference here is the Fraction accumulator the integer kernels
 replaced: every joint weight a product of Fractions, summed per (observed
 key, support point), normalized by Fraction division and made canonical by
-`from_weights`.  The eight kernel sites -- `initial_belief1_roots`,
-`belief1_step`, `StepCache.roots2`, `belief2_step` and the four
-`decoupled` theta kernels -- must return equal branches, in equal order,
-with Fraction probabilities and entries, on every input below.  A
+`from_weights`.  The four kernels -- `belief1_step`, `belief2_step` and
+`decoupled`'s `theta1_step` and `theta2_step` -- and their time-0 steps
+from the prior at t = -1 (`initial_belief1_roots`, `StepCache.roots2` and
+the two `initial_theta*_roots`) must return equal branches, in equal
+order, with Fraction probabilities and entries, on every input below.  A
 reference solve built from these kernels, `expected_cost2` and
 `ref_argmin` -- the Fraction argmin that `MemoArgmin`'s integer loop
 replaced -- checks the solver's integer stage-cost tables and its
@@ -550,6 +551,60 @@ class TestDecoupledKernels:
     def test_sweep(self, seed, horizon, perfect, noisy, choices):
         dec = (noisy_decoupled if noisy else decoupled_instance)(seed, horizon, perfect)
         walk_decoupled(dec, random.Random(choices))
+
+
+class TestPriorStep:
+    """Time 0 is each kernel's step from the prior at t = -1.  The roots it
+    gives equal the Fraction references at horizon 0, where no step out of
+    t = 0 exists, and under an initial law with a zero weight."""
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    @pytest.mark.parametrize("case", ["horizon 0", "zero weight"])
+    def test_roots_equal_the_references(self, case, noisy):
+        horizon = 0 if case == "horizon 0" else 2
+        model = (noisy_model if noisy else certification_instance)(0, horizon)
+        dec = (noisy_decoupled if noisy else decoupled_instance)(0, horizon)
+        if case == "zero weight":
+            model = replace(model, x0_dist=Dist((Fraction(0), Fraction(1))))
+            dec = replace(dec, x1_dist=Dist((Fraction(1), Fraction(0))), x2_dist=Dist((Fraction(0), Fraction(1))))
+        for d in range(horizon + 2):
+            info = build_delayed_structure(model, d)
+            assert_same_branches(initial_belief1_roots(model, info), ref_initial_belief1_roots(model, info))
+            assert_same_branches(StepCache().roots2(model, info), ref_initial_belief2_roots(model, info))
+            dec_info = build_delayed_structure(dec_mod.embed(dec), d)
+            assert_same_branches(dec_mod.initial_theta1_roots(dec), ref_initial_theta1_roots(dec))
+            assert_same_branches(dec_mod.initial_theta2_roots(dec, dec_info), ref_initial_theta2_roots(dec, dec_info))
+
+    @pytest.mark.parametrize("d", range(4))
+    def test_solve_roots_are_the_cache_roots(self, d, monkeypatch):
+        """`solve_exact`'s roots equal `StepCache.roots2`, each posterior the
+        solve cache's interned object, and the solve takes the prior's
+        agent-1 step once."""
+        import nested_dp.beliefs as beliefs_mod
+
+        priors = []
+        real_step = beliefs_mod.belief1_step
+
+        def counting_step(model, info, b1, u1, gamma2):
+            if b1.t == -1:
+                priors.append(b1)
+            return real_step(model, info, b1, u1, gamma2)
+
+        monkeypatch.setattr(beliefs_mod, "belief1_step", counting_step)
+        model = certification_instance(0)
+        info = build_delayed_structure(model, d)
+        solution = solve_exact(model, info)
+        assert len(priors) == 1
+        cache = StepCache()
+        fresh = cache.roots2(model, info)
+        assert len(priors) == 2
+        assert list(solution.roots) == list(fresh) and solution.roots == fresh
+        for roots, interned in ((solution.roots, solution.cache.beliefs2), (fresh, cache.beliefs2)):
+            assert all(any(b2 is post for post in interned.values()) for _, b2 in roots.values())
+        again = solution.cache.roots2(model, info)
+        assert all(again[key][1] is b2 for key, (_, b2) in solution.roots.items())
+        solution.cache.roots1(model, info)
+        assert len(priors) == 2
 
 
 class TestStageCostTables:

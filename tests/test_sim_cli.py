@@ -361,6 +361,32 @@ class TestCli:
         assert f"error: {kind} file {bad} is not valid JSON: " in captured.err
         assert reason in captured.err
 
+    @pytest.mark.parametrize("kind", ["model", "psi2", "strategy"])
+    def test_repeated_json_key_names_the_file(self, tmp_path, capsys, kind):
+        """An object with a repeated key is refused in every file read:
+        `json.load` alone would keep the last value, so a psi2 file
+        {"kind": "constant", "action": 0, "action": 1} would run action 1."""
+        model = certification_instance(0, horizon=1)
+        model_path = write_model(tmp_path, model)
+        bad = tmp_path / "bad.json"
+        if kind == "model":
+            doc = json.loads(open(model_path).read())
+            bad.write_text(json.dumps(doc)[:-1] + ', "horizon": 1}')
+            key, command = "horizon", ["solve", str(bad)]
+        elif kind == "psi2":
+            bad.write_text('{"kind": "constant", "action": 0, "action": 1}')
+            key, command = "action", ["pbp", model_path, "--psi2", str(bad)]
+        else:
+            info = build_delayed_structure(model, 1)
+            doc = orc.exhaustive_min(model, info, orc.build_joint(model)).strategy.to_json()
+            bad.write_text(json.dumps(doc)[:-1] + f', "g2": {json.dumps(doc["g2"])}}}')
+            key, command = "g2", ["simulate", model_path, "--seed", "1", "--episodes", "5", "--strategy", str(bad)]
+        assert cli_main(command) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {kind} file {bad} is invalid: repeats the key '{key}'" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_repeated_psi2_keys_are_located_domain_errors(self, tmp_path, capsys, solved):
         """A repeated [t, accessible] pair, or a repeated private realization
         in one table, is rejected wherever it stands: loading would keep the

@@ -336,18 +336,14 @@ class TestSharedStepCache:
         import nested_dp.beliefs as beliefs_mod
 
         calls = []
-        real_step, real_roots = beliefs_mod.belief1_step, beliefs_mod.initial_belief1_roots
+        real_step = beliefs_mod.belief1_step
 
         def counting_step(model, info, b1, u1, gamma2):
-            calls.append("belief1_step")
+            # the time-0 roots are the step from the prior at t = -1
+            calls.append("prior step" if b1.t == -1 else "belief1_step")
             return real_step(model, info, b1, u1, gamma2)
 
-        def counting_roots(model, info):
-            calls.append("initial_belief1_roots")
-            return real_roots(model, info)
-
         monkeypatch.setattr(beliefs_mod, "belief1_step", counting_step)
-        monkeypatch.setattr(beliefs_mod, "initial_belief1_roots", counting_roots)
         return calls
 
     @staticmethod
@@ -367,6 +363,7 @@ class TestSharedStepCache:
         calls = self.count_bayes_steps(monkeypatch)
         solution = solve_exact(model, info)
         assert calls and solution.cache.steps
+        assert calls.count("prior step") == 1
         calls.clear()
         strategy = extract_control_strategy(solution)
         assert strategy.cache is solution.cache
@@ -384,6 +381,7 @@ class TestSharedStepCache:
         calls = self.count_bayes_steps(monkeypatch)
         pbp = solve_pbp_exact(model, info, psi2)
         assert calls and pbp.cache.steps
+        assert calls.count("prior step") == 1
         calls.clear()
         self.execute(model, info, extract_pbp_strategy(pbp), pbp.value)
         assert calls == []
