@@ -20,12 +20,11 @@ from nested_dp.info import build_delayed_structure
 
 
 def sweep(model, split, info, strategy_seed):
-    joint = orc.build_joint(model)
-    strategy = HashedTeamStrategy(model, info, strategy_seed)
+    replayed = orc.replay(orc.build_joint(model), model, info, HashedTeamStrategy(model, info, strategy_seed))
     rows = []
-    for t, (m1s, _) in enumerate(reachable_memories(model, info, joint, strategy)):
+    for t, (m1s, _) in enumerate(reachable_memories(info, replayed)):
         for m1real in m1s:
-            check = check_factorization_pi1(model, split, info, joint, strategy, t, m1real)
+            check = check_factorization_pi1(split, info, replayed, t, m1real)
             rows.append((t, m1real, check.equal))
     return rows
 

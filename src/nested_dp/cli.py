@@ -524,14 +524,14 @@ def _cmd_check_factorization(args) -> int:
     joint = oracle_mod.build_joint(model, args.budget)
     from .generators import HashedTeamStrategy
 
-    strategy = HashedTeamStrategy(model, info, args.strategy_seed)
+    replayed = oracle_mod.replay(joint, model, info, HashedTeamStrategy(model, info, args.strategy_seed))
     checks = []
-    for t, (m1_seen, a2_seen) in enumerate(dec_mod.reachable_memories(model, info, joint, strategy)):
+    for t, (m1_seen, a2_seen) in enumerate(dec_mod.reachable_memories(info, replayed)):
         for m1real in m1_seen:
-            res = dec_mod.check_factorization_pi1(model, split, info, joint, strategy, t, m1real)
+            res = dec_mod.check_factorization_pi1(split, info, replayed, t, m1real)
             checks.append({"kind": "state-and-private", "t": t, "history": list(m1real), "equal": res.equal})
         for a2real in a2_seen:
-            res = dec_mod.check_factorization_pi2(model, split, info, joint, strategy, t, a2real)
+            res = dec_mod.check_factorization_pi2(split, info, replayed, t, a2real)
             checks.append({"kind": "with-filter", "t": t, "history": list(a2real), "equal": res.equal})
     _emit({"checks": checks, "all_equal": all(c["equal"] for c in checks)})
     return 0

@@ -20,6 +20,7 @@ a coupled counterexample to demonstrate the checks can fail.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -41,8 +42,8 @@ from .model import (
     _space_from_json,
     _space_to_json,
 )
-from .oracle import JointTable, condition, trajectory
-from .solver import MemoArgmin, _over_lcm
+from .oracle import Trajectory, condition_replayed
+from .solver import MemoArgmin, _scaled_costs
 
 __all__ = [
     "DecoupledModel",
@@ -267,13 +268,12 @@ class FactorizationCheck:
     equal: bool
 
 
-def reachable_memories(model: TeamModel, info: InfoStructure, joint: JointTable, strategy) -> list[tuple[list, list]]:
-    """Per t, the sorted realizations of m1[t] and of a2[t] that some joint
-    entry reaches under `strategy`: the histories the factorization checks
-    condition on.  Each entry is replayed once."""
-    seen = [(set(), set()) for _ in range(model.horizon + 1)]
-    for omega, _ in joint.entries:
-        traj = trajectory(model, info, strategy, omega)
+def reachable_memories(info: InfoStructure, replayed: list[tuple[Trajectory, Fraction]]) -> list[tuple[list, list]]:
+    """Per t, the sorted realizations of m1[t] and of a2[t] that some
+    episode of `replayed` (`oracle.replay` of the joint under a strategy)
+    reaches: the histories the factorization checks condition on."""
+    seen = [(set(), set()) for _ in range(info.horizon + 1)]
+    for traj, _ in replayed:
         for t, (m1s, a2s) in enumerate(seen):
             m1s.add(traj.read(info.m1[t]))
             a2s.add(traj.read(info.a2[t]))
@@ -288,20 +288,20 @@ def _as_check(joint: dict, product: dict, key=None) -> FactorizationCheck:
 
 
 def check_factorization_pi1(
-    model: TeamModel,
     split: tuple[int, int],
     info: InfoStructure,
-    joint: JointTable,
-    strategy,
+    replayed: list[tuple[Trajectory, Fraction]],
     t: int,
     m1real: tuple[int, ...],
 ) -> FactorizationCheck:
     """Does the conditional over (both states, private values) given agent
     1's memory factor into (own state | own memory) times (other state,
     private values | shared data)?  Exact equality on every support element;
-    product-shaped but coupled models are expected to fail."""
+    product-shaped but coupled models are expected to fail.  `replayed` is
+    `oracle.replay` of the embedded model's joint under the strategy, run
+    once for every check of a sweep."""
     _, n2 = split
-    cond = condition(joint, model, info, strategy, [(("M1", t), m1real)], [("X", t), ("L2", t)])
+    cond = condition_replayed(info, replayed, [(("M1", t), m1real)], [("X", t), ("L2", t)])
     lhs: dict = {}
     own_marg: dict = {}
     for (x, ell), p in cond.items():
@@ -309,7 +309,7 @@ def check_factorization_pi1(
         lhs[(x1, x2, ell)] = lhs.get((x1, x2, ell), Fraction(0)) + p
         own_marg[x1] = own_marg.get(x1, Fraction(0)) + p
     a2real = merge_realization(info.a2[t], {info.m1[t]: m1real})
-    other = condition(joint, model, info, strategy, [(("A2", t), a2real)], [("X", t), ("L2", t)])
+    other = condition_replayed(info, replayed, [(("A2", t), a2real)], [("X", t), ("L2", t)])
     other_marg: dict = {}
     for (x, ell), p in other.items():
         _, x2 = divmod(x, n2)
@@ -323,31 +323,29 @@ def check_factorization_pi1(
 
 
 def check_factorization_pi2(
-    model: TeamModel,
     split: tuple[int, int],
     info: InfoStructure,
-    joint: JointTable,
-    strategy,
+    replayed: list[tuple[Trajectory, Fraction]],
     t: int,
     a2real: tuple[int, ...],
 ) -> FactorizationCheck:
     """Given the shared data, is (own state, own filter) independent of
     (other state, private values)?  The filter realization per draw is the
-    direct conditional of the own state on the realized memory."""
+    direct conditional of the own state on the realized memory.  `replayed`
+    is as for `check_factorization_pi1`."""
     _, n2 = split
     theta_cache: dict[tuple[int, ...], MarginalBelief] = {}
 
     lhs: dict = {}
     total = Fraction(0)
-    for omega, p in joint.entries:
-        traj = trajectory(model, info, strategy, omega)
+    for traj, p in replayed:
         a2 = traj.read(info.a2[t])
         if a2 != a2real:
             continue
         m1 = traj.read(info.m1[t])
         theta1 = theta_cache.get(m1)
         if theta1 is None:
-            cond = condition(joint, model, info, strategy, [(("M1", t), m1)], [("X", t)])
+            cond = condition_replayed(info, replayed, [(("M1", t), m1)], [("X", t)])
             weights: dict[int, Fraction] = {}
             for (x,), q in cond.items():
                 x1, _ = divmod(x, n2)
@@ -422,10 +420,22 @@ def solve_decoupled_pbp(
 
     With perfect own observations the own filter is a point mass and the
     memo key drops to (own state, shared filter, accessible realization).
+
+    Candidates are scored in `MemoArgmin`'s integers.  A node's stage cost
+    under u1 is the sum of n1 * n2 * k(x1, x2, u1, gamma2(ell)) over the
+    filters' entries n1 / D1 and n2 / D2 and the stage's integer cost table
+    k / K, over the scale D1 * D2 * K; a successor's weight is the product
+    of its two branch numerators, each side's over the lcm of that side's
+    branch denominators at the node.  Filter steps are kept for the length
+    of the solve, `theta1_step` keyed by (theta1, u1) and `theta2_step` by
+    (theta2, gamma2), so nodes that share a filter share its steps.
     """
     if perfect_obs_1:
         _require_identity_obs1(dec)
     T = dec.horizon
+    costs = [_scaled_costs(dec.cost_table[t]) for t in range(T + 1)]
+    steps1: dict = {}
+    steps2: dict = {}
 
     def point_key(node):
         theta1, theta2, a2real = node
@@ -433,27 +443,54 @@ def solve_decoupled_pbp(
         return (theta1.t, x1, theta2, a2real)
 
     def expand(node):
-        return node[0].t, 1, _over_lcm(actions(*node))
+        return node[0].t, 1, candidates(*node)
 
-    def actions(theta1: MarginalBelief, theta2: MarginalBelief, a2real):
+    def candidates(theta1: MarginalBelief, theta2: MarginalBelief, a2real):
         t = theta1.t
         g2 = psi2.prescription(t, a2real)
+        # h[u1] / (D1 * D2 * K): the filters' entries n1 / D1 and n2 / D2,
+        # stage-t costs k / K
+        d1, entries1 = theta1.scaled()
+        d2, entries2 = theta2.scaled()
+        cost_denom, units = costs[t]
+        h = [0] * dec.actions1[t].size
+        for (x2, ell), n2 in entries2:
+            u2 = g2(ell)
+            for x1, n1 in entries1:
+                n = n1 * n2
+                for u1, row in enumerate(units[x1][x2]):
+                    h[u1] += n * row[u2]
+        scale = d1 * d2 * cost_denom
+        if t == T:
+            yield scale
+            for u1, cost in enumerate(h):
+                yield (u1,), cost, ()
+            return
+        steps = []
+        for u1 in range(len(h)):
+            step = steps1.get((theta1, u1))
+            if step is None:
+                step = steps1[(theta1, u1)] = theta1_step(dec, theta1, u1)
+            steps.append(step)
         # agent 2's side of the step does not depend on agent 1's action
-        b2 = theta2_step(dec, info, theta2, g2).items() if t < T else ()
-        for u1 in range(dec.actions1[t].size):
-            v = Fraction(0)
-            for x1, p1 in theta1.items():
-                for (x2, ell), p2 in theta2.items():
-                    v += p1 * p2 * dec.cost(t, x1, x2, u1, g2(ell))
-            successors = ()
-            if t < T:
-                b1 = theta1_step(dec, theta1, u1)
-                successors = (
-                    (p1 * p2, (th1n, th2n, extend_a2(info, t, a2real, z2real)))
-                    for p1, th1n in b1.values()
-                    for z2real, (p2, th2n) in b2
-                )
-            yield (u1,), v, successors
+        step2 = steps2.get((theta2, g2))
+        if step2 is None:
+            step2 = steps2[(theta2, g2)] = theta2_step(dec, info, theta2, g2)
+        # a branch probability q is q.numerator * (L // q.denominator) / L,
+        # L1 and L2 the lcms of each side's branch denominators
+        lcm1 = math.lcm(*(q.denominator for step in steps for q, _ in step.values()))
+        lcm2 = math.lcm(*(q.denominator for q, _ in step2.values()))
+        side2 = [
+            (q.numerator * (lcm2 // q.denominator) * scale, th2n, extend_a2(info, t, a2real, z2real))
+            for z2real, (q, th2n) in step2.items()
+        ]
+        yield scale * lcm1 * lcm2
+        for u1, (cost, step) in enumerate(zip(h, steps)):
+            yield (u1,), cost * lcm1 * lcm2, [
+                (q.numerator * (lcm1 // q.denominator) * w2, (th1n, th2n, a2n))
+                for q, th1n in step.values()
+                for w2, th2n, a2n in side2
+            ]
 
     key = point_key if perfect_obs_1 else None
     dp = MemoArgmin({}, resolve_budget(budget), "value nodes", expand, key)

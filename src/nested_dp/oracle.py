@@ -58,12 +58,14 @@ __all__ = [
     "ExplicitStrategy",
     "build_joint",
     "trajectory",
+    "replay",
     "evaluate_strategy",
     "enumerate_agent2_strategies",
     "enumerate_agent1_strategies",
     "exhaustive_min",
     "min_over_agent1",
     "condition",
+    "condition_replayed",
     "condition_on_memory1",
 ]
 
@@ -188,6 +190,13 @@ def trajectory(model: TeamModel, info: InfoStructure, strategy, omega: Omega) ->
         costs.append(model.cost(t, x, u1, u2))
         ctx = _step_context(model, ctx, t, u1, u2)
     return Trajectory(tuple(xs), MappingProxyType(ctx[1]), tuple(costs))
+
+
+def replay(joint: JointTable, model: TeamModel, info: InfoStructure, strategy) -> list[tuple[Trajectory, Fraction]]:
+    """Every joint entry's episode under `strategy`, with its probability,
+    in entry order: one `trajectory` per entry, for callers that condition
+    the same strategy-closed joint many times (`condition_replayed`)."""
+    return [(trajectory(model, info, strategy, omega), p) for omega, p in joint.entries]
 
 
 def evaluate_strategy(joint: JointTable, model: TeamModel, info: InfoStructure, strategy) -> Fraction:
@@ -523,10 +532,21 @@ def condition(
     are ("X", t), ("Y1", t), ..., or composites ("M1", t), ("L2", t), etc.
     Returns the conditional distribution over query value tuples.
     """
+    episodes = ((trajectory(model, info, strategy, omega), p) for omega, p in joint.entries)
+    return condition_replayed(info, episodes, given, query)
+
+
+def condition_replayed(
+    info: InfoStructure,
+    episodes,
+    given: list[tuple[tuple, object]],
+    query: list[tuple],
+) -> dict[tuple, Fraction]:
+    """`condition` over episodes already run: (trajectory, probability)
+    pairs covering the joint, as `replay` returns them."""
     weights: dict[tuple, Fraction] = {}
     total = Fraction(0)
-    for omega, p in joint.entries:
-        traj = trajectory(model, info, strategy, omega)
+    for traj, p in episodes:
         if all(_atom_value(info, traj, atom) == val for atom, val in given):
             key = tuple(_atom_value(info, traj, atom) for atom in query)
             weights[key] = weights.get(key, Fraction(0)) + p

@@ -33,9 +33,14 @@ successor weights as integers over one per-node scale, a candidate's value
 is kept as an integer ratio over the lcm of its successors' denominators
 and compared with the best by cross-multiplying, and each node builds one
 Fraction, its value.  A node's candidates are built only after its charge
-passes the budget.  The joint solve's scale is the stage-cost denominator
-times its shared step's; the person-by-person solves scale each node's
-Fraction costs and step probabilities to their lcm (`_over_lcm`).
+passes the budget.  Every solver reads its stage costs off one integer
+table per stage (`_scaled_costs`), summed against the node's belief as
+integers over its common denominator (`scaled()`).  The joint solve's scale
+is the stage-cost denominator times its shared step's; a person-by-person
+node's is the stage-cost denominator times the lcm of its branch
+probabilities' denominators, each branch weight its numerator over that
+lcm.  The lattice snap and the measured Lipschitz ratio run in integers
+too.
 
 Top-down recursion (rather than bottom-up tabulation) is deliberate: the
 reachable belief set is tiny compared to the continuum, and only reachable
@@ -68,10 +73,8 @@ from .beliefs import (
     Prescription,
     SharedStep,
     StepCache,
-    belief1_from_vector,
     belief1_vector,
     belief2_step,
-    expected_cost1,
 )
 from .errors import MissingKey, ResourceLimitExceeded
 from .info import (  # extend_a2 is re-exported for callers of this module
@@ -150,7 +153,9 @@ class MemoArgmin:
     the first minimizer wins, and the node builds one Fraction, its value,
     stored as memo[key(node)] = (value, *decision); `key` defaults to the
     node itself.  Successors are solved in the order given, so memo
-    insertion order is the visit order.
+    insertion order is the visit order.  Every solver here and in
+    `decoupled` builds its candidates as these integers directly, from its
+    integer cost tables and its branch probabilities' numerators.
     """
 
     def __init__(self, memo: dict, cap: int, unit: str, expand, key=None):
@@ -190,19 +195,6 @@ class MemoArgmin:
         v = Fraction(best_n, best_d * scale)
         self.memo[key] = (v, *best)
         return v
-
-
-def _over_lcm(candidates):
-    """Candidates with Fraction costs and successor weights, as `MemoArgmin`
-    takes them: first the scale, the lcm of every denominator, then each
-    candidate with its cost and weights as integers over it.  Nothing runs
-    before the first item is asked for."""
-    rows = [(decision, cost, list(successors)) for decision, cost, successors in candidates]
-    scale = math.lcm(*(c.denominator for _, c, _ in rows), *(p.denominator for *_, succ in rows for p, _ in succ))
-    yield scale
-    for decision, cost, succ in rows:
-        yield (decision, cost.numerator * (scale // cost.denominator),
-               [(p.numerator * (scale // p.denominator), nxt) for p, nxt in succ])
 
 
 # ---------------------------------------------------------------------------
@@ -416,11 +408,24 @@ def _prescriptions(b2: Belief2, l2_reals: list[A2Real], a1: tuple, a2: tuple) ->
 
 
 def _scaled_costs(stage) -> tuple[int, list]:
-    """A stage's cost table cost[x][u1][u2] over one common denominator K:
-    (K, k) with cost[x][u1][u2] = k[x][u1][u2] / K."""
-    denom, nums = scale_to_integers(c for x_row in stage for u1_row in x_row for c in u1_row)
+    """A stage's cost table, nested sequences of rationals at any depth
+    (cost[x][u1][u2] here, cost[x1][x2][u1][u2] in `decoupled`), over one
+    common denominator K: (K, k), k the same nesting of lists of integers,
+    each cost k[...] / K."""
+
+    def leaves(node):
+        for child in node:
+            if isinstance(child, (tuple, list)):
+                yield from leaves(child)
+            else:
+                yield child
+
+    def rebuild(node):
+        return [rebuild(child) if isinstance(child, (tuple, list)) else next(flat) for child in node]
+
+    denom, nums = scale_to_integers(leaves(stage))
     flat = iter(nums)
-    return denom, [[[next(flat) for _ in u1_row] for u1_row in x_row] for x_row in stage]
+    return denom, rebuild(stage)
 
 
 def optimal_psi2(model: TeamModel, info: InfoStructure, solution: ExactSolution) -> "TablePsi2":
@@ -551,14 +556,34 @@ class PbpSolution:
 
     def snap(self, b1: Belief1) -> Belief1:
         """The lattice point nearest to b1 (b1 itself for the exact solve),
-        computed once per belief."""
-        if self.resolution is None:
+        computed once per belief: `lattice.nearest_point` of b1's vector,
+        in integers.  With b1's entries n / D and resolution r, coordinate
+        n / D scales to n * r / D, whose floor and fractional part are the
+        quotient and remainder of n * r by D; the increments left go to the
+        largest remainders, ties to the later coordinate.  Coordinates off
+        the support never get one: the support's remainders are each below
+        D and sum to D times the increments left, so that many of them are
+        positive."""
+        res = self.resolution
+        if res is None:
             return b1
         point = self._snaps.get(b1)
         if point is None:
             plist = self.private_lists[b1.t]
-            vec = belief1_vector(self.model, plist, b1)
-            point = self._snaps[b1] = belief1_from_vector(b1.t, plist, lat.nearest_point(vec, self.resolution))
+            where = {ell: i for i, ell in enumerate(plist)}
+            denom, entries = b1.scaled()
+            counts, order, left = {}, [], res
+            for key, n in entries:
+                counts[key], rest = divmod(n * res, denom)
+                left -= counts[key]
+                x, ell = key
+                order.append((rest, x * len(plist) + where[ell], key))
+            order.sort(reverse=True)
+            for _, _, key in order[:left]:
+                counts[key] += 1
+            point = self._snaps[b1] = Belief1(
+                b1.t, tuple((key, Fraction(k, res)) for key, k in sorted(counts.items()) if k)
+            )
         return point
 
     def sup_value(self, t: int) -> Fraction:
@@ -572,24 +597,38 @@ class PbpSolution:
     def measured_lipschitz(self) -> Fraction:
         """Largest finite-difference ratio |dV| / dTV over same-stage,
         same-accessible-realization key pairs.  A conservative stand-in for
-        a true Lipschitz bound; reported, never assumed tight."""
+        a true Lipschitz bound; reported, never assumed tight.
+
+        Each group's beliefs are integer vectors over the lcm L of their
+        denominators, and its values integers over the lcm M of theirs, so
+        a pair's ratio is |dv| * L / (dist * M) with integer |dv| and dist;
+        pairs are compared by cross-multiplying |dv| / dist, and the group
+        builds one Fraction, its largest ratio."""
         by_group: dict[tuple[int, A2Real], list[tuple[Belief1, Fraction]]] = {}
         for (b1, a2real), (v, _) in self.memo.items():
             by_group.setdefault((b1.t, a2real), []).append((b1, v))
         best = Fraction(0)
-        for (t, _), pairs in by_group.items():
-            plist = self.private_lists.get(t)
-            if plist is None:
-                continue
-            vecs = [(belief1_vector(self.model, plist, b1), v) for b1, v in pairs]
-            for i in range(len(vecs)):
-                for j in range(i + 1, len(vecs)):
-                    dist = lat.tv_distance(vecs[i][0], vecs[j][0])
-                    if dist == 0:
-                        continue
-                    ratio = abs(vecs[i][1] - vecs[j][1]) / dist
-                    if ratio > best:
-                        best = ratio
+        for pairs in by_group.values():
+            lcm_b = math.lcm(*(b1.scaled()[0] for b1, _ in pairs))
+            lcm_v = math.lcm(*(v.denominator for _, v in pairs))
+            # coordinates: the (x, ell) points in some belief's support
+            where = {key: i for i, key in enumerate(dict.fromkeys(key for b1, _ in pairs for key, _ in b1.entries))}
+            vecs = []
+            for b1, v in pairs:
+                denom, entries = b1.scaled()
+                vec = [0] * len(where)
+                for key, n in entries:
+                    vec[where[key]] = n * (lcm_b // denom)
+                vecs.append((vec, v.numerator * (lcm_v // v.denominator)))
+            top, top_dist = 0, 1
+            for i, (p, vp) in enumerate(vecs):
+                for q, vq in vecs[i + 1:]:
+                    dist = sum(abs(a - b) for a, b in zip(p, q))
+                    if dist and abs(vp - vq) * top_dist > top * dist:
+                        top, top_dist = abs(vp - vq), dist
+            ratio = Fraction(top * lcm_b, top_dist * lcm_v)
+            if ratio > best:
+                best = ratio
         return best
 
     def reachable_beliefs(self) -> list[tuple[int, tuple[Fraction, ...]]]:
@@ -611,21 +650,39 @@ def _pbp_solve(
     private_lists = {t: enumerate_private(info, model, t) for t in range(T + 1)}
     sol = PbpSolution(model, info, psi2, Fraction(0), {}, {}, resolution, private_lists)
     cache = sol.cache
+    costs = [_scaled_costs(model.cost_table[t]) for t in range(T + 1)]
 
     def expand(node):
-        return node[0].t, 1, _over_lcm(actions(*node))
+        return node[0].t, 1, candidates(*node)
 
-    def actions(b1: Belief1, a2real: A2Real):
+    def candidates(b1: Belief1, a2real: A2Real):
         t = b1.t
         g2 = psi2.prescription(t, a2real)
-        z2_of = step_plan(info, t).z2_of if t < T else None
-        for u1 in range(model.action_space(1, t).size):
-            cost = expected_cost1(model, b1, u1, g2)
-            branches = cache.step1(model, info, b1, u1, g2).items() if t < T else ()
-            yield (u1,), cost, (
-                (p, (sol.snap(b1_next), extend_a2(info, t, a2real, z2_of(z1real))))
-                for z1real, (p, b1_next) in branches
-            )
+        # h[u1] / (D * K): b1's entries n / D, stage-t costs k / K
+        denom, entries = b1.scaled()
+        cost_denom, units = costs[t]
+        h = [0] * model.action_space(1, t).size
+        for (x, ell), n in entries:
+            u2 = g2(ell)
+            for u1, row in enumerate(units[x]):
+                h[u1] += n * row[u2]
+        scale = denom * cost_denom
+        if t == T:
+            yield scale
+            for u1, cost in enumerate(h):
+                yield (u1,), cost, ()
+            return
+        acts = tuple(map(g2, b1.private_support()))
+        steps = [cache.step1_on(model, info, b1, u1, acts) for u1 in range(len(h))]
+        # a branch probability q is q.numerator * (L // q.denominator) / L
+        lcm = math.lcm(*(q.denominator for step in steps for q, _ in step.values()))
+        z2_of = step_plan(info, t).z2_of
+        yield scale * lcm
+        for u1, (cost, step) in enumerate(zip(h, steps)):
+            yield (u1,), cost * lcm, [
+                (q.numerator * (lcm // q.denominator) * scale, (sol.snap(nxt), extend_a2(info, t, a2real, z2_of(z1))))
+                for z1, (q, nxt) in step.items()
+            ]
 
     dp = MemoArgmin(sol.memo, resolve_budget(budget), "value nodes", expand)
     a2_of = step_plan(info, -1).z2_of  # a2[0] = z2[0]

@@ -207,6 +207,7 @@ def test_criterion_8_decoupled_reductions():
         info = build_delayed_structure(emb, 1)
         joint = orc.build_joint(emb)
         strategy = HashedTeamStrategy(emb, info, seed + 21)
+        replayed = orc.replay(joint, emb, info, strategy)
         for t in range(emb.horizon + 1):
             m1s, a2s = set(), set()
             for omega, _ in joint.entries:
@@ -214,9 +215,9 @@ def test_criterion_8_decoupled_reductions():
                 m1s.add(traj.read(info.m1[t]))
                 a2s.add(traj.read(info.a2[t]))
             for m1real in sorted(m1s):
-                ok = ok and check_factorization_pi1(emb, (2, 2), info, joint, strategy, t, m1real).equal
+                ok = ok and check_factorization_pi1((2, 2), info, replayed, t, m1real).equal
             for a2real in sorted(a2s):
-                ok = ok and check_factorization_pi2(emb, (2, 2), info, joint, strategy, t, a2real).equal
+                ok = ok and check_factorization_pi2((2, 2), info, replayed, t, a2real).equal
         for d in (0, 1, 2):
             info_d = build_delayed_structure(emb, d)
             psi2 = HashedPsi2(emb, info_d, 13)
@@ -245,6 +246,7 @@ def test_criterion_8_decoupled_reductions():
     cinfo = build_delayed_structure(cm, 2)
     cjoint = orc.build_joint(cm)
     cstrategy = HashedTeamStrategy(cm, cinfo, 0)
+    creplayed = orc.replay(cjoint, cm, cinfo, cstrategy)
     broken = 0
     for t in range(cm.horizon + 1):
         m1s = set()
@@ -252,7 +254,7 @@ def test_criterion_8_decoupled_reductions():
             traj = orc.trajectory(cm, cinfo, cstrategy, omega)
             m1s.add(traj.read(cinfo.m1[t]))
         for m1real in sorted(m1s):
-            if not check_factorization_pi1(cm, split, cinfo, cjoint, cstrategy, t, m1real).equal:
+            if not check_factorization_pi1(split, cinfo, creplayed, t, m1real).equal:
                 broken += 1
     ok = ok and broken > 0
     details.append(f"coupled counterexample breaks {broken} histories")

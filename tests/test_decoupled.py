@@ -188,8 +188,9 @@ class TestFactorization:
         info = build_delayed_structure(emb, 1)
         joint = orc.build_joint(emb)
         strategy = HashedTeamStrategy(emb, info, 0)
+        replayed = orc.replay(joint, emb, info, strategy)
         for m1real in reachable_histories(emb, info, joint, strategy)["m1"][0]:
-            assert check_factorization_pi1(emb, (2, 2), info, joint, strategy, 0, m1real).equal
+            assert check_factorization_pi1((2, 2), info, replayed, 0, m1real).equal
 
     @pytest.mark.parametrize("seed", range(2))
     def test_decoupled_holds_everywhere(self, seed):
@@ -199,11 +200,12 @@ class TestFactorization:
         joint = orc.build_joint(emb)
         strategy = HashedTeamStrategy(emb, info, seed + 5)
         hist = reachable_histories(emb, info, joint, strategy)
+        replayed = orc.replay(joint, emb, info, strategy)
         for t in range(emb.horizon + 1):
             for m1real in hist["m1"][t]:
-                assert check_factorization_pi1(emb, (2, 2), info, joint, strategy, t, m1real).equal
+                assert check_factorization_pi1((2, 2), info, replayed, t, m1real).equal
             for a2real in hist["a2"][t]:
-                assert check_factorization_pi2(emb, (2, 2), info, joint, strategy, t, a2real).equal
+                assert check_factorization_pi2((2, 2), info, replayed, t, a2real).equal
 
     def test_coupled_counterexample_fails(self):
         model, split = coupled_counterexample()
@@ -211,10 +213,11 @@ class TestFactorization:
         joint = orc.build_joint(model)
         strategy = HashedTeamStrategy(model, info, 0)
         hist = reachable_histories(model, info, joint, strategy)
+        replayed = orc.replay(joint, model, info, strategy)
         broken = 0
         for t in range(model.horizon + 1):
             for m1real in hist["m1"][t]:
-                if not check_factorization_pi1(model, split, info, joint, strategy, t, m1real).equal:
+                if not check_factorization_pi1(split, info, replayed, t, m1real).equal:
                     broken += 1
         assert broken > 0
 
@@ -260,6 +263,42 @@ class TestDecoupledSolve:
         priors = [args for args in calls if args[2].t == -1]
         assert len(priors) == 1
         assert 0 < len(calls) - len(priors) <= inner_nodes
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("perfect", [False, True])
+    def test_one_filter_step_per_key(self, seed, perfect, monkeypatch):
+        """Within one solve, theta1_step runs once per (theta1, u1) and
+        theta2_step once per (theta2, gamma2); the nodes look both up more
+        often than that."""
+        import nested_dp.decoupled as dec_mod
+
+        dec = decoupled_instance(seed, horizon=5, perfect_obs_1=perfect)
+        emb = embed(dec)
+        info = build_delayed_structure(emb, 1)
+        psi2 = HashedPsi2(emb, info, 7)
+        keys1, keys2 = [], []
+        real1, real2 = dec_mod.theta1_step, dec_mod.theta2_step
+
+        def counting1(dec, theta, u1):
+            keys1.append((theta, u1))
+            return real1(dec, theta, u1)
+
+        def counting2(dec, info, theta, gamma2):
+            keys2.append((theta, gamma2))
+            return real2(dec, info, theta, gamma2)
+
+        monkeypatch.setattr(dec_mod, "theta1_step", counting1)
+        monkeypatch.setattr(dec_mod, "theta2_step", counting2)
+        reduced = solve_decoupled_pbp(dec, info, psi2, perfect)
+        # drop the time-0 steps from the priors
+        keys1 = [key for key in keys1 if key[0].t >= 0]
+        keys2 = [key for key in keys2 if key[0].t >= 0]
+        assert keys1 and len(keys1) == len(set(keys1))
+        assert keys2 and len(keys2) == len(set(keys2))
+        # a perfect-observation memo key starts with t, any other with theta1
+        inner = sum(1 for key in reduced.memo if (key[0] if perfect else key[0].t) < dec.horizon)
+        assert inner > len(keys2)
+        assert inner * dec.actions1[0].size > len(keys1)
 
     def test_perfect_obs_variant(self):
         dec = decoupled_instance(0, perfect_obs_1=True)

@@ -32,10 +32,11 @@ def test_coupled_fixture_matches_generator_and_fails_factorization():
     info = info_from_json(model, doc["info"])
     joint = orc.build_joint(model)
     strategy = HashedTeamStrategy(model, info, 0)
+    replayed = orc.replay(joint, model, info, strategy)
     broken = 0
     for t in range(model.horizon + 1):
         for m1real in reachable_m1(model, info, joint, strategy, t):
-            if not check_factorization_pi1(model, split, info, joint, strategy, t, m1real).equal:
+            if not check_factorization_pi1(split, info, replayed, t, m1real).equal:
                 broken += 1
     assert broken > 0
 
@@ -65,6 +66,7 @@ def test_decoupled_fixture_loads_and_factors():
     joint = orc.build_joint(model)
     strategy = HashedTeamStrategy(model, info, 4)
     split = (dec.states1[0].size, dec.states2[0].size)
+    replayed = orc.replay(joint, model, info, strategy)
     for t in range(model.horizon + 1):
         for m1real in reachable_m1(model, info, joint, strategy, t):
-            assert check_factorization_pi1(model, split, info, joint, strategy, t, m1real).equal
+            assert check_factorization_pi1(split, info, replayed, t, m1real).equal

@@ -14,8 +14,13 @@ replaced -- checks the solver's integer stage-cost tables and its
 action-tuple scan the same way, and a solve whose nodes' shared-step tables
 each take a fresh `StepCache` and intern nothing checks the solve-scope
 interning of posteriors.  `MemoArgmin` itself is checked against
-`ref_argmin` on random candidate DAGs, and the person-by-person and
-decoupled solves against `ref_argmin` over their Fraction candidates.
+`ref_argmin` on random candidate DAGs.  The person-by-person and decoupled
+solves, which score integer candidates, are checked against `ref_argmin`
+over the Fraction candidates they replaced: `expected_cost1` or the
+filters' Fraction cost sum, Fraction branch probabilities, beliefs snapped
+through `lattice.nearest_point`, and filter steps taken afresh at every
+node.  `ref_lipschitz`, the pairwise Fraction loop, checks the integer
+`measured_lipschitz`.
 """
 
 import random
@@ -29,6 +34,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nested_dp import decoupled as dec_mod
+from nested_dp import lattice as lat
 from nested_dp import solver as solver_mod
 from nested_dp.beliefs import (
     Belief1,
@@ -40,7 +46,9 @@ from nested_dp.beliefs import (
     _branches,
     _posterior,
     _signature,
+    belief1_from_vector,
     belief1_step,
+    belief1_vector,
     belief2_step,
     expected_cost1,
     expected_cost2,
@@ -54,7 +62,6 @@ from nested_dp.sim import _plan_entry
 from nested_dp.solver import (
     HashedPsi2,
     MemoArgmin,
-    PbpSolution,
     all_agent1_prescriptions,
     all_agent2_prescriptions,
     solve_exact,
@@ -263,14 +270,21 @@ def reference_solve(model, info, budget=10**9):
 
 
 def reference_pbp(model, info, psi2, resolution=None):
-    """The person-by-person solve's Fraction candidates -- `expected_cost1`
-    and the cached agent-1 step's branch probabilities, snapped as the
-    solve snaps them -- scored by `ref_argmin`.  Returns the value and the
-    memo."""
+    """The person-by-person solve over Fraction candidates, scored by
+    `ref_argmin`: each stage cost is `expected_cost1`, each successor
+    weight an agent-1 step's Fraction branch probability, and each belief
+    of a lattice solve is snapped through `lattice.nearest_point` of its
+    vector, not through the solution's integer `snap`.  Returns the value
+    and the memo."""
     T = model.horizon
     plists = {t: enumerate_private(info, model, t) for t in range(T + 1)}
-    sol = PbpSolution(model, info, psi2, Fraction(0), {}, {}, resolution, plists)
-    cache = sol.cache
+    cache = StepCache()
+
+    def snap(b1):
+        if resolution is None:
+            return b1
+        plist = plists[b1.t]
+        return belief1_from_vector(b1.t, plist, lat.nearest_point(belief1_vector(model, plist, b1), resolution))
 
     def expand(node):
         b1, a2real = node
@@ -279,22 +293,44 @@ def reference_pbp(model, info, psi2, resolution=None):
         z2_of = step_plan(info, t).z2_of if t < T else None
         return t, 1, (
             ((u1,), expected_cost1(model, b1, u1, g2), (
-                (p, (sol.snap(b1n), extend_a2(info, t, a2real, z2_of(z1))))
+                (p, (snap(b1n), extend_a2(info, t, a2real, z2_of(z1))))
                 for z1, (p, b1n) in (cache.step1(model, info, b1, u1, g2).items() if t < T else ())
             ))
             for u1 in range(model.action_space(1, t).size)
         )
 
-    dp = ref_argmin(sol.memo, 10**9, "value nodes", expand)
+    dp = ref_argmin({}, 10**9, "value nodes", expand)
     a2_of = step_plan(info, -1).z2_of
     roots = cache.roots1(model, info).items()
-    value = sum((p * dp.value((sol.snap(b1), a2_of(z1))) for z1, (p, b1) in roots), Fraction(0))
+    value = sum((p * dp.value((snap(b1), a2_of(z1))) for z1, (p, b1) in roots), Fraction(0))
     return value, dp.memo
 
 
+def ref_lipschitz(sol):
+    """`PbpSolution.measured_lipschitz` as the pairwise Fraction loop it
+    replaced: the largest |dV| / `lattice.tv_distance` over pairs of memo
+    keys of one stage and accessible realization at positive distance,
+    each belief as its `belief1_vector`."""
+    groups = {}
+    for (b1, a2real), (v, _) in sol.memo.items():
+        vec = belief1_vector(sol.model, sol.private_lists[b1.t], b1)
+        groups.setdefault((b1.t, a2real), []).append((vec, v))
+    best = Fraction(0)
+    for pairs in groups.values():
+        for i, (p, vp) in enumerate(pairs):
+            for q, vq in pairs[i + 1:]:
+                dist = lat.tv_distance(p, q)
+                if dist != 0 and abs(vp - vq) / dist > best:
+                    best = abs(vp - vq) / dist
+    return best
+
+
 def reference_decoupled(dec, info, psi2, perfect_obs_1=False):
-    """`solve_decoupled_pbp`'s Fraction candidates, scored by `ref_argmin`.
-    Returns the value and the memo."""
+    """The decoupled solve over Fraction candidates, scored by
+    `ref_argmin`: each stage cost a Fraction sum over both filters' entries,
+    each successor weight a product of two Fraction branch probabilities,
+    and both filter steps taken afresh at every node, with no per-solve
+    cache.  Returns the value and the memo."""
     T = dec.horizon
 
     def point_key(node):
@@ -848,6 +884,46 @@ class TestMemoArgmin:
         value, memo = reference_decoupled(dec, info, psi2, perfect)
         assert ours.value == value
         assert list(ours.memo.items()) == list(memo.items())
+
+
+class TestMeasuredLipschitz:
+    """`PbpSolution.measured_lipschitz` compares integer vectors over each
+    group's lcm; `ref_lipschitz`, the pairwise Fraction loop, must give the
+    same ratio.  A key added with an explicit zero weight off its support
+    has the vector of the key it copies, so its group holds a pair at
+    distance 0, which both skip."""
+
+    @given(
+        seed=st.integers(0, 10**6),
+        horizon=st.integers(1, 2),
+        d=st.integers(0, 3),
+        noisy=st.booleans(),
+        n=st.sampled_from([1, 2, 3, 5]),
+        pick=st.integers(0, 2**16),
+        shift=st.fractions(-3, 3, max_denominator=12),
+    )
+    def test_matches_pairwise_fractions(self, seed, horizon, d, noisy, n, pick, shift):
+        model = (noisy_model if noisy else certification_instance)(seed, horizon)
+        info = build_delayed_structure(model, min(d, horizon + 1))
+        sol = solve_pbp_approx(model, info, HashedPsi2(model, info, seed), n)
+        assert sol.measured_lipschitz() == ref_lipschitz(sol)
+        keys = list(sol.memo)
+        b1, a2real = keys[pick % len(keys)]
+        off = [
+            (x, ell)
+            for x in range(model.states[b1.t].size)
+            for ell in sol.private_lists[b1.t]
+            if (x, ell) not in b1.support()
+        ]
+        if not off:
+            return
+        twin = Belief1(b1.t, tuple(sorted(b1.entries + ((off[pick % len(off)], Fraction(0)),))))
+        value, u1 = sol.memo[(b1, a2real)]
+        sol.memo[(twin, a2real)] = (value + shift, u1)
+        assert belief1_vector(model, sol.private_lists[b1.t], twin) == belief1_vector(
+            model, sol.private_lists[b1.t], b1
+        )
+        assert sol.measured_lipschitz() == ref_lipschitz(sol)
 
 
 def uncached_solve(model, info):

@@ -10,10 +10,16 @@ seeded stream.
 The example-command pins are SHA-256 sums of what `solve`, `oracle` and
 `pbp` print, and of the `solve --policy-out` file, on the files that
 `scripts/make_example_model.py` writes; they were computed before the
-solve-scope interning of Bayes-step posteriors.
+solve-scope interning of Bayes-step posteriors.  The `pbp-approx`, `alpha`,
+`check-factorization` and `solve --decoupled` pins were computed before the
+person-by-person and decoupled solves scored their candidates in integers
+and before the factorization checks replayed the joint once per sweep;
+`TestReplayOnce` counts those replays and pins `scripts/factorization_demo.py`'s
+output, computed before the same change.
 """
 
 import hashlib
+import json
 import random
 import runpy
 import sys
@@ -24,8 +30,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from nested_dp import oracle as orc
 from nested_dp.cli import cli_main
-from nested_dp.generators import certification_instance, convergence_instance
+from nested_dp.decoupled import decoupled_from_json, embed
+from nested_dp.generators import certification_instance, convergence_instance, coupled_counterexample, decoupled_instance
 from nested_dp.info import build_delayed_structure
 from nested_dp.model import Dist
 from nested_dp.sim import RolloutConfig, _draw_plan, _plan_entry, rollout
@@ -96,8 +104,16 @@ class TestExampleCommandBytes:
              "914efe7e6fcc541662d4ed5746f6b03e02cd7877886c4e5bea76f6a5205a39c5"),
             (["pbp", "model_rich_obs.json", "--psi2", "psi2.json"],
              "30d4f30170ce1d98354752f66f3e6f89e1be19a27eadbd279e5bb0bc2e1ec9a7"),
+            (["pbp-approx", "model_rich_obs.json", "--psi2", "psi2.json", "--n", "4"],
+             "72d7ab98c3a30f191f28c411ef8decdf753f93b89356bc5a98fae0202598512e"),
+            (["alpha", "model_rich_obs.json", "--psi2", "psi2.json", "--n", "4"],
+             "7e8c37213db142c0042daacbdeee91e24d0f18805f332b4aeb905ea7073a4853"),
+            (["check-factorization", "decoupled.json"],
+             "7601ac7a98394494a791264de7e492146eee7351530b614feb4663a4550632a6"),
+            (["solve", "decoupled.json", "--decoupled"],
+             "3f6f32393d5874ec2b4d2312cdb77705136270e49e4dbc576c50b1603426880d"),
         ],
-        ids=["solve", "oracle-with-solve", "pbp"],
+        ids=["solve", "oracle-with-solve", "pbp", "pbp-approx", "alpha", "check-factorization", "solve-decoupled"],
     )
     def test_stdout(self, examples, capsys, argv, digest):
         argv = [str(examples / a) if a.endswith(".json") else a for a in argv]
@@ -111,6 +127,46 @@ class TestExampleCommandBytes:
             "925df5d5d85e1ded2479b16a3ca83e2735884ded8c5828baf0a5b1a50ec026b8"
         )
         assert sha256(policy.read_bytes()) == "508add713367f5a7858142e07adb72621fa977ce6969160ec47ef57630c6de27"
+
+
+class TestReplayOnce:
+    """The factorization sweeps run each joint entry's episode once, and
+    print what they printed when every check replayed the joint itself."""
+
+    @staticmethod
+    def count_trajectories(monkeypatch):
+        calls = []
+        real = orc.trajectory
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(orc, "trajectory", counting)
+        return calls
+
+    def test_check_factorization(self, examples, capsys, monkeypatch):
+        path = examples / "decoupled.json"
+        entries = len(orc.build_joint(embed(decoupled_from_json(json.loads(path.read_text())))))
+        calls = self.count_trajectories(monkeypatch)
+        assert cli_main(["check-factorization", str(path)]) == 0
+        assert len(calls) == entries == 64
+        assert sha256(capsys.readouterr().out.encode()) == (
+            "7601ac7a98394494a791264de7e492146eee7351530b614feb4663a4550632a6"
+        )
+
+    def test_factorization_demo(self, capsys, monkeypatch):
+        coupled, _ = coupled_counterexample()
+        entries = len(orc.build_joint(embed(decoupled_instance(0)))) + len(orc.build_joint(coupled))
+        calls = self.count_trajectories(monkeypatch)
+        monkeypatch.setattr(sys, "argv", ["factorization_demo.py"])
+        with pytest.raises(SystemExit) as done:
+            runpy.run_path(str(SCRIPTS / "factorization_demo.py"), run_name="__main__")
+        assert done.value.code == 0
+        assert len(calls) == entries
+        assert sha256(capsys.readouterr().out.encode()) == (
+            "1ee36a9f67dfe04afcc1cf0ab6bfb2afd021c22f1b66c3e5d59851c898a5a0e7"
+        )
 
 
 def reference_draw(denom: int, thresholds: tuple[int, ...], rng: random.Random) -> int:
