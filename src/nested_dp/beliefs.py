@@ -32,23 +32,30 @@ renormalizing: the solver only ever expands positive-probability branches,
 so a zero denominator is a bug signal, not a recoverable state.
 
 All beliefs are immutable, canonically ordered (sorted support, reduced
-fractions, zero weights dropped), and hashable, so equal distributions are
+weights, zero weights dropped), and hashable, so equal distributions are
 structurally equal and usable as memoization keys.
 
-The arithmetic of a step is over exact integers: each input belief and
-primitive distribution is scaled once to integer numerators over one
-common denominator (cached on the instance, as `Dist.scaled` and
-`scaled()` here), the joint weights of a step accumulate as integers over
-the product of those denominators, and a Fraction is built only for each
-branch probability and each posterior entry.  So the entries are still
-canonical reduced Fractions, equal to the ones a Fraction accumulator gives.
+The arithmetic of a step is over exact integers.  A `Belief1` or `Belief2`
+is its reduced integer form, (D, ((key, n), ...)) with each weight n / D
+and no common factor in the n, and a primitive distribution is scaled once
+to such a form (`Dist.scaled`, cached on the instance).  The agent-1 step
+reads the model's compiled world kernel (`TeamModel.world_kernel`): per
+stage, state and action pair, the disturbance and noise draws pooled into
+integer weights of (x', y1', y2').  The joint weights of a step accumulate
+as integers over the product of the denominators, and a posterior is
+built with one gcd over its branch's numerators, so the only Fraction a
+step builds is each branch probability.  A belief's Fraction entries,
+equal to the ones a Fraction accumulator gives, are built on first read,
+once, for `entries`, `prob`, `sort_key` and `to_json`.
 
 A `StepCache`, one per solve and kept on its solution, is the one memo of
 Bayes steps and interns their posteriors (hash-consing): each distinct
-agent-1 posterior is one object, and a shared posterior is looked up by its
-integer signature -- the branch's numerators divided by their gcd -- before
-any sort or Fraction is spent on it, so an equal belief reached again is
-the object built the first time.  Nothing is interned across solves.
+agent-1 posterior is one object, found by its integer hash, and a shared
+posterior is looked up by its integer signature -- the branch's numerators
+divided by their gcd -- before any sort is spent on it, so an equal belief
+reached again is the object built the first time.  Nothing is interned
+across solves; the world kernel, which reads only the model, is the one
+table kept on the model.
 
 The cache also gives each distinct agent-1 posterior a per-solve id, a
 dense index in order of first sight.  The shared step keys its integer
@@ -111,39 +118,81 @@ def _belief2_order(key) -> tuple:
 
 
 class _Scaled:
-    """Integer form of a belief's entries, cached on the instance."""
+    """A belief whose data is its reduced integer form (D, ((key, n), ...)):
+    each weight n / D, in entry order, the n without a common factor, so D
+    is the lcm of the weights' denominators and equal distributions have
+    equal forms.  `__eq__` and `__hash__` read t and these integers, and
+    `scaled()` returns the form as stored.  `_of(t, form)` takes a reduced
+    form as it is, which is how the Bayes steps build their posteriors; the
+    constructor takes (key, weight) entries of rationals and scales them.
+
+    The Fraction entries are built from the form on first use, once:
+    `entries`, `prob`, `sort_key` and `to_json` read them, and no Bayes
+    step or cost table does.  Beliefs are values: do not assign to one."""
+
+    __slots__ = ("t", "_scaled", "_entries", "_hash")
+
+    def __init__(self, t: int, entries):
+        entries = tuple(entries)
+        denom, nums = scale_to_integers(w for _, w in entries)
+        self.t = t
+        self._scaled = (denom, tuple(zip((key for key, _ in entries), nums)))
+        self._entries = entries
+
+    @classmethod
+    def _of(cls, t: int, scaled: tuple[int, tuple]):
+        self = object.__new__(cls)
+        self.t = t
+        self._scaled = scaled
+        return self
 
     def scaled(self) -> tuple[int, tuple]:
         """The entries over one common denominator D: (D, ((key, n), ...)),
-        each weight n / D, in entry order.  Cached."""
-        scaled = self.__dict__.get("_scaled")
-        if scaled is None:
-            denom, nums = scale_to_integers(w for _, w in self.entries)
-            scaled = (denom, tuple(zip((key for key, _ in self.entries), nums)))
-            object.__setattr__(self, "_scaled", scaled)
-        return scaled
+        each weight n / D, in entry order."""
+        return self._scaled
+
+    @property
+    def entries(self) -> tuple:
+        """The (key, Fraction weight) entries, in order.  Built once."""
+        try:
+            return self._entries
+        except AttributeError:
+            denom, nums = self._scaled
+            entries = self._entries = tuple((key, Fraction(n, denom)) for key, n in nums)
+            return entries
+
+    def items(self):
+        return self.entries
+
+    def support(self) -> list:
+        return [key for key, _ in self._scaled[1]]
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.t == other.t and self._scaled == other._scaled
+
+    def __hash__(self):  # cached: beliefs are hot memoization keys
+        try:
+            return self._hash
+        except AttributeError:
+            h = self._hash = hash((self.t, self._scaled))
+            return h
+
+    def __repr__(self):
+        return f"{type(self).__name__}(t={self.t!r}, entries={self.entries!r})"
 
 
-@dataclass(frozen=True)
 class Belief1(_Scaled):
     """Distribution over (state, private realization) pairs at time t."""
 
-    t: int
-    entries: tuple[tuple[tuple[int, PrivateReal], Fraction], ...]
-
-    def __hash__(self):  # cached: beliefs are hot memoization keys
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.t, self.entries))
-            object.__setattr__(self, "_hash", h)
-        return h
+    __slots__ = ("_ells",)
 
     @staticmethod
     def from_weights(t: int, weights: dict[tuple[int, PrivateReal], Fraction]) -> "Belief1":
         return Belief1(t, _canon_entries(weights, lambda k: k))
-
-    def items(self):
-        return self.entries
 
     def prob(self, x: int, ell: PrivateReal) -> Fraction:
         for key, w in self.entries:
@@ -151,20 +200,19 @@ class Belief1(_Scaled):
                 return w
         return Fraction(0)
 
-    def support(self) -> list[tuple[int, PrivateReal]]:
-        return [key for key, _ in self.entries]
-
     def private_support(self) -> tuple[PrivateReal, ...]:
         """Distinct private realizations of the support, in entry order:
         the only arguments an agent-2 prescription is read at by a step or
         a cost from this belief."""
-        ells = self.__dict__.get("_ells")
-        if ells is None:
-            ells = tuple(dict.fromkeys(ell for (_, ell), _ in self.entries))
-            object.__setattr__(self, "_ells", ells)
-        return ells
+        try:
+            return self._ells
+        except AttributeError:
+            ells = self._ells = tuple(dict.fromkeys(ell for (_, ell), _ in self._scaled[1]))
+            return ells
 
     def sort_key(self):
+        """The Fraction entries: the order of prescription domains, and so
+        of the memo and every digest, is the order of these tuples."""
         return self.entries
 
     def to_json(self) -> dict:
@@ -179,19 +227,10 @@ class Belief1(_Scaled):
         return Belief1.from_weights(doc["t"], weights)
 
 
-@dataclass(frozen=True)
 class Belief2(_Scaled):
     """Distribution over (state, private realization, Belief1) triples."""
 
-    t: int
-    entries: tuple[tuple[tuple[int, PrivateReal, Belief1], Fraction], ...]
-
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.t, self.entries))
-            object.__setattr__(self, "_hash", h)
-        return h
+    __slots__ = ("_mix", "_mixture", "_points")
 
     @staticmethod
     def from_weights(t: int, weights: dict[tuple[int, PrivateReal, Belief1], Fraction]) -> "Belief2":
@@ -200,42 +239,36 @@ class Belief2(_Scaled):
                 raise ValueError(f"support belief at t={b1.t} inside a t={t} state")
         return Belief2(t, _canon_entries(weights, _belief2_order))
 
-    def items(self):
-        return self.entries
-
-    def support(self):
-        return [key for key, _ in self.entries]
-
     def mixture_numerators(self) -> tuple[int, MappingProxyType]:
         """The mixture weights over the entries' common denominator D:
         (D, {b1: n}), read-only, in order of first appearance.  Cached."""
-        mix = self.__dict__.get("_mix")
-        if mix is None:
-            denom, entries = self.scaled()
+        try:
+            return self._mix
+        except AttributeError:
+            denom, entries = self._scaled
             nums: dict[Belief1, int] = {}
             for (_, _, b1), n in entries:
                 nums[b1] = nums.get(b1, 0) + n
-            mix = (denom, MappingProxyType(nums))
-            object.__setattr__(self, "_mix", mix)
-        return mix
+            mix = self._mix = (denom, MappingProxyType(nums))
+            return mix
 
     def mixture(self) -> MappingProxyType:
         """The weight of each inner belief, read-only: every entry is
         mixture()[b1] * b1(x, ell).  Cached."""
-        out = self.__dict__.get("_mixture")
-        if out is None:
+        try:
+            return self._mixture
+        except AttributeError:
             denom, nums = self.mixture_numerators()
-            out = MappingProxyType({b1: Fraction(n, denom) for b1, n in nums.items()})
-            object.__setattr__(self, "_mixture", out)
-        return out
+            out = self._mixture = MappingProxyType({b1: Fraction(n, denom) for b1, n in nums.items()})
+            return out
 
     def belief1_support(self) -> list[Belief1]:
         """Distinct inner beliefs, in canonical order (prescription domains).
         The order is sorted once per instance; each call returns a new list."""
-        points = self.__dict__.get("_points")
-        if points is None:
-            points = tuple(sorted(self.mixture_numerators()[1], key=Belief1.sort_key))
-            object.__setattr__(self, "_points", points)
+        try:
+            points = self._points
+        except AttributeError:
+            points = self._points = tuple(sorted(self.mixture_numerators()[1], key=Belief1.sort_key))
         return list(points)
 
     def marginal_state_private(self) -> dict[tuple[int, PrivateReal], Fraction]:
@@ -273,11 +306,12 @@ class Belief2(_Scaled):
 
 
 @dataclass(frozen=True)
-class MarginalBelief(_Scaled):
+class MarginalBelief:
     """Per-agent filtered belief used under decoupled dynamics.
 
     Agent 1's version is a distribution over its own state; agent 2's is
     over (own state, private realization), conditioned on the shared data.
+    Its data are its Fraction entries; `scaled()` is their integer form.
     """
 
     agent: int
@@ -294,6 +328,24 @@ class MarginalBelief(_Scaled):
     @staticmethod
     def from_weights(agent: int, t: int, weights: dict) -> "MarginalBelief":
         return MarginalBelief(agent, t, _canon_entries(weights, lambda k: k))
+
+    @staticmethod
+    def _of(agent: int, t: int, scaled: tuple[int, tuple]) -> "MarginalBelief":
+        """The belief of a reduced integer form, which `scaled()` returns."""
+        denom, nums = scaled
+        theta = MarginalBelief(agent, t, tuple((key, Fraction(n, denom)) for key, n in nums))
+        object.__setattr__(theta, "_scaled", scaled)
+        return theta
+
+    def scaled(self) -> tuple[int, tuple]:
+        """The entries over one common denominator D: (D, ((key, n), ...)),
+        each weight n / D, in entry order.  Cached."""
+        scaled = self.__dict__.get("_scaled")
+        if scaled is None:
+            denom, nums = scale_to_integers(w for _, w in self.entries)
+            scaled = (denom, tuple(zip((key for key, _ in self.entries), nums)))
+            object.__setattr__(self, "_scaled", scaled)
+        return scaled
 
     def items(self):
         return self.entries
@@ -367,10 +419,10 @@ class Prescription:
 # ---------------------------------------------------------------------------
 # The Bayes-branch kernel shared by every one-step update: accumulate the
 # joint weight of each (observed key, support point) as an integer numerator
-# over one common denominator, then normalize per key.  Each step scales its
-# inputs once (`Dist.scaled`, `_Scaled.scaled`), so the inner loops multiply
-# and add integers; a Fraction is built only for each branch probability and
-# each posterior entry.
+# over one common denominator, then normalize per key.  Each step reads its
+# inputs as integers (`scaled()`, `Dist.scaled`, `TeamModel.world_kernel`),
+# so the inner loops multiply and add integers; a Fraction is built only for
+# each branch probability, and a posterior is its reduced integer form.
 # ---------------------------------------------------------------------------
 
 
@@ -382,10 +434,9 @@ def _joint() -> defaultdict:
 
 def _branches(acc: dict, denom: int, make) -> dict:
     """Turn `{key: {support: n}}`, joint weights n / denom with every n
-    positive, into `{key: (total / denom, make(entries))}`: each key's Bayes
-    denominator, and its posterior as canonical entries (the (support, n)
-    items sorted; weights n / total as reduced Fractions).  The result is
-    built in sorted key order, so iterating it needs no further sort."""
+    positive, into `{key: (total / denom, posterior)}`: each key's Bayes
+    denominator, and its `_posterior`.  The result is built in sorted key
+    order, so iterating it needs no further sort."""
     out = {}
     for key in sorted(acc):
         nums = acc[key]
@@ -395,31 +446,29 @@ def _branches(acc: dict, denom: int, make) -> dict:
 
 
 def _posterior(nums: dict, total: int, make, order=None, interned=None):
-    """make(canonical entries) of a branch `{support: n}`, weights n / total,
-    the items sorted by the key function `order` when given.
+    """The posterior of a branch `{support: n}`, n positive, weights n /
+    total: make((total // g, items)), g the gcd of the n and items the
+    (support, n // g) pairs sorted by the key function `order` when given.
+    That is the posterior's reduced integer form, so no Fraction is built.
 
-    With `interned`, a {signature: posterior} table, a branch whose
-    `_signature` is in the table takes the stored posterior, and no sort or
-    Fraction is spent on it; a new posterior is built and stored."""
-    if interned is None:
-        return make(tuple((k, Fraction(n, total)) for k, n in sorted(nums.items(), key=order)))
-    sig = _signature(nums)
-    post = interned.get(sig)
-    if post is None:
-        post = interned[sig] = _posterior(nums, total, make, order)
-    return post
-
-
-def _signature(nums: dict) -> frozenset:
-    """The posterior of a branch `{support: n}`, n positive, as a hashable
-    integer key: the (support, n // g) pairs, g the gcd of the n.  A reduced
-    vector of positive integers fixes the ratios n / total, so two branches
-    have equal signatures exactly when their posteriors are equal.  A shared
-    step's support points are (x, ell, i), i the solve's id of the inner
-    belief (`StepCache.ids`), which carries its time, so the key hashes
+    With `interned`, a {signature: posterior} table, the signature of the
+    branch is the frozenset of those pairs: a reduced vector of positive
+    integers fixes the ratios n / total, so two branches have equal
+    signatures exactly when their posteriors are equal.  A branch whose
+    signature is in the table takes the stored posterior, and no sort is
+    spent on it; a new posterior is built and stored.  A shared step's
+    support points are (x, ell, i), i the solve's id of the inner belief
+    (`StepCache.ids`), which carries its time, so the signature hashes
     integers only."""
     g = math.gcd(*nums.values())
-    return frozenset((k, n // g) for k, n in nums.items())
+    reduced = [(k, n // g) for k, n in nums.items()]
+    if interned is None:
+        return make((total // g, tuple(sorted(reduced, key=order))))
+    sig = frozenset(reduced)
+    post = interned.get(sig)
+    if post is None:
+        post = interned[sig] = make((total // g, tuple(sorted(reduced, key=order))))
+    return post
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +484,8 @@ _NULL2 = Prescription.for_agent2(-1, {(): 0})
 
 def _prior1(model: TeamModel) -> Belief1:
     """Agent 1's belief at t = -1: the initial state law, nothing private."""
-    return Belief1(-1, tuple(((x0, ()), p) for x0, p in model.x0_dist.items()))
+    denom, nums = model.x0_dist.scaled()
+    return Belief1._of(-1, (denom, tuple(((x0, ()), n) for x0, n in nums)))
 
 
 def initial_belief1_roots(
@@ -460,6 +510,13 @@ def belief1_step(
     The probabilities are the Bayes denominators of each branch; they sum to
     one over the returned keys.  A b1 at t = -1 is a prior: its step moves
     nothing and observes time 0, and the actions it is given are never read.
+
+    The step reads the model's compiled world kernel for the stage
+    (`TeamModel.world_kernel`): for each support point (x, ell), the draws
+    (w, v1, v2) under (u1, gamma2(ell)) pooled into integer weights of (x',
+    y1', y2'), so the loop runs over distinct outcomes, not over draws, and
+    reads no table of the model.  Each posterior is its reduced integer
+    form, built with one gcd over its branch's numerators.
     """
     t = b1.t
     if t >= model.horizon:
@@ -467,23 +524,14 @@ def belief1_step(
     plan = step_plan(info, t)
     z1_of, ell_next_of = plan.read_z1, plan.read_l2
     db, entries = b1.scaled()
-    # decided before any per-stage table is indexed: index -1 reads the last stage
-    (dw, ws), f = (_NO_DISTURBANCE, None) if t < 0 else (model.w_dist(t).scaled(), model.transition[t])
-    dv1, v1s = model.v_dist(1, t + 1).scaled()
-    dv2, v2s = model.v_dist(2, t + 1).scaled()
+    dk, kernel = model.world_kernel(t)
     acc = _joint()
     for (x, ell), n in entries:
         u2 = gamma2(ell)
-        for w, nw in ws:
-            x_next = x if f is None else f[x][u1][u2][w]
-            nxw = n * nw
-            for v1, nv1 in v1s:
-                y1_next = model.h(1, t + 1, x_next, v1)
-                n1 = nxw * nv1
-                for v2, nv2 in v2s:
-                    slots = ell + (y1_next, model.h(2, t + 1, x_next, v2), u1, u2)
-                    acc[z1_of(slots)][(x_next, ell_next_of(slots))] += n1 * nv2
-    return _branches(acc, db * dw * dv1 * dv2, partial(Belief1, t + 1))
+        for (x_next, y1, y2), k in (kernel[x] if t < 0 else kernel[x][u1][u2]):
+            slots = ell + (y1, y2, u1, u2)
+            acc[z1_of(slots)][(x_next, ell_next_of(slots))] += n * k
+    return _branches(acc, db * dk, partial(Belief1._of, t + 1))
 
 
 def update_belief1(
@@ -544,8 +592,10 @@ def _mixture_branches(
     key's entries summed over the parts, in sorted key order, as {key:
     (total, posterior)} with the integer total over the parts' denominator.
     A key that one part alone holds is read off that part without a copy.
-    A new posterior maps each entry (x, ell, i) back to (x, ell, points[i])
-    and sorts by `_belief2_order`; `interned` is passed on to `_posterior`."""
+    A new posterior is the branch's reduced integer form, from the gcd its
+    signature takes (`_posterior`, which `interned` is passed on to), with
+    each entry (x, ell, i) mapped back to (x, ell, points[i]) and sorted by
+    `_belief2_order`."""
     groups: dict = {}
     summed = set()  # keys whose group is a copy, owned here
     for part in parts:
@@ -560,8 +610,9 @@ def _mixture_branches(
             for entry, n in weights.items():
                 group[entry] = group.get(entry, 0) + n
 
-    def make(entries):
-        return Belief2(t, tuple(((x, ell, points[i]), w) for (x, ell, i), w in entries))
+    def make(form):
+        denom, entries = form
+        return Belief2._of(t, (denom, tuple(((x, ell, points[i]), n) for (x, ell, i), n in entries)))
 
     def order(item):
         x, ell, i = item[0]
@@ -586,7 +637,8 @@ class StepCache:
       ids       each distinct agent-1 posterior (of the steps), keyed
                 by value, to its id: a dense index in order of first sight;
       points    the posteriors by id, each the object first built;
-      beliefs2  each distinct shared posterior, keyed on its `_signature`.
+      beliefs2  each distinct shared posterior, keyed on its signature
+                (`_posterior`).
 
     A shared step keys its entries on (x, ell, id), so merging and signing
     them hashes integers only; a new shared posterior maps the ids back
@@ -625,7 +677,8 @@ class StepCache:
         shared beliefs, with interned posteriors: `belief2_step` on this
         cache from the shared prior, under null prescriptions."""
         b1 = _prior1(model)
-        b2 = Belief2(-1, tuple(((x, ell, b1), p) for (x, ell), p in b1.entries))
+        denom, entries = b1.scaled()
+        b2 = Belief2._of(-1, (denom, tuple(((x, ell, b1), n) for (x, ell), n in entries)))
         return belief2_step(model, info, b2, Prescription.for_agent1(-1, {b1: 0}), _NULL2, self)
 
     def root1(self, model: TeamModel, info: InfoStructure, z1: tuple[int, ...]) -> Belief1:

@@ -16,7 +16,8 @@ or invalid files, impossible conditioning, blown budgets), 2 usage errors.
     check-factorization FILE       belief factorization report (decoupled)
 
 The NESTED_DP_BUDGET environment variable overrides default resource caps;
-explicit --budget flags override both.
+explicit --budget flags override both.  A negative cap, from a flag or the
+variable, is refused before any work.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from . import sim as sim_mod
 from . import solver as solver_mod
 from .errors import NestedDPError
 from .info import build_delayed_structure, check_nestedness, info_from_json
+from .limits import resolve_budget
 from .model import (
     _SPACE_KEYS,
     format_ratio,
@@ -589,6 +591,14 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_caps(args) -> None:
+    """Refuse a negative cap before any work: each cap option the command
+    takes, and NESTED_DP_BUDGET where the option is not given."""
+    for dest, flag in (("budget", "--budget"), ("max_strategies", "--max-strategies")):
+        if hasattr(args, dest):
+            resolve_budget(getattr(args, dest), flag)
+
+
 def cli_main(argv: list[str] | None = None) -> int:
     parser = _parser()
     try:
@@ -596,6 +606,7 @@ def cli_main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        _check_caps(args)
         return args.fn(args)
     except (NestedDPError, OSError, ValueError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -221,7 +221,7 @@ def theta1_step(
             x1n = x1 if f is None else f[x1][u1][w1]
             for v1, nv in vs:
                 acc[dec.obs1[t + 1][x1n][v1]][x1n] += n * nw * nv
-    return _branches(acc, dtheta * dw * dv, partial(MarginalBelief, 1, t + 1))
+    return _branches(acc, dtheta * dw * dv, partial(MarginalBelief._of, 1, t + 1))
 
 
 def theta2_step(
@@ -253,7 +253,7 @@ def theta2_step(
                 # sentinel y1 and u1 slots are never read
                 slots = ell + (-1, dec.obs2[t + 1][x2n][v2], -1, u2)
                 acc[z2_of(slots)][(x2n, ell_next_of(slots))] += n * nw * nv
-    return _branches(acc, dtheta * dw * dv, partial(MarginalBelief, 2, t + 1))
+    return _branches(acc, dtheta * dw * dv, partial(MarginalBelief._of, 2, t + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -192,6 +192,49 @@ class TeamModel:
     def v_dist(self, agent: int, t: int) -> Dist:
         return (self.v1_dists if agent == 1 else self.v2_dists)[t]
 
+    def world_kernel(self, t: int) -> tuple[int, tuple]:
+        """The draws of the step t -> t+1 pooled by what they lead to, over
+        one common denominator D: (D, k), k[x][u1][u2] the ((x', y1', y2'),
+        n) pairs, n / D the total probability of the draws (w, v1, v2) that
+        move x under (u1, u2) to x' and show the agents y1' and y2' at t+1.
+        At t = -1, the step from the initial law, no disturbance is drawn
+        and the state is kept: k[x] holds the pairs of x's time-0
+        observations.  Built once per stage and cached on the model."""
+        kernels = self.__dict__.get("_world_kernels")
+        if kernels is None:
+            kernels = {}
+            object.__setattr__(self, "_world_kernels", kernels)
+        kernel = kernels.get(t)
+        if kernel is None:
+            dv1, v1s = self.v_dist(1, t + 1).scaled()
+            dv2, v2s = self.v_dist(2, t + 1).scaled()
+            obs1, obs2 = self.obs1[t + 1], self.obs2[t + 1]
+
+            def pooled(moves):
+                """((x', y1', y2'), n) pairs of (x', n) moves."""
+                acc: dict = {}
+                for x_next, nw in moves:
+                    seen1, seen2 = obs1[x_next], obs2[x_next]
+                    for v1, n1 in v1s:
+                        for v2, n2 in v2s:
+                            key = (x_next, seen1[v1], seen2[v2])
+                            acc[key] = acc.get(key, 0) + nw * n1 * n2
+                return tuple(acc.items())
+
+            if t < 0:
+                kernel = (dv1 * dv2, tuple(pooled(((x, 1),)) for x in range(len(obs1))))
+            else:
+                dw, ws = self.w_dist(t).scaled()
+                kernel = (
+                    dw * dv1 * dv2,
+                    tuple(
+                        tuple(tuple(pooled((f[w], nw) for w, nw in ws) for f in by_u2) for by_u2 in by_u1)
+                        for by_u1 in self.transition[t]
+                    ),
+                )
+            kernels[t] = kernel
+        return kernel
+
     def max_cost(self) -> Fraction:
         """Largest stage cost entry across all times (sup-norm of the cost)."""
         best = Fraction(0)

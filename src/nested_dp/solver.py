@@ -35,12 +35,12 @@ and compared with the best by cross-multiplying, and each node builds one
 Fraction, its value.  A node's candidates are built only after its charge
 passes the budget.  Every solver reads its stage costs off one integer
 table per stage (`_scaled_costs`), summed against the node's belief as
-integers over its common denominator (`scaled()`).  The joint solve's scale
-is the stage-cost denominator times its shared step's; a person-by-person
-node's is the stage-cost denominator times the lcm of its branch
-probabilities' denominators, each branch weight its numerator over that
-lcm.  The lattice snap and the measured Lipschitz ratio run in integers
-too.
+integers over its common denominator (`scaled()`, the belief's data).  The
+joint solve's scale is the stage-cost denominator times its shared step's;
+a person-by-person node's is the stage-cost denominator times the lcm of
+its branch probabilities' denominators, each branch weight its numerator
+over that lcm.  The lattice snap and the measured Lipschitz ratio run in
+integers too.
 
 Top-down recursion (rather than bottom-up tabulation) is deliberate: the
 reachable belief set is tiny compared to the continuum, and only reachable
@@ -277,13 +277,16 @@ def solve_exact(model: TeamModel, info: InfoStructure, budget: int | None = None
     once, its entries keyed on the solve's inner-belief ids; the scan reads
     these parts by position (inner belief, then u1, then agent 2's actions
     on b1's support), and a pair's `belief2_step` branches are the sum of
-    |points| parts, interned by signature.  Agent-1 steps are cached for the
-    whole solve in one `StepCache`, which interns the posteriors of every
-    Bayes step: an equal belief reached again is found by its integer
-    signature and returned as the object first built, so memo lookups on it
-    succeed by identity.  The cache is kept on the solution as
-    `ExactSolution.cache`, where the policy walk and the executor reuse its
-    steps.
+    |points| parts, interned by signature.  Every posterior is a belief's
+    reduced integer form: the only Fractions a step builds are its branch
+    probabilities, and a belief's Fraction entries are built once, when a
+    prescription domain is sorted by them (`Belief1.sort_key`).  Agent-1
+    steps are cached for the whole solve in one `StepCache`, which interns
+    the posteriors of every Bayes step: an equal belief reached again is
+    found by its integer hash or signature and returned as the object first
+    built, so memo lookups on it succeed by identity.  The cache is kept on
+    the solution as `ExactSolution.cache`, where the policy walk and the
+    executor reuse its steps.
 
     Every pair is scored in `MemoArgmin`'s integer loop.  With S = D * K
     the stage-cost denominator and Dn the `SharedStep`'s, a node's scale is
@@ -394,7 +397,7 @@ def solve_exact(model: TeamModel, info: InfoStructure, budget: int | None = None
 
 def _live(b2: Belief2, l2_reals: list[A2Real]) -> list[A2Real]:
     """The private realizations in b2's support, in `l2_reals` order."""
-    support = {ell for (_, ell, _), _ in b2.items()}
+    support = {ell for (_, ell, _), _ in b2.scaled()[1]}
     return [ell for ell in l2_reals if ell in support]
 
 
@@ -581,8 +584,10 @@ class PbpSolution:
             order.sort(reverse=True)
             for _, _, key in order[:left]:
                 counts[key] += 1
-            point = self._snaps[b1] = Belief1(
-                b1.t, tuple((key, Fraction(k, res)) for key, k in sorted(counts.items()) if k)
+            # the point's reduced integer form: the counts over res, by their gcd
+            g = math.gcd(res, *counts.values())
+            point = self._snaps[b1] = Belief1._of(
+                b1.t, (res // g, tuple((key, k // g) for key, k in sorted(counts.items()) if k))
             )
         return point
 
@@ -612,7 +617,7 @@ class PbpSolution:
             lcm_b = math.lcm(*(b1.scaled()[0] for b1, _ in pairs))
             lcm_v = math.lcm(*(v.denominator for _, v in pairs))
             # coordinates: the (x, ell) points in some belief's support
-            where = {key: i for i, key in enumerate(dict.fromkeys(key for b1, _ in pairs for key, _ in b1.entries))}
+            where = {key: i for i, key in enumerate(dict.fromkeys(key for b1, _ in pairs for key in b1.support()))}
             vecs = []
             for b1, v in pairs:
                 denom, entries = b1.scaled()

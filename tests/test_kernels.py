@@ -20,11 +20,16 @@ over the Fraction candidates they replaced: `expected_cost1` or the
 filters' Fraction cost sum, Fraction branch probabilities, beliefs snapped
 through `lattice.nearest_point`, and filter steps taken afresh at every
 node.  `ref_lipschitz`, the pairwise Fraction loop, checks the integer
-`measured_lipschitz`.
+`measured_lipschitz`.  `ref_world_cell` sums a step's draws in Fractions
+and checks each cell of `TeamModel.world_kernel`, on `pooling_model`, whose
+distinct draws lead to equal outcomes.  Beliefs built from Fractions must
+equal and hash-equal the reduced integer forms the kernels build, and sort
+as their Fraction entries do.
 """
 
 import random
 from collections import defaultdict
+from types import SimpleNamespace
 from dataclasses import replace
 from fractions import Fraction
 from functools import partial
@@ -37,6 +42,7 @@ from nested_dp import decoupled as dec_mod
 from nested_dp import lattice as lat
 from nested_dp import solver as solver_mod
 from nested_dp.beliefs import (
+    _NULL2,
     Belief1,
     Belief2,
     MarginalBelief,
@@ -45,7 +51,7 @@ from nested_dp.beliefs import (
     _belief2_order,
     _branches,
     _posterior,
-    _signature,
+    _prior1,
     belief1_from_vector,
     belief1_step,
     belief1_vector,
@@ -62,6 +68,7 @@ from nested_dp.sim import _plan_entry
 from nested_dp.solver import (
     HashedPsi2,
     MemoArgmin,
+    PbpSolution,
     all_agent1_prescriptions,
     all_agent2_prescriptions,
     solve_exact,
@@ -491,6 +498,56 @@ def noisy_model(seed, horizon=2):
             for _ in stages
         ),
     )
+
+
+def positive_dist(rng, n):
+    """Weights over odd, unequal denominators, every outcome possible."""
+    nums = [rng.randrange(1, 8) for _ in range(n)]
+    total = sum(nums)
+    return Dist(tuple(Fraction(k, total) for k in nums))
+
+
+def pooling_model(seed, horizon=2):
+    """noisy_model in which distinct draws (w, v1, v2) lead to the same
+    (x', y1', y2') at every step, the step from the prior included: agent
+    1's noise v1 takes three values and shows x for v1 < 2, agent 2's v2
+    does the same (noisy_model's), and the disturbance w takes four values,
+    w and w + 2 moving the state alike under every action pair.  Every
+    outcome has positive weight, so `TeamModel.world_kernel` merges weights
+    in every cell."""
+    base = noisy_model(seed, horizon)
+    rng = random.Random(f"pooling:{seed}")
+    T, nx = horizon, 2
+    stages = range(T + 1)
+    return replace(
+        base,
+        noises1=tuple(FiniteSpace("V1", 3) for _ in stages),
+        obs1=tuple(tuple(tuple(x if v < 2 else 1 - x for v in range(3)) for x in range(nx)) for _ in stages),
+        v1_dists=tuple(positive_dist(rng, 3) for _ in stages),
+        v2_dists=tuple(positive_dist(rng, 3) for _ in stages),
+        disturbances=tuple(FiniteSpace("W", 4) for _ in range(T)),
+        w_dists=tuple(positive_dist(rng, 4) for _ in range(T)),
+        transition=tuple(
+            tuple(
+                tuple(tuple(tuple((x + u1 * (w % 2) + u2) % nx for w in range(4)) for u2 in range(2)) for u1 in range(2))
+                for x in range(nx)
+            )
+            for _ in range(T)
+        ),
+    )
+
+
+def ref_world_cell(model, t, x, u1, u2):
+    """{(x', y1', y2'): probability} of the step t -> t+1 from x under (u1,
+    u2), summed in Fractions over every draw (w, v1, v2); at t = -1 the state
+    is kept."""
+    moves = [(x, Fraction(1))] if t < 0 else [(model.f(t, x, u1, u2, w), p) for w, p in model.w_dist(t).items()]
+    out = defaultdict(Fraction)
+    for x_next, pw in moves:
+        for v1, pv1 in model.v_dist(1, t + 1).items():
+            for v2, pv2 in model.v_dist(2, t + 1).items():
+                out[(x_next, model.h(1, t + 1, x_next, v1), model.h(2, t + 1, x_next, v2))] += pw * pv1 * pv2
+    return dict(out)
 
 
 def with_costs(model, kind, rng):
@@ -1028,20 +1085,19 @@ class TestInterning:
         keys = [(x, (), b1) for x in range(len(nums))]
         total = sum(nums)
         denom *= k * total  # room for every branch probability below 1
-        make, order = partial(Belief2, 1), lambda kv: _belief2_order(kv[0])
+        make, order = partial(Belief2._of, 1), lambda kv: _belief2_order(kv[0])
         base = dict(zip(keys, nums))
         scaled = dict(zip(reversed(keys), [k * n for n in reversed(nums)]))
-        assert _signature(scaled) == _signature(base)
         interned = {}
         post = _posterior(base, total, make, order, interned)
         post_scaled = _posterior(scaled, k * total, make, order, interned)
-        assert post_scaled is post
+        assert post_scaled is post and len(interned) == 1
         assert post == _posterior(scaled, k * total, make, order)
+        assert post == Belief2.from_weights(1, {key: Fraction(n, total) for key, n in base.items()})
         (q, _), = _branches({(): base}, denom, make).values()
         (q_scaled, _), = _branches({(): scaled}, denom, make).values()
         assert (q, q_scaled) == (Fraction(total, denom), Fraction(k * total, denom))
         bumped = {**base, keys[0]: nums[0] + 1}
-        assert _signature(bumped) != _signature(base)
         post_bumped = _posterior(bumped, total + 1, make, order, interned)
         assert post_bumped != post
         assert len(interned) == 2
@@ -1121,3 +1177,140 @@ class TestValidation:
     def test_from_json_raises(self, cls, doc):
         with pytest.raises(ValueError):
             cls.from_json(doc)
+
+
+class TestWorldKernel:
+    """`belief1_step` reads `TeamModel.world_kernel`, the draws of a step
+    pooled by outcome.  On `pooling_model` distinct draws share an outcome
+    in every cell, so the pooling merges weights; each cell must equal the
+    Fraction sum over the draws, and the steps the Fraction references."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_cells_pool_the_draws(self, seed):
+        model = pooling_model(seed)
+        for t in range(-1, model.horizon):
+            denom, kernel = model.world_kernel(t)
+            assert model.world_kernel(t) is model.world_kernel(t)
+            n_draws = (1 if t < 0 else len(model.w_dist(t).support())) * len(
+                model.v_dist(1, t + 1).support()
+            ) * len(model.v_dist(2, t + 1).support())
+            cells = [
+                (x, u1, u2, kernel[x] if t < 0 else kernel[x][u1][u2])
+                for x in range(len(kernel))
+                for u1 in range(1 if t < 0 else 2)
+                for u2 in range(1 if t < 0 else 2)
+            ]
+            for x, u1, u2, cell in cells:
+                assert {key: Fraction(n, denom) for key, n in cell} == ref_world_cell(model, t, x, u1, u2)
+                assert len(cell) < n_draws  # the pooling merged some draws
+
+    @pytest.mark.parametrize("d", range(4))
+    def test_steps_equal_the_references(self, d):
+        model = pooling_model(0)
+        info = build_delayed_structure(model, d)
+        prior = _prior1(model)
+        assert prior == Belief1.from_weights(-1, {(x, ()): p for x, p in model.x0_dist.items()})
+        assert_same_branches(belief1_step(model, info, prior, 0, _NULL2), ref_initial_belief1_roots(model, info))
+        assert walk_team(model, info, random.Random(d)) > 0
+
+    @pytest.mark.parametrize("d", range(3))
+    def test_memo_equals_reference_and_uncached_solves(self, d):
+        model = pooling_model(1, horizon=1)
+        info = build_delayed_structure(model, d)
+        solution = solve_exact(model, info)
+        value, memo, spent, _ = reference_solve(model, info)
+        assert (solution.value, list(solution.memo.items()), solution.pairs_enumerated) == (value, list(memo.items()), spent)
+        TestInterning.assert_same_memo(model, info)
+
+
+@st.composite
+def numerators(draw, keys):
+    """{key: n}, positive integer weights over a non-empty subset of keys."""
+    chosen = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=len(keys), unique=True))
+    return {key: draw(st.integers(1, 60)) for key in chosen}
+
+
+def reduced(t, nums, k, make, order=None):
+    """The belief of the weights n / total as the kernels build it: from the
+    numerators scaled by k, reduced by their gcd, with no Fraction."""
+    return _posterior({key: k * n for key, n in nums.items()}, k * sum(nums.values()), make, order)
+
+
+def fraction_entries(nums):
+    """The canonical Fraction entries of the weights n / total."""
+    total = sum(nums.values())
+    return tuple((key, Fraction(n, total)) for key, n in sorted(nums.items()))
+
+
+PLIST = [(0,), (1,), (2,)]
+KEYS1 = [(x, ell) for x in range(3) for ell in PLIST]
+
+
+class TestIntegerBeliefs:
+    """`Belief1` and `Belief2` hold their reduced integer form.  A belief
+    built from Fractions -- `from_weights`, `from_json`, the constructor, a
+    lattice point through `lattice.nearest_point` -- must equal and
+    hash-equal the one the kernels build from integer numerators, at any
+    scale; sorting must follow the Fraction entry tuples; and `to_json`
+    must round-trip."""
+
+    @given(data=st.data(), k=st.integers(1, 10**6), t=st.integers(-1, 3))
+    def test_belief1_from_fractions_equals_reduced_integers(self, data, k, t):
+        nums = data.draw(numerators(KEYS1))
+        ints = reduced(t, nums, k, partial(Belief1._of, t))
+        total = sum(nums.values())
+        built = [
+            Belief1.from_weights(t, {key: Fraction(n, total) for key, n in nums.items()}),
+            Belief1(t, fraction_entries(nums)),
+            Belief1.from_json(ints.to_json()),
+        ]
+        for b1 in built:
+            assert b1 == ints and hash(b1) == hash(ints)
+            assert b1.scaled() == ints.scaled()
+        assert ints.entries == fraction_entries(nums)
+        assert all(type(w) is Fraction for _, w in ints.entries)
+        assert Belief1._of(t + 1, ints.scaled()) != ints  # the time is part of the value
+        assert built[2].to_json() == ints.to_json()
+        # a lattice point: the solve's integer snap against the Fraction nearest point
+        res = data.draw(st.integers(1, 12))
+        model = SimpleNamespace(states={t: FiniteSpace("X", 3)})
+        snapped = PbpSolution(model, None, None, Fraction(0), {}, {}, res, {t: PLIST}).snap(ints)
+        point = belief1_from_vector(t, PLIST, lat.nearest_point(belief1_vector(model, PLIST, ints), res))
+        assert snapped == point and hash(snapped) == hash(point)
+
+    @given(data=st.data(), k=st.integers(1, 10**6))
+    def test_belief2_from_fractions_equals_reduced_integers(self, data, k):
+        inner = data.draw(st.lists(numerators(KEYS1), min_size=1, max_size=3, unique_by=fraction_entries))
+        ints1 = [reduced(1, nums, 1, partial(Belief1._of, 1)) for nums in inner]
+        fracs1 = [Belief1.from_weights(1, dict(fraction_entries(nums))) for nums in inner]
+        keys = [(x, ell, i) for x in range(2) for ell in PLIST[:2] for i in range(len(inner))]
+        nums = data.draw(numerators(keys))
+        total = sum(nums.values())
+        ints = reduced(
+            1,
+            {(x, ell, ints1[i]): n for (x, ell, i), n in nums.items()},
+            k,
+            partial(Belief2._of, 1),
+            lambda kv: _belief2_order(kv[0]),
+        )
+        weights = {(x, ell, fracs1[i]): Fraction(n, total) for (x, ell, i), n in nums.items()}
+        for b2 in (Belief2.from_weights(1, weights), Belief2.from_json(ints.to_json())):
+            assert b2 == ints and hash(b2) == hash(ints)
+            assert b2.scaled() == ints.scaled()
+            assert b2.to_json() == ints.to_json()
+        assert ints.entries == Belief2.from_weights(1, weights).entries
+
+    @given(
+        inner=st.lists(numerators(KEYS1[:4]), min_size=1, max_size=8),
+        scales=st.lists(st.integers(1, 50), min_size=8, max_size=8),
+        keys=st.lists(st.tuples(st.integers(0, 1), st.sampled_from(PLIST[:2]), st.integers(0, 7)), max_size=12),
+    )
+    def test_orders_follow_the_fraction_entries(self, inner, scales, keys):
+        beliefs = [reduced(0, nums, k, partial(Belief1._of, 0)) for nums, k in zip(inner, scales)]
+        old = {id(b1): fraction_entries(nums) for b1, nums in zip(beliefs, inner)}
+        by_id = [id(b1) for b1 in sorted(beliefs, key=Belief1.sort_key)]
+        assert by_id == [id(b1) for b1 in sorted(beliefs, key=lambda b1: old[id(b1)])]
+        triples = [(x, ell, beliefs[i % len(beliefs)]) for x, ell, i in keys]
+        ours = sorted(triples, key=_belief2_order)
+        ref = sorted(triples, key=lambda key: (key[0], key[1], old[id(key[2])]))
+        assert [(x, ell, id(b1)) for x, ell, b1 in ours] == [(x, ell, id(b1)) for x, ell, b1 in ref]

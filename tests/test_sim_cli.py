@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 from nested_dp import oracle as orc
+from nested_dp import cli as cli_mod
 from nested_dp.cli import cli_main
 from nested_dp.generators import certification_instance, convergence_instance, decoupled_instance
 from nested_dp.decoupled import decoupled_to_json
@@ -498,3 +499,49 @@ class TestCli:
         monkeypatch.setenv("NESTED_DP_BUDGET", "3")
         assert cli_main(["solve", path]) == 1
         assert "cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, env, message",
+        [
+            (["solve", "{model}", "--budget", "-5"], None, "--budget must be a non-negative integer, got -5"),
+            (["solve", "{model}"], "-3", "NESTED_DP_BUDGET must be a non-negative integer, got -3"),
+            (["lattice", "--m", "2", "--n", "2", "--budget", "-1"], None, "--budget must be a non-negative integer, got -1"),
+            (["oracle", "{model}", "--max-strategies", "-1"], None, "--max-strategies must be a non-negative integer, got -1"),
+            (["oracle", "{model}"], "-2", "NESTED_DP_BUDGET must be a non-negative integer, got -2"),
+            (["pbp-approx", "{model}", "--psi2", "{model}", "--n", "2", "--budget", "-7"], "5", "--budget must be"),
+        ],
+    )
+    def test_negative_cap_is_refused_before_any_work(self, tmp_path, monkeypatch, capsys, argv, env, message):
+        path = write_model(tmp_path, certification_instance(0))
+        monkeypatch.delenv("NESTED_DP_BUDGET", raising=False)
+        if env is not None:
+            monkeypatch.setenv("NESTED_DP_BUDGET", env)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work ran before the cap was checked")
+
+        for module, name in [(orc, "build_joint"), (orc, "exhaustive_min"), (cli_mod.lat, "build_lattice"),
+                             (cli_mod.solver_mod, "solve_exact"), (cli_mod, "_load")]:
+            monkeypatch.setattr(module, name, no_work)
+        assert cli_main([arg.format(model=path) for arg in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {message}" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_zero_cap_keeps_its_meaning(self, tmp_path, monkeypatch, capsys):
+        path = write_model(tmp_path, certification_instance(0))
+        monkeypatch.delenv("NESTED_DP_BUDGET", raising=False)
+        assert cli_main(["solve", path, "--budget", "0"]) == 1
+        assert "prescription pairs passed the cap of 0 at t=0" in capsys.readouterr().err
+        assert cli_main(["lattice", "--m", "2", "--n", "2", "--budget", "0"]) == 1
+        assert "over the cap of 0" in capsys.readouterr().err
+
+    def test_library_caps_refuse_negatives(self, monkeypatch):
+        monkeypatch.delenv("NESTED_DP_BUDGET", raising=False)
+        model = certification_instance(0)
+        with pytest.raises(ValueError, match="budget must be a non-negative integer, got -1"):
+            solve_exact(model, build_delayed_structure(model, 1), budget=-1)
+        monkeypatch.setenv("NESTED_DP_BUDGET", "-4")
+        with pytest.raises(ValueError, match="NESTED_DP_BUDGET must be a non-negative integer, got -4"):
+            orc.build_joint(model)
