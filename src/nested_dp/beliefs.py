@@ -21,8 +21,9 @@ new information.  `SharedStep` is that computation, the only one: each
 agent-1 step becomes an integer part of the shared step, and a pair's step
 is the sum of its parts.  `belief1_step` is the only Bayes kernel that runs
 over the model's primitive draws.  Time 0 is its step from the prior at
-t = -1, the initial state law, which moves nothing and observes time 0;
-`StepCache.roots2` is `belief2_step` from the shared prior.
+t = -1, the initial state law, which moves nothing and observes time 0:
+every agent-1 chain starts at that prior, and `StepCache.roots2` is
+`belief2_step` from the shared prior.
 
 Both updates are pure Bayes steps driven by realized new information; no
 strategy object appears anywhere in the computation, which is the
@@ -35,8 +36,9 @@ All beliefs are immutable, canonically ordered (sorted support, reduced
 weights, zero weights dropped), and hashable, so equal distributions are
 structurally equal and usable as memoization keys.
 
-The arithmetic of a step is over exact integers.  A `Belief1` or `Belief2`
-is its reduced integer form, (D, ((key, n), ...)) with each weight n / D
+The arithmetic of a step is over exact integers.  Every belief -- `Belief1`,
+`Belief2` and the decoupled filters' `MarginalBelief`, all `_Scaled` -- is
+its reduced integer form, (D, ((key, n), ...)) with each weight n / D
 and no common factor in the n, and a primitive distribution is scaled once
 to such a form (`Dist.scaled`, cached on the instance).  The agent-1 step
 reads the model's compiled world kernel (`TeamModel.world_kernel`): per
@@ -76,7 +78,7 @@ from fractions import Fraction
 from functools import partial
 from types import MappingProxyType
 
-from .errors import DomainGap, MissingKey, ZeroProbabilityObservation
+from .errors import DomainGap, ZeroProbabilityObservation
 from .info import InfoStructure, step_plan
 from .model import TeamModel, format_ratio, parse_ratio, scale_to_integers
 
@@ -121,7 +123,8 @@ class _Scaled:
     """A belief whose data is its reduced integer form (D, ((key, n), ...)):
     each weight n / D, in entry order, the n without a common factor, so D
     is the lcm of the weights' denominators and equal distributions have
-    equal forms.  `__eq__` and `__hash__` read t and these integers, and
+    equal forms.  `__eq__` and `__hash__` read `_key()`: t and these
+    integers, and a subclass's own fields (a `MarginalBelief`'s agent).
     `scaled()` returns the form as stored.  `_of(t, form)` takes a reduced
     form as it is, which is how the Bayes steps build their posteriors; the
     constructor takes (key, weight) entries of rationals and scales them.
@@ -167,18 +170,27 @@ class _Scaled:
     def support(self) -> list:
         return [key for key, _ in self._scaled[1]]
 
+    def sort_key(self):
+        """The Fraction entries: the order of prescription domains, and so
+        of the memo and every digest, is the order of these tuples."""
+        return self.entries
+
+    def _key(self) -> tuple:
+        """What equality and hashing read: t and the integer form."""
+        return self.t, self._scaled
+
     def __eq__(self, other):
         if self is other:
             return True
         if type(other) is not type(self):
             return NotImplemented
-        return self.t == other.t and self._scaled == other._scaled
+        return self._key() == other._key()
 
     def __hash__(self):  # cached: beliefs are hot memoization keys
         try:
             return self._hash
         except AttributeError:
-            h = self._hash = hash((self.t, self._scaled))
+            h = self._hash = hash(self._key())
             return h
 
     def __repr__(self):
@@ -209,11 +221,6 @@ class Belief1(_Scaled):
         except AttributeError:
             ells = self._ells = tuple(dict.fromkeys(ell for (_, ell), _ in self._scaled[1]))
             return ells
-
-    def sort_key(self):
-        """The Fraction entries: the order of prescription domains, and so
-        of the memo and every digest, is the order of these tuples."""
-        return self.entries
 
     def to_json(self) -> dict:
         return {
@@ -305,56 +312,34 @@ class Belief2(_Scaled):
         return Belief2.from_weights(doc["t"], weights)
 
 
-@dataclass(frozen=True)
-class MarginalBelief:
+class MarginalBelief(_Scaled):
     """Per-agent filtered belief used under decoupled dynamics.
 
     Agent 1's version is a distribution over its own state; agent 2's is
     over (own state, private realization), conditioned on the shared data.
-    Its data are its Fraction entries; `scaled()` is their integer form.
-    """
+    The agent is part of the value: equality and hashing read it too."""
 
-    agent: int
-    t: int
-    entries: tuple[tuple[object, Fraction], ...]
+    __slots__ = ("agent",)
 
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.agent, self.t, self.entries))
-            object.__setattr__(self, "_hash", h)
-        return h
+    def __init__(self, agent: int, t: int, entries):
+        super().__init__(t, entries)
+        self.agent = agent
+
+    @classmethod
+    def _of(cls, agent: int, t: int, scaled: tuple[int, tuple]) -> "MarginalBelief":
+        self = super()._of(t, scaled)
+        self.agent = agent
+        return self
 
     @staticmethod
     def from_weights(agent: int, t: int, weights: dict) -> "MarginalBelief":
         return MarginalBelief(agent, t, _canon_entries(weights, lambda k: k))
 
-    @staticmethod
-    def _of(agent: int, t: int, scaled: tuple[int, tuple]) -> "MarginalBelief":
-        """The belief of a reduced integer form, which `scaled()` returns."""
-        denom, nums = scaled
-        theta = MarginalBelief(agent, t, tuple((key, Fraction(n, denom)) for key, n in nums))
-        object.__setattr__(theta, "_scaled", scaled)
-        return theta
+    def _key(self) -> tuple:
+        return self.agent, self.t, self._scaled
 
-    def scaled(self) -> tuple[int, tuple]:
-        """The entries over one common denominator D: (D, ((key, n), ...)),
-        each weight n / D, in entry order.  Cached."""
-        scaled = self.__dict__.get("_scaled")
-        if scaled is None:
-            denom, nums = scale_to_integers(w for _, w in self.entries)
-            scaled = (denom, tuple(zip((key for key, _ in self.entries), nums)))
-            object.__setattr__(self, "_scaled", scaled)
-        return scaled
-
-    def items(self):
-        return self.entries
-
-    def support(self):
-        return [key for key, _ in self.entries]
-
-    def sort_key(self):
-        return self.entries
+    def __repr__(self):
+        return f"MarginalBelief(agent={self.agent!r}, t={self.t!r}, entries={self.entries!r})"
 
 
 @dataclass(frozen=True)
@@ -629,9 +614,11 @@ def _mixture_branches(
 class StepCache:
     """The Bayes-step memo of one (model, info), whose keys do not name
     them: each distinct agent-1 step and posterior is built once and reused
-    as one object.
+    as one object.  There is no table of time-0 beliefs: time 0 is the
+    step from the prior (`_prior1`, under the null action 0 and `_NULL2`),
+    kept among the others, so a chain of agent-1 updates starts at the
+    prior and its first update finds the step the solve took.
 
-      roots     the step from the prior (time 0), held on first use;
       steps     agent-1 steps, keyed on (b1, u1, gamma2 on b1's private
                 support), the step from the prior among them;
       ids       each distinct agent-1 posterior (of the steps), keyed
@@ -647,10 +634,9 @@ class StepCache:
     The steps run through the module's `belief1_step`, looked up at call
     time, so a rebound function is the one called."""
 
-    __slots__ = ("roots", "steps", "ids", "points", "beliefs2")
+    __slots__ = ("steps", "ids", "points", "beliefs2")
 
     def __init__(self):
-        self.roots: dict | None = None
         self.steps: dict = {}
         self.ids: dict[Belief1, int] = {}
         self.points: list[Belief1] = []
@@ -666,12 +652,6 @@ class StepCache:
             out[z1] = (q, points[i])
         return out
 
-    def roots1(self, model: TeamModel, info: InfoStructure) -> dict[tuple[int, ...], tuple[Fraction, Belief1]]:
-        """`initial_belief1_roots`, cached, with interned posteriors."""
-        if self.roots is None:
-            self.roots = self.step1(model, info, _prior1(model), 0, _NULL2)
-        return self.roots
-
     def roots2(self, model: TeamModel, info: InfoStructure) -> dict[tuple[int, ...], tuple[Fraction, Belief2]]:
         """Positive-probability time-0 accessible realizations and their
         shared beliefs, with interned posteriors: `belief2_step` on this
@@ -680,13 +660,6 @@ class StepCache:
         denom, entries = b1.scaled()
         b2 = Belief2._of(-1, (denom, tuple(((x, ell, b1), n) for (x, ell), n in entries)))
         return belief2_step(model, info, b2, Prescription.for_agent1(-1, {b1: 0}), _NULL2, self)
-
-    def root1(self, model: TeamModel, info: InfoStructure, z1: tuple[int, ...]) -> Belief1:
-        """Agent 1's time-0 belief after the new information z1."""
-        roots = self.roots1(model, info)
-        if z1 not in roots:
-            raise MissingKey(f"unreachable initial information {z1}")
-        return roots[z1][1]
 
     def step1(
         self, model: TeamModel, info: InfoStructure, b1: Belief1, u1: int, gamma2: Prescription

@@ -28,10 +28,12 @@ from fractions import Fraction
 
 from . import oracle as orc
 from .beliefs import (
+    _NULL2,
     Belief1,
     Belief2,
     Prescription,
     StepCache,
+    _prior1,
     belief2_step,
     expected_cost1,
     expected_cost2,
@@ -118,17 +120,17 @@ def _m1_histories(model: TeamModel, info: InfoStructure, joint, tables):
 
 def _chain_belief1(model, info, cache, tables, t, m1real) -> tuple[Belief1, list[Prescription]]:
     """Recompute agent 1's belief at (t, m1real) by chaining the update from
-    time 0 through `cache`, reading actions and new information off the
-    realization."""
+    the prior through `cache`, time 0 included, reading actions and new
+    information off the realization."""
     values = dict(zip(info.m1[t], m1real))
     gammas = [
         _gamma2_from_tables(model, info, tables, s, tuple(values[v] for v in info.a2[s]))
         for s in range(t + 1)
     ]
-    belief = cache.root1(model, info, tuple(values[v] for v in info.z1[0]))
-    for s in range(t):
-        u1, z1 = _observed(info, s + 1, values)
-        belief = cache.update1(model, info, belief, u1, gammas[s], z1)
+    belief = _prior1(model)
+    for s, g2 in enumerate([_NULL2] + gammas[:t]):
+        u1, z1 = _observed(info, s, values)
+        belief = cache.update1(model, info, belief, u1, g2, z1)
     return belief, gammas
 
 

@@ -437,6 +437,8 @@ def _cmd_pbp_approx(args) -> int:
 
 def _cmd_alpha(args) -> int:
     jl = _ratio_option(args.jl, "--jl") if args.jl else None
+    if jl is not None and jl < 0:
+        raise NestedDPError(f"--jl ({args.jl!r}) must be non-negative")
     model, _, info = _load(args.model, args.delay)
     psi2 = _load_psi2(args.psi2, model, info)
     pbp = solver_mod.solve_pbp_approx(model, info, psi2, args.n, args.budget)

@@ -236,14 +236,14 @@ class TeamModel:
         return kernel
 
     def max_cost(self) -> Fraction:
-        """Largest stage cost entry across all times (sup-norm of the cost)."""
+        """Largest |stage cost| across all times (sup-norm of the cost)."""
         best = Fraction(0)
         for t in range(self.horizon + 1):
             for x_row in self.cost_table[t]:
                 for u1_row in x_row:
                     for c in u1_row:
-                        if c > best:
-                            best = c
+                        if abs(c) > best:
+                            best = abs(c)
         return best
 
 

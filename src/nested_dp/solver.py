@@ -68,11 +68,13 @@ from functools import cached_property
 
 from . import lattice as lat
 from .beliefs import (
+    _NULL2,
     Belief1,
     Belief2,
     Prescription,
     SharedStep,
     StepCache,
+    _prior1,
     belief1_vector,
     belief2_step,
 )
@@ -592,11 +594,12 @@ class PbpSolution:
         return point
 
     def sup_value(self, t: int) -> Fraction:
-        """Largest memoized value at stage t (zero beyond the horizon)."""
+        """Largest memoized |value| at stage t, the sup-norm of the stage-t
+        table (zero beyond the horizon)."""
         best = Fraction(0)
         for (b1, _), (v, _) in self.memo.items():
-            if b1.t == t and v > best:
-                best = v
+            if b1.t == t and abs(v) > best:
+                best = abs(v)
         return best
 
     def measured_lipschitz(self) -> Fraction:
@@ -691,7 +694,7 @@ def _pbp_solve(
 
     dp = MemoArgmin(sol.memo, resolve_budget(budget), "value nodes", expand)
     a2_of = step_plan(info, -1).z2_of  # a2[0] = z2[0]
-    for z1real, (p, b1) in cache.roots1(model, info).items():
+    for z1real, (p, b1) in cache.step1(model, info, _prior1(model), 0, _NULL2).items():
         a2real = a2_of(z1real)
         b1 = sol.snap(b1)
         sol.roots[z1real] = (p, b1, a2real)
@@ -724,8 +727,10 @@ def solve_pbp_approx(
 
 
 def _observed(info: InfoStructure, t: int, values) -> tuple[int, tuple[int, ...]]:
-    """Agent 1's action at t - 1 and its new information at t, in `values`."""
-    return values[VarRef(t - 1, "U1")], tuple(values[v] for v in info.z1[t])
+    """Agent 1's action at t - 1 and its new information at t, in `values`.
+    At t = 0 the action is the null action 0, under which the step from the
+    prior is taken and cached."""
+    return (values[VarRef(t - 1, "U1")] if t else 0), tuple(values[v] for v in info.z1[t])
 
 
 class PrescriptionTeamStrategy:
@@ -737,9 +742,11 @@ class PrescriptionTeamStrategy:
     A history outside the table raises MissingKey.  A `partial` table (a
     prescription decoration of some tree paths) instead sends both agents
     to action 0 there, and agent 1 stops tracking its belief from then on.
-    Agent 1's belief steps through `cache`, a `StepCache` of this (model,
-    info): the solve's, so that it finds the steps the solve took, or one
-    several strategies share.
+    Agent 1's belief starts at the prior and takes one update per step,
+    time 0 included, through `cache`, a `StepCache` of this (model, info):
+    the solve's, so that it finds the steps the solve took, or one several
+    strategies share.  A time-0 realization the prior rules out raises
+    ZeroProbabilityObservation.
     """
 
     def __init__(
@@ -755,19 +762,17 @@ class PrescriptionTeamStrategy:
         self.table = table
         self.partial = partial
         self.cache = StepCache() if cache is None else cache
+        self.prior = _prior1(model)
 
     def fresh_state(self):
-        return {}
+        return {"b1": self.prior, "g2": _NULL2}
 
     def act(self, st, t, values):
-        model, info = self.model, self.info
-        if t == 0:
-            b1 = self.cache.root1(model, info, tuple(values[v] for v in info.z1[0]))
-        elif st["g2"] is None:
+        if st["g2"] is None:
             return 0, 0
-        else:
-            u1, z1 = _observed(info, t, values)
-            b1 = self.cache.update1(model, info, st["b1"], u1, st["g2"], z1)
+        model, info = self.model, self.info
+        u1, z1 = _observed(info, t, values)
+        b1 = self.cache.update1(model, info, st["b1"], u1, st["g2"], z1)
         a2 = tuple(values[v] for v in info.a2[t])
         pair = self.table.get((t, a2))
         if pair is None:
@@ -783,7 +788,8 @@ class PrescriptionTeamStrategy:
 class PbpAgent1Strategy:
     """Execute a person-by-person policy: agent 1 tracks its belief chain
     (quantized chain for lattice policies), agent 2 follows the fixed
-    prescription family.  Both chains step through the solve's cache.
+    prescription family.  Both chains start at the prior and step through
+    the solve's cache, time 0 included.
 
     For lattice policies the recursive chain can meet a realized
     observation its quantized prior rules out; the runner then re-anchors by
@@ -796,18 +802,16 @@ class PbpAgent1Strategy:
         self.pbp = pbp
         self.model = pbp.model
         self.info = pbp.info
+        self.prior = _prior1(pbp.model)
 
     def fresh_state(self):
-        return {}
+        return {"exact": self.prior, "b1": self.prior, "g2": _NULL2}
 
     def act(self, st, t, values):
         model, info, cache = self.model, self.info, self.pbp.cache
-        if t == 0:
-            exact = b1 = cache.root1(model, info, tuple(values[v] for v in info.z1[0]))
-        else:
-            u1, z1 = _observed(info, t, values)
-            exact = cache.update1(model, info, st["exact"], u1, st["g2"], z1)
-            b1 = cache.step1(model, info, st["b1"], u1, st["g2"]).get(z1, (None, exact))[1]
+        u1, z1 = _observed(info, t, values)
+        exact = cache.update1(model, info, st["exact"], u1, st["g2"], z1)
+        b1 = cache.step1(model, info, st["b1"], u1, st["g2"]).get(z1, (None, exact))[1]
         st["exact"], st["b1"] = exact, self.pbp.snap(b1)
         a2 = tuple(values[v] for v in info.a2[t])
         g2 = st["g2"] = self.pbp.psi2.prescription(t, a2)

@@ -308,7 +308,7 @@ def reference_pbp(model, info, psi2, resolution=None):
 
     dp = ref_argmin({}, 10**9, "value nodes", expand)
     a2_of = step_plan(info, -1).z2_of
-    roots = cache.roots1(model, info).items()
+    roots = cache.step1(model, info, _prior1(model), 0, _NULL2).items()
     value = sum((p * dp.value((snap(b1), a2_of(z1))) for z1, (p, b1) in roots), Fraction(0))
     return value, dp.memo
 
@@ -696,7 +696,7 @@ class TestPriorStep:
             assert all(any(b2 is post for post in interned.values()) for _, b2 in roots.values())
         again = solution.cache.roots2(model, info)
         assert all(again[key][1] is b2 for key, (_, b2) in solution.roots.items())
-        solution.cache.roots1(model, info)
+        solution.cache.step1(model, info, _prior1(model), 0, _NULL2)
         assert len(priors) == 2
 
 
@@ -1244,15 +1244,17 @@ def fraction_entries(nums):
 
 PLIST = [(0,), (1,), (2,)]
 KEYS1 = [(x, ell) for x in range(3) for ell in PLIST]
+MARGINAL_KEYS = {1: list(range(4)), 2: KEYS1}  # own state; (own state, private realization)
 
 
 class TestIntegerBeliefs:
-    """`Belief1` and `Belief2` hold their reduced integer form.  A belief
-    built from Fractions -- `from_weights`, `from_json`, the constructor, a
-    lattice point through `lattice.nearest_point` -- must equal and
-    hash-equal the one the kernels build from integer numerators, at any
-    scale; sorting must follow the Fraction entry tuples; and `to_json`
-    must round-trip."""
+    """`Belief1`, `Belief2` and `MarginalBelief` hold their reduced integer
+    form, a `MarginalBelief` its agent too.  A belief built from Fractions
+    -- `from_weights`, `from_json`, the constructor, a lattice point
+    through `lattice.nearest_point` -- must equal and hash-equal the one
+    the kernels build from integer numerators, at any scale; a belief at
+    another t, or of another agent, must not; sorting must follow the
+    Fraction entry tuples; and `to_json` must round-trip."""
 
     @given(data=st.data(), k=st.integers(1, 10**6), t=st.integers(-1, 3))
     def test_belief1_from_fractions_equals_reduced_integers(self, data, k, t):
@@ -1314,3 +1316,27 @@ class TestIntegerBeliefs:
         ours = sorted(triples, key=_belief2_order)
         ref = sorted(triples, key=lambda key: (key[0], key[1], old[id(key[2])]))
         assert [(x, ell, id(b1)) for x, ell, b1 in ours] == [(x, ell, id(b1)) for x, ell, b1 in ref]
+
+    @given(data=st.data(), agent=st.sampled_from([1, 2]), k=st.integers(1, 10**6), t=st.integers(-1, 3))
+    def test_marginal_from_fractions_equals_reduced_integers(self, data, agent, k, t):
+        keys = MARGINAL_KEYS[agent]
+        nums = data.draw(numerators(keys))
+        ints = reduced(t, nums, k, partial(MarginalBelief._of, agent, t))
+        total = sum(nums.values())
+        for theta in (
+            MarginalBelief.from_weights(agent, t, {key: Fraction(n, total) for key, n in nums.items()}),
+            MarginalBelief(agent, t, fraction_entries(nums)),
+        ):
+            assert theta == ints and hash(theta) == hash(ints)
+            assert theta.scaled() == ints.scaled()
+        # the attributes the benchmark digests
+        assert (ints.agent, ints.t, ints.entries) == (agent, t, fraction_entries(nums))
+        assert all(type(w) is Fraction for _, w in ints.entries)
+        assert MarginalBelief._of(3 - agent, t, ints.scaled()) != ints  # the agent is part of the value
+        assert MarginalBelief._of(agent, t + 1, ints.scaled()) != ints
+        # sorting by sort_key follows the Fraction entry tuples
+        others = data.draw(st.lists(st.tuples(numerators(keys), st.integers(1, 50)), max_size=7))
+        thetas = [ints] + [reduced(t, more, scale, partial(MarginalBelief._of, agent, t)) for more, scale in others]
+        old = {id(theta): fraction_entries(more) for theta, more in zip(thetas, [nums] + [m for m, _ in others])}
+        by_id = [id(theta) for theta in sorted(thetas, key=MarginalBelief.sort_key)]
+        assert by_id == [id(theta) for theta in sorted(thetas, key=lambda theta: old[id(theta)])]

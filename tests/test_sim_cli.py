@@ -210,6 +210,20 @@ class TestCli:
         assert cli_main(["alpha", str(path), "--psi2", "unused.json", "--n", "2", "--jl", "1/0"]) == 1
         assert capsys.readouterr().err == "error: --jl ('1/0') is not a p/q ratio\n"
 
+    def test_alpha_negative_lipschitz_is_refused_before_any_work(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model_to_json(certification_instance(0))))
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work ran before --jl was checked")
+
+        monkeypatch.setattr(cli_mod, "_load", no_work)
+        monkeypatch.setattr(cli_mod.solver_mod, "solve_pbp_approx", no_work)
+        assert cli_main(["alpha", str(path), "--psi2", "unused.json", "--n", "2", "--jl", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --jl ('-1') must be non-negative\n"
+
     def test_malformed_explicit_info_is_located_domain_error(self, tmp_path, capsys):
         doc = model_to_json(certification_instance(0))
         doc["info"] = {"kind": "explicit", "m1": 5, "m2": [], "a2": []}

@@ -7,10 +7,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nested_dp import oracle as orc
-from nested_dp.beliefs import StepCache, belief1_from_vector, belief1_vector, belief2_step, expected_cost2
+from nested_dp.beliefs import (
+    StepCache,
+    belief1_from_vector,
+    belief1_vector,
+    belief2_step,
+    expected_cost2,
+    initial_belief1_roots,
+)
 from nested_dp.certify import certify_pbp_against_enumeration
 from nested_dp.decoupled import embed, solve_decoupled_pbp
-from nested_dp.errors import MissingKey, ResourceLimitExceeded
+from nested_dp.errors import MissingKey, ResourceLimitExceeded, ZeroProbabilityObservation
 from nested_dp.generators import certification_instance, convergence_instance, decoupled_instance
 from nested_dp.info import build_delayed_structure
 from nested_dp.lattice import build_lattice, lattice_size, quantize
@@ -250,6 +257,22 @@ class TestExtractedStrategy:
         assert len(joint) == 1  # fully deterministic world
         traj = orc.trajectory(det, info, strategy, joint.entries[0][0])
         assert traj.total_cost == solution.value
+
+    @pytest.mark.parametrize("extract", [
+        lambda model, info, psi2: extract_control_strategy(solve_exact(model, info)),
+        lambda model, info, psi2: extract_pbp_strategy(solve_pbp_exact(model, info, psi2)),
+        lambda model, info, psi2: extract_pbp_strategy(solve_pbp_approx(model, info, psi2, 2)),
+    ])
+    def test_time0_realization_the_prior_rules_out_raises(self, extract):
+        """Agent 1's chain starts at the prior, so time 0 is an update like
+        any other: a realization outside the roots has probability 0."""
+        model = convergence_instance(0)
+        info = build_delayed_structure(model, 1)
+        strategy = extract(model, info, HashedPsi2(model, info, 7))
+        (y1,) = info.z1[0]
+        assert list(initial_belief1_roots(model, info)) == [(0,)] and model.obs_space(1, 0).size == 2
+        with pytest.raises(ZeroProbabilityObservation, match=r"new information \(1,\) impossible at t=-1"):
+            strategy.act(strategy.fresh_state(), 0, {y1: 1})
 
 
 class TestPrescriptionTable:
@@ -619,3 +642,31 @@ class TestAlphaBound:
             perf = orc.evaluate_strategy(joint, model, info, extract_pbp_strategy(approx))
             alpha0 = alpha_bound(make_alpha_inputs(approx), model.horizon)[0]
             assert perf - exact.value <= alpha0
+
+    def test_sup_norms_read_absolute_values(self):
+        """Costs of either sign: the bound's sup-norms are max |c| and, per
+        stage, max |v| over the solved table, not max(0, max c)."""
+        base = convergence_instance(0)
+        negated = tuple(
+            tuple(tuple(tuple(-c for c in row) for row in x_rows) for x_rows in stage)
+            for stage in base.cost_table
+        )
+        model = replace(base, cost_table=negated)
+        info = build_delayed_structure(model, 1)
+        psi2 = HashedPsi2(model, info, 7)
+        costs = [abs(c) for stage in negated for x_rows in stage for row in x_rows for c in row]
+        assert model.max_cost() == max(costs) > 0
+        joint = orc.build_joint(model)
+        exact = solve_pbp_exact(model, info, psi2)
+        for n in (1, 2, 4):
+            approx = solve_pbp_approx(model, info, psi2, n)
+            inputs = make_alpha_inputs(approx)
+            assert inputs.cost_sup == max(costs)
+            sups = [
+                max(abs(v) for (b1, _), (v, _) in approx.memo.items() if b1.t == t)
+                for t in range(model.horizon + 1)
+            ]
+            assert list(inputs.value_sups) == sups + [0]
+            assert any(v < 0 for v, _ in approx.memo.values())
+            perf = orc.evaluate_strategy(joint, model, info, extract_pbp_strategy(approx))
+            assert perf - exact.value <= alpha_bound(inputs, model.horizon)[0]
