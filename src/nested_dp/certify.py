@@ -41,7 +41,8 @@ from .beliefs import (
 from .info import InfoStructure, enumerate_private, merge_realization
 from .model import TeamModel
 from .solver import (
-    PrescriptionTeamStrategy,
+    PolicyRunner,
+    TreePsi2,
     _observed,
     alpha_bound,
     all_agent1_prescriptions,
@@ -205,13 +206,12 @@ def certify_belief_and_cost_identities(
         distribution of (state, private realization, inner belief), so the
         cost checks can reuse it."""
         t = b2.t
-        runner = PrescriptionTeamStrategy(model, info, presc, partial=True, cache=cache)
+        runner = _path_runner(model, info, cache, presc)
         records = _consistent_draws(model, info, entries, runner, t, a2real)
         # agent 1's actions are replayed off its memory, which can take its
         # belief out of gamma1's domain: only agent 2 follows the decoration
-        gamma2s = {key: g2 for key, (_, g2) in presc.items()}
-        agent2 = _Agent2Prescribed(info, lambda s, a2: gamma2s.get((s, a2)))
-        gamma2_path = tuple(gamma2s.items())
+        agent2 = _Agent2Prescribed(info, runner.psi2.prescription)
+        gamma2_path = tuple(runner.psi2.entries.items())
         oracle_triples: dict = {}
         total = Fraction(0)
         for omega, p, traj in records:
@@ -267,6 +267,18 @@ def certify_belief_and_cost_identities(
     return report
 
 
+def _path_runner(model: TeamModel, info: InfoStructure, cache: StepCache, presc: dict) -> PolicyRunner:
+    """The runner of a decorated path {(t, accessible realization): (gamma1,
+    gamma2)}: both agents play 0 off it, agent 2 by `TreePsi2`."""
+
+    def action1(b1: Belief1, a2real: tuple) -> int:
+        pair = presc.get((b1.t, a2real))
+        return 0 if pair is None else pair[0](b1)
+
+    psi2 = TreePsi2(model, info, {key: g2 for key, (_, g2) in presc.items()})
+    return PolicyRunner(model, info, cache, psi2, action1, lambda b1: b1)
+
+
 def _consistent_draws(model, info, entries, runner, t, a2real):
     """The (omega, p, trajectory) of the draws among `entries` whose
     accessible realization at t is a2real under `runner`."""
@@ -299,7 +311,7 @@ def certify_pbp_against_enumeration(
 
 class _Agent2Prescribed:
     """Agent 2 applies `gamma2_at(t, accessible realization)` to its private
-    realization, and plays 0 where that returns None; agent 1 plays 0."""
+    realization; agent 1 plays 0."""
 
     def __init__(self, info, gamma2_at):
         self.info = info
@@ -310,7 +322,7 @@ class _Agent2Prescribed:
 
     def act(self, state, t, values):
         g2 = self.gamma2_at(t, tuple(values[v] for v in self.info.a2[t]))
-        return 0, 0 if g2 is None else g2(tuple(values[v] for v in self.info.l2[t]))
+        return 0, g2(tuple(values[v] for v in self.info.l2[t]))
 
 
 def convergence_report(

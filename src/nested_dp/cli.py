@@ -509,7 +509,7 @@ def _cmd_quantize(args) -> int:
     )
     if min(vector) < 0 or sum(vector) != 1:
         raise NestedDPError("--vector must be a probability vector")
-    bound = lat.error_bound(len(vector), args.n)  # rejects n < 1
+    bound = lat.error_bound(len(vector), args.n)
     point = lat.nearest_point(vector, args.n)
     _emit(
         {
@@ -595,10 +595,14 @@ def _parser() -> argparse.ArgumentParser:
 
 def _check_caps(args) -> None:
     """Refuse a negative cap before any work: each cap option the command
-    takes, and NESTED_DP_BUDGET where the option is not given."""
+    takes, and NESTED_DP_BUDGET where the option is not given; and a count
+    (--n, --m, --episodes) below 1."""
     for dest, flag in (("budget", "--budget"), ("max_strategies", "--max-strategies")):
         if hasattr(args, dest):
             resolve_budget(getattr(args, dest), flag)
+    for dest in ("n", "m", "episodes"):
+        if getattr(args, dest, 1) < 1:
+            raise NestedDPError(f"--{dest} must be a positive integer, got {getattr(args, dest)}")
 
 
 def cli_main(argv: list[str] | None = None) -> int:

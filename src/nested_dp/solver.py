@@ -48,13 +48,13 @@ realizations influence the objective.  Candidates are enumerated in a fixed
 lexicographic order and ties keep the first minimizer, so repeated solves
 return identical policies.
 
-Solved policies run through two executors.  `PrescriptionTeamStrategy`
-executes a table {(t, accessible realization): (gamma1, gamma2)}, the form
-`ExactSolution.table` reads off a joint solve; `PbpAgent1Strategy` executes
-a person-by-person policy.  Both read the accessible realization straight
-off the realized history and step agent 1's belief through the solve's
-`beliefs.StepCache`, kept on the solution: the updates do not depend on
-the strategy, so the executed policy's Bayes steps are ones the solve took.
+Every solved policy runs through one executor, `PolicyRunner`: agent 2
+applies a prescription family to its private realization and agent 1 a
+rule to its belief, the common-information form of the structural result.
+The runner reads the accessible realization straight off the realized
+history and steps agent 1's belief through the solve's `beliefs.StepCache`,
+kept on the solution: the updates do not depend on the strategy, so the
+executed policy's Bayes steps are ones the solve took.
 """
 
 from __future__ import annotations
@@ -102,7 +102,9 @@ __all__ = [
     "extract_control_strategy",
     "extract_pbp_strategy",
     "optimal_psi2",
+    "PolicyRunner",
     "TablePsi2",
+    "TreePsi2",
     "ConstantPsi2",
     "HashedPsi2",
     "all_agent2_prescriptions",
@@ -433,16 +435,25 @@ def _scaled_costs(stage) -> tuple[int, list]:
     return denom, rebuild(stage)
 
 
-def optimal_psi2(model: TeamModel, info: InfoStructure, solution: ExactSolution) -> "TablePsi2":
+def optimal_psi2(model: TeamModel, info: InfoStructure, solution: ExactSolution) -> "TreePsi2":
     """Agent-2 prescription family realized by the solved joint policy along
-    its own argmin tree, keyed by (t, accessible realization)."""
-    return TablePsi2({key: g2 for key, (_, g2) in solution.table.items()})
+    its own argmin tree, and the all-0 prescription off it (`TreePsi2`)."""
+    return TreePsi2(model, info, {key: g2 for key, (_, g2) in solution.table.items()})
 
 
-def extract_control_strategy(solution: ExactSolution) -> "PrescriptionTeamStrategy":
-    """Executable team strategy from a solved joint policy, stepping agent
-    1's belief through the solve's cache."""
-    return PrescriptionTeamStrategy(solution.model, solution.info, solution.table, cache=solution.cache)
+def extract_control_strategy(solution: ExactSolution) -> "PolicyRunner":
+    """Executable team strategy from a solved joint policy: gamma1 read off
+    the table, then `optimal_psi2`, so a history off the tree raises
+    MissingKey."""
+    model, info, table = solution.model, solution.info, solution.table
+
+    def action1(b1: Belief1, a2real: A2Real) -> int:
+        pair = table.get((b1.t, a2real))
+        if pair is None:
+            raise MissingKey(f"no prescription pair for t={b1.t}, accessible realization {a2real}")
+        return pair[0](b1)
+
+    return PolicyRunner(model, info, solution.cache, optimal_psi2(model, info, solution), action1, lambda b1: b1)
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +480,20 @@ class TablePsi2:
                 [t, list(a2real), presc.to_json()] for (t, a2real), presc in sorted(self.entries.items())
             ],
         }
+
+
+class TreePsi2(TablePsi2):
+    """A `TablePsi2` that plays the all-0 prescription off its entries, so a
+    best response that leaves a solved tree still meets a prescription.  Its
+    JSON is the table's, and a loaded table stays strict."""
+
+    def __init__(self, model: TeamModel, info: InfoStructure, entries: dict[tuple[int, A2Real], Prescription]):
+        super().__init__(entries)
+        self.off_tree = ConstantPsi2(model, info, 0)
+
+    def prescription(self, t: int, a2real: A2Real) -> Prescription:
+        presc = self.entries.get((t, a2real))
+        return self.off_tree.prescription(t, a2real) if presc is None else presc
 
 
 class ConstantPsi2:
@@ -733,94 +758,49 @@ def _observed(info: InfoStructure, t: int, values) -> tuple[int, tuple[int, ...]
     return (values[VarRef(t - 1, "U1")] if t else 0), tuple(values[v] for v in info.z1[t])
 
 
-class PrescriptionTeamStrategy:
-    """Closed-loop execution of a prescription table {(t, accessible
-    realization): (gamma1, gamma2)}: agent 1 applies gamma1 to its belief,
-    agent 2 applies gamma2 to its private realization.  Implements the
-    oracle/simulator strategy protocol.
+class PolicyRunner:
+    """Closed-loop execution of a solved policy (the oracle/simulator
+    strategy protocol): agent 1 plays `action1(b1, accessible realization)`
+    on its belief b1, and agent 2 applies `psi2.prescription(t, accessible
+    realization)` to its private realization.
 
-    A history outside the table raises MissingKey.  A `partial` table (a
-    prescription decoration of some tree paths) instead sends both agents
-    to action 0 there, and agent 1 stops tracking its belief from then on.
-    Agent 1's belief starts at the prior and takes one update per step,
-    time 0 included, through `cache`, a `StepCache` of this (model, info):
-    the solve's, so that it finds the steps the solve took, or one several
-    strategies share.  A time-0 realization the prior rules out raises
-    ZeroProbabilityObservation.
+    Agent 1 keeps two chains, both stepped from the prior through `cache`
+    (the solve's, so it finds the steps the solve took), time 0 included:
+    the exact posterior, and the chain `action1` reads, each step `snap`ped
+    (the identity for exact policies, the nearest lattice point for lattice
+    ones).  A realized observation the snapped chain rules out re-anchors it
+    at the snapped exact posterior.  Both are functions of agent 1's own
+    history, so the executed strategy stays feasible.  A time-0 realization
+    the prior rules out raises ZeroProbabilityObservation.
     """
 
-    def __init__(
-        self,
-        model: TeamModel,
-        info: InfoStructure,
-        table: dict,
-        partial: bool = False,
-        cache: StepCache | None = None,
-    ):
+    def __init__(self, model: TeamModel, info: InfoStructure, cache: StepCache, psi2, action1, snap):
         self.model = model
         self.info = info
-        self.table = table
-        self.partial = partial
-        self.cache = StepCache() if cache is None else cache
+        self.cache = cache
+        self.psi2 = psi2
+        self.action1 = action1
+        self.snap = snap
         self.prior = _prior1(model)
-
-    def fresh_state(self):
-        return {"b1": self.prior, "g2": _NULL2}
-
-    def act(self, st, t, values):
-        if st["g2"] is None:
-            return 0, 0
-        model, info = self.model, self.info
-        u1, z1 = _observed(info, t, values)
-        b1 = self.cache.update1(model, info, st["b1"], u1, st["g2"], z1)
-        a2 = tuple(values[v] for v in info.a2[t])
-        pair = self.table.get((t, a2))
-        if pair is None:
-            if not self.partial:
-                raise MissingKey(f"no prescription pair for t={t}, accessible realization {a2}")
-            st["g2"] = None
-            return 0, 0
-        g1, g2 = pair
-        st["b1"], st["g2"] = b1, g2
-        return g1(b1), g2(tuple(values[v] for v in info.l2[t]))
-
-
-class PbpAgent1Strategy:
-    """Execute a person-by-person policy: agent 1 tracks its belief chain
-    (quantized chain for lattice policies), agent 2 follows the fixed
-    prescription family.  Both chains start at the prior and step through
-    the solve's cache, time 0 included.
-
-    For lattice policies the recursive chain can meet a realized
-    observation its quantized prior rules out; the runner then re-anchors by
-    quantizing the exact posterior, which it tracks in parallel.  Both
-    chains are functions of agent 1's own history, so the executed strategy
-    stays feasible.
-    """
-
-    def __init__(self, pbp: PbpSolution):
-        self.pbp = pbp
-        self.model = pbp.model
-        self.info = pbp.info
-        self.prior = _prior1(pbp.model)
 
     def fresh_state(self):
         return {"exact": self.prior, "b1": self.prior, "g2": _NULL2}
 
     def act(self, st, t, values):
-        model, info, cache = self.model, self.info, self.pbp.cache
+        model, info, cache = self.model, self.info, self.cache
         u1, z1 = _observed(info, t, values)
         exact = cache.update1(model, info, st["exact"], u1, st["g2"], z1)
         b1 = cache.step1(model, info, st["b1"], u1, st["g2"]).get(z1, (None, exact))[1]
-        st["exact"], st["b1"] = exact, self.pbp.snap(b1)
+        st["exact"], st["b1"] = exact, self.snap(b1)
         a2 = tuple(values[v] for v in info.a2[t])
-        g2 = st["g2"] = self.pbp.psi2.prescription(t, a2)
-        ell = tuple(values[v] for v in info.l2[t])
-        return self.pbp.action_at(st["b1"], a2), g2(ell)
+        # the rule first: a history off a table raises the table's MissingKey
+        action = self.action1(st["b1"], a2)
+        g2 = st["g2"] = self.psi2.prescription(t, a2)
+        return action, g2(tuple(values[v] for v in info.l2[t]))
 
 
-def extract_pbp_strategy(pbp: PbpSolution) -> PbpAgent1Strategy:
-    return PbpAgent1Strategy(pbp)
+def extract_pbp_strategy(pbp: PbpSolution) -> PolicyRunner:
+    return PolicyRunner(pbp.model, pbp.info, pbp.cache, pbp.psi2, pbp.action_at, pbp.snap)
 
 
 # ---------------------------------------------------------------------------

@@ -523,6 +523,11 @@ class TestCli:
             (["oracle", "{model}", "--max-strategies", "-1"], None, "--max-strategies must be a non-negative integer, got -1"),
             (["oracle", "{model}"], "-2", "NESTED_DP_BUDGET must be a non-negative integer, got -2"),
             (["pbp-approx", "{model}", "--psi2", "{model}", "--n", "2", "--budget", "-7"], "5", "--budget must be"),
+            (["alpha", "{model}", "--psi2", "{model}", "--n", "0"], None, "--n must be a positive integer, got 0"),
+            (["pbp-approx", "{model}", "--psi2", "{model}", "--n", "-1"], None, "--n must be a positive integer, got -1"),
+            (["simulate", "{model}", "--seed", "1", "--episodes", "0"], None, "--episodes must be a positive integer, got 0"),
+            (["lattice", "--m", "0", "--n", "2"], None, "--m must be a positive integer, got 0"),
+            (["quantize", "--vector", "1/2,1/2", "--n", "0"], None, "--n must be a positive integer, got 0"),
         ],
     )
     def test_negative_cap_is_refused_before_any_work(self, tmp_path, monkeypatch, capsys, argv, env, message):
@@ -535,7 +540,7 @@ class TestCli:
             raise AssertionError("work ran before the cap was checked")
 
         for module, name in [(orc, "build_joint"), (orc, "exhaustive_min"), (cli_mod.lat, "build_lattice"),
-                             (cli_mod.solver_mod, "solve_exact"), (cli_mod, "_load")]:
+                             (cli_mod.lat, "error_bound"), (cli_mod.solver_mod, "solve_exact"), (cli_mod, "_load")]:
             monkeypatch.setattr(module, name, no_work)
         assert cli_main([arg.format(model=path) for arg in argv]) == 1
         captured = capsys.readouterr()

@@ -8,28 +8,30 @@ from hypothesis import strategies as st
 
 from nested_dp import oracle as orc
 from nested_dp.beliefs import (
+    _NULL2,
     StepCache,
+    _prior1,
     belief1_from_vector,
     belief1_vector,
     belief2_step,
     expected_cost2,
     initial_belief1_roots,
 )
-from nested_dp.certify import certify_pbp_against_enumeration
+from nested_dp.certify import _path_runner, certify_pbp_against_enumeration
 from nested_dp.decoupled import embed, solve_decoupled_pbp
 from nested_dp.errors import MissingKey, ResourceLimitExceeded, ZeroProbabilityObservation
 from nested_dp.generators import certification_instance, convergence_instance, decoupled_instance
 from nested_dp.info import build_delayed_structure
 from nested_dp.lattice import build_lattice, lattice_size, quantize
-from nested_dp.model import Dist, FiniteSpace
+from nested_dp.model import Dist, FiniteSpace, TeamModel
 from nested_dp.sim import RolloutConfig, rollout
 from nested_dp import solver as solver_mod
 from nested_dp.solver import (
     AlphaBoundInputs,
     ConstantPsi2,
     HashedPsi2,
-    PrescriptionTeamStrategy,
     TablePsi2,
+    _observed,
     alpha_bound,
     all_agent1_prescriptions,
     all_agent2_prescriptions,
@@ -275,6 +277,41 @@ class TestExtractedStrategy:
             strategy.act(strategy.fresh_state(), 0, {y1: 1})
 
 
+class TableReference:
+    """The table executor that `PolicyRunner` replaced, kept as a reference:
+    it runs {(t, accessible realization): (gamma1, gamma2)}, and where a
+    history leaves the table both agents play 0 from then on and agent 1
+    stops tracking its belief."""
+
+    def __init__(self, model, info, table):
+        self.model, self.info, self.table, self.cache = model, info, table, StepCache()
+
+    def fresh_state(self):
+        return {"b1": _prior1(self.model), "g2": _NULL2}
+
+    def act(self, st, t, values):
+        if st["g2"] is None:
+            return 0, 0
+        u1, z1 = _observed(self.info, t, values)
+        b1 = self.cache.update1(self.model, self.info, st["b1"], u1, st["g2"], z1)
+        pair = self.table.get((t, tuple(values[v] for v in self.info.a2[t])))
+        if pair is None:
+            st["g2"] = None
+            return 0, 0
+        (g1, g2), st["b1"], st["g2"] = pair, b1, pair[1]
+        return g1(b1), g2(tuple(values[v] for v in self.info.l2[t]))
+
+
+def plays_as_table(model, info, runner, table):
+    """Each joint draw's trajectory under `runner`, after checking that the
+    table reference plays it the same."""
+    reference = TableReference(model, info, table)
+    for omega, _ in orc.build_joint(model).entries:
+        traj = orc.trajectory(model, info, runner, omega)
+        assert traj.values == orc.trajectory(model, info, reference, omega).values
+        yield traj
+
+
 class TestPrescriptionTable:
     @pytest.mark.parametrize("d", range(3))
     @pytest.mark.parametrize("seed", range(3))
@@ -303,21 +340,39 @@ class TestPrescriptionTable:
         return model, info, solve_exact(model, info), orc.build_joint(model)
 
     def test_missing_final_stage_names_it(self, solved):
+        """The rule runs before the family, so a history off the table raises
+        the table's MissingKey, though `optimal_psi2` is total."""
         model, info, solution, joint = solved
         T = model.horizon
-        table = {key: pair for key, pair in solution.table.items() if key[0] < T}
-        strategy = PrescriptionTeamStrategy(model, info, table)
+        truncated = replace(solution)
+        truncated.table = {key: pair for key, pair in solution.table.items() if key[0] < T}
+        strategy = extract_control_strategy(truncated)
         with pytest.raises(MissingKey, match=f"no prescription pair for t={T}, accessible realization"):
             orc.evaluate_strategy(joint, model, info, strategy)
 
     def test_partial_table_plays_zero_off_the_table(self, solved):
-        model, info, solution, joint = solved
+        """A path decoration of the time-0 entries only, as certify runs it:
+        both agents play 0 at every later time, without raising."""
+        model, info, solution, _ = solved
         table = {key: pair for key, pair in solution.table.items() if key[0] == 0}
-        strategy = PrescriptionTeamStrategy(model, info, table, partial=True)
-        for omega, _ in joint.entries:
-            traj = orc.trajectory(model, info, strategy, omega)
+        runner = _path_runner(model, info, StepCache(), table)
+        for traj in plays_as_table(model, info, runner, table):
             later = range(1, model.horizon + 1)
             assert all(traj.value_of((kind, t)) == 0 for kind in ("U1", "U2") for t in later)
+
+    @pytest.mark.parametrize("d", range(3))
+    @pytest.mark.parametrize("make, seed", [
+        *((certification_instance, seed) for seed in range(3)),
+        (convergence_instance, 0),
+    ])
+    def test_joint_policy_plays_as_the_table(self, make, seed, d):
+        """The extracted joint policy, and certify's decoration of the whole
+        table, play as the table executor that `PolicyRunner` replaced."""
+        model = make(seed)
+        info = build_delayed_structure(model, d)
+        solution = solve_exact(model, info)
+        for runner in (extract_control_strategy(solution), _path_runner(model, info, StepCache(), solution.table)):
+            assert list(plays_as_table(model, info, runner, solution.table))
 
     def test_extractions_share_one_walk(self, monkeypatch):
         model = certification_instance(0)
@@ -334,8 +389,8 @@ class TestPrescriptionTable:
         strategy = extract_control_strategy(solution)
         psi2 = optimal_psi2(model, info, solution)
         table = solution.table
-        assert strategy.table is table
-        assert set(psi2.entries) == set(table)
+        gamma2s = {key: g2 for key, (_, g2) in table.items()}
+        assert strategy.psi2.entries == psi2.entries == gamma2s
         assert len(calls) == sum(1 for t, _ in table if t < model.horizon)
 
     def test_execution_needs_no_shared_belief_step(self, solved, monkeypatch):
@@ -347,6 +402,69 @@ class TestPrescriptionTable:
 
         monkeypatch.setattr(solver_mod, "belief2_step", forbidden)
         assert orc.evaluate_strategy(joint, model, info, strategy) == solution.value
+
+
+def last_action_model() -> TeamModel:
+    """T=2: the state is agent 1's last action (uniform at t=0), agent 2
+    sees it exactly and agent 1 sees nothing.  Agent 2 pays 1 for missing
+    the state and agent 1 pays 1/4 for action 1, so the team plays u1=0 and
+    agent 1's deviation shows in agent 2's observation."""
+    T = 2
+
+    def spaces(label, n, k):
+        return tuple(FiniteSpace(label, n) for _ in range(k))
+
+    return TeamModel(
+        horizon=T,
+        states=spaces("X", 2, T + 1),
+        actions1=spaces("U1", 2, T + 1),
+        actions2=spaces("U2", 2, T + 1),
+        disturbances=spaces("W", 1, T),
+        noises1=spaces("V1", 1, T + 1),
+        noises2=spaces("V2", 1, T + 1),
+        observations1=spaces("Y1", 1, T + 1),
+        observations2=spaces("Y2", 2, T + 1),
+        transition=tuple(
+            tuple(tuple(tuple((u1,) for _ in range(2)) for u1 in range(2)) for _ in range(2)) for _ in range(T)
+        ),
+        obs1=tuple(((0,), (0,)) for _ in range(T + 1)),
+        obs2=tuple(((0,), (1,)) for _ in range(T + 1)),
+        cost_table=tuple(
+            tuple(tuple(tuple(Fraction(u2 != x) + Fraction(u1, 4) for u2 in range(2)) for u1 in range(2)) for x in range(2))
+            for _ in range(T + 1)
+        ),
+        x0_dist=Dist.uniform(2),
+        w_dists=tuple(Dist.point_mass(1, 0) for _ in range(T)),
+        v1_dists=tuple(Dist.point_mass(1, 0) for _ in range(T + 1)),
+        v2_dists=tuple(Dist.point_mass(1, 0) for _ in range(T + 1)),
+    )
+
+
+class TestBestResponseToSolvedFamily:
+    """`optimal_psi2` is total: agent 1's best response may leave the argmin
+    tree, where agent 2 plays the all-0 prescription, and still recovers the
+    team value."""
+
+    @staticmethod
+    def assert_recovers_team_value(model, d):
+        info = build_delayed_structure(model, d)
+        solution = solve_exact(model, info)
+        assert solve_pbp_exact(model, info, optimal_psi2(model, info, solution)).value == solution.value
+
+    @pytest.mark.parametrize("seed, T, d", [(0, 2, 0), (1, 2, 1), (2, 3, 2), (0, 3, 0)])
+    def test_convergence_instances(self, seed, T, d):
+        self.assert_recovers_team_value(convergence_instance(seed, horizon=T), d)
+
+    @pytest.mark.parametrize("d", [0, 1])
+    def test_agent1_action_seen_by_agent2(self, d):
+        self.assert_recovers_team_value(last_action_model(), d)
+
+    def test_best_response_matches_agent1_enumeration(self):
+        model = convergence_instance(0, horizon=2)
+        info = build_delayed_structure(model, 0)
+        psi2 = optimal_psi2(model, info, solve_exact(model, info))
+        report = certify_pbp_against_enumeration(model, info, psi2)
+        assert report["ok"], report
 
 
 class TestSharedStepCache:
