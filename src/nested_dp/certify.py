@@ -339,12 +339,10 @@ def convergence_report(
     exact = solve_pbp_exact(model, info, psi2, budget)
     joint = orc.build_joint(model, budget)
     exact_replay = orc.evaluate_strategy(joint, model, info, extract_pbp_strategy(exact))
-    reachable = exact.reachable_beliefs()
-
-    def on_lattice(n: int) -> bool:
-        return all((coord * n).denominator == 1 for _, vec in reachable for coord in vec)
-
-    coverage_n = next((n for n in resolutions if on_lattice(n)), None)
+    # a belief in reduced integer form (D, n) lies on the resolution-r
+    # lattice exactly when D divides r
+    denoms = {b1.scaled()[0] for b1, _ in exact.memo}
+    coverage_n = next((n for n in resolutions if all(n % d == 0 for d in denoms)), None)
     gaps, dp_values, alpha0s = {}, {}, {}
     for n in resolutions:
         approx = solve_pbp_approx(model, info, psi2, n, budget)
@@ -368,5 +366,5 @@ def convergence_report(
         "dp_values": dp_values,
         "alpha0": alpha0s,
         "coverage_n": coverage_n,
-        "reachable_beliefs": len(reachable),
+        "reachable_beliefs": len(exact.memo),
     }

@@ -7,7 +7,8 @@ its own history and a filter over agent 2's (state, private values) given
 the shared data.  This module provides the embedding, the two marginal
 filters, executable checks of the factorization identities, and a
 person-by-person solver that works directly on the factored keys (with a
-further reduction when agent 1 observes its own state perfectly).
+variant keyed by agent 1's own state when it observes that state
+perfectly).
 
 The filters `theta1_step` and `theta2_step` are the only code here that
 runs over primitive draws; as in `beliefs`, the time-0 filters are their
@@ -20,7 +21,6 @@ a coupled counterexample to demonstrate the checks can fail.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -43,7 +43,7 @@ from .model import (
     _space_to_json,
 )
 from .oracle import Trajectory, condition_replayed
-from .solver import MemoArgmin, _scaled_costs
+from .solver import MemoArgmin, _agent1_node, _scaled_costs
 
 __all__ = [
     "DecoupledModel",
@@ -418,16 +418,20 @@ def solve_decoupled_pbp(
     only on agent 2's chain.  Matching the product-model solve exactly is
     the executable content of the reduction; the test suite asserts it.
 
-    With perfect own observations the own filter is a point mass and the
-    memo key drops to (own state, shared filter, accessible realization).
+    With perfect own observations (`perfect_obs_1`, checked against the
+    observation tables) every own filter is a point mass, and equal point
+    masses are equal keys, so the solve is the same; its memo is re-keyed
+    to (t, own state, shared filter, accessible realization).
 
-    Candidates are scored in `MemoArgmin`'s integers.  A node's stage cost
-    under u1 is the sum of n1 * n2 * k(x1, x2, u1, gamma2(ell)) over the
-    filters' entries n1 / D1 and n2 / D2 and the stage's integer cost table
-    k / K, over the scale D1 * D2 * K; a successor's weight is the product
-    of its two branch numerators, each side's over the lcm of that side's
-    branch denominators at the node.  Filter steps are kept for the length
-    of the solve, `theta1_step` keyed by (theta1, u1) and `theta2_step` by
+    Candidates are scored in `MemoArgmin`'s integers, built by
+    `solver._agent1_node`.  A node's stage cost under u1 is the sum of
+    n1 * n2 * k(x1, x2, u1, gamma2(ell)) over the filters' entries n1 / D1
+    and n2 / D2 and the stage's integer cost table k / K, over the scale
+    D1 * D2 * K; a successor's probability is the product of its two
+    branch probabilities, given as the product of their numerators over
+    the product of their denominators, so no branch pair builds a
+    Fraction.  Filter steps are kept for the length of the solve,
+    `theta1_step` keyed by (theta1, u1) and `theta2_step` by
     (theta2, gamma2), so nodes that share a filter share its steps.
     """
     if perfect_obs_1:
@@ -436,11 +440,6 @@ def solve_decoupled_pbp(
     costs = [_scaled_costs(dec.cost_table[t]) for t in range(T + 1)]
     steps1: dict = {}
     steps2: dict = {}
-
-    def point_key(node):
-        theta1, theta2, a2real = node
-        ((x1, _),) = theta1.items()
-        return (theta1.t, x1, theta2, a2real)
 
     def expand(node):
         return node[0].t, 1, candidates(*node)
@@ -460,46 +459,38 @@ def solve_decoupled_pbp(
                 n = n1 * n2
                 for u1, row in enumerate(units[x1][x2]):
                     h[u1] += n * row[u2]
-        scale = d1 * d2 * cost_denom
-        if t == T:
-            yield scale
-            for u1, cost in enumerate(h):
-                yield (u1,), cost, ()
-            return
-        steps = []
-        for u1 in range(len(h)):
-            step = steps1.get((theta1, u1))
-            if step is None:
-                step = steps1[(theta1, u1)] = theta1_step(dec, theta1, u1)
-            steps.append(step)
-        # agent 2's side of the step does not depend on agent 1's action
-        step2 = steps2.get((theta2, g2))
-        if step2 is None:
-            step2 = steps2[(theta2, g2)] = theta2_step(dec, info, theta2, g2)
-        # a branch probability q is q.numerator * (L // q.denominator) / L,
-        # L1 and L2 the lcms of each side's branch denominators
-        lcm1 = math.lcm(*(q.denominator for step in steps for q, _ in step.values()))
-        lcm2 = math.lcm(*(q.denominator for q, _ in step2.values()))
-        side2 = [
-            (q.numerator * (lcm2 // q.denominator) * scale, th2n, extend_a2(info, t, a2real, z2real))
-            for z2real, (q, th2n) in step2.items()
-        ]
-        yield scale * lcm1 * lcm2
-        for u1, (cost, step) in enumerate(zip(h, steps)):
-            yield (u1,), cost * lcm1 * lcm2, [
-                (q.numerator * (lcm1 // q.denominator) * w2, (th1n, th2n, a2n))
-                for q, th1n in step.values()
-                for w2, th2n, a2n in side2
+        branches = [()] * len(h)
+        if t < T:
+            # agent 2's side of the step does not depend on agent 1's action
+            step2 = steps2.get((theta2, g2))
+            if step2 is None:
+                step2 = steps2[(theta2, g2)] = theta2_step(dec, info, theta2, g2)
+            side2 = [
+                (q.numerator, q.denominator, th2n, extend_a2(info, t, a2real, z2real))
+                for z2real, (q, th2n) in step2.items()
             ]
+            for u1 in range(len(h)):
+                step = steps1.get((theta1, u1))
+                if step is None:
+                    step = steps1[(theta1, u1)] = theta1_step(dec, theta1, u1)
+                branches[u1] = [
+                    (q.numerator * n2, q.denominator * d2, (th1n, th2n, a2n))
+                    for q, th1n in step.values()
+                    for n2, d2, th2n, a2n in side2
+                ]
+        yield from _agent1_node(d1 * d2 * cost_denom, h, branches)
 
-    key = point_key if perfect_obs_1 else None
-    dp = MemoArgmin({}, resolve_budget(budget), "value nodes", expand, key)
+    dp = MemoArgmin({}, resolve_budget(budget), "value nodes", expand)
     total = Fraction(0)
     roots2 = initial_theta2_roots(dec, info)
     for p1, th1 in initial_theta1_roots(dec).values():
         for a2real, (p2, th2) in roots2.items():
             total += p1 * p2 * dp.value((th1, th2, a2real))
-    return DecoupledPbpSolution(total, dp.memo, perfect_obs_1)
+    memo = dp.memo
+    if perfect_obs_1:
+        # each own filter is a point mass, (x1, 1) over 1
+        memo = {(th1.t, th1.support()[0], th2, a2real): row for (th1, th2, a2real), row in memo.items()}
+    return DecoupledPbpSolution(total, memo, perfect_obs_1)
 
 
 # ---------------------------------------------------------------------------

@@ -37,9 +37,9 @@ passes the budget.  Every solver reads its stage costs off one integer
 table per stage (`_scaled_costs`), summed against the node's belief as
 integers over its common denominator (`scaled()`, the belief's data).  The
 joint solve's scale is the stage-cost denominator times its shared step's;
-a person-by-person node's is the stage-cost denominator times the lcm of
-its branch probabilities' denominators, each branch weight its numerator
-over that lcm.  The lattice snap and the measured Lipschitz ratio run in
+a person-by-person node's, here and in `decoupled` alike (`_agent1_node`),
+is the stage-cost denominator times the lcm of its branch probabilities'
+denominators, each branch weight its numerator over that lcm.  The lattice snap and the measured Lipschitz ratio run in
 integers too.
 
 Top-down recursion (rather than bottom-up tabulation) is deliberate: the
@@ -62,6 +62,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+from collections import ChainMap
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -75,7 +76,6 @@ from .beliefs import (
     SharedStep,
     StepCache,
     _prior1,
-    belief1_vector,
     belief2_step,
 )
 from .errors import MissingKey, ResourceLimitExceeded
@@ -155,24 +155,22 @@ class MemoArgmin:
     cross-multiplying; every candidate shares `scale`, so it drops out of
     the comparison.  Only a strictly smaller value replaces the best, so
     the first minimizer wins, and the node builds one Fraction, its value,
-    stored as memo[key(node)] = (value, *decision); `key` defaults to the
-    node itself.  Successors are solved in the order given, so memo
-    insertion order is the visit order.  Every solver here and in
-    `decoupled` builds its candidates as these integers directly, from its
-    integer cost tables and its branch probabilities' numerators.
+    stored as memo[node] = (value, *decision).  Successors are solved in
+    the order given, so memo insertion order is the visit order.  Every
+    solver here and in `decoupled` builds its candidates as these integers
+    directly, from its integer cost tables and its branch probabilities'
+    numerators; the person-by-person ones through `_agent1_node`.
     """
 
-    def __init__(self, memo: dict, cap: int, unit: str, expand, key=None):
+    def __init__(self, memo: dict, cap: int, unit: str, expand):
         self.memo = memo
         self.cap = cap
         self.unit = unit
         self.expand = expand
-        self.key = key
         self.spent = 0
 
     def value(self, node) -> Fraction:
-        key = node if self.key is None else self.key(node)
-        hit = self.memo.get(key)
+        hit = self.memo.get(node)
         if hit is not None:
             return hit[0]
         t, charge, candidates = self.expand(node)
@@ -197,8 +195,21 @@ class MemoArgmin:
             if best is None or n * best_d < best_n * d:
                 best, best_n, best_d = decision, n, d
         v = Fraction(best_n, best_d * scale)
-        self.memo[key] = (v, *best)
+        self.memo[node] = (v, *best)
         return v
+
+
+def _agent1_node(scale: int, h: list[int], branches: list):
+    """`MemoArgmin`'s candidates at a node where only agent 1 decides, the
+    person-by-person solvers' node: u1's stage cost is h[u1] / scale, and
+    branches[u1] lists its successors as (n, d, node), each reached with
+    probability n / d (empty at the horizon).  With L the lcm of every
+    branch denominator at the node, the node's scale is scale * L, a cost
+    h enters as h * L and a branch as n * (L // d) * scale."""
+    lcm = math.lcm(*(d for succ in branches for _, d, _ in succ))
+    yield scale * lcm
+    for u1, (cost, succ) in enumerate(zip(h, branches)):
+        yield (u1,), cost * lcm, [(n * (lcm // d) * scale, nxt) for n, d, nxt in succ]
 
 
 # ---------------------------------------------------------------------------
@@ -568,17 +579,23 @@ class PbpSolution:
     memo: dict[tuple[Belief1, A2Real], tuple[Fraction, int]]
     resolution: int | None  # lattice resolution, None for the exact solve
     private_lists: dict[int, list] = field(default_factory=dict)
-    _value_of: object = None
+    _on_demand: MemoArgmin | None = field(default=None, compare=False, repr=False)
     cache: StepCache = field(default_factory=StepCache, compare=False, repr=False)
     _snaps: dict[Belief1, Belief1] = field(default_factory=dict, compare=False, repr=False)
 
     def action_at(self, b1: Belief1, a2real: A2Real) -> int:
+        """Agent 1's solved action at (b1, a2real).  A key the solve did not
+        reach, which a lattice policy's re-anchored chain can meet, is
+        solved on demand into a memo layered over `memo`, so `memo` and the
+        loss bound read off it stay as solved."""
         key = (b1, a2real)
-        if key not in self.memo:
-            if self._value_of is None:
+        hit = self.memo.get(key)
+        if hit is None:
+            if self._on_demand is None:
                 raise MissingKey(f"no solved entry for belief at t={b1.t}, accessible={a2real}")
-            self._value_of(key)  # computes and memoizes on demand
-        return self.memo[key][1]
+            self._on_demand.value(key)
+            hit = self._on_demand.memo[key]
+        return hit[1]
 
     def dimension(self, t: int) -> int:
         """Coordinates of a stage-t belief vector: |X_t| * |L2_t|."""
@@ -664,13 +681,6 @@ class PbpSolution:
                 best = ratio
         return best
 
-    def reachable_beliefs(self) -> list[tuple[int, tuple[Fraction, ...]]]:
-        out = []
-        for (b1, _), _ in self.memo.items():
-            plist = self.private_lists[b1.t]
-            out.append((b1.t, belief1_vector(self.model, plist, b1)))
-        return out
-
 
 def _pbp_solve(
     model: TeamModel,
@@ -699,23 +709,16 @@ def _pbp_solve(
             u2 = g2(ell)
             for u1, row in enumerate(units[x]):
                 h[u1] += n * row[u2]
-        scale = denom * cost_denom
-        if t == T:
-            yield scale
-            for u1, cost in enumerate(h):
-                yield (u1,), cost, ()
-            return
-        acts = tuple(map(g2, b1.private_support()))
-        steps = [cache.step1_on(model, info, b1, u1, acts) for u1 in range(len(h))]
-        # a branch probability q is q.numerator * (L // q.denominator) / L
-        lcm = math.lcm(*(q.denominator for step in steps for q, _ in step.values()))
-        z2_of = step_plan(info, t).z2_of
-        yield scale * lcm
-        for u1, (cost, step) in enumerate(zip(h, steps)):
-            yield (u1,), cost * lcm, [
-                (q.numerator * (lcm // q.denominator) * scale, (sol.snap(nxt), extend_a2(info, t, a2real, z2_of(z1))))
-                for z1, (q, nxt) in step.items()
-            ]
+        branches = [()] * len(h)
+        if t < T:
+            acts = tuple(map(g2, b1.private_support()))
+            z2_of = step_plan(info, t).z2_of
+            for u1 in range(len(h)):
+                branches[u1] = [
+                    (q.numerator, q.denominator, (sol.snap(nxt), extend_a2(info, t, a2real, z2_of(z1))))
+                    for z1, (q, nxt) in cache.step1_on(model, info, b1, u1, acts).items()
+                ]
+        yield from _agent1_node(denom * cost_denom, h, branches)
 
     dp = MemoArgmin(sol.memo, resolve_budget(budget), "value nodes", expand)
     a2_of = step_plan(info, -1).z2_of  # a2[0] = z2[0]
@@ -724,7 +727,8 @@ def _pbp_solve(
         b1 = sol.snap(b1)
         sol.roots[z1real] = (p, b1, a2real)
         sol.value += p * dp.value((b1, a2real))
-    sol._value_of = dp.value
+    dp.memo = ChainMap({}, sol.memo)
+    sol._on_demand = dp
     return sol
 
 

@@ -311,6 +311,27 @@ class TestDecoupledSolve:
         for key in reduced.memo:
             assert isinstance(key[1], int)  # own state sits in the key directly
 
+    @pytest.mark.parametrize("horizon", [2, 3, 5])
+    def test_perfect_obs_memo_is_the_general_memo_rekeyed(self, horizon):
+        """With perfect own observations every own filter is a point mass,
+        and equal point masses are equal keys, so the general solve dedups
+        its nodes as the (t, own state) key does: the perfect-observation
+        memo is the general memo re-keyed, row for row and in order."""
+        for seed in range(6):
+            dec = decoupled_instance(seed, horizon=horizon, perfect_obs_1=True)
+            emb = embed(dec)
+            info = build_delayed_structure(emb, 1)
+            psi2 = HashedPsi2(emb, info, 13)
+            general = solve_decoupled_pbp(dec, info, psi2)
+            perfect = solve_decoupled_pbp(dec, info, psi2, perfect_obs_1=True)
+            rows = []
+            for (theta1, theta2, a2real), row in general.memo.items():
+                ((x1, p),) = theta1.items()
+                assert p == 1
+                rows.append(((theta1.t, x1, theta2, a2real), row))
+            assert list(perfect.memo.items()) == rows
+            assert perfect.value == general.value
+
     def test_perfect_obs_flag_rejects_noisy_observation(self):
         dec = decoupled_instance(0)  # constant observations after t=0
         info = build_delayed_structure(embed(dec), 1)

@@ -17,7 +17,7 @@ from nested_dp.beliefs import (
     expected_cost2,
     initial_belief1_roots,
 )
-from nested_dp.certify import _path_runner, certify_pbp_against_enumeration
+from nested_dp.certify import _path_runner, certify_pbp_against_enumeration, convergence_report
 from nested_dp.decoupled import embed, solve_decoupled_pbp
 from nested_dp.errors import MissingKey, ResourceLimitExceeded, ZeroProbabilityObservation
 from nested_dp.generators import certification_instance, convergence_instance, decoupled_instance
@@ -723,6 +723,26 @@ def _decoupled_capped(budget):
     return solve_decoupled_pbp(dec, info, HashedPsi2(emb, info, 13), budget=budget)
 
 
+class TestLatticeCoverage:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_coverage_reads_denominators(self, seed):
+        """A belief in reduced integer form (D, n) lies on the resolution-r
+        lattice exactly when D divides r: the test `certify` applies to every
+        exact memo key agrees with the Fraction coordinates of its vector."""
+        model = convergence_instance(seed)
+        outcomes = set()
+        for d in (0, 1, 2):
+            info = build_delayed_structure(model, d)
+            exact = solve_pbp_exact(model, info, HashedPsi2(model, info, 7))
+            for b1, _ in exact.memo:
+                vec = belief1_vector(model, exact.private_lists[b1.t], b1)
+                for r in range(1, 17):
+                    on_lattice = all((c * r).denominator == 1 for c in vec)
+                    assert (r % b1.scaled()[0] == 0) == on_lattice
+                    outcomes.add(on_lattice)
+        assert outcomes == {False, True}
+
+
 class TestBudgetCore:
     """All three DP solvers charge the one memoized argmin, which raises
     naming the stage and the running count."""
@@ -734,6 +754,30 @@ class TestBudgetCore:
         found = re.search(r"cap of 1 at t=(\d+): (\d+) counted", str(err.value))
         assert found, str(err.value)
         assert int(found.group(2)) == err.value.estimate > 1
+
+    @pytest.mark.parametrize("solve", [_pbp_exact_capped, _pbp_approx_capped, _decoupled_capped])
+    def test_capped_solve_takes_no_step_beyond_its_cap(self, solve, monkeypatch):
+        """With budget 1 only a time-0 node passes the cap: a node's Bayes
+        and filter steps run after its charge is checked, so no step leaves
+        a belief later than t = 0 (the time-0 roots step from the prior)."""
+        import nested_dp.beliefs as beliefs_mod
+        import nested_dp.decoupled as dec_mod
+
+        times = []
+
+        def recorded(real, at):
+            def step(*args):
+                times.append(args[at].t)
+                return real(*args)
+            return step
+
+        monkeypatch.setattr(beliefs_mod, "belief1_step", recorded(beliefs_mod.belief1_step, 2))
+        monkeypatch.setattr(dec_mod, "theta1_step", recorded(dec_mod.theta1_step, 1))
+        monkeypatch.setattr(dec_mod, "theta2_step", recorded(dec_mod.theta2_step, 2))
+        with pytest.raises(ResourceLimitExceeded):
+            solve(1)
+        assert 0 in times
+        assert max(times) <= 0
 
 
 class TestAlphaBound:
@@ -760,6 +804,45 @@ class TestAlphaBound:
             perf = orc.evaluate_strategy(joint, model, info, extract_pbp_strategy(approx))
             alpha0 = alpha_bound(make_alpha_inputs(approx), model.horizon)[0]
             assert perf - exact.value <= alpha0
+
+    def test_executing_a_lattice_policy_keeps_its_bound(self):
+        """A lattice policy's re-anchored chain can meet keys its solve did
+        not reach.  Executing the policy solves them on the side: the memo
+        and the bound inputs read off it are the same before and after, and
+        the executed gap stays within that bound."""
+        off_memo = 0
+        for seed in range(6):
+            model = convergence_instance(seed)
+            joint = orc.build_joint(model)
+            for d in (1, 2):
+                info = build_delayed_structure(model, d)
+                psi2 = HashedPsi2(model, info, 7)
+                exact = solve_pbp_exact(model, info, psi2)
+                for n in range(1, 6):
+                    approx = solve_pbp_approx(model, info, psi2, n)
+                    memo, inputs = list(approx.memo.items()), make_alpha_inputs(approx)
+                    runner = extract_pbp_strategy(approx)
+                    keys = []
+                    rule = runner.action1
+                    runner.action1 = lambda b1, a2real: keys.append((b1, a2real)) or rule(b1, a2real)
+                    perf = orc.evaluate_strategy(joint, model, info, runner)
+                    assert list(approx.memo.items()) == memo
+                    assert make_alpha_inputs(approx) == inputs
+                    assert perf - exact.value <= alpha_bound(inputs, model.horizon)[0]
+                    off_memo += any(key not in approx.memo for key in keys)
+        assert off_memo > 0
+
+    def test_convergence_report_bounds_the_solved_memo(self):
+        """`convergence_report` bounds each lattice policy after executing
+        it, and its bound is the one of a fresh solve (seed 4, d = 1, n = 1
+        meets keys off its memo)."""
+        model = convergence_instance(4)
+        info = build_delayed_structure(model, 1)
+        psi2 = HashedPsi2(model, info, 7)
+        report = convergence_report(model, info, psi2, (1, 2))
+        for n in (1, 2):
+            fresh = make_alpha_inputs(solve_pbp_approx(model, info, psi2, n))
+            assert report["alpha0"][n] == alpha_bound(fresh, model.horizon)[0]
 
     def test_sup_norms_read_absolute_values(self):
         """Costs of either sign: the bound's sup-norms are max |c| and, per
