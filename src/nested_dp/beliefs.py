@@ -782,9 +782,10 @@ def expected_cost2(
 
 
 # ---------------------------------------------------------------------------
-# Vector form of Belief1, used by the simplex-lattice quantizer.  Coordinates
-# run over (state, private realization) pairs, state-major, private values in
-# product order, including zero-probability pairs.
+# Vector form of Belief1 in Fractions, the tests' reference for the integer
+# `PbpSolution.snap` (nothing in the package calls it): coordinates over
+# (state, private realization) pairs, state-major, private values in product
+# order, zero-probability pairs included.
 # ---------------------------------------------------------------------------
 
 

@@ -32,7 +32,7 @@ from . import lattice as lat
 from . import oracle as oracle_mod
 from . import sim as sim_mod
 from . import solver as solver_mod
-from .errors import NestedDPError
+from .errors import DomainGap, MissingKey, NestedDPError
 from .info import build_delayed_structure, check_nestedness, info_from_json
 from .limits import resolve_budget
 from .model import (
@@ -126,8 +126,36 @@ def _distinct_keys(pairs: list) -> dict:
     return doc
 
 
-def _load_psi2(path: str, model, info):
-    return solver_mod.psi2_from_json(_load_checked(path, "psi2", _check_psi2, model, info), model, info)
+def _load_with_psi2(args):
+    """(model, info, family) of `args.model` and the psi2 file `args.psi2`."""
+    model, _, info = _load(args.model, args.delay)
+    doc = _load_checked(args.psi2, "psi2", _check_psi2, model, info)
+    psi2 = solver_mod.psi2_from_json(doc, model, info)
+    return model, info, (_TableFile(args.psi2, psi2.entries) if doc["kind"] == "table" else psi2)
+
+
+class _TableFile:
+    """A psi2 table file's family: a [t, accessible] pair or a private
+    realization that a run reaches and the file leaves out is an error
+    naming the file and the key.  Keys no run reaches may stay out."""
+
+    def __init__(self, path: str, entries: dict):
+        self.path, self.entries = path, entries
+
+    def prescription(self, t: int, a2real: tuple):
+        entry = [t, list(a2real)]
+        if (t, a2real) not in self.entries:
+            raise NestedDPError(f"psi2 file {self.path} has no entry for the [t, accessible] pair {entry}")
+
+        def action(ell):
+            try:
+                return self.entries[t, a2real](ell)
+            except DomainGap:
+                raise NestedDPError(
+                    f"psi2 file {self.path}: entry {entry} has no action for the private realization {list(ell)}"
+                ) from None
+
+        return action
 
 
 # Shape checks for model, info, psi2 and strategy documents: each raises
@@ -400,8 +428,7 @@ def _write_pbp_policy(pbp, path: str) -> None:
 
 
 def _cmd_pbp(args) -> int:
-    model, _, info = _load(args.model, args.delay)
-    psi2 = _load_psi2(args.psi2, model, info)
+    model, info, psi2 = _load_with_psi2(args)
     pbp = solver_mod.solve_pbp_exact(model, info, psi2, args.budget)
     if args.policy_out:
         _write_pbp_policy(pbp, args.policy_out)
@@ -419,8 +446,7 @@ def _cmd_pbp(args) -> int:
 
 
 def _cmd_pbp_approx(args) -> int:
-    model, _, info = _load(args.model, args.delay)
-    psi2 = _load_psi2(args.psi2, model, info)
+    model, info, psi2 = _load_with_psi2(args)
     pbp = solver_mod.solve_pbp_approx(model, info, psi2, args.n, args.budget)
     if args.policy_out:
         _write_pbp_policy(pbp, args.policy_out)
@@ -439,8 +465,7 @@ def _cmd_alpha(args) -> int:
     jl = _ratio_option(args.jl, "--jl") if args.jl else None
     if jl is not None and jl < 0:
         raise NestedDPError(f"--jl ({args.jl!r}) must be non-negative")
-    model, _, info = _load(args.model, args.delay)
-    psi2 = _load_psi2(args.psi2, model, info)
+    model, info, psi2 = _load_with_psi2(args)
     pbp = solver_mod.solve_pbp_approx(model, info, psi2, args.n, args.budget)
     inputs = solver_mod.make_alpha_inputs(pbp, jl)
     alphas = solver_mod.alpha_bound(inputs, model.horizon)
@@ -475,17 +500,16 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_simulate(args) -> int:
     model, _, info = _load(args.model, args.delay)
-    exact = None
+    config = sim_mod.RolloutConfig(args.seed, args.episodes)
     if args.strategy:
         doc = _load_checked(args.strategy, "strategy", _check_strategy, model, info)
-        strategy = oracle_mod.ExplicitStrategy.from_json(info, doc)
+        try:
+            report = sim_mod.rollout(model, info, oracle_mod.ExplicitStrategy.from_json(info, doc), config)
+        except MissingKey as exc:  # a memory the run reaches and the file leaves out
+            raise NestedDPError(f"strategy file {args.strategy}: {exc}") from None
     else:
         solution = solver_mod.solve_exact(model, info, args.budget)
-        strategy = solver_mod.extract_control_strategy(solution)
-        exact = solution.value
-    report = sim_mod.rollout(
-        model, info, strategy, sim_mod.RolloutConfig(args.seed, args.episodes), exact
-    )
+        report = sim_mod.rollout(model, info, solver_mod.extract_control_strategy(solution), config, solution.value)
     _emit(report.to_json())
     return 0
 

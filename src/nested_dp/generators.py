@@ -25,12 +25,14 @@ identical instances on any platform.
 
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 
 from .decoupled import DecoupledModel
 from .info import InfoStructure
 from .model import Dist, FiniteSpace, TeamModel
+from .oracle import _Pair
 
 __all__ = [
     "certification_instance",
@@ -277,30 +279,17 @@ def coupled_counterexample() -> tuple[TeamModel, tuple[int, int]]:
     )
 
 
-class HashedTeamStrategy:
+def HashedTeamStrategy(model: TeamModel, info: InfoStructure, seed: int) -> _Pair:
     """Deterministic pseudo-random memory-based strategy: the action of each
     agent is a digest of (seed, agent, t, memory realization).  Total on all
     realizations, so it can drive any sweep without reachability bookkeeping.
     """
 
-    def __init__(self, model: TeamModel, info: InfoStructure, seed: int):
-        import hashlib
+    def digest(agent, memories):
+        def pick(t, values):
+            key = (seed, agent, t, tuple(values[v] for v in memories[t]))
+            return hashlib.sha256(repr(key).encode()).digest()[0] % model.action_space(agent, t).size
 
-        self.model = model
-        self.info = info
-        self.seed = seed
-        self._hash = hashlib.sha256
+        return pick
 
-    def fresh_state(self):
-        return None
-
-    def _pick(self, agent, t, key, n):
-        digest = self._hash(repr((self.seed, agent, t, key)).encode()).digest()
-        return digest[0] % n
-
-    def act(self, state, t, values):
-        m1 = tuple(values[v] for v in self.info.m1[t])
-        m2 = tuple(values[v] for v in self.info.m2[t])
-        u1 = self._pick(1, t, m1, self.model.action_space(1, t).size)
-        u2 = self._pick(2, t, m2, self.model.action_space(2, t).size)
-        return u1, u2
+    return _Pair(digest(1, info.m1), digest(2, info.m2))

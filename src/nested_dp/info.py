@@ -113,8 +113,6 @@ def build_delayed_structure(model: TeamModel, d: int) -> InfoStructure:
         raise ValueError(f"delay {d} outside 0..{T + 1}")
 
     def a2_at(t: int) -> tuple[VarRef, ...]:
-        if t < 0:
-            return ()
         ys = [VarRef(s, "Y2") for s in range(0, t - d + 1)]
         us = [VarRef(s, "U2") for s in range(0, min(t - d, t - 1) + 1)]
         return _canon(ys + us)
@@ -125,22 +123,24 @@ def build_delayed_structure(model: TeamModel, d: int) -> InfoStructure:
         return _canon(ys + us)
 
     def m1_at(t: int) -> tuple[VarRef, ...]:
-        if t < 0:
-            return ()
         ys = [VarRef(s, "Y1") for s in range(0, t + 1)]
         us = [VarRef(s, "U1") for s in range(0, t)]
         return _canon(ys + us + list(a2_at(t)))
 
-    m1, m2, a2, l2, z1, z2 = [], [], [], [], [], []
-    for t in range(T + 1):
-        m1_t, m2_t, a2_t = m1_at(t), m2_at(t), a2_at(t)
-        m1.append(m1_t)
-        m2.append(m2_t)
-        a2.append(a2_t)
-        l2.append(_canon(set(m2_t) - set(a2_t)))
-        z1.append(_canon(set(m1_t) - set(m1_at(t - 1))))
-        z2.append(_canon(set(a2_t) - set(a2_at(t - 1))))
-    return InfoStructure(T, d, tuple(m1), tuple(m2), tuple(a2), tuple(l2), tuple(z1), tuple(z2))
+    ts = range(T + 1)
+    return _derive(T, d, [m1_at(t) for t in ts], [m2_at(t) for t in ts], [a2_at(t) for t in ts])
+
+
+def _derive(T: int, delay: int | None, m1, m2, a2) -> InfoStructure:
+    """The structure of canonical per-time m1, m2 and a2: l2[t] = m2[t] -
+    a2[t], z1[t] = m1[t] - m1[t-1] and z2[t] = a2[t] - a2[t-1], where m1[-1]
+    and a2[-1] are empty."""
+
+    def increments(comps):
+        return tuple(_canon(set(now) - set(before)) for before, now in zip([()] + comps, comps))
+
+    l2 = tuple(_canon(set(m) - set(a)) for m, a in zip(m2, a2))
+    return InfoStructure(T, delay, tuple(m1), tuple(m2), tuple(a2), l2, increments(m1), increments(a2))
 
 
 def check_nestedness(info: InfoStructure) -> list[StructureViolation]:
@@ -416,10 +416,4 @@ def info_from_json(model: TeamModel, doc: dict) -> InfoStructure:
             raise ValueError(f"info composition has {len(comps)} stages, expected {T + 1}")
         return comps
 
-    m1, m2, a2 = load(doc["m1"]), load(doc["m2"]), load(doc["a2"])
-    l2, z1, z2 = [], [], []
-    for t in range(T + 1):
-        l2.append(_canon(set(m2[t]) - set(a2[t])))
-        z1.append(_canon(set(m1[t]) - (set(m1[t - 1]) if t else set())))
-        z2.append(_canon(set(a2[t]) - (set(a2[t - 1]) if t else set())))
-    return InfoStructure(T, None, tuple(m1), tuple(m2), tuple(a2), tuple(l2), tuple(z1), tuple(z2))
+    return _derive(T, None, load(doc["m1"]), load(doc["m2"]), load(doc["a2"]))

@@ -17,6 +17,10 @@ entries their agent can see; the table-based ExplicitStrategy defined here
 does, and the solver's closed-loop policies follow the same contract.  The
 accessible realization a2[t] lies in both agents' memories, so either agent
 may read it: the solver's executors look their prescriptions up by it.
+Every stateless strategy-like is one `_Pair(u1_of, u2_of)` of per-agent
+pickers `(t, values) -> action`.  An agent 2 fixed by a strategy-like (the
+agent-1 enumeration, its minimum, conditioning on agent 1's memory) must
+be stateless: it is read through `act(None, t, values)[1]`.
 
 One world step serves every walk here.  A context (omega, values, x) is a
 draw, the realized variables so far and the current state; `_observe`
@@ -208,13 +212,38 @@ def evaluate_strategy(joint: JointTable, model: TeamModel, info: InfoStructure, 
 
 
 # ---------------------------------------------------------------------------
-# Explicit (table) strategies and their enumeration.
+# Stateless strategies: the pair, explicit tables and their enumeration.
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _Pair:
+    """The stateless strategy-like: agent 1 plays `u1_of(t, values)` and
+    agent 2 `u2_of(t, values)`."""
+
+    u1_of: object
+    u2_of: object
+
+    def fresh_state(self):
+        return None
+
+    def act(self, state, t, values):
+        return self.u1_of(t, values), self.u2_of(t, values)
+
+
+def _zero(t, values):
+    return 0  # the picker of an agent that callers never consult
+
+
+def _agent2_of(strategy):
+    """Agent 2's picker of a stateless strategy-like."""
+    return lambda t, values: strategy.act(None, t, values)[1]
+
+
 def _table_lookup(memories, agent: int, tables):
-    """The action a stage-table stack takes on `values` at t; a memory
-    outside the tables raises MissingKey."""
+    """The picker of a stage-table stack: its action on `values` at t; a
+    memory outside the tables raises MissingKey, naming the stage as
+    `ExplicitStrategy.to_json` writes it (`$.g1[t]`) and the memory."""
     maps = tuple(dict(tbl) for tbl in tables)
 
     def pick(t, values):
@@ -222,7 +251,7 @@ def _table_lookup(memories, agent: int, tables):
         try:
             return maps[t][m]
         except KeyError:
-            raise MissingKey(f"agent {agent} has no action for memory {m} at t={t}") from None
+            raise MissingKey(f"$.g{agent}[{t}] has no action for the memory {list(m)}") from None
 
     return pick
 
@@ -245,15 +274,14 @@ class ExplicitStrategy:
         return ExplicitStrategy(info, freeze(g1), freeze(g2))
 
     @cached_property
-    def _lookups(self):
-        return _table_lookup(self.info.m1, 1, self.g1), _table_lookup(self.info.m2, 2, self.g2)
+    def _pair(self) -> _Pair:
+        return _Pair(_table_lookup(self.info.m1, 1, self.g1), _table_lookup(self.info.m2, 2, self.g2))
 
     def fresh_state(self):
         return None
 
     def act(self, state, t, values):
-        pick1, pick2 = self._lookups
-        return pick1(t, values), pick2(t, values)
+        return self._pair.act(state, t, values)
 
     def to_json(self) -> dict:
         dump = lambda tables: [[[list(k), a] for k, a in tbl] for tbl in tables]
@@ -310,27 +338,12 @@ def enumerate_agent1_strategies(
     model: TeamModel, info: InfoStructure, joint: JointTable, agent2_strategy
 ):
     """Yield every self-consistent agent-1 stage-table stack against a fixed
-    (stateless) agent-2 strategy-like, lexicographic.  Reachability is joint:
-    agent 2's entries inside agent 1's memory are pinned by the fixed
-    strategy, so the table domains stay small."""
-    def advance(t, u1, values):
-        return ((u1, agent2_strategy.act(None, t, values)[1]),)
-
-    return _enumerate_tables(model, info, joint, 1, advance)
-
-
-class _Agent2TableOnly:
-    """Strategy-like playing agent-2 stage tables; its agent-1 action is 0
-    and never consulted by callers that use this."""
-
-    def __init__(self, info, tables):
-        self.pick = _table_lookup(info.m2, 2, tables)
-
-    def fresh_state(self):
-        return None
-
-    def act(self, state, t, values):
-        return 0, self.pick(t, values)
+    stateless agent-2 strategy-like, read through `act(None, t, values)[1]`,
+    lexicographic.  Reachability is joint: agent 2's entries inside agent
+    1's memory are pinned by the fixed strategy, so the table domains stay
+    small."""
+    u2_of = _agent2_of(agent2_strategy)
+    return _enumerate_tables(model, info, joint, 1, lambda t, u1, values: ((u1, u2_of(t, values)),))
 
 
 @dataclass(frozen=True)
@@ -461,23 +474,6 @@ def exhaustive_min(
     return ExhaustiveResult(best[0], ExplicitStrategy.from_tables(info, g1, g2), tested[0])
 
 
-class _Agent1Replaced:
-    """Agent 2 as the strategy-like `agent2` plays it, agent 1 by
-    `u1_of(t, values)`."""
-
-    def __init__(self, u1_of, agent2):
-        self.u1_of = u1_of
-        self.agent2 = agent2
-
-    def fresh_state(self):
-        return self.agent2.fresh_state()
-
-    def act(self, state, t, values):
-        u1 = self.u1_of(t, values)
-        _, u2 = self.agent2.act(state, t, values)
-        return u1, u2
-
-
 def min_over_agent1(
     model: TeamModel,
     info: InfoStructure,
@@ -486,20 +482,17 @@ def min_over_agent1(
     budget: int | None = None,
 ) -> tuple[Fraction, tuple]:
     """Exact minimum over all agent-1 strategies with agent 2's behavior
-    fixed (any stateless strategy-like)."""
+    fixed by a stateless strategy-like, read through
+    `act(None, t, values)[1]`."""
     cap = resolve_budget(budget)
-    best = None
-    best_tables = None
-    tested = 0
-    for g1 in enumerate_agent1_strategies(model, info, joint, agent2_strategy):
-        tested += 1
+    u2_of = _agent2_of(agent2_strategy)
+    best = best_tables = None
+    for tested, g1 in enumerate(enumerate_agent1_strategies(model, info, joint, agent2_strategy), 1):
         if tested > cap:
             raise ResourceLimitExceeded(f"more than {cap} agent-1 strategies", estimate=tested)
-        runner = _Agent1Replaced(_table_lookup(info.m1, 1, g1), agent2_strategy)
-        value = evaluate_strategy(joint, model, info, runner)
+        value = evaluate_strategy(joint, model, info, _Pair(_table_lookup(info.m1, 1, g1), u2_of))
         if best is None or value < best:
-            best = value
-            best_tables = g1
+            best, best_tables = value, g1
     return best, best_tables
 
 
@@ -532,8 +525,7 @@ def condition(
     are ("X", t), ("Y1", t), ..., or composites ("M1", t), ("L2", t), etc.
     Returns the conditional distribution over query value tuples.
     """
-    episodes = ((trajectory(model, info, strategy, omega), p) for omega, p in joint.entries)
-    return condition_replayed(info, episodes, given, query)
+    return condition_replayed(info, replay(joint, model, info, strategy), given, query)
 
 
 def condition_replayed(
@@ -566,10 +558,11 @@ def condition_on_memory1(
     query: list[tuple] | None = None,
 ) -> dict[tuple, Fraction]:
     """P(query | agent 1's memory at t equals m1real), with agent 2 played by
-    the given strategy-like and agent 1's past actions read off the memory
-    realization itself.  Default query: (state, private values) at t."""
+    the given stateless strategy-like, read through `act(None, t,
+    values)[1]`, and agent 1's past actions read off the memory realization
+    itself.  Default query: (state, private values) at t."""
     if query is None:
         query = [("X", t), ("L2", t)]
     u1_by_time = {v.s: u for v, u in zip(info.m1[t], m1real) if v.kind == "U1"}
-    runner = _Agent1Replaced(lambda s, values: u1_by_time.get(s, 0), agent2_strategy)
+    runner = _Pair(lambda s, values: u1_by_time.get(s, 0), _agent2_of(agent2_strategy))
     return condition(joint, model, info, runner, [(("M1", t), m1real)], query)

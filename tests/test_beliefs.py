@@ -129,19 +129,11 @@ class TestUpdateBelief1:
         joint = orc.build_joint(model)
         roots = initial_belief1_roots(model, info)
         for tables in orc.enumerate_agent2_strategies(model, info, joint):
-            strategy2 = orc._Agent2TableOnly(info, tables)
+            strategy2 = orc._Pair(orc._zero, orc._table_lookup(info.m2, 2, tables))
             for omega, _ in joint.entries:
                 for u1_0 in range(model.action_space(1, 0).size):
-
-                    class _Pinned:
-                        def fresh_state(self):
-                            return None
-
-                        def act(self, st, t, values):
-                            _, u2 = strategy2.act(st, t, values)
-                            return (u1_0 if t == 0 else 0), u2
-
-                    traj = orc.trajectory(model, info, _Pinned(), omega)
+                    pinned = orc._Pair(lambda t, values: u1_0 if t == 0 else 0, strategy2.u2_of)
+                    traj = orc.trajectory(model, info, pinned, omega)
                     m1real = traj.read(info.m1[1])
                     z1_0 = traj.read(info.z1[0])
                     z1_1 = traj.read(info.z1[1])
@@ -345,7 +337,7 @@ class TestSupportGrowth:
         info = build_delayed_structure(model, 1)
         joint = orc.build_joint(model)
         tables = next(iter(orc.enumerate_agent2_strategies(model, info, joint)))
-        histories = _m1_histories(model, info, joint, tables)
+        histories = _m1_histories(model, info, joint, orc._table_lookup(info.m2, 2, tables))
         cache = StepCache()
         for t in range(model.horizon + 1):
             beliefs = {
@@ -366,30 +358,16 @@ class TestSupportGrowth:
         joint = orc.build_joint(model)
         T = model.horizon
         for tables in itertools.islice(orc.enumerate_agent2_strategies(model, info, joint), 3):
-            agent2 = orc._Agent2TableOnly(info, tables)
+            pick2 = orc._table_lookup(info.m2, 2, tables)
             seen = [set() for _ in range(T + 1)]
             for plan in itertools.product(range(2), repeat=T):
-                runner = OpenLoopAgent1(agent2, plan + (0,))
+                # agent 1 plays the fixed action sequence plan, then 0
+                runner = orc._Pair(lambda t, values: (plan + (0,))[t], pick2)
                 for omega, _ in joint.entries:
                     traj = orc.trajectory(model, info, runner, omega)
                     for t in range(T + 1):
                         seen[t].add(traj.read(info.m1[t]))
-            assert _m1_histories(model, info, joint, tables) == [sorted(s) for s in seen]
-
-
-class OpenLoopAgent1:
-    """Agent 1 plays a fixed action sequence; agent 2 follows a stateless
-    strategy-like."""
-
-    def __init__(self, agent2, plan):
-        self.agent2 = agent2
-        self.plan = plan
-
-    def fresh_state(self):
-        return None
-
-    def act(self, state, t, values):
-        return self.plan[t], self.agent2.act(state, t, values)[1]
+            assert _m1_histories(model, info, joint, pick2) == [sorted(s) for s in seen]
 
 
 class TestBelief1Vector:

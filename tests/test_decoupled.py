@@ -4,6 +4,7 @@ import pytest
 
 from nested_dp import oracle as orc
 from nested_dp.beliefs import MarginalBelief
+from nested_dp.certify import _prescribed2
 from nested_dp.decoupled import (
     check_factorization_pi1,
     check_factorization_pi2,
@@ -147,17 +148,7 @@ class TestThetaFilters:
         info = build_delayed_structure(emb, 1)
         joint = orc.build_joint(emb)
         psi2 = HashedPsi2(emb, info, 4)
-
-        class PsiOnly:
-            def fresh_state(self):
-                return None
-
-            def act(self, st, t, values):
-                a2 = tuple(values[v] for v in info.a2[t])
-                ell = tuple(values[v] for v in info.l2[t])
-                return 0, psi2.prescription(t, a2)(ell)
-
-        strategy = PsiOnly()
+        strategy = orc._Pair(orc._zero, _prescribed2(info, psi2.prescription))
         n2 = dec.states2[0].size
         for omega, _ in joint.entries:
             traj = orc.trajectory(emb, info, strategy, omega)

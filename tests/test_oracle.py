@@ -79,7 +79,7 @@ def enumerate_strategies(model, info, joint):
     by exactly the pairs yielded here, so minimizing over them is
     exhaustive."""
     for g2 in orc.enumerate_agent2_strategies(model, info, joint):
-        fixed = orc._Agent2TableOnly(info, g2)
+        fixed = orc._Pair(orc._zero, orc._table_lookup(info.m2, 2, g2))
         for g1 in orc.enumerate_agent1_strategies(model, info, joint, fixed):
             yield orc.ExplicitStrategy(info, g1, g2)
 
@@ -187,16 +187,9 @@ class TestEvaluateStrategy:
         pinned = replace(model, x0_dist=Dist.point_mass(2, 1))
         info = build_delayed_structure(pinned, 1)
         joint = orc.build_joint(pinned)
-
-        class AlwaysOne:
-            def fresh_state(self):
-                return None
-
-            def act(self, st, t, values):
-                return 1, 1
-
+        always_one = orc._Pair(lambda t, values: 1, lambda t, values: 1)
         # x stays 1, cost per stage = 1 * (1 + 1) = 2, two stages
-        assert orc.evaluate_strategy(joint, pinned, info, AlwaysOne()) == 4
+        assert orc.evaluate_strategy(joint, pinned, info, always_one) == 4
 
 
 class TestExhaustiveMin:

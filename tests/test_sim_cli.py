@@ -450,6 +450,54 @@ class TestCli:
         located = f"$.g1[0][{j}]: repeats the memory of $.g1[0][0]"
         assert f"strategy file {strat_path} is invalid: {located}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command",
+        [["pbp"], ["pbp-approx", "--n", "2"], ["alpha", "--n", "2"]],
+        ids=["pbp", "pbp-approx", "alpha"],
+    )
+    def test_incomplete_psi2_table_names_the_file_and_key(self, tmp_path, capsys, command):
+        """A [t, accessible] pair or a private realization that a run reaches
+        and a loaded table leaves out is named in the file's own terms."""
+        model = convergence_instance(1)
+        info = build_delayed_structure(model, 1)
+        path = write_model(tmp_path, model)
+        psi_path = tmp_path / "psi2.json"
+        run = [command[0], path, "--psi2", str(psi_path)] + command[1:]
+        psi_path.write_text(json.dumps({"kind": "table", "entries": []}))
+        assert cli_main(run) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: psi2 file {psi_path} has no entry for the [t, accessible] pair [0, []]" in captured.err
+        empty = {"agent": 2, "t": 0, "domain": "private", "table": []}
+        psi_path.write_text(json.dumps({"kind": "table", "entries": [[0, [], empty]]}))
+        assert cli_main(run) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        named = [
+            f"error: psi2 file {psi_path}: entry [0, []] has no action for the private realization {list(ell)}"
+            for ell in enumerate_private(info, model, 0)
+        ]
+        assert any(text in captured.err for text in named)
+
+    def test_incomplete_strategy_file_names_the_file_and_stage(self, tmp_path, capsys):
+        """A memory that a rollout reaches and a loaded strategy leaves out
+        is named by its stage, `$.g1[t]` or `$.g2[t]`, and the memory."""
+        model = certification_instance(0, horizon=1)
+        info = build_delayed_structure(model, 1)
+        doc = orc.exhaustive_min(model, info, orc.build_joint(model)).strategy.to_json()
+        path = write_model(tmp_path, model)
+        strat_path = tmp_path / "strategy.json"
+        command = ["simulate", path, "--seed", "1", "--episodes", "200", "--strategy", str(strat_path)]
+        memory, _ = doc["g2"][1].pop()
+        strat_path.write_text(json.dumps(doc))
+        assert cli_main(command) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: strategy file {strat_path}: $.g2[1] has no action for the memory {memory}" in captured.err
+        strat_path.write_text(json.dumps({"g1": [[], []], "g2": [[], []]}))
+        assert cli_main(command) == 1
+        assert f"strategy file {strat_path}: $.g1[0] has no action for the memory [" in capsys.readouterr().err
+
     def test_solve_decoupled_route(self, tmp_path, capsys):
         dec = decoupled_instance(1)
         doc = decoupled_to_json(dec)

@@ -844,6 +844,26 @@ class TestAlphaBound:
             fresh = make_alpha_inputs(solve_pbp_approx(model, info, psi2, n))
             assert report["alpha0"][n] == alpha_bound(fresh, model.horizon)[0]
 
+    def test_every_convergence_seed_has_bounded_loss(self):
+        """What the approximation result gives, on seeds 0-5 (d = 1,
+        `HashedPsi2(..., 7)`): every executed gap is >= 0 and within the
+        loss bound alpha0 at its resolution, and it is 0 from the coverage
+        resolution on.  Monotone gaps are not part of it: seeds 0 and 2
+        have gap 0 at n = 1 and a positive gap at n = 2."""
+        resolutions = (1, 2, 4, 8, 16)
+        rising = []
+        for seed in range(6):
+            model = convergence_instance(seed)
+            info = build_delayed_structure(model, 1)
+            report = convergence_report(model, info, HashedPsi2(model, info, 7), resolutions)
+            gaps, alpha0 = report["gaps"], report["alpha0"]
+            assert report["coverage_n"] == 4
+            assert all(0 <= gaps[n] <= alpha0[n] for n in resolutions)
+            assert all(gaps[n] == 0 for n in resolutions if n >= report["coverage_n"])
+            if gaps[1] < gaps[2]:
+                rising.append(seed)
+        assert rising == [0, 2]
+
     def test_sup_norms_read_absolute_values(self):
         """Costs of either sign: the bound's sup-norms are max |c| and, per
         stage, max |v| over the solved table, not max(0, max c)."""
