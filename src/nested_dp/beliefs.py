@@ -392,14 +392,6 @@ class Prescription:
             table = [[k.to_json(), a] for k, a in self.table]
         return {"agent": self.agent, "t": self.t, "domain": self.domain, "table": table}
 
-    @staticmethod
-    def from_json(doc: dict) -> "Prescription":
-        if doc["domain"] == "private":
-            table = tuple((tuple(k), a) for k, a in doc["table"])
-        else:
-            table = tuple((Belief1.from_json(k), a) for k, a in doc["table"])
-        return Prescription(doc["agent"], doc["t"], doc["domain"], table)
-
 
 # ---------------------------------------------------------------------------
 # The Bayes-branch kernel shared by every one-step update: accumulate the

@@ -35,13 +35,7 @@ from . import solver as solver_mod
 from .errors import DomainGap, MissingKey, NestedDPError
 from .info import build_delayed_structure, check_nestedness, info_from_json
 from .limits import resolve_budget
-from .model import (
-    _SPACE_KEYS,
-    format_ratio,
-    model_from_json,
-    parse_ratio,
-    validate_model,
-)
+from .model import format_ratio, model_from_json, parse_ratio, validate_model
 
 __all__ = ["main", "cli_main"]
 
@@ -57,21 +51,25 @@ def _reject(path: str, violations: list) -> None:
         raise NestedDPError(f"model file {path} is invalid: {violations[0]}{more}")
 
 
+def _decode_model(doc):
+    """A decoupled document's DecoupledModel, any other document's TeamModel."""
+    if isinstance(doc, dict) and doc.get("kind") == "decoupled":
+        return dec_mod.decoupled_from_json(doc)
+    return model_from_json(doc)
+
+
 def _load_model(path: str):
-    """(model, document) of a model file whose shape `_check_model` accepts;
-    a decoupled file yields its product embedding."""
-    doc = _load_checked(path, "model", _check_model)
-    if doc.get("kind") == "decoupled":
-        return dec_mod.embed(dec_mod.decoupled_from_json(doc)), doc
-    return model_from_json(doc), doc
+    """(model, document) of a model file; a decoupled file yields its
+    product embedding."""
+    model, doc = _load_checked(path, "model", _decode_model)
+    return (dec_mod.embed(model) if isinstance(model, dec_mod.DecoupledModel) else model), doc
 
 
 def _load_decoupled(args, command: str):
     """(decoupled model, product embedding, info structure) of `args.model`."""
-    doc = _load_checked(args.model, "model", _check_model)
-    if doc.get("kind") != "decoupled":
-        raise NestedDPError(f"{command} expects a decoupled model file")
-    dec = dec_mod.decoupled_from_json(doc)
+    dec, doc = _load_checked(args.model, "model", _decode_model)
+    if not isinstance(dec, dec_mod.DecoupledModel):
+        raise NestedDPError(f"{command} expects a decoupled model file, and model file {args.model} is not one")
     model = dec_mod.embed(dec)
     return dec, model, _load_info(args.model, doc, model, args.delay)
 
@@ -84,23 +82,24 @@ def _load(path: str, delay_override: int | None):
 
 def _load_info(path: str, doc: dict, model, delay_override: int | None):
     """The info structure: the --delay override, else the file's `info`
-    field, checked for shape and then for every nestedness rule."""
+    field, decoded and then checked for every nestedness rule."""
     if delay_override is not None:
+        if not 0 <= delay_override <= model.horizon + 1:
+            raise NestedDPError(f"--delay must be an integer in 0..{model.horizon + 1}, got {delay_override}")
         return build_delayed_structure(model, delay_override)
     if "info" not in doc:
         raise NestedDPError(f"model file {path} has no 'info' field; pass --delay")
     try:
-        _check_info(doc["info"], model)
+        info = info_from_json(model, doc["info"])
     except NestedDPError as exc:
         raise NestedDPError(f"model file {path} is invalid: {exc}") from None
-    info = info_from_json(model, doc["info"])
     _reject(path, [f"$.info: {v}" for v in check_nestedness(info)])
     return info
 
 
-def _load_checked(path: str, what: str, check, *context):
-    """A JSON document whose shape `check(doc, *context)` accepts; a file
-    that is not UTF-8 JSON, a repeated key or a violation becomes a
+def _load_checked(path: str, what: str, decode, *context):
+    """(decode(doc, *context), doc) of a JSON file; a file that is not UTF-8
+    JSON, a repeated key or a document that `decode` refuses becomes a
     NestedDPError naming the file (and a violation's JSON path and rule)."""
     try:
         with open(path, encoding="utf-8") as fh:
@@ -110,10 +109,9 @@ def _load_checked(path: str, what: str, check, *context):
     except NestedDPError as exc:
         raise NestedDPError(f"{what} file {path} is invalid: {exc}") from None
     try:
-        check(doc, *context)
+        return decode(doc, *context), doc
     except NestedDPError as exc:
         raise NestedDPError(f"{what} file {path} is invalid: {exc}") from None
-    return doc
 
 
 def _distinct_keys(pairs: list) -> dict:
@@ -129,9 +127,8 @@ def _distinct_keys(pairs: list) -> dict:
 def _load_with_psi2(args):
     """(model, info, family) of `args.model` and the psi2 file `args.psi2`."""
     model, _, info = _load(args.model, args.delay)
-    doc = _load_checked(args.psi2, "psi2", _check_psi2, model, info)
-    psi2 = solver_mod.psi2_from_json(doc, model, info)
-    return model, info, (_TableFile(args.psi2, psi2.entries) if doc["kind"] == "table" else psi2)
+    psi2, _ = _load_checked(args.psi2, "psi2", solver_mod.psi2_from_json, model, info)
+    return model, info, (_TableFile(args.psi2, psi2.entries) if isinstance(psi2, solver_mod.TablePsi2) else psi2)
 
 
 class _TableFile:
@@ -158,193 +155,12 @@ class _TableFile:
         return action
 
 
-# Shape checks for model, info, psi2 and strategy documents: each raises
-# NestedDPError "<JSON path>: <rule>" at the first violation.
-
-
-def _expect(ok: bool, where: str, rule: str) -> None:
-    if not ok:
-        raise NestedDPError(f"{where}: {rule}")
-
-
-def _int_below(node, n: int, where: str) -> None:
-    _expect(type(node) is int and 0 <= node < n, where, f"must be an integer in 0..{n - 1}")
-
-
-def _list_of(node, where: str, length: int | None = None) -> list:
-    _expect(isinstance(node, list), where, "must be a list")
-    if length is not None:
-        _expect(len(node) == length, where, f"must have {length} elements, not {len(node)}")
-    return node
-
-
-def _unique(seen: dict, key, where: str, what: str) -> None:
-    """Record `key`, met at `where`; one met before is a located error,
-    since a later entry would silently replace the earlier one."""
-    first = seen.setdefault(key, where)
-    _expect(first == where, where, f"repeats the {what} of {first}")
-
-
-def _realization(node, vars, where: str, model, info) -> None:
-    for i, (value, var) in enumerate(zip(_list_of(node, where, len(vars)), vars)):
-        _int_below(value, info.var_space_size(model, var), f"{where}[{i}]")
-
-
-def _leaves(node, where: str, shape: tuple, check) -> None:
-    """`check(value, path)` on every value of a nested list of the given
-    shape: one length per level, None where any length will do."""
-    if not shape:
-        return check(node, where)
-    for i, child in enumerate(_list_of(node, where, shape[0])):
-        _leaves(child, f"{where}[{i}]", shape[1:], check)
-
-
-def _ratio(node, where: str) -> Fraction:
-    try:
-        if isinstance(node, str):
-            return parse_ratio(node)
-    except (ValueError, ZeroDivisionError):
-        pass
-    raise NestedDPError(f"{where}: must be a 'p/q' string")
-
-
 def _ratio_option(text: str, where: str) -> Fraction:
     """A 'p/q' command-line value; anything else is a located error."""
     try:
         return parse_ratio(text)
     except (ValueError, ZeroDivisionError):
         raise NestedDPError(f"{where} ({text!r}) is not a p/q ratio") from None
-
-
-def _dist(node, where: str) -> None:
-    weights = [_ratio(w, f"{where}[{i}]") for i, w in enumerate(_list_of(node, where))]
-    ok = weights and all(0 <= w <= 1 for w in weights) and sum(weights) == 1
-    _expect(ok, where, "must be probabilities in [0, 1] that sum to 1")
-
-
-def _space(node, where: str) -> None:
-    _expect(isinstance(node, dict), where, "must be an object")
-    size = node.get("size")
-    _expect(type(size) is int and size >= 1, f"{where}.size", "must be a positive integer")
-    if "labels" in node:
-        _list_of(node["labels"], f"{where}.labels", size)
-
-
-def _check_model(doc) -> None:
-    """The shape `model_from_json` reads, or `_check_decoupled`'s for a
-    decoupled document; `validate_model` then checks a team model against
-    the declared spaces."""
-    _expect(isinstance(doc, dict), "$", "must be an object")
-    if doc.get("kind") == "decoupled":
-        return _check_decoupled(doc)
-    T = doc.get("horizon")
-    _expect(type(T) is int and T >= 0, "$.horizon", "must be a non-negative integer")
-    spaces = doc.get("spaces")
-    _expect(isinstance(spaces, dict), "$.spaces", "must be an object")
-    for key in _SPACE_KEYS:
-        node = spaces.get(key)
-        _expect(isinstance(node, dict), f"$.spaces.{key}", "must be an object")
-        if "per_time" in node:
-            _leaves(node["per_time"], f"$.spaces.{key}.per_time", (None,), _space)
-        else:
-            _space(node, f"$.spaces.{key}")
-    for key, depth in (("transition", 5), ("obs1", 3), ("obs2", 3)):
-        _leaves(doc.get(key), f"$.{key}", (None,) * depth, lambda v, where: _expect(type(v) is int, where, "must be an integer"))
-    _leaves(doc.get("cost"), "$.cost", (None,) * 4, _ratio)
-    dists = doc.get("dists")
-    _expect(isinstance(dists, dict), "$.dists", "must be an object")
-    for key, depth in (("X0", 0), ("W", 1), ("V1", 1), ("V2", 1)):
-        _leaves(dists.get(key), f"$.dists.{key}", (None,) * depth, _dist)
-
-
-def _check_decoupled(doc) -> None:
-    """The shape `decoupled_from_json` reads, down to every table's
-    dimensions and value range: the product embedding reads every entry,
-    and no later check runs on the decoupled model."""
-    T = doc.get("horizon")
-    _expect(type(T) is int and T >= 0, "$.horizon", "must be a non-negative integer")
-    spaces = doc.get("spaces")
-    _expect(isinstance(spaces, dict), "$.spaces", "must be an object")
-    size = {}
-    for key in ("X1", "X2", "U1", "U2", "W1", "W2", "V1", "V2", "Y1", "Y2"):
-        _space(spaces.get(key), f"$.spaces.{key}")
-        size[key] = spaces[key]["size"]
-    for agent in "12":
-        x, u, w, v, y = (size[kind + agent] for kind in "XUWVY")
-        _leaves(doc.get(f"f{agent}"), f"$.f{agent}", (T, x, u, w), lambda node, where, n=x: _int_below(node, n, where))
-        _leaves(doc.get(f"obs{agent}"), f"$.obs{agent}", (T + 1, x, v), lambda node, where, n=y: _int_below(node, n, where))
-    _leaves(doc.get("cost"), "$.cost", (T + 1, size["X1"], size["X2"], size["U1"], size["U2"]), _ratio)
-    dists = doc.get("dists")
-    _expect(isinstance(dists, dict), "$.dists", "must be an object")
-    for key, stages, space in (
-        ("X1_0", (), "X1"), ("X2_0", (), "X2"), ("W1", (T,), "W1"), ("W2", (T,), "W2"),
-        ("V1", (T + 1,), "V1"), ("V2", (T + 1,), "V2"),
-    ):
-        n = size[space]
-        _leaves(dists.get(key), f"$.dists.{key}", stages, lambda node, where, n=n: _dist(_list_of(node, where, n), where))
-
-
-def _check_info(doc, model) -> None:
-    _expect(isinstance(doc, dict), "$.info", "must be an object")
-    T = model.horizon
-    kind = doc.get("kind")
-    if kind == "delayed":
-        _expect(type(doc.get("d")) is int, "$.info.d", "must be an integer")
-    elif kind == "explicit":
-        for key in ("m1", "m2", "a2"):
-            for t, comp in enumerate(_list_of(doc.get(key), f"$.info.{key}", T + 1)):
-                for i, var in enumerate(_list_of(comp, f"$.info.{key}[{t}]")):
-                    where = f"$.info.{key}[{t}][{i}]"
-                    s, var_kind = _list_of(var, where, 2)
-                    _int_below(s, T + 1, f"{where}[0]")
-                    _expect(var_kind in ("Y1", "U1", "Y2", "U2"), f"{where}[1]", "must be Y1, U1, Y2 or U2")
-    else:
-        raise NestedDPError("$.info.kind: must be 'delayed' or 'explicit'")
-
-
-def _check_psi2(doc, model, info) -> None:
-    _expect(isinstance(doc, dict), "$", "must be an object")
-    T = model.horizon
-    kind = doc.get("kind")
-    if kind == "constant":
-        n = min(model.action_space(2, t).size for t in range(T + 1))
-        _int_below(doc.get("action"), n, "$.action")
-    elif kind == "hashed":
-        _expect(type(doc.get("seed")) is int, "$.seed", "must be an integer")
-    elif kind == "table":
-        seen: dict = {}
-        for i, entry in enumerate(_list_of(doc.get("entries"), "$.entries")):
-            where = f"$.entries[{i}]"
-            t, a2real, presc = _list_of(entry, where, 3)
-            _int_below(t, T + 1, f"{where}[0]")
-            _realization(a2real, info.a2[t], f"{where}[1]", model, info)
-            _unique(seen, (t, tuple(a2real)), where, "[t, accessible] pair")
-            _expect(
-                isinstance(presc, dict) and [presc.get(k) for k in ("agent", "t", "domain")] == [2, t, "private"],
-                f"{where}[2]",
-                f"must be an agent-2 prescription for t={t} on the private domain",
-            )
-            ells: dict = {}
-            for j, pair in enumerate(_list_of(presc.get("table"), f"{where}[2].table")):
-                ell, action = _list_of(pair, f"{where}[2].table[{j}]", 2)
-                _realization(ell, info.l2[t], f"{where}[2].table[{j}][0]", model, info)
-                _unique(ells, tuple(ell), f"{where}[2].table[{j}]", "private realization")
-                _int_below(action, model.action_space(2, t).size, f"{where}[2].table[{j}][1]")
-    else:
-        raise NestedDPError("$.kind: must be 'table', 'constant' or 'hashed'")
-
-
-def _check_strategy(doc, model, info) -> None:
-    _expect(isinstance(doc, dict), "$", "must be an object")
-    for agent, key, memories in ((1, "g1", info.m1), (2, "g2", info.m2)):
-        for t, stage in enumerate(_list_of(doc.get(key), f"$.{key}", model.horizon + 1)):
-            seen: dict = {}
-            for j, pair in enumerate(_list_of(stage, f"$.{key}[{t}]")):
-                where = f"$.{key}[{t}][{j}]"
-                memory, action = _list_of(pair, where, 2)
-                _realization(memory, memories[t], f"{where}[0]", model, info)
-                _unique(seen, tuple(memory), where, "memory")
-                _int_below(action, model.action_space(agent, t).size, f"{where}[1]")
 
 
 def _cmd_validate(args) -> int:
@@ -502,9 +318,9 @@ def _cmd_simulate(args) -> int:
     model, _, info = _load(args.model, args.delay)
     config = sim_mod.RolloutConfig(args.seed, args.episodes)
     if args.strategy:
-        doc = _load_checked(args.strategy, "strategy", _check_strategy, model, info)
+        strategy, _ = _load_checked(args.strategy, "strategy", oracle_mod.ExplicitStrategy.from_json, model, info)
         try:
-            report = sim_mod.rollout(model, info, oracle_mod.ExplicitStrategy.from_json(info, doc), config)
+            report = sim_mod.rollout(model, info, strategy, config)
         except MissingKey as exc:  # a memory the run reaches and the file leaves out
             raise NestedDPError(f"strategy file {args.strategy}: {exc}") from None
     else:

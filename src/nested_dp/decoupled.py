@@ -33,13 +33,10 @@ from .model import (
     Dist,
     FiniteSpace,
     TeamModel,
-    _cost_from_json,
     _cost_to_json,
     _deep_list,
-    _deep_tuple,
-    _dist_from_json,
     _dist_to_json,
-    _space_from_json,
+    _Reader,
     _space_to_json,
 )
 from .oracle import Trajectory, condition_replayed
@@ -532,33 +529,47 @@ def decoupled_to_json(dec: DecoupledModel) -> dict:
 
 
 def decoupled_from_json(doc: dict) -> DecoupledModel:
-    T = doc["horizon"]
+    """The model of a decoupled document, read in field order down to every
+    table's dimensions and value range: the product embedding reads every
+    entry, and no later check runs on the decoupled model.  A malformed
+    document raises NestedDPError "<JSON path>: <rule>"."""
+    root = _Reader(doc)
+    T = root["horizon"].integer(lambda n: n >= 0, "must be a non-negative integer")
+    keys = ("X1", "X2", "U1", "U2", "W1", "W2", "V1", "V2", "Y1", "Y2")
+    space = {key: root["spaces"][key].space(key) for key in keys}
+    size = {key: s.size for key, s in space.items()}
+    tables = {}
+    for agent in "12":
+        x, u, w, v, y = (size[kind + agent] for kind in "XUWVY")
+        tables[f"f{agent}"] = root[f"f{agent}"].table((T, x, u, w), lambda node, n=x: node.index(n))
+        tables[f"obs{agent}"] = root[f"obs{agent}"].table((T + 1, x, v), lambda node, n=y: node.index(n))
+    cost = root["cost"].table((T + 1, size["X1"], size["X2"], size["U1"], size["U2"]), _Reader.ratio)
+    dists = root["dists"]
 
-    def spaces(key, count):
-        return tuple(_space_from_json(doc["spaces"][key], key) for _ in range(count))
+    def stages(key, count):
+        return (space[key],) * count
 
-    dists = doc["dists"]
+    def dists_of(key, count):
+        return dists[key].table((count,), lambda node: node.dist(size[key]))
+
     return DecoupledModel(
         horizon=T,
-        states1=spaces("X1", T + 1),
-        states2=spaces("X2", T + 1),
-        actions1=spaces("U1", T + 1),
-        actions2=spaces("U2", T + 1),
-        disturbances1=spaces("W1", T),
-        disturbances2=spaces("W2", T),
-        noises1=spaces("V1", T + 1),
-        noises2=spaces("V2", T + 1),
-        observations1=spaces("Y1", T + 1),
-        observations2=spaces("Y2", T + 1),
-        f1=_deep_tuple(doc["f1"]),
-        f2=_deep_tuple(doc["f2"]),
-        obs1=_deep_tuple(doc["obs1"]),
-        obs2=_deep_tuple(doc["obs2"]),
-        cost_table=tuple(_cost_from_json(stage) for stage in doc["cost"]),
-        x1_dist=_dist_from_json(dists["X1_0"]),
-        x2_dist=_dist_from_json(dists["X2_0"]),
-        w1_dists=tuple(_dist_from_json(d) for d in dists["W1"]),
-        w2_dists=tuple(_dist_from_json(d) for d in dists["W2"]),
-        v1_dists=tuple(_dist_from_json(d) for d in dists["V1"]),
-        v2_dists=tuple(_dist_from_json(d) for d in dists["V2"]),
+        states1=stages("X1", T + 1),
+        states2=stages("X2", T + 1),
+        actions1=stages("U1", T + 1),
+        actions2=stages("U2", T + 1),
+        disturbances1=stages("W1", T),
+        disturbances2=stages("W2", T),
+        noises1=stages("V1", T + 1),
+        noises2=stages("V2", T + 1),
+        observations1=stages("Y1", T + 1),
+        observations2=stages("Y2", T + 1),
+        cost_table=cost,
+        x1_dist=dists["X1_0"].dist(size["X1"]),
+        x2_dist=dists["X2_0"].dist(size["X2"]),
+        w1_dists=dists_of("W1", T),
+        w2_dists=dists_of("W2", T),
+        v1_dists=dists_of("V1", T + 1),
+        v2_dists=dists_of("V2", T + 1),
+        **tables,
     )

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
 from .errors import UnsupportedStructure
-from .model import TeamModel
+from .model import TeamModel, _Reader
 
 __all__ = [
     "VarRef",
@@ -404,16 +404,24 @@ def info_to_json(info: InfoStructure) -> dict:
 
 
 def info_from_json(model: TeamModel, doc: dict) -> InfoStructure:
-    if doc["kind"] == "delayed":
-        return build_delayed_structure(model, doc["d"])
-    if doc["kind"] != "explicit":
-        raise ValueError(f"unknown info kind {doc['kind']!r}")
+    """The structure of a model file's `info` field `doc`; a malformed one
+    raises NestedDPError "$.info...: <rule>".  Nestedness is left to
+    `check_nestedness`."""
+    root = _Reader(doc, "$.info")
     T = model.horizon
+    kind = root["kind"].value
+    if kind == "delayed":
+        return build_delayed_structure(model, root["d"].index(T + 2))
+    if kind != "explicit":
+        root["kind"].fail("must be 'delayed' or 'explicit'")
 
-    def load(node) -> list[tuple[VarRef, ...]]:
-        comps = [_canon(VarRef(s, kind) for s, kind in comp) for comp in node]
-        if len(comps) != T + 1:
-            raise ValueError(f"info composition has {len(comps)} stages, expected {T + 1}")
-        return comps
+    def var(node) -> VarRef:
+        time, var_kind = node.items(2)
+        s = time.index(T + 1)
+        var_kind.require(var_kind.value in ("Y1", "U1", "Y2", "U2"), "must be Y1, U1, Y2 or U2")
+        return VarRef(s, var_kind.value)
 
-    return _derive(T, None, load(doc["m1"]), load(doc["m2"]), load(doc["a2"]))
+    def load(key) -> list[tuple[VarRef, ...]]:
+        return [_canon(var(node) for node in comp.items()) for comp in root[key].items(T + 1)]
+
+    return _derive(T, None, load("m1"), load("m2"), load("a2"))

@@ -28,6 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .errors import NestedDPError
+
 __all__ = [
     "FiniteSpace",
     "Dist",
@@ -396,10 +398,105 @@ def observation_kernel(model: TeamModel, t: int, agent: int, x: int) -> Dist:
 # ---------------------------------------------------------------------------
 # JSON round trip.  The file format keeps one space definition per variable
 # and replicates it across time; rationals are "p/q" strings; tables are
-# nested arrays in the index order documented on TeamModel.
+# nested arrays in the index order documented on TeamModel.  Decoders read
+# through `_Reader`, so a malformed document fails at its first violation
+# with a NestedDPError "<JSON path>: <rule>".
 # ---------------------------------------------------------------------------
 
 _SPACE_KEYS = ("X", "U1", "U2", "W", "V1", "V2", "Y1", "Y2")
+
+
+class _Reader:
+    """A JSON value and its path in the document, such as `$.spaces.X.size`.
+    Each read checks the shape it needs and raises NestedDPError
+    "<path>: <rule>" where the value breaks it."""
+
+    __slots__ = ("value", "path")
+
+    def __init__(self, value, path: str = "$"):
+        self.value, self.path = value, path
+
+    def fail(self, rule: str):
+        raise NestedDPError(f"{self.path}: {rule}")
+
+    def require(self, ok, rule: str) -> None:
+        if not ok:
+            self.fail(rule)
+
+    def _object(self) -> dict:
+        self.require(isinstance(self.value, dict), "must be an object")
+        return self.value
+
+    def __getitem__(self, key: str) -> "_Reader":
+        """The member `key` of an object; an absent one reads as null."""
+        return _Reader(self._object().get(key), f"{self.path}.{key}")
+
+    def __contains__(self, key: str) -> bool:
+        return key in self._object()
+
+    def items(self, length: int | None = None) -> list["_Reader"]:
+        """The elements of a list, of `length` elements where given."""
+        value = self.value
+        self.require(isinstance(value, list), "must be a list")
+        if length is not None:
+            self.require(len(value) == length, f"must have {length} elements, not {len(value)}")
+        return [_Reader(child, f"{self.path}[{i}]") for i, child in enumerate(value)]
+
+    def table(self, shape: tuple, leaf) -> tuple:
+        """A nested list as nested tuples of `leaf(reader)` values: one
+        length per level of `shape`, None where any length will do."""
+        if not shape:
+            return leaf(self)
+        return tuple(child.table(shape[1:], leaf) for child in self.items(shape[0]))
+
+    def integer(self, ok=None, rule: str = "must be an integer") -> int:
+        """An integer (not a boolean) for which `ok`, where given, holds."""
+        value = self.value
+        self.require(type(value) is int and (ok is None or ok(value)), rule)
+        return value
+
+    def index(self, n: int) -> int:
+        """An integer in 0..n-1."""
+        value = self.value
+        if type(value) is not int or not 0 <= value < n:
+            self.fail(f"must be an integer in 0..{n - 1}")
+        return value
+
+    def indices(self, sizes) -> tuple[int, ...]:
+        """A list whose i-th element is an integer in 0..sizes[i]-1."""
+        return tuple(item.index(n) for item, n in zip(self.items(len(sizes)), sizes))
+
+    def unique(self, seen: dict, key, what: str) -> None:
+        """Record `key`, read here; one read before in the same list is an
+        error, since a later entry would silently replace the earlier one."""
+        first = seen.setdefault(key, self.path)
+        self.require(first == self.path, f"repeats the {what} of {first}")
+
+    def ratio(self) -> Fraction:
+        try:
+            if isinstance(self.value, str):
+                return parse_ratio(self.value)
+        except (ValueError, ZeroDivisionError):
+            pass
+        self.fail("must be a 'p/q' string")
+
+    def dist(self, length: int | None = None) -> Dist:
+        weights = tuple(item.ratio() for item in self.items(length))
+        ok = weights and all(0 <= w <= 1 for w in weights) and sum(weights) == 1
+        self.require(ok, "must be probabilities in [0, 1] that sum to 1")
+        return Dist(weights)
+
+    def space(self, default_label: str) -> FiniteSpace:
+        """A space: a positive `size`, and optional distinct scalar `labels`."""
+        size = self["size"].integer(lambda n: n >= 1, "must be a positive integer")
+        labels = None
+        if "labels" in self:
+            items, seen = self["labels"].items(size), {}
+            for item in items:
+                item.require(not isinstance(item.value, (list, dict)), "must be a string, number, boolean or null")
+                item.unique(seen, item.value, "label")
+            labels = tuple(item.value for item in items)
+        return FiniteSpace(self.value.get("label", default_label), size, labels)
 
 
 def _space_to_json(space: FiniteSpace) -> dict:
@@ -409,23 +506,8 @@ def _space_to_json(space: FiniteSpace) -> dict:
     return doc
 
 
-def _space_from_json(doc: dict, default_label: str) -> FiniteSpace:
-    labels = tuple(doc["labels"]) if "labels" in doc else None
-    return FiniteSpace(doc.get("label", default_label), doc["size"], labels)
-
-
 def _dist_to_json(d: Dist) -> list[str]:
     return [format_ratio(w) for w in d.weights]
-
-
-def _dist_from_json(doc: list[str]) -> Dist:
-    return Dist(tuple(parse_ratio(w) for w in doc))
-
-
-def _deep_tuple(node):
-    if isinstance(node, list):
-        return tuple(_deep_tuple(child) for child in node)
-    return node
 
 
 def _deep_list(node):
@@ -439,13 +521,6 @@ def _cost_to_json(cost_table) -> list:
         [[[format_ratio(c) for c in u1_row] for u1_row in x_row] for x_row in stage]
         for stage in cost_table
     ]
-
-
-def _cost_from_json(doc) -> tuple:
-    return tuple(
-        tuple(tuple(tuple(parse_ratio(c) for c in u1_row) for u1_row in x_row) for x_row in stage)
-        for stage in doc
-    )
 
 
 def model_to_json(model: TeamModel) -> dict:
@@ -484,19 +559,21 @@ def model_to_json(model: TeamModel) -> dict:
 
 
 def model_from_json(doc: dict) -> TeamModel:
-    T = doc["horizon"]
+    """The model of a document, read in field order; a malformed document
+    raises NestedDPError "<JSON path>: <rule>".  Only the shape is read
+    here: `validate_model` checks the tables against the declared spaces."""
+    root = _Reader(doc)
+    T = root["horizon"].integer(lambda n: n >= 0, "must be a non-negative integer")
     # disturbances exist only where transitions do
     counts = {"X": T + 1, "U1": T + 1, "U2": T + 1, "W": T, "V1": T + 1, "V2": T + 1, "Y1": T + 1, "Y2": T + 1}
     per_time: dict[str, tuple[FiniteSpace, ...]] = {}
     for key in _SPACE_KEYS:
-        node = doc["spaces"][key]
-        n = counts[key]
+        node = root["spaces"][key]
         if "per_time" in node:
-            spaces = tuple(_space_from_json(s, key) for s in node["per_time"])
+            per_time[key] = node["per_time"].table((None,), lambda s, key=key: s.space(key))
         else:
-            spaces = tuple(_space_from_json(node, key) for _ in range(n))
-        per_time[key] = spaces
-    dists = doc["dists"]
+            per_time[key] = (node.space(key),) * counts[key]
+    dists = root["dists"]
     return TeamModel(
         horizon=T,
         states=per_time["X"],
@@ -507,12 +584,12 @@ def model_from_json(doc: dict) -> TeamModel:
         noises2=per_time["V2"],
         observations1=per_time["Y1"],
         observations2=per_time["Y2"],
-        transition=_deep_tuple(doc["transition"]),
-        obs1=_deep_tuple(doc["obs1"]),
-        obs2=_deep_tuple(doc["obs2"]),
-        cost_table=_cost_from_json(doc["cost"]),
-        x0_dist=_dist_from_json(dists["X0"]),
-        w_dists=tuple(_dist_from_json(d) for d in dists["W"]),
-        v1_dists=tuple(_dist_from_json(d) for d in dists["V1"]),
-        v2_dists=tuple(_dist_from_json(d) for d in dists["V2"]),
+        transition=root["transition"].table((None,) * 5, _Reader.integer),
+        obs1=root["obs1"].table((None,) * 3, _Reader.integer),
+        obs2=root["obs2"].table((None,) * 3, _Reader.integer),
+        cost_table=root["cost"].table((None,) * 4, _Reader.ratio),
+        x0_dist=dists["X0"].dist(),
+        w_dists=dists["W"].table((None,), _Reader.dist),
+        v1_dists=dists["V1"].table((None,), _Reader.dist),
+        v2_dists=dists["V2"].table((None,), _Reader.dist),
     )

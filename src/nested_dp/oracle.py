@@ -54,7 +54,7 @@ from types import MappingProxyType
 from .errors import MissingKey, ResourceLimitExceeded, ZeroProbabilityEvent
 from .info import InfoStructure, VarRef
 from .limits import resolve_budget
-from .model import TeamModel
+from .model import TeamModel, _Reader
 
 __all__ = [
     "Omega",
@@ -288,11 +288,27 @@ class ExplicitStrategy:
         return {"g1": dump(self.g1), "g2": dump(self.g2)}
 
     @staticmethod
-    def from_json(info: InfoStructure, doc: dict) -> "ExplicitStrategy":
-        load = lambda node: [
-            {tuple(k): a for k, a in tbl} for tbl in node
-        ]
-        return ExplicitStrategy.from_tables(info, load(doc["g1"]), load(doc["g2"]))
+    def from_json(doc: dict, model: TeamModel, info: InfoStructure) -> "ExplicitStrategy":
+        """The strategy of a document, read against `model` and `info`; a
+        malformed document raises NestedDPError "<JSON path>: <rule>", as
+        does a memory repeated within a stage."""
+        root = _Reader(doc)
+
+        def load(agent: int, memories) -> list[dict]:
+            tables = []
+            for t, stage in enumerate(root[f"g{agent}"].items(model.horizon + 1)):
+                sizes = [info.var_space_size(model, v) for v in memories[t]]
+                n = model.action_space(agent, t).size
+                table, seen = {}, {}
+                for pair in stage.items():
+                    memory_node, action = pair.items(2)
+                    memory = memory_node.indices(sizes)
+                    pair.unique(seen, memory, "memory")
+                    table[memory] = action.index(n)
+                tables.append(table)
+            return tables
+
+        return ExplicitStrategy.from_tables(info, load(1, info.m1), load(2, info.m2))
 
 
 def _enumerate_tables(model: TeamModel, info: InfoStructure, joint: JointTable, agent: int, advance):

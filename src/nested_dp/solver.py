@@ -87,7 +87,7 @@ from .info import (  # extend_a2 is re-exported for callers of this module
     step_plan,
 )
 from .limits import resolve_budget
-from .model import TeamModel, scale_to_integers
+from .model import TeamModel, _Reader, scale_to_integers
 
 __all__ = [
     "MemoArgmin",
@@ -552,16 +552,40 @@ class HashedPsi2:
 
 
 def psi2_from_json(doc: dict, model: TeamModel, info: InfoStructure):
-    if doc["kind"] == "table":
-        entries = {
-            (t, tuple(a2)): Prescription.from_json(p) for t, a2, p in doc["entries"]
-        }
-        return TablePsi2(entries)
-    if doc["kind"] == "constant":
-        return ConstantPsi2(model, info, doc["action"])
-    if doc["kind"] == "hashed":
-        return HashedPsi2(model, info, doc["seed"])
-    raise ValueError(f"unknown psi2 kind {doc['kind']!r}")
+    """The family of a psi2 document, read against `model` and `info`; a
+    malformed document raises NestedDPError "<JSON path>: <rule>", as does
+    a repeated [t, accessible] pair or private realization in a table."""
+    root = _Reader(doc)
+    T = model.horizon
+    kind = root["kind"].value
+    if kind == "constant":
+        n = min(model.action_space(2, t).size for t in range(T + 1))
+        return ConstantPsi2(model, info, root["action"].index(n))
+    if kind == "hashed":
+        return HashedPsi2(model, info, root["seed"].integer())
+    if kind != "table":
+        root["kind"].fail("must be 'table', 'constant' or 'hashed'")
+    entries, pairs = {}, {}
+    for entry in root["entries"].items():
+        t_node, a2_node, presc = entry.items(3)
+        t = t_node.index(T + 1)
+        a2real = a2_node.indices([info.var_space_size(model, v) for v in info.a2[t]])
+        entry.unique(pairs, (t, a2real), "[t, accessible] pair")
+        header = [presc.value.get(k) for k in ("agent", "t", "domain")] if isinstance(presc.value, dict) else None
+        presc.require(
+            header == [2, t, "private"] and type(header[0]) is type(header[1]) is int,
+            f"must be an agent-2 prescription for t={t} on the private domain",
+        )
+        ell_sizes = [info.var_space_size(model, v) for v in info.l2[t]]
+        n = model.action_space(2, t).size
+        table, ells = [], {}
+        for pair in presc["table"].items():
+            ell_node, action = pair.items(2)
+            ell = ell_node.indices(ell_sizes)
+            pair.unique(ells, ell, "private realization")
+            table.append((ell, action.index(n)))
+        entries[t, a2real] = Prescription(2, t, "private", tuple(table))
+    return TablePsi2(entries)
 
 
 # ---------------------------------------------------------------------------

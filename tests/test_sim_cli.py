@@ -1,8 +1,16 @@
+import contextlib
+import copy
+import io
 import json
 import math
+import runpy
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nested_dp import oracle as orc
 from nested_dp import cli as cli_mod
@@ -22,6 +30,9 @@ def solved():
     info = build_delayed_structure(model, 1)
     solution = solve_exact(model, info)
     return model, info, solution
+
+
+DECOUPLED_SPACES = decoupled_to_json(decoupled_instance(0))["spaces"]
 
 
 def write_model(tmp_path, model, d=1, name="model.json"):
@@ -151,6 +162,27 @@ class TestCli:
             (["solve"], lambda doc: [doc], "$: must be an object"),
             (["validate"], lambda doc: [doc], "$: must be an object"),
             (["solve", "--decoupled"], lambda doc: [doc], "$: must be an object"),
+            (
+                ["solve"],
+                lambda doc: doc["spaces"]["U1"].update(labels=["a", ["b"]]),
+                "$.spaces.U1.labels[1]: must be a string, number, boolean or null",
+            ),
+            (
+                ["validate"],
+                lambda doc: doc["spaces"]["U2"].update(labels=[{"a": 1}, "b"]),
+                "$.spaces.U2.labels[0]: must be a string, number, boolean or null",
+            ),
+            (
+                ["validate"],
+                lambda doc: doc["spaces"]["V1"]["per_time"][0].update(labels=["a", "a"]),
+                "$.spaces.V1.per_time[0].labels[1]: repeats the label of $.spaces.V1.per_time[0].labels[0]",
+            ),
+            (["solve"], lambda doc: doc["info"].update(d=-1), "$.info.d: must be an integer in 0..3"),
+            (
+                ["simulate", "--seed", "1", "--episodes", "5"],
+                lambda doc: doc["info"].update(d=4),
+                "$.info.d: must be an integer in 0..3",
+            ),
         ],
     )
     def test_malformed_model_is_located_domain_error(self, tmp_path, capsys, command, edit, located):
@@ -164,6 +196,33 @@ class TestCli:
         assert captured.out == ""
         assert f"model file {path} is invalid: {located}" in captured.err
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("labels", [["stay", 1], [True, None]])
+    def test_scalar_labels_are_accepted(self, tmp_path, capsys, labels):
+        doc = model_to_json(certification_instance(0))
+        doc["spaces"]["U1"]["labels"] = labels
+        doc["info"] = {"kind": "delayed", "d": 1}
+        path = tmp_path / "labelled.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["solve", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == "9/8"
+
+    @pytest.mark.parametrize("delay", ["-1", "4"])
+    def test_delay_flag_out_of_range_is_named(self, tmp_path, capsys, delay):
+        path = write_model(tmp_path, certification_instance(0))
+        assert cli_main(["solve", path, "--delay", delay]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --delay must be an integer in 0..3, got {delay}\n"
+
+    @pytest.mark.parametrize("command", [["solve", "--decoupled"], ["check-factorization"]])
+    def test_team_file_where_a_decoupled_one_is_expected_is_named(self, tmp_path, capsys, command):
+        path = write_model(tmp_path, certification_instance(0))
+        assert cli_main([command[0], path] + command[1:]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        name = command[-1] if command[-1].startswith("--") else command[0]
+        assert captured.err == f"error: {name} expects a decoupled model file, and model file {path} is not one\n"
 
     def test_missing_file_is_domain_error(self, capsys):
         assert cli_main(["solve", "/nonexistent/model.json"]) == 1
@@ -544,6 +603,16 @@ class TestCli:
             (["check-factorization"], {"f1": 5}, "$.f1: must be a list"),
             (["check-factorization"], {"f2": [[[[0]]]]}, "$.f2: must have 2 elements, not 1"),
             (["solve", "--decoupled"], {"obs2": [[[0], [5]]] * 3}, "$.obs2[0][1][0]: must be an integer in 0..1"),
+            (
+                ["check-factorization"],
+                {"spaces": {**DECOUPLED_SPACES, "U1": {"label": "U1", "size": 2, "labels": [0, [1]]}}},
+                "$.spaces.U1.labels[1]: must be a string, number, boolean or null",
+            ),
+            (
+                ["solve", "--decoupled"],
+                {"spaces": {**DECOUPLED_SPACES, "Y2": {"label": "Y2", "size": 2, "labels": ["dark", "dark"]}}},
+                "$.spaces.Y2.labels[1]: repeats the label of $.spaces.Y2.labels[0]",
+            ),
         ],
     )
     def test_malformed_decoupled_model_is_located_domain_error(self, tmp_path, capsys, command, edit, located):
@@ -612,3 +681,120 @@ class TestCli:
         monkeypatch.setenv("NESTED_DP_BUDGET", "-4")
         with pytest.raises(ValueError, match="NESTED_DP_BUDGET must be a non-negative integer, got -4"):
             orc.build_joint(model)
+
+
+# One representative value per JSON type, for the corruption test below.
+JSON_VALUES = {
+    "null": [None],
+    "boolean": [True, False],
+    "number": [0, 1, -1, 2.5],
+    "string": ["", "x", "1/2"],
+    "array": [[], [0], ["1/1"]],
+    "object": [{}, {"size": 1}],
+}
+
+
+def json_type(value) -> str:
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, (int, float)):
+        return "number"
+    if isinstance(value, str):
+        return "string"
+    return "array" if isinstance(value, list) else "object"
+
+
+def node_paths(value, path=()):
+    """The path of every node of a JSON document, leaving out the
+    display-only `label` and `labels` entries of its spaces."""
+    yield path
+    children = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in children:
+        if key not in ("label", "labels"):
+            yield from node_paths(child, path + (key,))
+
+
+def node_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def replaced(doc, path, value):
+    """A copy of `doc` with the node at `path` replaced by `value`."""
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    node_at(doc, path[:-1])[path[-1]] = value
+    return doc
+
+
+class TestCorruptedInput:
+    """Every input file the CLI reads, with one node corrupted, exits 1 with
+    a located message: no traceback and nothing on stdout."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        """(kind, document, argv of a corrupted copy's path) of the files
+        `scripts/make_example_model.py` writes, a table psi2 file and a
+        strategy file."""
+        out = tmp_path_factory.mktemp("examples")
+        script = Path(__file__).resolve().parent.parent / "scripts" / "make_example_model.py"
+        argv, sys.argv = sys.argv, ["make_example_model.py", "--out", str(out)]
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), pytest.raises(SystemExit):
+                runpy.run_path(str(script), run_name="__main__")
+        finally:
+            sys.argv = argv
+        rich = convergence_instance(1)
+        rich_info = build_delayed_structure(rich, 1)
+        hashed = HashedPsi2(rich, rich_info, 7)
+        memo = solve_pbp_exact(rich, rich_info, hashed).memo
+        table = TablePsi2({(b1.t, a2): hashed.prescription(b1.t, a2) for b1, a2 in memo}).to_json()
+        small = certification_instance(0, horizon=1)
+        small_info = build_delayed_structure(small, 1)
+        strategy = orc.exhaustive_min(small, small_info, orc.build_joint(small)).strategy.to_json()
+        small_path = write_model(out, small, name="small.json")
+        read = lambda name: json.loads((out / name).read_text())
+        rich_path = str(out / "model_rich_obs.json")
+        simulate = ["simulate", small_path, "--seed", "1", "--episodes", "5", "--strategy"]
+        return [
+            ("model", read("model.json"), lambda p: ["solve", p]),
+            ("model", read("decoupled.json"), lambda p: ["check-factorization", p]),
+            ("psi2", read("psi2.json"), lambda p: ["pbp", rich_path, "--psi2", p]),
+            ("psi2", table, lambda p: ["pbp", rich_path, "--psi2", p]),
+            ("strategy", strategy, lambda p: simulate + [p]),
+        ]
+
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_one_corrupted_node_is_a_located_error(self, inputs, tmp_path_factory, data):
+        kind, doc, argv = data.draw(st.sampled_from(inputs))
+        paths = list(node_paths(doc))
+        repeat = data.draw(st.booleans())
+        if repeat:
+            objects = [p for p in paths if json_type(node_at(doc, p)) == "object" and node_at(doc, p)]
+            path = data.draw(st.sampled_from(objects))
+            obj = node_at(doc, path)
+            key = next(iter(obj))
+            pairs = [f"{json.dumps(k)}: {json.dumps(v)}" for k, v in [(key, obj[key]), *obj.items()]]
+            marker = "\u0000repeated"
+            text = json.dumps(replaced(doc, path, marker)).replace(json.dumps(marker), "{" + ", ".join(pairs) + "}")
+        else:
+            path = data.draw(st.sampled_from(paths))
+            kept = json_type(node_at(doc, path))
+            value = data.draw(st.sampled_from([v for t, vs in JSON_VALUES.items() if t != kept for v in vs]))
+            text = json.dumps(replaced(doc, path, value))
+        bad = tmp_path_factory.getbasetemp() / "corrupted.json"
+        bad.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_main(argv(str(bad)))
+        assert (code, out.getvalue()) == (1, ""), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if repeat:
+            assert f"error: {kind} file {bad} is invalid: repeats the key {key!r}" in err.getvalue()
+        else:
+            assert f"error: {kind} file {bad} is invalid: $" in err.getvalue(), err.getvalue()
