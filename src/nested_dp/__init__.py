@@ -29,7 +29,7 @@ from .errors import (
 )
 from .info import InfoStructure, VarRef, build_delayed_structure, check_nestedness, enumerate_private
 from .lattice import Lattice, QuantizedBelief, build_lattice, error_bound, lattice_size, quantize, tv_distance
-from .model import Dist, FiniteSpace, TeamModel, observation_kernel, transition_kernel, validate_model
+from .model import Dist, FiniteSpace, TeamModel, validate_model
 from .solver import (
     alpha_bound,
     extract_control_strategy,

@@ -48,7 +48,7 @@ as integers over the product of the denominators, and a posterior is
 built with one gcd over its branch's numerators, so the only Fraction a
 step builds is each branch probability.  A belief's Fraction entries,
 equal to the ones a Fraction accumulator gives, are built on first read,
-once, for `entries`, `prob`, `sort_key` and `to_json`.
+once, for `entries`, `sort_key` and `to_json`.
 
 A `StepCache`, one per solve and kept on its solution, is the one memo of
 Bayes steps and interns their posteriors (hash-consing): each distinct
@@ -95,8 +95,6 @@ __all__ = [
     "expected_cost1",
     "expected_cost2",
     "initial_belief1_roots",
-    "belief1_vector",
-    "belief1_from_vector",
 ]
 
 PrivateReal = tuple[int, ...]
@@ -130,7 +128,7 @@ class _Scaled:
     constructor takes (key, weight) entries of rationals and scales them.
 
     The Fraction entries are built from the form on first use, once:
-    `entries`, `prob`, `sort_key` and `to_json` read them, and no Bayes
+    `entries`, `sort_key` and `to_json` read them, and no Bayes
     step or cost table does.  Beliefs are values: do not assign to one."""
 
     __slots__ = ("t", "_scaled", "_entries", "_hash")
@@ -205,12 +203,6 @@ class Belief1(_Scaled):
     @staticmethod
     def from_weights(t: int, weights: dict[tuple[int, PrivateReal], Fraction]) -> "Belief1":
         return Belief1(t, _canon_entries(weights, lambda k: k))
-
-    def prob(self, x: int, ell: PrivateReal) -> Fraction:
-        for key, w in self.entries:
-            if key == (x, ell):
-                return w
-        return Fraction(0)
 
     def private_support(self) -> tuple[PrivateReal, ...]:
         """Distinct private realizations of the support, in entry order:
@@ -771,34 +763,3 @@ def expected_cost2(
         (model.cost(b2.t, x, gamma1(b1), gamma2(ell)) * p for (x, ell, b1), p in b2.items()),
         Fraction(0),
     )
-
-
-# ---------------------------------------------------------------------------
-# Vector form of Belief1 in Fractions, the tests' reference for the integer
-# `PbpSolution.snap` (nothing in the package calls it): coordinates over
-# (state, private realization) pairs, state-major, private values in product
-# order, zero-probability pairs included.
-# ---------------------------------------------------------------------------
-
-
-def belief1_vector(
-    model: TeamModel, private_list: list[PrivateReal], b1: Belief1
-) -> tuple[Fraction, ...]:
-    index = {ell: i for i, ell in enumerate(private_list)}
-    n_private = len(private_list)
-    nx = model.states[b1.t].size
-    vec = [Fraction(0)] * (nx * n_private)
-    for (x, ell), p in b1.items():
-        vec[x * n_private + index[ell]] = p
-    return tuple(vec)
-
-
-def belief1_from_vector(
-    t: int, private_list: list[PrivateReal], vec: tuple[Fraction, ...]
-) -> Belief1:
-    n_private = len(private_list)
-    weights: dict[tuple[int, PrivateReal], Fraction] = {}
-    for i, p in enumerate(vec):
-        if p != 0:
-            weights[(i // n_private, private_list[i % n_private])] = p
-    return Belief1.from_weights(t, weights)

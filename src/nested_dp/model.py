@@ -20,10 +20,7 @@ tables are indexed time-major.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -39,8 +36,6 @@ __all__ = [
     "format_ratio",
     "scale_to_integers",
     "validate_model",
-    "transition_kernel",
-    "observation_kernel",
     "model_to_json",
     "model_from_json",
 ]
@@ -309,29 +304,34 @@ def validate_model(model: TeamModel) -> list[Violation]:
     if out:
         return out
 
-    def entries(path: str, stage, dims: tuple[int, ...], problem) -> None:
-        """Report each entry of the index grid `dims` that `stage` lacks, or
-        whose value v has a `problem(v)`."""
-        for index in itertools.product(*map(range, dims)):
-            where = path + "".join(f"[{i}]" for i in index)
-            try:
-                value = functools.reduce(operator.getitem, index, stage)
-            except (IndexError, TypeError):
-                out.append(Violation(where, "missing entry"))
-                continue
-            message = problem(value)
+    def walk(path: str, node, dims: tuple[int, ...], problem) -> None:
+        """Check `node` against the index grid `dims`, one level at a time:
+        a missing entry for each index below the level's size that `node`
+        lacks, or for a `node` that is no sequence, and an extra entry for
+        each index at or past it; at a leaf, the value v's `problem(v)`."""
+        if not dims:
+            message = problem(node)
             if message:
-                out.append(Violation(where, message))
+                out.append(Violation(path, message))
+            return
+        if not isinstance(node, (tuple, list)):
+            out.append(Violation(path, "missing entry"))
+            return
+        for i in range(max(dims[0], len(node))):
+            where = f"{path}[{i}]"
+            if i >= dims[0]:
+                out.append(Violation(where, "extra entry"))
+            elif i >= len(node):
+                out.append(Violation(where, "missing entry"))
+            else:
+                walk(where, node[i], dims[1:], problem)
 
     # transition table: shape and codomain
     for t in stages("transition", model.transition, T):
-        stage, nx, nxn = model.transition[t], model.states[t].size, model.states[t + 1].size
-        if len(stage) != nx:
-            out.append(Violation(f"transition[{t}]", f"{len(stage)} rows, expected {nx}"))
-            continue
-        dims = (nx, model.actions1[t].size, model.actions2[t].size, model.disturbances[t].size)
-        entries(f"transition[{t}]", stage, dims,
-                lambda nxt: None if 0 <= nxt < nxn else f"next state {nxt} outside 0..{nxn - 1}")
+        nxn = model.states[t + 1].size
+        dims = (model.states[t].size, model.actions1[t].size, model.actions2[t].size, model.disturbances[t].size)
+        walk(f"transition[{t}]", model.transition[t], dims,
+             lambda nxt: None if 0 <= nxt < nxn else f"next state {nxt} outside 0..{nxn - 1}")
 
     # observation tables
     for agent, table, noises, obs_spaces in (
@@ -340,13 +340,13 @@ def validate_model(model: TeamModel) -> list[Violation]:
     ):
         for t in stages(f"obs{agent}", table, T + 1):
             ny = obs_spaces[t].size
-            entries(f"obs{agent}[{t}]", table[t], (model.states[t].size, noises[t].size),
-                    lambda y: None if 0 <= y < ny else f"observation {y} outside 0..{ny - 1}")
+            walk(f"obs{agent}[{t}]", table[t], (model.states[t].size, noises[t].size),
+                 lambda y: None if 0 <= y < ny else f"observation {y} outside 0..{ny - 1}")
 
     # cost table: shape and non-negativity
     for t in stages("cost", model.cost_table, T + 1):
         dims = (model.states[t].size, model.actions1[t].size, model.actions2[t].size)
-        entries(f"cost[{t}]", model.cost_table[t], dims, lambda c: f"cost {c} is negative" if c < 0 else None)
+        walk(f"cost[{t}]", model.cost_table[t], dims, lambda c: f"cost {c} is negative" if c < 0 else None)
 
     # primitive distributions
     _check_dist(model.x0_dist, "dists.X0", model.states[0].size, out)
@@ -359,40 +359,6 @@ def validate_model(model: TeamModel) -> list[Violation]:
             _check_dist(dists[t], f"dists.{name}[{t}]", spaces[t].size, out)
 
     return out
-
-
-def _require_time(t: int, low: int, high: int):
-    if not (low <= t <= high):
-        raise ValueError(f"time {t} outside {low}..{high}")
-
-
-def transition_kernel(model: TeamModel, t: int, x: int, u1: int, u2: int) -> Dist:
-    """One-step state kernel: marginalize the disturbance out of the
-    transition table.  Returns an exact distribution over the t+1 states."""
-    _require_time(t, 0, model.horizon - 1)
-    if not (0 <= x < model.states[t].size):
-        raise ValueError(f"state {x} outside space at t={t}")
-    if not (0 <= u1 < model.actions1[t].size) or not (0 <= u2 < model.actions2[t].size):
-        raise ValueError(f"action pair ({u1},{u2}) outside spaces at t={t}")
-    n_next = model.states[t + 1].size
-    weights = [Fraction(0)] * n_next
-    for w, pw in model.w_dist(t).items():
-        weights[model.f(t, x, u1, u2, w)] += pw
-    return Dist(tuple(weights))
-
-
-def observation_kernel(model: TeamModel, t: int, agent: int, x: int) -> Dist:
-    """Observation kernel for one agent: marginalize the measurement noise."""
-    _require_time(t, 0, model.horizon)
-    if agent not in (1, 2):
-        raise ValueError(f"agent must be 1 or 2, got {agent}")
-    if not (0 <= x < model.states[t].size):
-        raise ValueError(f"state {x} outside space at t={t}")
-    ny = model.obs_space(agent, t).size
-    weights = [Fraction(0)] * ny
-    for v, pv in model.v_dist(agent, t).items():
-        weights[model.h(agent, t, x, v)] += pv
-    return Dist(tuple(weights))
 
 
 # ---------------------------------------------------------------------------

@@ -114,17 +114,10 @@ __all__ = [
 A2Real = tuple[int, ...]
 
 
-def all_agent2_prescriptions(
-    t: int, l2_reals: list[tuple[int, ...]], n_actions: int, live: list[tuple[int, ...]] | None = None
-):
-    """Every total map from private realizations to actions, lexicographic.
-    With `live`, a sub-list of `l2_reals`, only the maps that play 0
-    everywhere off it, in the same relative order."""
-    if live is None:
-        live = l2_reals
-    idle = dict.fromkeys(l2_reals, 0)
-    for actions in itertools.product(range(n_actions), repeat=len(live)):
-        yield Prescription.for_agent2(t, {**idle, **dict(zip(live, actions))})
+def all_agent2_prescriptions(t: int, l2_reals: list[tuple[int, ...]], n_actions: int):
+    """Every total map from private realizations to actions, lexicographic."""
+    for actions in itertools.product(range(n_actions), repeat=len(l2_reals)):
+        yield Prescription.for_agent2(t, dict(zip(l2_reals, actions)))
 
 
 def all_agent1_prescriptions(t: int, points: list[Belief1], n_actions: int):

@@ -9,9 +9,7 @@ from nested_dp.beliefs import (
     Belief2,
     Prescription,
     StepCache,
-    belief1_from_vector,
     belief1_step,
-    belief1_vector,
     belief2_step,
     expected_cost1,
     expected_cost2,
@@ -22,6 +20,7 @@ from nested_dp.errors import DomainGap, ZeroProbabilityObservation
 from nested_dp.generators import certification_instance
 from nested_dp.info import build_delayed_structure, enumerate_private
 from nested_dp.model import Dist, FiniteSpace, TeamModel
+from test_kernels import belief1_from_vector, belief1_vector
 
 
 def deterministic_model(T=1):
@@ -246,7 +245,7 @@ class TestUpdateBelief2:
             mix = b2.mixture()
             assert sum(mix.values()) == 1
             for (x, ell, b1), w in b2.items():
-                assert w == mix[b1] * b1.prob(x, ell)
+                assert w == mix[b1] * dict(b1.entries)[(x, ell)]
             if b2.t < model.horizon:
                 g1 = Prescription.for_agent1(b2.t, {b: b2.t % 2 for b in mix})
                 g2 = gamma2_const(info, model, b2.t, 1)

@@ -24,7 +24,7 @@ from nested_dp.generators import (
     decoupled_instance,
 )
 from nested_dp.info import build_delayed_structure
-from nested_dp.model import transition_kernel, validate_model
+from nested_dp.model import validate_model
 from nested_dp.solver import HashedPsi2, optimal_psi2, solve_exact, solve_pbp_exact
 
 
@@ -56,7 +56,9 @@ class TestEmbedding:
             x1, x2 = divmod(x, n2)
             for u1 in range(2):
                 for u2 in range(2):
-                    lhs = transition_kernel(emb, 0, x, u1, u2)
+                    lhs = [Fraction(0)] * 4
+                    for w, pw in emb.w_dists[0].items():
+                        lhs[emb.transition[0][x][u1][u2][w]] += pw
                     for x_next in range(4):
                         x1n, x2n = divmod(x_next, n2)
                         p1 = sum(

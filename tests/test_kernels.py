@@ -27,6 +27,7 @@ equal and hash-equal the reduced integer forms the kernels build, and sort
 as their Fraction entries do.
 """
 
+import itertools
 import random
 from collections import defaultdict
 from types import SimpleNamespace
@@ -52,9 +53,7 @@ from nested_dp.beliefs import (
     _branches,
     _posterior,
     _prior1,
-    belief1_from_vector,
     belief1_step,
-    belief1_vector,
     belief2_step,
     expected_cost1,
     expected_cost2,
@@ -70,7 +69,6 @@ from nested_dp.solver import (
     MemoArgmin,
     PbpSolution,
     all_agent1_prescriptions,
-    all_agent2_prescriptions,
     solve_exact,
     solve_pbp_approx,
     solve_pbp_exact,
@@ -93,6 +91,24 @@ def ref_branches(acc, make):
         total = sum(weights.values())
         out[key] = (total, make({k: w / total for k, w in weights.items()}))
     return out
+
+
+def belief1_vector(model, private_list, b1):
+    """`b1` as a Fraction vector over (state, private realization) pairs:
+    state-major, private values in `private_list` order, zero-probability
+    pairs included.  The reference for the integer `PbpSolution.snap`."""
+    index = {ell: i for i, ell in enumerate(private_list)}
+    n_private = len(private_list)
+    vec = [Fraction(0)] * (model.states[b1.t].size * n_private)
+    for (x, ell), p in b1.items():
+        vec[x * n_private + index[ell]] = p
+    return tuple(vec)
+
+
+def belief1_from_vector(t, private_list, vec):
+    """The Belief1 at time t whose `belief1_vector` is `vec`."""
+    n_private = len(private_list)
+    return Belief1.from_weights(t, {(i // n_private, private_list[i % n_private]): p for i, p in enumerate(vec) if p != 0})
 
 
 def ref_initial_belief1_roots(model, info):
@@ -263,11 +279,16 @@ def reference_solve(model, info, budget=10**9):
         n_u1 = model.action_space(1, t).size
         n_u2 = model.action_space(2, t).size
         charges.append((t, n_u1 ** len(points) * n_u2 ** len(live)))
+        idle = dict.fromkeys(l2_reals, 0)
+        g2s = [
+            Prescription.for_agent2(t, {**idle, **dict(zip(live, actions))})
+            for actions in itertools.product(range(n_u2), repeat=len(live))
+        ]
         return t, charges[-1][1], (
             ((g1, g2), expected_cost2(model, b2, g1, g2),
              ref_belief2_step(model, info, b2, g1, g2).values() if t < T else ())
             for g1 in all_agent1_prescriptions(t, points, n_u1)
-            for g2 in all_agent2_prescriptions(t, l2_reals, n_u2, live)
+            for g2 in g2s
         )
 
     dp = ref_argmin({}, budget, "prescription pairs", expand)

@@ -10,12 +10,11 @@ from nested_dp.generators import certification_instance, random_full_support_dis
 from nested_dp.model import (
     Dist,
     FiniteSpace,
+    Violation,
     format_ratio,
     model_from_json,
     model_to_json,
-    observation_kernel,
     parse_ratio,
-    transition_kernel,
     validate_model,
 )
 
@@ -69,6 +68,29 @@ class TestDist:
         assert all(w > 0 for w in d.weights)
 
 
+# (name in paths, TeamModel field, levels of lists: the stage list first)
+TABLES = [
+    ("transition", "transition", 5),
+    ("obs1", "obs1", 3),
+    ("obs2", "obs2", 3),
+    ("cost", "cost_table", 4),
+]
+
+
+def node_at(table, index):
+    for i in index:
+        table = table[i]
+    return table
+
+
+def edited(table, index, change):
+    """`table` with its row at `index` replaced by `change(row)`."""
+    if not index:
+        return change(table)
+    i = index[0]
+    return table[:i] + (edited(table[i], index[1:], change),) + table[i + 1:]
+
+
 class TestValidation:
     def test_consistent_model_is_clean(self):
         assert validate_model(tiny_model()) == []
@@ -97,6 +119,55 @@ class TestValidation:
         violations = validate_model(broken)
         assert any(v.path.startswith("transition[0]") for v in violations)
 
+    @pytest.mark.parametrize("name, field, depth", TABLES, ids=[name for name, _, _ in TABLES])
+    def test_extra_entry_at_each_level(self, name, field, depth):
+        """A copy of an element appended at any level below the stage list
+        is one `extra entry`, at the index past the space's size."""
+        model = tiny_model()
+        for level in range(1, depth):
+            index = (0,) * level
+            table = edited(getattr(model, field), index, lambda row: row + row[:1])
+            extra = len(node_at(getattr(model, field), index))
+            where = name + "".join(f"[{i}]" for i in index + (extra,))
+            assert validate_model(replace(model, **{field: table})) == [Violation(where, "extra entry")]
+
+    @pytest.mark.parametrize("name, field, depth", TABLES, ids=[name for name, _, _ in TABLES])
+    def test_short_row_is_one_missing_entry(self, name, field, depth):
+        """A row one element short is one `missing entry`, at the absent
+        index, however many leaves lie under it."""
+        model = tiny_model()
+        for level in range(1, depth):
+            index = (0,) * level
+            table = edited(getattr(model, field), index, lambda row: row[:-1])
+            last = len(node_at(getattr(model, field), index)) - 1
+            where = name + "".join(f"[{i}]" for i in index + (last,))
+            assert validate_model(replace(model, **{field: table})) == [Violation(where, "missing entry")]
+
+    def test_node_that_is_no_sequence_is_a_missing_entry(self):
+        model = tiny_model()
+        table = edited(model.cost_table, (0,), lambda stage: (7,) + stage[1:])
+        assert validate_model(replace(model, cost_table=table)) == [Violation("cost[0][0]", "missing entry")]
+
+
+def transition_kernel(model, t, x, u1, u2):
+    """The law of the next state: `TeamModel.world_kernel(t)` at (x, u1, u2),
+    summed over the observations it also draws."""
+    denom, kernel = model.world_kernel(t)
+    weights = [Fraction(0)] * model.states[t + 1].size
+    for (x_next, _, _), n in kernel[x][u1][u2]:
+        weights[x_next] += Fraction(n, denom)
+    return weights
+
+
+def observation_kernel(model, agent, x):
+    """Agent's law of its time-0 observation in state x: the step from the
+    initial law, `world_kernel(-1)`, at x, summed over the other agent's."""
+    denom, kernel = model.world_kernel(-1)
+    weights = [Fraction(0)] * model.obs_space(agent, 0).size
+    for (_, y1, y2), n in kernel[x]:
+        weights[y1 if agent == 1 else y2] += Fraction(n, denom)
+    return weights
+
 
 class TestTransitionKernel:
     def test_deterministic_disturbance_gives_point_mass(self):
@@ -110,8 +181,7 @@ class TestTransitionKernel:
                 for stage in model.transition
             ),
         )
-        kernel = transition_kernel(det, 0, 0, 1, 0)
-        assert sorted(kernel.weights) == [0, 1]
+        assert sorted(transition_kernel(det, 0, 0, 1, 0)) == [0, 1]
 
     def test_disturbance_ignored_still_point_mass(self):
         model = tiny_model()
@@ -120,8 +190,7 @@ class TestTransitionKernel:
             for _ in range(2)
         )
         same = replace(model, transition=(stage,) + model.transition[1:])
-        kernel = transition_kernel(same, 0, 0, 0, 0)
-        assert kernel.weights == (Fraction(0), Fraction(1))
+        assert transition_kernel(same, 0, 0, 0, 0) == [Fraction(0), Fraction(1)]
 
     @given(st.integers(0, 500))
     def test_matches_direct_enumeration(self, seed):
@@ -161,40 +230,43 @@ class TestTransitionKernel:
             expected = [Fraction(0)] * nx
             for w in range(nw):
                 expected[table[x][0][0][w]] += w_dist[w]
-            assert list(kernel.weights) == expected
-            assert sum(kernel.weights) == 1
+            assert kernel == expected
+            assert sum(kernel) == 1
 
     def test_rejects_bad_indices(self):
         model = tiny_model()
-        with pytest.raises(ValueError):
-            transition_kernel(model, model.horizon, 0, 0, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(IndexError):
+            model.world_kernel(model.horizon)
+        with pytest.raises(IndexError):
             transition_kernel(model, 0, 5, 0, 0)
 
     def test_pure(self):
         model = tiny_model()
+        assert model.world_kernel(0) is model.world_kernel(0)
         assert transition_kernel(model, 0, 0, 1, 1) == transition_kernel(model, 0, 0, 1, 1)
 
 
 class TestObservationKernel:
     def test_perfect_observation_point_mass(self):
         model = tiny_model()
-        assert observation_kernel(model, 0, 2, 1).weights in (
-            (Fraction(0), Fraction(1)),
-            (Fraction(1), Fraction(0)),
-        )
+        assert observation_kernel(model, 2, 1) in ([Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)])
 
     def test_binary_flip_channel(self):
         model = tiny_model()
-        kernel = observation_kernel(model, 0, 1, 0)
-        assert sorted(kernel.weights) == [Fraction(1, 4), Fraction(3, 4)]
+        assert sorted(observation_kernel(model, 1, 0)) == [Fraction(1, 4), Fraction(3, 4)]
 
     def test_marginalization_sums_to_one(self):
+        """Every cell of every stage's world kernel, observations included,
+        is a distribution: its weights sum to the common denominator."""
         model = tiny_model()
-        for t in range(model.horizon + 1):
-            for agent in (1, 2):
-                for x in range(model.states[t].size):
-                    assert sum(observation_kernel(model, t, agent, x).weights) == 1
+        for agent in (1, 2):
+            for x in range(model.states[0].size):
+                assert sum(observation_kernel(model, agent, x)) == 1
+        for t in range(-1, model.horizon):
+            denom, kernel = model.world_kernel(t)
+            cells = kernel if t < 0 else [cell for by_u1 in kernel for by_u2 in by_u1 for cell in by_u2]
+            for cell in cells:
+                assert sum(n for _, n in cell) == denom
 
 
 class TestSerialization:

@@ -798,3 +798,33 @@ class TestCorruptedInput:
             assert f"error: {kind} file {bad} is invalid: repeats the key {key!r}" in err.getvalue()
         else:
             assert f"error: {kind} file {bad} is invalid: $" in err.getvalue(), err.getvalue()
+
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_resized_table_row_is_a_located_error(self, inputs, tmp_path_factory, data):
+        """A copy of one element appended to, or one element popped from, a
+        list at any level of a table of the example model: `validate` names
+        a violation in that table, and `solve` refuses the file."""
+        _, doc, _ = inputs[0]
+        name = data.draw(st.sampled_from(["transition", "obs1", "obs2", "cost"]))
+        lists = [p for p in node_paths(doc[name], (name,)) if isinstance(node_at(doc, p), list)]
+        path = data.draw(st.sampled_from(lists))
+        row = list(node_at(doc, path))
+        i = data.draw(st.integers(0, len(row) - 1))
+        if data.draw(st.booleans()):
+            row.append(row[i])
+        else:
+            row.pop(i)
+        bad = tmp_path_factory.getbasetemp() / "resized.json"
+        bad.write_text(json.dumps(replaced(doc, path, row)))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli_main(["validate", str(bad)]) == 0
+        paths = [v["path"] for v in json.loads(out.getvalue())["violations"]]
+        assert any(p.startswith(name) for p in paths), paths
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_main(["solve", str(bad)])
+        assert (code, out.getvalue()) == (1, ""), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        assert f"error: model file {bad} is invalid: " in err.getvalue()

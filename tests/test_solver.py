@@ -11,8 +11,6 @@ from nested_dp.beliefs import (
     _NULL2,
     StepCache,
     _prior1,
-    belief1_from_vector,
-    belief1_vector,
     belief2_step,
     expected_cost2,
     initial_belief1_roots,
@@ -46,7 +44,7 @@ from nested_dp.solver import (
 )
 from nested_dp.info import enumerate_private
 from test_info import split_delay_structure
-from test_kernels import ref_argmin
+from test_kernels import belief1_from_vector, belief1_vector, ref_argmin
 
 
 def full_scan_solve(model, info):
@@ -632,9 +630,8 @@ class TestPbpSolvers:
         info = build_delayed_structure(model, 1)
         psi2 = ConstantPsi2(model, info, 1)
         approx = solve_pbp_approx(model, info, psi2, 1)
-        from nested_dp.beliefs import expected_cost1, initial_belief1_roots, belief1_from_vector
+        from nested_dp.beliefs import expected_cost1, initial_belief1_roots
         from nested_dp.lattice import build_lattice, quantize
-        from nested_dp.beliefs import belief1_vector
 
         plist = enumerate_private(info, model, 0)
         lattice = build_lattice(2 * len(plist), 1)
