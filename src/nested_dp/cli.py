@@ -17,7 +17,8 @@ or invalid files, impossible conditioning, blown budgets), 2 usage errors.
 
 The NESTED_DP_BUDGET environment variable overrides default resource caps;
 explicit --budget flags override both.  A negative cap, from a flag or the
-variable, is refused before any work.
+variable, is refused before any work, and so is a `solve` flag its route
+ignores: --policy-out with --decoupled, --perfect-obs-1 without it.
 """
 
 from __future__ import annotations
@@ -435,14 +436,19 @@ def _parser() -> argparse.ArgumentParser:
 
 def _check_caps(args) -> None:
     """Refuse a negative cap before any work: each cap option the command
-    takes, and NESTED_DP_BUDGET where the option is not given; and a count
-    (--n, --m, --episodes) below 1."""
+    takes, and NESTED_DP_BUDGET where the option is not given; a count
+    (--n, --m, --episodes) below 1; and a `solve` flag that the chosen
+    route would ignore."""
     for dest, flag in (("budget", "--budget"), ("max_strategies", "--max-strategies")):
         if hasattr(args, dest):
             resolve_budget(getattr(args, dest), flag)
     for dest in ("n", "m", "episodes"):
         if getattr(args, dest, 1) < 1:
             raise NestedDPError(f"--{dest} must be a positive integer, got {getattr(args, dest)}")
+    if getattr(args, "decoupled", False) and args.policy_out:
+        raise NestedDPError("--policy-out cannot be used with --decoupled")
+    if getattr(args, "perfect_obs_1", False) and not args.decoupled:
+        raise NestedDPError("--perfect-obs-1 needs --decoupled")
 
 
 def cli_main(argv: list[str] | None = None) -> int:

@@ -33,11 +33,12 @@ from .model import (
     Dist,
     FiniteSpace,
     TeamModel,
-    _cost_to_json,
     _deep_list,
     _dist_to_json,
+    _grid,
     _Reader,
     _space_to_json,
+    format_ratio,
 )
 from .oracle import Trajectory, condition_replayed
 from .solver import MemoArgmin, _agent1_node, _scaled_costs
@@ -106,57 +107,23 @@ def embed(dec: DecoupledModel) -> TeamModel:
         for t in range(T)
     )
 
-    transition = []
-    for t in range(T):
-        n2 = dec.states2[t].size
-        nw2 = dec.disturbances2[t].size
-        n2_next = dec.states2[t + 1].size
-        stage = []
-        for x in range(states[t].size):
-            x1, x2 = divmod(x, n2)
-            row_u1 = []
-            for u1 in range(dec.actions1[t].size):
-                row_u2 = []
-                for u2 in range(dec.actions2[t].size):
-                    row_w = []
-                    for w in range(disturbances[t].size):
-                        w1, w2 = divmod(w, nw2)
-                        x1n = dec.f1[t][x1][u1][w1]
-                        x2n = dec.f2[t][x2][u2][w2]
-                        row_w.append(x1n * n2_next + x2n)
-                    row_u2.append(tuple(row_w))
-                row_u1.append(tuple(row_u2))
-            stage.append(tuple(row_u1))
-        transition.append(tuple(stage))
+    def stages(count, spaces, cell):
+        """Per t < count, the `_grid` over the sizes of `spaces` at t with
+        cell(t, *index) at each cell."""
+        return tuple(_grid(tuple(s[t].size for s in spaces), partial(cell, t)) for t in range(count))
 
-    def lift_obs(obs_table, agent):
-        lifted = []
-        for t in range(T + 1):
-            n2 = dec.states2[t].size
-            nv = (dec.noises1 if agent == 1 else dec.noises2)[t].size
-            stage = []
-            for x in range(states[t].size):
-                x1, x2 = divmod(x, n2)
-                own = x1 if agent == 1 else x2
-                stage.append(tuple(obs_table[t][own][v] for v in range(nv)))
-            lifted.append(tuple(stage))
-        return tuple(lifted)
+    def move(t, x, u1, u2, w):
+        (x1, x2), (w1, w2) = divmod(x, dec.states2[t].size), divmod(w, dec.disturbances2[t].size)
+        return dec.f1[t][x1][u1][w1] * dec.states2[t + 1].size + dec.f2[t][x2][u2][w2]
 
-    cost = []
-    for t in range(T + 1):
-        n2 = dec.states2[t].size
-        stage = []
-        for x in range(states[t].size):
-            x1, x2 = divmod(x, n2)
-            stage.append(
-                tuple(
-                    tuple(
-                        dec.cost(t, x1, x2, u1, u2) for u2 in range(dec.actions2[t].size)
-                    )
-                    for u1 in range(dec.actions1[t].size)
-                )
-            )
-        cost.append(tuple(stage))
+    def seen1(t, x, v):
+        return dec.obs1[t][x // dec.states2[t].size][v]
+
+    def seen2(t, x, v):
+        return dec.obs2[t][x % dec.states2[t].size][v]
+
+    def cost(t, x, u1, u2):
+        return dec.cost(t, *divmod(x, dec.states2[t].size), u1, u2)
 
     def product_dist(d1: Dist, d2: Dist) -> Dist:
         return Dist(tuple(p1 * p2 for p1 in d1.weights for p2 in d2.weights))
@@ -171,10 +138,10 @@ def embed(dec: DecoupledModel) -> TeamModel:
         noises2=dec.noises2,
         observations1=dec.observations1,
         observations2=dec.observations2,
-        transition=tuple(transition),
-        obs1=lift_obs(dec.obs1, 1),
-        obs2=lift_obs(dec.obs2, 2),
-        cost_table=tuple(cost),
+        transition=stages(T, (states, dec.actions1, dec.actions2, disturbances), move),
+        obs1=stages(T + 1, (states, dec.noises1), seen1),
+        obs2=stages(T + 1, (states, dec.noises2), seen2),
+        cost_table=stages(T + 1, (states, dec.actions1, dec.actions2), cost),
         x0_dist=product_dist(dec.x1_dist, dec.x2_dist),
         w_dists=tuple(product_dist(dec.w1_dists[t], dec.w2_dists[t]) for t in range(T)),
         v1_dists=dec.v1_dists,
@@ -495,8 +462,7 @@ def solve_decoupled_pbp(
 # ---------------------------------------------------------------------------
 
 def decoupled_to_json(dec: DecoupledModel) -> dict:
-    # each space is stored once, as in model files; the cost table has one
-    # more state axis than a TeamModel's, so it is written stage by stage
+    # each space is stored once, as in model files
     return {
         "kind": "decoupled",
         "horizon": dec.horizon,
@@ -516,7 +482,7 @@ def decoupled_to_json(dec: DecoupledModel) -> dict:
         "f2": _deep_list(dec.f2),
         "obs1": _deep_list(dec.obs1),
         "obs2": _deep_list(dec.obs2),
-        "cost": [_cost_to_json(stage) for stage in dec.cost_table],
+        "cost": _deep_list(dec.cost_table, format_ratio),
         "dists": {
             "X1_0": _dist_to_json(dec.x1_dist),
             "X2_0": _dist_to_json(dec.x2_dist),

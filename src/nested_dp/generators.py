@@ -19,8 +19,9 @@ can afford:
       factorization checks, plus a product-shaped but genuinely coupled
       model on which the factorization provably fails.
 
-All randomness is drawn from `random.Random(seed)`; identical seeds yield
-identical instances on any platform.
+All randomness is drawn from `random.Random(seed)`, one draw per random
+table cell in `model._grid`'s index order; identical seeds yield identical
+instances on any platform.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from fractions import Fraction
 
 from .decoupled import DecoupledModel
 from .info import InfoStructure
-from .model import Dist, FiniteSpace, TeamModel
+from .model import Dist, FiniteSpace, TeamModel, _grid
 from .oracle import _Pair
 
 __all__ = [
@@ -68,32 +69,6 @@ def _obs_table(kind: str, nx: int, rng: random.Random) -> tuple:
     raise ValueError(f"unknown observation kind {kind!r}")
 
 
-def _random_transition(rng, T, nx, nu1, nu2, nw):
-    return tuple(
-        tuple(
-            tuple(
-                tuple(tuple(rng.randrange(nx) for _ in range(nw)) for _ in range(nu2))
-                for _ in range(nu1)
-            )
-            for _ in range(nx)
-        )
-        for _ in range(T)
-    )
-
-
-def _random_cost(rng, T, nx, nu1, nu2, denom=4, max_units=12):
-    return tuple(
-        tuple(
-            tuple(
-                tuple(Fraction(rng.randrange(max_units + 1), denom) for _ in range(nu2))
-                for _ in range(nu1)
-            )
-            for _ in range(nx)
-        )
-        for _ in range(T + 1)
-    )
-
-
 def _spaces(label, size, count):
     return tuple(FiniteSpace(label, size) for _ in range(count))
 
@@ -108,7 +83,7 @@ def certification_instance(seed: int, horizon: int = 2) -> TeamModel:
     rng = random.Random(f"cert:{seed}")
     T, nx, nu, nw = horizon, 2, 2, 2
     # t=0: noisy channel for agent 1 (v=1 flips the reading), exact for 2
-    obs1 = (tuple(tuple((x + v) % nx for v in range(2)) for x in range(nx)),) + tuple(
+    obs1 = (_grid((nx, 2), lambda x, v: (x + v) % nx),) + tuple(
         _obs_table("const", nx, rng) for _ in range(T)
     )
     obs2 = (_obs_table("informative", nx, rng),) + tuple(
@@ -125,10 +100,10 @@ def certification_instance(seed: int, horizon: int = 2) -> TeamModel:
         noises2=_spaces("V2", 1, T + 1),
         observations1=_spaces("Y1", nx, T + 1),
         observations2=_spaces("Y2", nx, T + 1),
-        transition=_random_transition(rng, T, nx, nu, nu, nw),
+        transition=_grid((T, nx, nu, nu, nw), lambda *_: rng.randrange(nx)),
         obs1=obs1,
         obs2=obs2,
-        cost_table=_random_cost(rng, T, nx, nu, nu),
+        cost_table=_grid((T + 1, nx, nu, nu), lambda *_: Fraction(rng.randrange(13), 4)),
         x0_dist=random_full_support_dist(rng, nx),
         w_dists=tuple(random_full_support_dist(rng, nw) for _ in range(T)),
         v1_dists=(Dist.from_weights([Fraction(3, 4), Fraction(1, 4)]),)
@@ -153,10 +128,10 @@ def convergence_instance(seed: int, horizon: int = 2) -> TeamModel:
         noises2=_spaces("V2", 1, T + 1),
         observations1=_spaces("Y1", nx, T + 1),
         observations2=_spaces("Y2", nx, T + 1),
-        transition=_random_transition(rng, T, nx, nu, nu, nw),
+        transition=_grid((T, nx, nu, nu, nw), lambda *_: rng.randrange(nx)),
         obs1=tuple(_obs_table("const", nx, rng) for _ in range(T + 1)),
         obs2=tuple(_obs_table("identity", nx, rng) for _ in range(T + 1)),
-        cost_table=_random_cost(rng, T, nx, nu, nu),
+        cost_table=_grid((T + 1, nx, nu, nu), lambda *_: Fraction(rng.randrange(13), 4)),
         x0_dist=random_full_support_dist(rng, nx),
         w_dists=tuple(Dist.uniform(nw) for _ in range(T)),
         v1_dists=tuple(Dist.point_mass(1, 0) for _ in range(T + 1)),
@@ -171,15 +146,6 @@ def decoupled_instance(seed: int, horizon: int = 2, perfect_obs_1: bool = False)
     rng = random.Random(f"dec:{seed}:{int(perfect_obs_1)}")
     T, nx, nu, nw = horizon, 2, 2, 2
 
-    def chain_transition():
-        return tuple(
-            tuple(
-                tuple(tuple(rng.randrange(nx) for _ in range(nw)) for _ in range(nu))
-                for _ in range(nx)
-            )
-            for _ in range(T)
-        )
-
     if perfect_obs_1:
         obs1 = tuple(_obs_table("identity", nx, rng) for _ in range(T + 1))
     else:
@@ -189,19 +155,7 @@ def decoupled_instance(seed: int, horizon: int = 2, perfect_obs_1: bool = False)
     obs2 = tuple(
         _obs_table("identity" if t == 0 else "const", nx, rng) for t in range(T + 1)
     )
-    cost = tuple(
-        tuple(
-            tuple(
-                tuple(
-                    tuple(Fraction(rng.randrange(13), 4) for _ in range(nu))
-                    for _ in range(nu)
-                )
-                for _ in range(nx)
-            )
-            for _ in range(nx)
-        )
-        for _ in range(T + 1)
-    )
+    cost = _grid((T + 1, nx, nx, nu, nu), lambda *_: Fraction(rng.randrange(13), 4))
     return DecoupledModel(
         horizon=T,
         states1=_spaces("X1", nx, T + 1),
@@ -214,8 +168,8 @@ def decoupled_instance(seed: int, horizon: int = 2, perfect_obs_1: bool = False)
         noises2=_spaces("V2", 1, T + 1),
         observations1=_spaces("Y1", nx, T + 1),
         observations2=_spaces("Y2", nx, T + 1),
-        f1=chain_transition(),
-        f2=chain_transition(),
+        f1=_grid((T, nx, nu, nw), lambda *_: rng.randrange(nx)),
+        f2=_grid((T, nx, nu, nw), lambda *_: rng.randrange(nx)),
         obs1=obs1,
         obs2=obs2,
         cost_table=cost,
@@ -236,25 +190,16 @@ def coupled_counterexample() -> tuple[TeamModel, tuple[int, int]]:
     T, n1, n2 = 2, 2, 2
     nx = n1 * n2
 
-    def f(x, u2, w):
+    def f(x, _u1, u2, w):
         x1, x2 = divmod(x, n2)
         x1_next = x2  # the coupling: agent 1's chain reads agent 2's state
         x2_next = (x2 + u2 + w) % n2
         return x1_next * n2 + x2_next
 
-    transition = tuple(
-        tuple(
-            tuple(tuple(f(x, u2, w) for w in range(2)) for u2 in range(2))
-            for _ in range(2)
-        )
-        for x in range(nx)
-    )
+    transition = _grid((nx, 2, 2, 2), f)
     obs1 = tuple((0,) for _ in range(nx))
     obs2 = tuple((divmod(x, n2)[1],) for x in range(nx))
-    cost = tuple(
-        tuple(tuple(Fraction(divmod(x, n2)[1] + u1 + u2, 4) for u2 in range(2)) for u1 in range(2))
-        for x in range(nx)
-    )
+    cost = _grid((nx, 2, 2), lambda x, u1, u2: Fraction(x % n2 + u1 + u2, 4))
     return (
         TeamModel(
             horizon=T,

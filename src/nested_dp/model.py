@@ -234,14 +234,7 @@ class TeamModel:
 
     def max_cost(self) -> Fraction:
         """Largest |stage cost| across all times (sup-norm of the cost)."""
-        best = Fraction(0)
-        for t in range(self.horizon + 1):
-            for x_row in self.cost_table[t]:
-                for u1_row in x_row:
-                    for c in u1_row:
-                        if abs(c) > best:
-                            best = abs(c)
-        return best
+        return max(map(abs, _leaves(self.cost_table)), default=Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -465,6 +458,35 @@ class _Reader:
         return FiniteSpace(self.value.get("label", default_label), size, labels)
 
 
+def _grid(dims: tuple[int, ...], leaf) -> tuple:
+    """The nested tuple over the index grid `dims` with `leaf(*index)` at
+    each cell, built (and `leaf` called) in lexicographic index order, the
+    last index fastest."""
+
+    def build(index: tuple[int, ...]):
+        if len(index) == len(dims):
+            return leaf(*index)
+        return tuple(build((*index, i)) for i in range(dims[len(index)]))
+
+    return build(())
+
+
+def _leaves(node):
+    """A table's values, nested tuples or lists at any depth, in index order."""
+    if isinstance(node, (tuple, list)):
+        for child in node:
+            yield from _leaves(child)
+    else:
+        yield node
+
+
+def _deep_list(node, leaf=lambda value: value) -> list:
+    """A table as nested lists of `leaf(value)`, in index order."""
+    if isinstance(node, (tuple, list)):
+        return [_deep_list(child, leaf) for child in node]
+    return leaf(node)
+
+
 def _space_to_json(space: FiniteSpace) -> dict:
     doc = {"label": space.label, "size": space.size}
     if space.element_labels is not None:
@@ -474,19 +496,6 @@ def _space_to_json(space: FiniteSpace) -> dict:
 
 def _dist_to_json(d: Dist) -> list[str]:
     return [format_ratio(w) for w in d.weights]
-
-
-def _deep_list(node):
-    if isinstance(node, tuple):
-        return [_deep_list(child) for child in node]
-    return node
-
-
-def _cost_to_json(cost_table) -> list:
-    return [
-        [[[format_ratio(c) for c in u1_row] for u1_row in x_row] for x_row in stage]
-        for stage in cost_table
-    ]
 
 
 def model_to_json(model: TeamModel) -> dict:
@@ -514,7 +523,7 @@ def model_to_json(model: TeamModel) -> dict:
         "transition": _deep_list(model.transition),
         "obs1": _deep_list(model.obs1),
         "obs2": _deep_list(model.obs2),
-        "cost": _cost_to_json(model.cost_table),
+        "cost": _deep_list(model.cost_table, format_ratio),
         "dists": {
             "X0": _dist_to_json(model.x0_dist),
             "W": [_dist_to_json(d) for d in model.w_dists],

@@ -87,7 +87,7 @@ from .info import (  # extend_a2 is re-exported for callers of this module
     step_plan,
 )
 from .limits import resolve_budget
-from .model import TeamModel, _Reader, scale_to_integers
+from .model import TeamModel, _deep_list, _leaves, _Reader, scale_to_integers
 
 __all__ = [
     "MemoArgmin",
@@ -423,20 +423,9 @@ def _scaled_costs(stage) -> tuple[int, list]:
     (cost[x][u1][u2] here, cost[x1][x2][u1][u2] in `decoupled`), over one
     common denominator K: (K, k), k the same nesting of lists of integers,
     each cost k[...] / K."""
-
-    def leaves(node):
-        for child in node:
-            if isinstance(child, (tuple, list)):
-                yield from leaves(child)
-            else:
-                yield child
-
-    def rebuild(node):
-        return [rebuild(child) if isinstance(child, (tuple, list)) else next(flat) for child in node]
-
-    denom, nums = scale_to_integers(leaves(stage))
+    denom, nums = scale_to_integers(_leaves(stage))
     flat = iter(nums)
-    return denom, rebuild(stage)
+    return denom, _deep_list(stage, lambda _: next(flat))
 
 
 def optimal_psi2(model: TeamModel, info: InfoStructure, solution: ExactSolution) -> "TreePsi2":

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -331,3 +333,6 @@ class TestInfoJson:
         assert rebuilt.m1 == info.m1 and rebuilt.l2 == info.l2 and rebuilt.z2 == info.z2
         assert check_nestedness(rebuilt) == []
         assert doc == {"kind": "delayed", "d": 1}
+        assert info_to_json(rebuilt) == explicit
+        split = split_delay_structure(model)
+        assert info_from_json(model, json.loads(json.dumps(info_to_json(split)))) == split

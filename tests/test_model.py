@@ -288,3 +288,16 @@ class TestSerialization:
         doc = model_to_json(model)
         assert "per_time" in doc["spaces"]["V1"]
         assert model_from_json(json.loads(json.dumps(doc))) == model
+
+    def test_labelled_spaces_round_trip(self):
+        # one labelled space kept across t, and one whose labels change with t
+        model = certification_instance(0)
+        labelled = replace(
+            model,
+            actions1=(FiniteSpace("U1", 2, ("stay", "go")),) * 3,
+            states=tuple(FiniteSpace("X", 2, (f"low{t}", f"high{t}")) for t in range(3)),
+        )
+        doc = model_to_json(labelled)
+        assert doc["spaces"]["U1"]["labels"] == ["stay", "go"]
+        assert doc["spaces"]["X"]["per_time"][2]["labels"] == ["low2", "high2"]
+        assert model_from_json(json.loads(json.dumps(doc))) == labelled

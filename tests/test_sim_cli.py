@@ -21,7 +21,15 @@ from nested_dp.info import build_delayed_structure, enumerate_private
 from nested_dp.lattice import lattice_size
 from nested_dp.model import Dist, FiniteSpace, format_ratio, model_to_json
 from nested_dp.sim import RolloutConfig, rollout
-from nested_dp.solver import HashedPsi2, extract_control_strategy, optimal_psi2, solve_exact, solve_pbp_exact, TablePsi2
+from nested_dp.solver import (
+    HashedPsi2,
+    TablePsi2,
+    extract_control_strategy,
+    optimal_psi2,
+    solve_exact,
+    solve_pbp_approx,
+    solve_pbp_exact,
+)
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +49,17 @@ def write_model(tmp_path, model, d=1, name="model.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def write_examples(out):
+    """Write the files of `scripts/make_example_model.py` under `out`."""
+    script = Path(__file__).resolve().parent.parent / "scripts" / "make_example_model.py"
+    argv, sys.argv = sys.argv, ["make_example_model.py", "--out", str(out)]
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), pytest.raises(SystemExit):
+            runpy.run_path(str(script), run_name="__main__")
+    finally:
+        sys.argv = argv
 
 
 class TestRollout:
@@ -63,6 +82,12 @@ class TestRollout:
         report = rollout(pinned, dinfo, strategy, RolloutConfig(seed=5, episodes=64), dsol.value)
         assert report.stderr == 0.0
         assert report.mean_cost == float(dsol.value)
+
+    def test_one_episode_has_zero_stderr(self, solved):
+        model, info, solution = solved
+        report = rollout(model, info, extract_control_strategy(solution), RolloutConfig(seed=5, episodes=1))
+        assert report.episodes == 1
+        assert report.stderr == 0.0
 
     def test_same_seed_same_bytes(self, solved):
         model, info, solution = solved
@@ -257,6 +282,8 @@ class TestCli:
             ("1/0,1", "--vector: coordinate 1 ('1/0') is not a p/q ratio"),
             ("a,b", "--vector: coordinate 1 ('a') is not a p/q ratio"),
             ("1/2,x", "--vector: coordinate 2 ('x') is not a p/q ratio"),
+            ("1/2,1/4", "--vector must be a probability vector"),
+            ("3/2,-1/2", "--vector must be a probability vector"),
         ],
     )
     def test_quantize_bad_coordinate_is_located(self, vector, located, capsys):
@@ -361,6 +388,20 @@ class TestCli:
         policy = json.loads(policy_path.read_text())
         assert policy["value"] == exact_doc["value"]
         assert all(e["action"] in (0, 1) for e in policy["entries"])
+
+        approx_path = tmp_path / "pbp_approx_policy.json"
+        assert cli_main(
+            ["pbp-approx", path, "--psi2", str(psi_path), "--n", "8", "--policy-out", str(approx_path)]
+        ) == 0
+        capsys.readouterr()
+        approx_policy = json.loads(approx_path.read_text())
+        memo = solve_pbp_approx(model, info, TablePsi2(entries), 8).memo
+        assert approx_policy["value"] == approx_doc["value"]
+        assert approx_policy["resolution"] == 8
+        assert approx_policy["entries"] == [
+            {"belief": json.loads(json.dumps(b1.to_json())), "accessible": list(a2), "value": format_ratio(v), "action": u1}
+            for (b1, a2), (v, u1) in memo.items()
+        ]
 
     def test_simulate_deterministic_bytes(self, tmp_path, capsys):
         path = write_model(tmp_path, certification_instance(0))
@@ -586,6 +627,29 @@ class TestCli:
         path.write_text(json.dumps(doc))
         assert cli_main(["solve", str(path), "--decoupled", "--perfect-obs-1"]) == 1
 
+    @pytest.mark.parametrize(
+        "name, flags, message",
+        [
+            ("decoupled.json", ["--decoupled", "--policy-out", "{policy}"], "--policy-out cannot be used with --decoupled"),
+            ("model.json", ["--perfect-obs-1"], "--perfect-obs-1 needs --decoupled"),
+        ],
+    )
+    def test_solve_flag_its_route_ignores_is_refused_before_any_file_is_read(
+        self, tmp_path, monkeypatch, capsys, name, flags, message
+    ):
+        write_examples(tmp_path)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("a file was read before the flags were checked")
+
+        monkeypatch.setattr(cli_mod, "_load_checked", no_work)
+        policy = tmp_path / "policy.json"
+        assert cli_main(["solve", str(tmp_path / name)] + [f.format(policy=policy) for f in flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not policy.exists()
+
     def test_check_factorization_decoupled(self, tmp_path, capsys):
         dec = decoupled_instance(0)
         doc = decoupled_to_json(dec)
@@ -741,13 +805,7 @@ class TestCorruptedInput:
         `scripts/make_example_model.py` writes, a table psi2 file and a
         strategy file."""
         out = tmp_path_factory.mktemp("examples")
-        script = Path(__file__).resolve().parent.parent / "scripts" / "make_example_model.py"
-        argv, sys.argv = sys.argv, ["make_example_model.py", "--out", str(out)]
-        try:
-            with contextlib.redirect_stdout(io.StringIO()), pytest.raises(SystemExit):
-                runpy.run_path(str(script), run_name="__main__")
-        finally:
-            sys.argv = argv
+        write_examples(out)
         rich = convergence_instance(1)
         rich_info = build_delayed_structure(rich, 1)
         hashed = HashedPsi2(rich, rich_info, 7)

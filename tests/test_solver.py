@@ -1,3 +1,4 @@
+import itertools
 import re
 from dataclasses import replace
 from fractions import Fraction
@@ -571,6 +572,13 @@ class TestPsi2Families:
         doc = psi2.to_json()
         back = psi2_from_json(doc, model, info)
         assert back.entries == psi2.entries
+        # a loaded table stays strict where the tree it came from plays 0
+        T = model.horizon
+        sizes = [info.var_space_size(model, v) for v in info.a2[T]]
+        off_tree = next(a2 for a2 in itertools.product(*map(range, sizes)) if (T, a2) not in psi2.entries)
+        assert {u for _, u in psi2.prescription(T, off_tree).table} == {0}
+        with pytest.raises(MissingKey, match=re.escape(f"no agent-2 prescription for t={T}, accessible={off_tree}")):
+            back.prescription(T, off_tree)
 
 
 class TestPbpSolvers:
