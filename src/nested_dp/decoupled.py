@@ -462,7 +462,11 @@ def solve_decoupled_pbp(
 # ---------------------------------------------------------------------------
 
 def decoupled_to_json(dec: DecoupledModel) -> dict:
-    # each space is stored once, as in model files
+    # each space is stored once, as in model files; a horizon-0 model has no
+    # disturbance space, and any one-element space reads back to none
+    def disturbance(spaces):
+        return _space_to_json(spaces[0]) if spaces else {"size": 1}
+
     return {
         "kind": "decoupled",
         "horizon": dec.horizon,
@@ -471,8 +475,8 @@ def decoupled_to_json(dec: DecoupledModel) -> dict:
             "X2": _space_to_json(dec.states2[0]),
             "U1": _space_to_json(dec.actions1[0]),
             "U2": _space_to_json(dec.actions2[0]),
-            "W1": _space_to_json(dec.disturbances1[0]),
-            "W2": _space_to_json(dec.disturbances2[0]),
+            "W1": disturbance(dec.disturbances1),
+            "W2": disturbance(dec.disturbances2),
             "V1": _space_to_json(dec.noises1[0]),
             "V2": _space_to_json(dec.noises2[0]),
             "Y1": _space_to_json(dec.observations1[0]),

@@ -512,8 +512,8 @@ def model_to_json(model: TeamModel) -> dict:
     }
     space_docs = {}
     for key, per_time in spaces.items():
-        uniform = all(s == per_time[0] for s in per_time)
-        if uniform:
+        # a horizon-0 model has no disturbance space: an empty per_time list
+        if per_time and all(s == per_time[0] for s in per_time):
             space_docs[key] = _space_to_json(per_time[0])
         else:
             space_docs[key] = {"per_time": [_space_to_json(s) for s in per_time]}

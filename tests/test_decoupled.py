@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -84,6 +85,12 @@ class TestEmbedding:
     def test_json_round_trip(self):
         dec = decoupled_instance(2)
         assert decoupled_from_json(decoupled_to_json(dec)) == dec
+
+    @pytest.mark.parametrize("perfect", [False, True])
+    def test_json_round_trip_at_horizon_zero(self, perfect):
+        dec = decoupled_instance(0, 0, perfect)
+        assert dec.disturbances1 == dec.disturbances2 == ()
+        assert decoupled_from_json(json.loads(json.dumps(decoupled_to_json(dec)))) == dec
 
 
 class TestThetaFilters:

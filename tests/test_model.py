@@ -276,6 +276,13 @@ class TestSerialization:
         doc = json.loads(json.dumps(model_to_json(model)))
         assert model_from_json(doc) == model
 
+    def test_horizon_zero_round_trip(self):
+        # no disturbance space at all: an empty per_time list
+        model = certification_instance(0, horizon=0)
+        doc = model_to_json(model)
+        assert doc["spaces"]["W"] == {"per_time": []}
+        assert model_from_json(json.loads(json.dumps(doc))) == model
+
     def test_ratios_survive_as_strings(self):
         doc = model_to_json(tiny_model())
         assert all(isinstance(w, str) and "/" in w for w in doc["dists"]["X0"])

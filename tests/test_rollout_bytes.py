@@ -16,21 +16,31 @@ person-by-person and decoupled solves scored their candidates in integers
 and before the factorization checks replayed the joint once per sweep;
 `TestReplayOnce` counts those replays and pins `scripts/factorization_demo.py`'s
 output, computed before the same change.
+
+`TestSplitTally` checks the rollout's tally over ranges of episodes in
+forked children against a one-process tally written here, over one to three
+CPUs and through a child that fails, a short payload, a fork that fails and
+a live thread; its digests were computed by the one-process tally.
 """
 
 import hashlib
 import json
+import marshal
+import os
 import random
 import runpy
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from nested_dp import oracle as orc
+from nested_dp import sim
 from nested_dp.cli import cli_main
 from nested_dp.decoupled import decoupled_from_json, embed
 from nested_dp.generators import certification_instance, convergence_instance, coupled_counterexample, decoupled_instance
@@ -209,3 +219,139 @@ class TestSamplerDraw:
             assert index == reference_draw(denom, thresholds, theirs)
             assert parts[index] > 0
             assert ours.getstate() == theirs.getstate()
+
+
+def serial_tally(plan, seed: int, n: int) -> dict:
+    """The draw tally as one process computes it: a fresh generator per
+    episode and the `randrange` walk per draw, keyed in order of first
+    occurrence."""
+    counts: dict = {}
+    for episode in range(n):
+        rng = random.Random(f"{seed}:{episode}")
+        draws = tuple(reference_draw(denom, thresholds, rng) for _, denom, thresholds in plan)
+        counts[draws] = counts.get(draws, 0) + 1
+    return counts
+
+
+@pytest.fixture(scope="module")
+def certified():
+    """A solved `certification_instance(0, 2)` at d=1: 16 distinct draws in
+    200 episodes, so most draws recur across the ranges of a split."""
+    model = certification_instance(0, horizon=2)
+    info = build_delayed_structure(model, 1)
+    solution = solve_exact(model, info)
+    return model, info, extract_control_strategy(solution), solution.value
+
+
+def recorded_rollout(monkeypatch, case, seed: int, episodes: int):
+    """The report's bytes and the omegas `trajectory` was called with, in order."""
+    model, info, strategy, value = case
+    calls = []
+
+    def recording(*args):
+        calls.append(args[3])
+        return orc.trajectory(*args)
+
+    monkeypatch.setattr(sim, "trajectory", recording)
+    report = rollout(model, info, strategy, RolloutConfig(seed=seed, episodes=episodes), value)
+    return report.to_bytes(), calls
+
+
+def serial_rollout(case, seed: int, episodes: int):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "_split_tally", serial_tally)
+        return recorded_rollout(mp, case, seed, episodes)
+
+
+def split_over(monkeypatch, cpus: int) -> list:
+    """Ranges of two episodes or more over `cpus` CPUs; the list fills with
+    one entry per fork."""
+    monkeypatch.setattr(sim, "_MIN_CHUNK", 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    forks = []
+    real = os.fork
+
+    def fork():
+        forks.append(None)
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+class TestSplitTally:
+    """Tallying contiguous ranges of episodes in forked children and merging
+    them in range order gives the one-process report, byte for byte, and
+    calls `trajectory` in the same order, on any CPU count."""
+
+    @pytest.mark.parametrize("seed, digest", [
+        (0, "65b0743e17df5f7e4eded057df9bfa454c4c3e3d2cee4aeb0396e6d4b1f75314"),
+        (11, "58554ae4a6b7f009bcf94aa3b49c8e4a547310b5862277413db70c0b824966d9"),
+    ])
+    def test_golden_bytes_of_a_long_rollout(self, certified, seed, digest):
+        """Long enough for a range per CPU on up to four CPUs; the digests
+        were computed by the one-process tally."""
+        model, info, strategy, value = certified
+        report = rollout(model, info, strategy, RolloutConfig(seed=seed, episodes=9001), value)
+        assert sha256(report.to_bytes()) == digest
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("episodes", [1, 2, 7, 10, 31, 200])
+    def test_matches_serial_tally(self, certified, monkeypatch, cpus, episodes):
+        forks = split_over(monkeypatch, cpus)
+        split = recorded_rollout(monkeypatch, certified, 5, episodes)
+        assert len(forks) == max(1, min(cpus, episodes // 2)) - 1
+        assert split == serial_rollout(certified, 5, episodes)
+
+    def test_no_child_outlives_a_rollout(self, certified, monkeypatch):
+        forks = split_over(monkeypatch, 3)
+        recorded_rollout(monkeypatch, certified, 5, 31)
+        assert len(forks) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_failed_child(self, certified, monkeypatch):
+        forks = split_over(monkeypatch, 3)
+        parent, real = os.getpid(), sim._tally
+
+        def failing(*args):
+            if os.getpid() != parent:
+                os._exit(1)
+            return real(*args)
+
+        monkeypatch.setattr(sim, "_tally", failing)
+        assert recorded_rollout(monkeypatch, certified, 5, 31) == serial_rollout(certified, 5, 31)
+        assert len(forks) == 2
+
+    def test_short_payload(self, certified, monkeypatch):
+        forks = split_over(monkeypatch, 3)
+        truncating = SimpleNamespace(dumps=lambda obj: marshal.dumps(obj)[:-1], loads=marshal.loads)
+        monkeypatch.setattr(sim, "marshal", truncating)
+        assert recorded_rollout(monkeypatch, certified, 5, 31) == serial_rollout(certified, 5, 31)
+        assert len(forks) == 2
+
+    def test_fork_error(self, certified, monkeypatch):
+        split_over(monkeypatch, 3)
+        attempts = []
+
+        def fork():
+            attempts.append(None)
+            raise OSError("no fork")
+
+        monkeypatch.setattr(os, "fork", fork)
+        assert recorded_rollout(monkeypatch, certified, 5, 31) == serial_rollout(certified, 5, 31)
+        assert len(attempts) == 2
+
+    def test_no_fork_while_another_thread_is_alive(self, certified, monkeypatch):
+        forks = split_over(monkeypatch, 3)
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait)
+        thread.start()
+        try:
+            split = recorded_rollout(monkeypatch, certified, 5, 31)
+        finally:
+            done.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert forks == []
+        assert split == serial_rollout(certified, 5, 31)
