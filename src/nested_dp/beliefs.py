@@ -80,7 +80,7 @@ from types import MappingProxyType
 
 from .errors import DomainGap, ZeroProbabilityObservation
 from .info import InfoStructure, step_plan
-from .model import TeamModel, format_ratio, parse_ratio, scale_to_integers
+from .model import TeamModel, format_ratio, scale_to_integers
 
 __all__ = [
     "Belief1",
@@ -220,11 +220,6 @@ class Belief1(_Scaled):
             "entries": [[[x, list(ell)], format_ratio(w)] for (x, ell), w in self.entries],
         }
 
-    @staticmethod
-    def from_json(doc: dict) -> "Belief1":
-        weights = {(x, tuple(ell)): parse_ratio(w) for (x, ell), w in doc["entries"]}
-        return Belief1.from_weights(doc["t"], weights)
-
 
 class Belief2(_Scaled):
     """Distribution over (state, private realization, Belief1) triples."""
@@ -294,14 +289,6 @@ class Belief2(_Scaled):
                 for (x, ell, b1), w in self.entries
             ],
         }
-
-    @staticmethod
-    def from_json(doc: dict) -> "Belief2":
-        weights = {
-            (x, tuple(ell), Belief1.from_json(b1)): parse_ratio(w)
-            for (x, ell, b1), w in doc["entries"]
-        }
-        return Belief2.from_weights(doc["t"], weights)
 
 
 class MarginalBelief(_Scaled):
@@ -401,17 +388,25 @@ def _joint() -> defaultdict:
     return defaultdict(lambda: defaultdict(int))
 
 
-def _branches(acc: dict, denom: int, make) -> dict:
-    """Turn `{key: {support: n}}`, joint weights n / denom with every n
-    positive, into `{key: (total / denom, posterior)}`: each key's Bayes
-    denominator, and its `_posterior`.  The result is built in sorted key
-    order, so iterating it needs no further sort."""
+def _branches(acc: dict, make, order=None, interned=None) -> dict:
+    """The one branch normalizer of every Bayes step.  Turns `{key:
+    {support: n}}`, joint weights over the step's denominator D with every
+    n positive, into `{key: (total, posterior)}`: each key's integer Bayes
+    total, its branch probability total / D, and its `_posterior`, to
+    which `order` and `interned` are passed on.  The result is built in
+    sorted key order, so iterating it needs no further sort."""
     out = {}
     for key in sorted(acc):
         nums = acc[key]
         total = sum(nums.values())
-        out[key] = (Fraction(total, denom), _posterior(nums, total, make))
+        out[key] = (total, _posterior(nums, total, make, order, interned))
     return out
+
+
+def _over(denom: int, branches: dict) -> dict:
+    """`_branches`' result with each total turned into its branch
+    probability total / denom, as the public steps return it."""
+    return {key: (Fraction(n, denom), post) for key, (n, post) in branches.items()}
 
 
 def _posterior(nums: dict, total: int, make, order=None, interned=None):
@@ -500,7 +495,7 @@ def belief1_step(
         for (x_next, y1, y2), k in (kernel[x] if t < 0 else kernel[x][u1][u2]):
             slots = ell + (y1, y2, u1, u2)
             acc[z1_of(slots)][(x_next, ell_next_of(slots))] += n * k
-    return _branches(acc, db * dk, partial(Belief1._of, t + 1))
+    return _over(db * dk, _branches(acc, partial(Belief1._of, t + 1)))
 
 
 def update_belief1(
@@ -518,81 +513,6 @@ def update_belief1(
 # ---------------------------------------------------------------------------
 # Agent-2 (shared) belief: one-step update.
 # ---------------------------------------------------------------------------
-
-
-def _mixture_parts(denom: int, steps, key_of, ids: dict) -> tuple[int, list[dict]]:
-    """Each agent-1 step's contribution to a shared step, over one common
-    denominator.  `steps` lists (w, {z1: (q, b1')}) pairs, the mixture
-    weight w an integer over `denom`; a step adds (w / denom) * q *
-    b1'(x, ell) to the entry (x, ell, i) under the key `key_of(z1)`, i =
-    ids[b1'] the solve's id of b1' (`StepCache.ids`).  With b1' scaled as
-    (d, {(x, ell): n}), that term is w * q.numerator * n over denom *
-    q.denominator * d, so every term of every step shares the denominator
-    denom * L, L the lcm of the q.denominator * d.  Returns (denom * L,
-    parts), one part {key: {(x, ell, i): n}} per step, in order: the
-    summands that `_mixture_branches` adds up."""
-    terms = []
-    for w, branches in steps:
-        step = []
-        for z1, (q, b1) in branches.items():
-            d, entries = b1.scaled()
-            step.append((w * q.numerator, q.denominator * d, key_of(z1), ids[b1], entries))
-        terms.append(step)
-    common = math.lcm(*(d for step in terms for _, d, *_ in step))
-    parts = []
-    for step in terms:
-        part: dict = {}
-        for c, d, key, i, entries in step:
-            c *= common // d
-            weights = part.get(key)
-            if weights is None:
-                weights = part[key] = {}
-            for (x, ell), n in entries:
-                entry = (x, ell, i)
-                weights[entry] = weights.get(entry, 0) + c * n
-        parts.append(part)
-    return denom * common, parts
-
-
-def _mixture_branches(
-    t: int, parts: list[dict], points: list[Belief1], interned: dict
-) -> dict[tuple[int, ...], tuple[int, Belief2]]:
-    """Shared-belief branches at time t from `_mixture_parts` parts: each
-    key's entries summed over the parts, in sorted key order, as {key:
-    (total, posterior)} with the integer total over the parts' denominator.
-    A key that one part alone holds is read off that part without a copy.
-    A new posterior is the branch's reduced integer form, from the gcd its
-    signature takes (`_posterior`, which `interned` is passed on to), with
-    each entry (x, ell, i) mapped back to (x, ell, points[i]) and sorted by
-    `_belief2_order`."""
-    groups: dict = {}
-    summed = set()  # keys whose group is a copy, owned here
-    for part in parts:
-        for key, weights in part.items():
-            group = groups.get(key)
-            if group is None:
-                groups[key] = weights
-                continue
-            if key not in summed:
-                summed.add(key)
-                group = groups[key] = dict(group)
-            for entry, n in weights.items():
-                group[entry] = group.get(entry, 0) + n
-
-    def make(form):
-        denom, entries = form
-        return Belief2._of(t, (denom, tuple(((x, ell, points[i]), n) for (x, ell, i), n in entries)))
-
-    def order(item):
-        x, ell, i = item[0]
-        return _belief2_order((x, ell, points[i]))
-
-    out = {}
-    for key in sorted(groups):
-        nums = groups[key]
-        total = sum(nums.values())
-        out[key] = (total, _posterior(nums, total, make, order, interned))
-    return out
 
 
 class StepCache:
@@ -706,7 +626,7 @@ def belief2_step(
     """
     choices = ((b1, gamma1(b1), tuple(map(gamma2, b1.private_support()))) for b1 in b2.mixture_numerators()[1])
     step = SharedStep(model, info, b2, cache, choices)
-    return {z2: (Fraction(total, step.denom), post) for z2, (total, post) in step.branches(step.parts).items()}
+    return _over(step.denom, step.branches(step.parts.values()))
 
 
 class SharedStep:
@@ -717,13 +637,21 @@ class SharedStep:
     `choices` yields (b1, u1, acts) triples: an inner belief of b2, its
     agent-1 action, and agent 2's actions on b1.private_support().  Each
     choice's agent-1 step comes from `cache.step1_on` and is turned once
-    into its contribution to the shared step (`_mixture_parts`), its
-    entries keyed on the cache's inner-belief ids; all the contributions
-    share the one denominator `denom`, so `parts[k]`, the k-th choice's, is
-    a table of integers.  `branches(parts)` sums the parts of one
-    prescription pair, one per inner belief, and returns its branches as
-    {z2: (total, posterior)}, each branch probability the integer total /
-    `denom`, each posterior interned in `interned`, the cache's
+    into its part of the shared step, `parts[b1, u1, acts]`, a table
+    {z2: {(x, ell, i): n}} of integers over the one denominator `denom`:
+    with b1's mixture weight w / D, a branch z1 -> (q, b1') adds w * q *
+    b1'(x, ell) to the entry (x, ell, i) under z1's z2[t+1] part, i the
+    cache's id of b1' (`StepCache.ids`).  With b1' scaled as (d, {(x,
+    ell): n}) that term is w * q.numerator * n over D * q.denominator * d,
+    so every term of every part shares the denominator D * L, L the lcm of
+    the q.denominator * d, which is `denom`.
+
+    `branches(parts)` sums the parts of one prescription pair, one per
+    inner belief, and returns its branches as {z2: (total, posterior)},
+    each branch probability the integer total / `denom`.  A new posterior
+    is the branch's reduced integer form (`_branches`), each entry (x,
+    ell, i) mapped back to (x, ell, points[i]) and sorted by
+    `_belief2_order`, and interned in `interned`, the cache's
     shared-posterior table.
     """
 
@@ -731,14 +659,53 @@ class SharedStep:
 
     def __init__(self, model: TeamModel, info: InfoStructure, b2: Belief2, cache: StepCache, choices):
         denom, mixture = b2.mixture_numerators()
-        steps = [(mixture[b1], cache.step1_on(model, info, b1, u1, acts)) for b1, u1, acts in choices]
-        self.t = t = b2.t
-        self.denom, self.parts = _mixture_parts(denom, steps, step_plan(info, t).z2_of, cache.ids)
+        z2_of, ids = step_plan(info, b2.t).z2_of, cache.ids
+        terms = {}
+        for b1, u1, acts in choices:
+            w, term = mixture[b1], []
+            for z1, (q, post) in cache.step1_on(model, info, b1, u1, acts).items():
+                d, entries = post.scaled()
+                term.append((w * q.numerator, q.denominator * d, z2_of(z1), ids[post], entries))
+            terms[b1, u1, acts] = term
+        common = math.lcm(*(d for term in terms.values() for _, d, *_ in term))
+        self.parts = {}
+        for choice, term in terms.items():
+            part = self.parts[choice] = {}
+            for c, d, key, i, entries in term:
+                c *= common // d
+                weights = part.setdefault(key, {})
+                for (x, ell), n in entries:
+                    entry = (x, ell, i)
+                    weights[entry] = weights.get(entry, 0) + c * n
+        self.t, self.denom = b2.t, denom * common
         self.points = cache.points
         self.interned = cache.beliefs2
 
-    def branches(self, parts: list[dict]) -> dict[tuple[int, ...], tuple[int, Belief2]]:
-        return _mixture_branches(self.t + 1, parts, self.points, self.interned)
+    def branches(self, parts) -> dict[tuple[int, ...], tuple[int, Belief2]]:
+        groups: dict = {}
+        summed = set()  # keys whose group is a copy, owned here; a key one part holds is read off it
+        for part in parts:
+            for key, weights in part.items():
+                group = groups.get(key)
+                if group is None:
+                    groups[key] = weights
+                    continue
+                if key not in summed:
+                    summed.add(key)
+                    group = groups[key] = dict(group)
+                for entry, n in weights.items():
+                    group[entry] = group.get(entry, 0) + n
+        t, points = self.t + 1, self.points
+
+        def make(form):
+            denom, entries = form
+            return Belief2._of(t, (denom, tuple(((x, ell, points[i]), n) for (x, ell, i), n in entries)))
+
+        def order(item):
+            x, ell, i = item[0]
+            return _belief2_order((x, ell, points[i]))
+
+        return _branches(groups, make, order, self.interned)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .beliefs import _NO_DISTURBANCE, _NULL2, MarginalBelief, Prescription, _branches, _joint
+from .beliefs import _NO_DISTURBANCE, _NULL2, MarginalBelief, Prescription, _branches, _joint, _over
 from .errors import PerfectObsViolation, ZeroProbabilityObservation
 from .info import InfoStructure, extend_a2, merge_realization, step_plan
 from .limits import resolve_budget
@@ -185,7 +185,7 @@ def theta1_step(
             x1n = x1 if f is None else f[x1][u1][w1]
             for v1, nv in vs:
                 acc[dec.obs1[t + 1][x1n][v1]][x1n] += n * nw * nv
-    return _branches(acc, dtheta * dw * dv, partial(MarginalBelief._of, 1, t + 1))
+    return _over(dtheta * dw * dv, _branches(acc, partial(MarginalBelief._of, 1, t + 1)))
 
 
 def theta2_step(
@@ -217,7 +217,7 @@ def theta2_step(
                 # sentinel y1 and u1 slots are never read
                 slots = ell + (-1, dec.obs2[t + 1][x2n][v2], -1, u2)
                 acc[z2_of(slots)][(x2n, ell_next_of(slots))] += n * nw * nv
-    return _branches(acc, dtheta * dw * dv, partial(MarginalBelief._of, 2, t + 1))
+    return _over(dtheta * dw * dv, _branches(acc, partial(MarginalBelief._of, 2, t + 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -111,24 +111,38 @@ def build_delayed_structure(model: TeamModel, d: int) -> InfoStructure:
     T = model.horizon
     if not (0 <= d <= T + 1):
         raise ValueError(f"delay {d} outside 0..{T + 1}")
+    # the age at which a value enters a memory: agent 2's values reach the
+    # shared set d steps late, and no action before the step after it
+    own2, shared = {"Y2": 0, "U2": 1}, {"Y2": d, "U2": max(d, 1)}
+    var = {(s, kind): VarRef(s, kind) for s in range(T + 1) for kind in _KIND_ORDER}
+    m1, z1 = _recall(T, {"Y1": 0, "U1": 1, **shared}, var)
+    m2, _ = _recall(T, own2, var)
+    a2, z2 = _recall(T, shared, var)
+    l2 = tuple(
+        _canon(var[s, kind] for kind in own2 for s in range(max(0, t - shared[kind] + 1), t - own2[kind] + 1))
+        for t in range(T + 1)
+    )
+    return InfoStructure(T, d, m1, m2, a2, l2, z1, z2)
 
-    def a2_at(t: int) -> tuple[VarRef, ...]:
-        ys = [VarRef(s, "Y2") for s in range(0, t - d + 1)]
-        us = [VarRef(s, "U2") for s in range(0, min(t - d, t - 1) + 1)]
-        return _canon(ys + us)
 
-    def m2_at(t: int) -> tuple[VarRef, ...]:
-        ys = [VarRef(s, "Y2") for s in range(0, t + 1)]
-        us = [VarRef(s, "U2") for s in range(0, t)]
-        return _canon(ys + us)
-
-    def m1_at(t: int) -> tuple[VarRef, ...]:
-        ys = [VarRef(s, "Y1") for s in range(0, t + 1)]
-        us = [VarRef(s, "U1") for s in range(0, t)]
-        return _canon(ys + us + list(a2_at(t)))
-
-    ts = range(T + 1)
-    return _derive(T, d, [m1_at(t) for t in ts], [m2_at(t) for t in ts], [a2_at(t) for t in ts])
+def _recall(T: int, ages: dict[str, int], var: dict) -> tuple[tuple, tuple]:
+    """(memories, increments) at t = 0..T of the perfect-recall memory that
+    holds each value of a kind in `ages` once it is that many steps old:
+    the canonical tuples of the VarRef(s, kind) with 0 <= s <= t -
+    ages[kind], and of those with s = t - ages[kind] (the set differences
+    `_derive` takes), each VarRef the one `var[s, kind]`.  Each memory is a
+    slice of one ordered tuple, the values older than every age, plus the
+    values near t, so the work past copying is O(T * max age)."""
+    kinds = sorted(ages, key=_KIND_ORDER.get)
+    order = tuple(var[s, kind] for s in range(T + 1) for kind in kinds)
+    oldest = max(ages.values())
+    memories, increments = [], []
+    for t in range(T + 1):
+        cut = len(kinds) * max(0, t - oldest)  # every value before s = t - oldest is held
+        near = order[cut : len(kinds) * (t + 1)]
+        memories.append(order[:cut] + tuple(v for v in near if v.s <= t - ages[v.kind]))
+        increments.append(tuple(v for v in near if v.s == t - ages[v.kind]))
+    return tuple(memories), tuple(increments)
 
 
 def _derive(T: int, delay: int | None, m1, m2, a2) -> InfoStructure:
@@ -169,7 +183,7 @@ def check_nestedness(info: InfoStructure) -> list[StructureViolation]:
     T = info.horizon
 
     def sub(t, rule, small, big, small_name, big_name):
-        missing = set(small) - set(big)
+        missing = small - big
         if missing:
             out.append(
                 StructureViolation(
@@ -177,11 +191,9 @@ def check_nestedness(info: InfoStructure) -> list[StructureViolation]:
                 )
             )
 
+    prev_m1 = prev_m2 = prev_a2 = prev_l2 = set()
     for t in range(T + 1):
-        m1_t, m2_t, a2_t, l2_t = info.m1[t], info.m2[t], info.a2[t], info.l2[t]
-        z1_t, z2_t = info.z1[t], info.z2[t]
-
-        for name, comp in (("m1", m1_t), ("m2", m2_t)):
+        for name, comp in (("m1", info.m1[t]), ("m2", info.m2[t])):
             for var in comp:
                 if var.kind.startswith("Y") and var.s > t:
                     out.append(StructureViolation(t, "window", f"{name} holds future {var}"))
@@ -189,38 +201,38 @@ def check_nestedness(info: InfoStructure) -> list[StructureViolation]:
                     out.append(StructureViolation(t, "window", f"{name} holds future {var}"))
                 if var.s < 0:
                     out.append(StructureViolation(t, "window", f"{name} holds {var}"))
-        for var in m2_t:
+        for var in info.m2[t]:
             if var.kind in ("Y1", "U1"):
                 out.append(StructureViolation(t, "window", f"m2 holds agent-1 variable {var}"))
 
-        prev_m1 = info.m1[t - 1] if t > 0 else ()
-        prev_m2 = info.m2[t - 1] if t > 0 else ()
-        prev_a2 = info.a2[t - 1] if t > 0 else ()
-        prev_l2 = info.l2[t - 1] if t > 0 else ()
-
+        # each composition is hashed once: its set at t is its prev_* at t + 1
+        m1_t, m2_t, a2_t, l2_t, z1_t, z2_t = (
+            set(comp[t]) for comp in (info.m1, info.m2, info.a2, info.l2, info.z1, info.z2)
+        )
         sub(t, "recall", prev_m1, m1_t, "m1[t-1]", "m1[t]")
         sub(t, "recall", prev_m2, m2_t, "m2[t-1]", "m2[t]")
         sub(t, "recall", prev_a2, a2_t, "a2[t-1]", "a2[t]")
         sub(t, "accessibility", a2_t, m2_t, "a2", "m2")
         sub(t, "accessibility", a2_t, m1_t, "a2", "m1")
 
-        if set(l2_t) != set(m2_t) - set(a2_t):
+        if l2_t != m2_t - a2_t:
             out.append(StructureViolation(t, "privacy", "l2 is not m2 minus a2"))
-        leaked = set(l2_t) & set(m1_t)
+        leaked = l2_t & m1_t
         if leaked:
             out.append(StructureViolation(t, "privacy", f"private variables visible to agent 1: {sorted(leaked)}"))
 
-        if set(z1_t) != set(m1_t) - set(prev_m1):
+        if z1_t != m1_t - prev_m1:
             out.append(StructureViolation(t, "novelty", "z1 is not the m1 increment"))
-        if set(z2_t) != set(a2_t) - set(prev_a2):
+        if z2_t != a2_t - prev_a2:
             out.append(StructureViolation(t, "novelty", "z2 is not the a2 increment"))
         sub(t, "novelty", z2_t, z1_t, "z2", "z1")
-        stale = set(z2_t) & set(prev_m1)
+        stale = z2_t & prev_m1
         if stale:
             out.append(StructureViolation(t, "novelty", f"z2 already known to agent 1: {sorted(stale)}"))
 
-        fresh = set(prev_l2) | {VarRef(t, "Y1"), VarRef(t, "Y2"), VarRef(t - 1, "U1"), VarRef(t - 1, "U2")}
+        fresh = prev_l2 | {VarRef(t, "Y1"), VarRef(t, "Y2"), VarRef(t - 1, "U1"), VarRef(t - 1, "U2")}
         sub(t, "freshness", z2_t, fresh, "z2", "l2[t-1] plus current data")
+        prev_m1, prev_m2, prev_a2, prev_l2 = m1_t, m2_t, a2_t, l2_t
 
     return out
 

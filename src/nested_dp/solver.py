@@ -153,6 +153,11 @@ class MemoArgmin:
     solver here and in `decoupled` builds its candidates as these integers
     directly, from its integer cost tables and its branch probabilities'
     numerators; the person-by-person ones through `_agent1_node`.
+
+    The recursion runs on an explicit stack, so its depth, the horizon,
+    is bounded by memory and not by Python's recursion limit: each node
+    being solved is a generator (`_solve`) that yields its successors one
+    at a time and is sent back each one's value.
     """
 
     def __init__(self, memo: dict, cap: int, unit: str, expand):
@@ -163,9 +168,27 @@ class MemoArgmin:
         self.spent = 0
 
     def value(self, node) -> Fraction:
-        hit = self.memo.get(node)
-        if hit is not None:
-            return hit[0]
+        memo, stack = self.memo, []
+        while True:
+            hit = memo.get(node)
+            if hit is None:
+                stack.append(self._solve(node))
+                v = None
+            else:
+                v = hit[0]
+            while stack:  # send v up the stack until a frame asks for a node
+                try:
+                    node = stack[-1].send(v)
+                    break
+                except StopIteration as done:
+                    stack.pop()
+                    v = done.value
+            else:
+                return v
+
+    def _solve(self, node):
+        """Solve one node: yield each successor in turn, receive its value,
+        and return the node's value once it is stored in the memo."""
         t, charge, candidates = self.expand(node)
         self.spent += charge
         if self.spent > self.cap:
@@ -174,13 +197,13 @@ class MemoArgmin:
                 f"{self.spent} counted, {charge} of them at this node",
                 estimate=self.spent,
             )
-        value, gcd = self.value, math.gcd
+        gcd = math.gcd
         scale = next(candidates)
         best = None
         for decision, n, successors in candidates:
             d = 1  # the candidate's value so far is n / (d * scale)
             for w, nxt in successors:
-                v = value(nxt)
+                v = yield nxt
                 b = v.denominator
                 g = gcd(d, b)
                 n = n * (b // g) + w * v.numerator * (d // g)
@@ -283,12 +306,12 @@ def solve_exact(model: TeamModel, info: InfoStructure, budget: int | None = None
     take -- an inner belief b1, its action, agent 2's actions on b1's
     private support -- into that step's integer part of the shared step,
     once, its entries keyed on the solve's inner-belief ids; the scan reads
-    these parts by position (inner belief, then u1, then agent 2's actions
-    on b1's support), and a pair's `belief2_step` branches are the sum of
-    |points| parts, interned by signature.  Every posterior is a belief's
-    reduced integer form: the only Fractions a step builds are its branch
-    probabilities, and a belief's Fraction entries are built once, when a
-    prescription domain is sorted by them (`Belief1.sort_key`).  Agent-1
+    each part under its choice, `parts[b1, u1, acts]`, and a pair's
+    `belief2_step` branches are the sum of |points| parts, interned by
+    signature.  Every posterior is a belief's reduced integer form: the
+    only Fractions a step builds are its branch probabilities, and a
+    belief's Fraction entries are built once, when a prescription domain
+    is sorted by them (`Belief1.sort_key`).  Agent-1
     steps are cached for the whole solve in one `StepCache`, which interns
     the posteriors of every Bayes step: an equal belief reached again is
     found by its integer hash or signature and returned as the object first
@@ -373,25 +396,18 @@ def solve_exact(model: TeamModel, info: InfoStructure, budget: int | None = None
             for acts in itertools.product(range(n_u2), repeat=len(read))
         ]
         step = SharedStep(model, info, b2, cache, choices)
-        # by_u1[i][u1][k]: the part of points[i]'s agent-1 step under (u1,
-        # all_a2[k]), read off the parts by position: choices run over
-        # points, then u1, then agent 2's actions on the read positions
-        by_u1, start = [], 0
-        for read in reads:
-            n_acts = n_u2 ** len(read)
-            at = [sum(a2[j] * n_u2 ** e for e, j in enumerate(reversed(read))) for a2 in all_a2]
-            by_u1.append([[step.parts[start + u1 * n_acts + k] for k in at] for u1 in range(n_u1)])
-            start += n_u1 * n_acts
+        parts = step.parts
+        # on_support[k][i]: agent 2's actions on points[i]'s private support under all_a2[k]
+        on_support = [[tuple(a2[j] for j in read) for read in reads] for a2 in all_a2]
         # a pair's value is (c / scale + sum of (total / denom) * value):
         # its cost c * denom and weights total * scale over scale * denom
         denom = step.denom
         yield scale * denom
         for a1 in itertools.product(range(n_u1), repeat=len(points)):
             r = by_ell(h, a1, len(live), n_u2)
-            by_a2 = [parts[u1] for parts, u1 in zip(by_u1, a1)]
-            for k, a2 in enumerate(all_a2):
+            for a2, acts in zip(all_a2, on_support):
                 cost = sum(row[u2] for row, u2 in zip(r, a2)) * denom
-                branches = step.branches([parts[k] for parts in by_a2])
+                branches = step.branches([parts[choice] for choice in zip(points, a1, acts)])
                 yield (a1, a2), cost, [(total * scale, b2n) for total, b2n in branches.values()]
 
     dp = MemoArgmin({}, resolve_budget(budget), "prescription pairs", expand)

@@ -6,7 +6,6 @@ import pytest
 from nested_dp import oracle as orc
 from nested_dp.beliefs import (
     Belief1,
-    Belief2,
     Prescription,
     StepCache,
     belief1_step,
@@ -20,6 +19,7 @@ from nested_dp.errors import DomainGap, ZeroProbabilityObservation
 from nested_dp.generators import certification_instance
 from nested_dp.info import build_delayed_structure, enumerate_private
 from nested_dp.model import Dist, FiniteSpace, TeamModel
+from belief_json import belief1_from_json, belief2_from_json
 from test_kernels import belief1_from_vector, belief1_vector
 
 
@@ -81,7 +81,7 @@ class TestBelief1Basics:
         model = certification_instance(0)
         info = build_delayed_structure(model, 1)
         for _, b1 in initial_belief1_roots(model, info).values():
-            assert Belief1.from_json(b1.to_json()) == b1
+            assert belief1_from_json(b1.to_json()) == b1
 
 
 class TestUpdateBelief1:
@@ -261,7 +261,7 @@ class TestUpdateBelief2:
         model = certification_instance(0)
         info = build_delayed_structure(model, 1)
         for _, b2 in StepCache().roots2(model, info).values():
-            assert Belief2.from_json(b2.to_json()) == b2
+            assert belief2_from_json(b2.to_json()) == b2
 
 
 class TestExpectedCosts:

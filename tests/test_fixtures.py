@@ -4,6 +4,7 @@ decoupled chain factors, the coupled counterexample does not."""
 import json
 from pathlib import Path
 
+from belief_json import belief2_from_json
 from nested_dp import oracle as orc
 from nested_dp.decoupled import check_factorization_pi1, decoupled_from_json, embed
 from nested_dp.generators import HashedTeamStrategy, coupled_counterexample
@@ -45,7 +46,7 @@ def test_belief_serialization_golden_file():
     """The shared-belief JSON format is pinned: sorted support entries with
     p/q weight strings, inner beliefs nested.  Regenerating the same belief
     must reproduce the stored document exactly."""
-    from nested_dp.beliefs import Belief2, StepCache
+    from nested_dp.beliefs import StepCache
     from nested_dp.generators import certification_instance
     from nested_dp.info import build_delayed_structure
 
@@ -54,7 +55,7 @@ def test_belief_serialization_golden_file():
     info = build_delayed_structure(model, 1)
     b2 = StepCache().roots2(model, info)[()][1]
     assert b2.to_json() == stored
-    assert Belief2.from_json(stored) == b2
+    assert belief2_from_json(stored) == b2
 
 
 def test_decoupled_fixture_loads_and_factors():

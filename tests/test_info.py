@@ -8,6 +8,8 @@ from nested_dp.generators import certification_instance
 from nested_dp.info import (
     InfoStructure,
     VarRef,
+    _canon,
+    _derive,
     build_delayed_structure,
     check_nestedness,
     enumerate_private,
@@ -22,6 +24,27 @@ from nested_dp.info import (
 
 def model_with_horizon(T):
     return certification_instance(0, horizon=T)
+
+
+def windowed_structure(T, d):
+    """The d-delay structure from each memory's window: agent 1 holds its
+    own values and agent 2's d steps late, agent 2 its own, the shared set
+    agent 2's d steps late, actions one step late at least; the private
+    sets and increments are `_derive`'s set differences."""
+
+    def a2_at(t):
+        ys = [VarRef(s, "Y2") for s in range(t - d + 1)]
+        return _canon(ys + [VarRef(s, "U2") for s in range(min(t - d, t - 1) + 1)])
+
+    def m2_at(t):
+        return _canon([VarRef(s, "Y2") for s in range(t + 1)] + [VarRef(s, "U2") for s in range(t)])
+
+    def m1_at(t):
+        ys = [VarRef(s, "Y1") for s in range(t + 1)]
+        return _canon(ys + [VarRef(s, "U1") for s in range(t)] + list(a2_at(t)))
+
+    ts = range(T + 1)
+    return _derive(T, d, [m1_at(t) for t in ts], [m2_at(t) for t in ts], [a2_at(t) for t in ts])
 
 
 class TestDelayedFamily:
@@ -56,6 +79,17 @@ class TestDelayedFamily:
             build_delayed_structure(model, 4)
         with pytest.raises(ValueError):
             build_delayed_structure(model, -1)
+
+    @pytest.mark.parametrize("T", range(7))
+    def test_equals_the_set_differences_of_its_windows(self, T):
+        """The closed form, memories sliced off one ordered tuple and
+        increments read off the newest values, equals the structure
+        `_derive` takes from the windowed memories, at every delay."""
+        model = model_with_horizon(T)
+        for d in range(T + 2):
+            info = build_delayed_structure(model, d)
+            assert info == windowed_structure(T, d)
+            assert check_nestedness(info) == []
 
 
 class TestNestedness:

@@ -51,6 +51,7 @@ from nested_dp.beliefs import (
     StepCache,
     _belief2_order,
     _branches,
+    _over,
     _posterior,
     _prior1,
     belief1_step,
@@ -73,6 +74,7 @@ from nested_dp.solver import (
     solve_pbp_approx,
     solve_pbp_exact,
 )
+from belief_json import belief1_from_json, belief2_from_json
 from test_info import split_delay_structure
 
 # ---------------------------------------------------------------------------
@@ -1115,9 +1117,11 @@ class TestInterning:
         assert post_scaled is post and len(interned) == 1
         assert post == _posterior(scaled, k * total, make, order)
         assert post == Belief2.from_weights(1, {key: Fraction(n, total) for key, n in base.items()})
-        (q, _), = _branches({(): base}, denom, make).values()
-        (q_scaled, _), = _branches({(): scaled}, denom, make).values()
-        assert (q, q_scaled) == (Fraction(total, denom), Fraction(k * total, denom))
+        # the normalizer keeps integer totals and passes the table on
+        assert _branches({(): base}, make, order, interned)[()] == (total, post)
+        (n_scaled, post_branch), = _branches({(): scaled}, make, order, interned).values()
+        assert (n_scaled, post_branch) == (k * total, post) and post_branch is post
+        assert _over(denom, {(): (n_scaled, post)}) == {(): (Fraction(k * total, denom), post)}
         bumped = {**base, keys[0]: nums[0] + 1}
         post_bumped = _posterior(bumped, total + 1, make, order, interned)
         assert post_bumped != post
@@ -1185,19 +1189,19 @@ class TestValidation:
             build()
 
     @pytest.mark.parametrize(
-        "cls, doc",
+        "decode, doc",
         [
-            (Belief1, {"t": 0, "entries": []}),
-            (Belief1, {"t": 0, "entries": [[[0, []], "1/3"]]}),
-            (Belief2, {"t": 0, "entries": []}),
-            (Belief2, {"t": 0, "entries": [[[0, [], {"t": 0, "entries": [[[0, []], "1/1"]]}], "1/2"]]}),
-            (Belief2, {"t": 1, "entries": [[[0, [], {"t": 0, "entries": [[[0, []], "1/1"]]}], "1/1"]]}),
+            (belief1_from_json, {"t": 0, "entries": []}),
+            (belief1_from_json, {"t": 0, "entries": [[[0, []], "1/3"]]}),
+            (belief2_from_json, {"t": 0, "entries": []}),
+            (belief2_from_json, {"t": 0, "entries": [[[0, [], {"t": 0, "entries": [[[0, []], "1/1"]]}], "1/2"]]}),
+            (belief2_from_json, {"t": 1, "entries": [[[0, [], {"t": 0, "entries": [[[0, []], "1/1"]]}], "1/1"]]}),
         ],
         ids=["b1-empty", "b1-third", "b2-empty", "b2-half", "b2-wrong-time"],
     )
-    def test_from_json_raises(self, cls, doc):
+    def test_from_json_raises(self, decode, doc):
         with pytest.raises(ValueError):
-            cls.from_json(doc)
+            decode(doc)
 
 
 class TestWorldKernel:
@@ -1271,7 +1275,7 @@ MARGINAL_KEYS = {1: list(range(4)), 2: KEYS1}  # own state; (own state, private 
 class TestIntegerBeliefs:
     """`Belief1`, `Belief2` and `MarginalBelief` hold their reduced integer
     form, a `MarginalBelief` its agent too.  A belief built from Fractions
-    -- `from_weights`, `from_json`, the constructor, a lattice point
+    -- `from_weights`, a decoded `to_json`, the constructor, a lattice point
     through `lattice.nearest_point` -- must equal and hash-equal the one
     the kernels build from integer numerators, at any scale; a belief at
     another t, or of another agent, must not; sorting must follow the
@@ -1285,7 +1289,7 @@ class TestIntegerBeliefs:
         built = [
             Belief1.from_weights(t, {key: Fraction(n, total) for key, n in nums.items()}),
             Belief1(t, fraction_entries(nums)),
-            Belief1.from_json(ints.to_json()),
+            belief1_from_json(ints.to_json()),
         ]
         for b1 in built:
             assert b1 == ints and hash(b1) == hash(ints)
@@ -1317,7 +1321,7 @@ class TestIntegerBeliefs:
             lambda kv: _belief2_order(kv[0]),
         )
         weights = {(x, ell, fracs1[i]): Fraction(n, total) for (x, ell, i), n in nums.items()}
-        for b2 in (Belief2.from_weights(1, weights), Belief2.from_json(ints.to_json())):
+        for b2 in (Belief2.from_weights(1, weights), belief2_from_json(ints.to_json())):
             assert b2 == ints and hash(b2) == hash(ints)
             assert b2.scaled() == ints.scaled()
             assert b2.to_json() == ints.to_json()

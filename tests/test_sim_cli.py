@@ -151,6 +151,17 @@ class TestCli:
         assert cli_main(["solve", str(path), "--delay", "1"]) == 0
         assert json.loads(capsys.readouterr().out)["value"] == "9/8"
 
+    def test_solve_past_the_recursion_limit(self, tmp_path, capsys):
+        """A horizon past Python's recursion limit solves: the joint memo
+        of `convergence_instance(0)` at d=0 holds 2T + 2 nodes."""
+        horizon = 1500
+        assert horizon > sys.getrecursionlimit()
+        path = write_model(tmp_path, convergence_instance(0, horizon=horizon), d=0)
+        assert cli_main(["solve", path]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["nodes"] == 2 * horizon + 2
+
     @pytest.mark.parametrize("command", [["solve"], ["simulate", "--seed", "1", "--episodes", "5"]])
     def test_invalid_model_is_located_domain_error(self, tmp_path, capsys, command):
         doc = model_to_json(certification_instance(0))

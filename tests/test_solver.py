@@ -1,5 +1,6 @@
 import itertools
 import re
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -783,6 +784,34 @@ class TestBudgetCore:
             solve(1)
         assert 0 in times
         assert max(times) <= 0
+
+
+class TestNoRecursionWall:
+    """`MemoArgmin` runs on an explicit stack, so a solve goes deeper than
+    Python's recursion limit: on `convergence_instance(0)` at d=0 the joint
+    memo holds 2T + 2 nodes, here at T=3000, three times the default
+    limit, and a cap that trips half way down still fails with the
+    located message."""
+
+    T = 3000
+
+    @pytest.fixture(scope="class")
+    def instance(self):
+        model = convergence_instance(0, horizon=self.T)
+        return model, build_delayed_structure(model, 0)
+
+    def test_long_horizon_solves(self, instance):
+        assert self.T > sys.getrecursionlimit()
+        solution = solve_exact(*instance)
+        assert len(solution.memo) == 2 * self.T + 2 == 6002
+        assert solution.pairs_enumerated == 4 * len(solution.memo)
+
+    def test_cap_below_the_node_count_fails_located(self, instance):
+        with pytest.raises(ResourceLimitExceeded) as err:
+            solve_exact(*instance, 6001)
+        assert str(err.value) == (
+            "prescription pairs passed the cap of 6001 at t=1500: 6004 counted, 4 of them at this node"
+        )
 
 
 class TestAlphaBound:
