@@ -83,7 +83,8 @@ def _load(path: str, delay_override: int | None):
 
 def _load_info(path: str, doc: dict, model, delay_override: int | None):
     """The info structure: the --delay override, else the file's `info`
-    field, decoded and then checked for every nestedness rule."""
+    field, decoded and, when declared explicitly, checked for every
+    nestedness rule (a delayed structure is nested by construction)."""
     if delay_override is not None:
         if not 0 <= delay_override <= model.horizon + 1:
             raise NestedDPError(f"--delay must be an integer in 0..{model.horizon + 1}, got {delay_override}")
@@ -94,7 +95,8 @@ def _load_info(path: str, doc: dict, model, delay_override: int | None):
         info = info_from_json(model, doc["info"])
     except NestedDPError as exc:
         raise NestedDPError(f"model file {path} is invalid: {exc}") from None
-    _reject(path, [f"$.info: {v}" for v in check_nestedness(info)])
+    if info.delay is None:
+        _reject(path, [f"$.info: {v}" for v in check_nestedness(info)])
     return info
 
 

@@ -202,8 +202,7 @@ def theta2_step(
     filter defined on it."""
     t = theta.t
     plan = step_plan(info, t)
-    z2_of = plan.picker(info.z2[t + 1])
-    ell_next_of = plan.picker(info.l2[t + 1])
+    z2_of, ell_next_of = plan.read_z2, plan.read_l2
     dtheta, entries = theta.scaled()
     (dw, ws), f = (_NO_DISTURBANCE, None) if t < 0 else (dec.w2_dists[t].scaled(), dec.f2[t])
     dv, vs = dec.v2_dists[t + 1].scaled()

@@ -76,7 +76,7 @@ class InfoStructure:
     l2: tuple[tuple[VarRef, ...], ...]
     z1: tuple[tuple[VarRef, ...], ...]
     z2: tuple[tuple[VarRef, ...], ...]
-    # Compiled plans: StepContext by t, merge pickers by (target, sources).
+    # Compiled plans: the StepContext of the step t -> t+1, keyed by t.
     _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def var_space_size(self, model: TeamModel, var: VarRef) -> int:
@@ -285,6 +285,13 @@ def _compile(
     return operator.itemgetter(slice(start, start + len(indices)))
 
 
+def _merge(target_vars: tuple[VarRef, ...], source_vars: tuple[VarRef, ...]) -> Callable[[tuple], tuple[int, ...]]:
+    """Compiled `merge_realization`: the function reading a realization of
+    `target_vars` off a realization of `source_vars`."""
+    slot_of = {var: i for i, var in enumerate(source_vars)}
+    return _compile(slot_of, target_vars, lambda var: f"no value for {var} while merging realizations")
+
+
 class StepContext:
     """Compiled index plan for extending histories from time t to t+1.
 
@@ -293,55 +300,61 @@ class StepContext:
     t = -1, the step from the prior, only y1[0] and y2[0] have slots; the
     prior's null actions that the kernels pass after them are never read.
 
-    `picker(vars)` resolves a composition to slot indices the first time it
-    is asked for and returns the function that reads a realization of it
-    off a slot tuple.  Resolution is per composition, so a step that never
-    asks for z2 never fails on it.  `read_z1` and `read_l2` are the
-    pickers of agent 1's new information z1[t+1] and of the private
-    composition l2[t+1], and `z2_of` reads the shared increment z2[t+1] off
-    a realization of z1[t+1] (at t = -1, a2[0] = z2[0] off z1[0]); each is
-    resolved on first use and then held as an attribute.  Plans are built
-    once per (structure, t) and cached on the structure: get them with
-    `step_plan`.
+    Five named readers, each resolved to indices the first time it is
+    asked for and then held on the plan, so a step that never reads z2
+    never fails on it:
+      read_z1, read_z2, read_l2   z1[t+1], z2[t+1] and l2[t+1] off the slot
+                                  tuple (at t = -1, z2[0] is a2[0])
+      z2_of                       z2[t+1] off a realization of z1[t+1]
+      extend_a2                   a2[t+1] off a2[t] + z2[t+1] (the two
+                                  realizations concatenated)
+    Plans are built once per (structure, t) and cached on the structure:
+    get them with `step_plan`.
     """
 
-    __slots__ = ("t", "_info", "_slot_of", "_pickers", "_read_z1", "_read_l2", "_z2_of")
+    __slots__ = ("t", "_info", "_slot_of", "_read_z1", "_read_z2", "_read_l2", "_z2_of", "_extend_a2")
 
     def __init__(self, info: InfoStructure, t: int):
         self.t = t
         self._info = info
-        self._read_z1 = self._read_l2 = self._z2_of = None
+        self._read_z1 = self._read_z2 = self._read_l2 = self._z2_of = self._extend_a2 = None
         private = info.l2[t] if t >= 0 else ()
         fresh = (VarRef(t + 1, "Y1"), VarRef(t + 1, "Y2"))
         if t >= 0:
             fresh += (VarRef(t, "U1"), VarRef(t, "U2"))
         # a fresh value takes precedence over a private variable of the same name
         self._slot_of = {var: i for i, var in enumerate(private + fresh)}
-        self._pickers: dict[tuple[VarRef, ...], Callable[[tuple], tuple[int, ...]]] = {}
-
-    def picker(self, vars: tuple[VarRef, ...]) -> Callable[[tuple], tuple[int, ...]]:
-        pick = self._pickers.get(vars)
-        if pick is None:
-            pick = self._pickers[vars] = _compile(self._slot_of, vars, self._missing)
-        return pick
 
     @property
     def read_z1(self) -> Callable[[tuple], tuple[int, ...]]:
         if self._read_z1 is None:
-            self._read_z1 = self.picker(self._info.z1[self.t + 1])
+            self._read_z1 = _compile(self._slot_of, self._info.z1[self.t + 1], self._missing)
         return self._read_z1
+
+    @property
+    def read_z2(self) -> Callable[[tuple], tuple[int, ...]]:
+        if self._read_z2 is None:
+            self._read_z2 = _compile(self._slot_of, self._info.z2[self.t + 1], self._missing)
+        return self._read_z2
 
     @property
     def read_l2(self) -> Callable[[tuple], tuple[int, ...]]:
         if self._read_l2 is None:
-            self._read_l2 = self.picker(self._info.l2[self.t + 1])
+            self._read_l2 = _compile(self._slot_of, self._info.l2[self.t + 1], self._missing)
         return self._read_l2
 
     @property
     def z2_of(self) -> Callable[[tuple], tuple[int, ...]]:
         if self._z2_of is None:
-            self._z2_of = merge_picker(self._info, self._info.z2[self.t + 1], self._info.z1[self.t + 1])
+            self._z2_of = _merge(self._info.z2[self.t + 1], self._info.z1[self.t + 1])
         return self._z2_of
+
+    @property
+    def extend_a2(self) -> Callable[[tuple], tuple[int, ...]]:
+        if self._extend_a2 is None:
+            info, t = self._info, self.t
+            self._extend_a2 = _merge(info.a2[t + 1], (info.a2[t] if t >= 0 else ()) + info.z2[t + 1])
+        return self._extend_a2
 
     def _missing(self, var: VarRef) -> str:
         t = self.t
@@ -374,27 +387,11 @@ def merge_realization(
         raise UnsupportedStructure(f"no value for {exc.args[0]} while merging realizations") from exc
 
 
-def merge_picker(
-    info: InfoStructure, target_vars: tuple[VarRef, ...], *source_vars: tuple[VarRef, ...]
-) -> Callable[[tuple], tuple[int, ...]]:
-    """Compiled `merge_realization`: the function reading a realization of
-    `target_vars` off the concatenated realizations of `source_vars`.
-    Resolved once per composition tuple and cached on the structure."""
-    key = (target_vars, source_vars)
-    pick = info._plans.get(key)
-    if pick is None:
-        slot_of = {var: i for i, var in enumerate(itertools.chain.from_iterable(source_vars))}
-        pick = info._plans[key] = _compile(
-            slot_of, target_vars, lambda var: f"no value for {var} while merging realizations"
-        )
-    return pick
-
-
 def extend_a2(
     info: InfoStructure, t: int, a2real: tuple[int, ...], z2real: tuple[int, ...]
 ) -> tuple[int, ...]:
     """Accessible realization at t+1: the old values plus the increment."""
-    return merge_picker(info, info.a2[t + 1], info.a2[t], info.z2[t + 1])(a2real + z2real)
+    return step_plan(info, t).extend_a2(a2real + z2real)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nested_dp.generators import certification_instance
+from nested_dp.generators import certification_instance, convergence_instance
 from nested_dp.info import (
     InfoStructure,
     VarRef,
@@ -100,6 +100,11 @@ class TestNestedness:
             return
         info = build_delayed_structure(model, d)
         assert check_nestedness(info) == []
+
+    def test_delayed_structures_pass_at_a_long_horizon(self):
+        model = model_with_horizon(50)
+        for d in range(model.horizon + 2):
+            assert check_nestedness(build_delayed_structure(model, d)) == []
 
     def test_privacy_violation_detected(self):
         model = model_with_horizon(1)
@@ -210,6 +215,50 @@ def split_delay_structure(model):
     return info_from_json(model, {"kind": "explicit", "m1": m1, "m2": m2, "a2": a2})
 
 
+def delay_pair_structure(model, dy, du):
+    """The explicit structure where agent 2's observations reach agent 1 dy
+    >= 0 steps late and its actions du >= 1 steps late; every such pair is
+    nested, and split-delay is dy=2, du=1."""
+    m1, m2, a2 = [], [], []
+    for t in range(model.horizon + 1):
+        shared = [[s, "Y2"] for s in range(t - dy + 1)] + [[s, "U2"] for s in range(t - du + 1)]
+        a2.append(shared)
+        m2.append([[s, "Y2"] for s in range(t + 1)] + [[s, "U2"] for s in range(t)])
+        m1.append([[s, "Y1"] for s in range(t + 1)] + [[s, "U1"] for s in range(t)] + shared)
+    return info_from_json(model, {"kind": "explicit", "m1": m1, "m2": m2, "a2": a2})
+
+
+def slot_readers(info, plan):
+    """(composition, reader) of each reader of the step's slot tuple."""
+    t = plan.t
+    return ((info.z1[t + 1], plan.read_z1), (info.z2[t + 1], plan.read_z2), (info.l2[t + 1], plan.read_l2))
+
+
+def assert_readers_match(model, info):
+    """Every named reader of the plans at t = -1..T-1 equals
+    `merge_realization` on every realization of its sources."""
+    assert info.z2[0] == info.a2[0]  # so read_z2 at t = -1 reads a2[0]
+    for t in range(-1, info.horizon):
+        plan = step_plan(info, t)
+        private, shared = (info.l2[t], info.a2[t]) if t >= 0 else ((), ())
+        fresh_vars = (VarRef(t + 1, "Y1"), VarRef(t + 1, "Y2"))
+        if t >= 0:
+            fresh_vars += (VarRef(t, "U1"), VarRef(t, "U2"))
+        fresh_reals = enumerate_realizations(info, model, fresh_vars)
+        for ell in enumerate_realizations(info, model, private):
+            for fresh in fresh_reals:
+                sources = {private: ell, fresh_vars: fresh}
+                for vars, read in slot_readers(info, plan):
+                    assert read(ell + fresh) == merge_realization(vars, sources)
+        z1, z2 = info.z1[t + 1], info.z2[t + 1]
+        for z1real in enumerate_realizations(info, model, z1):
+            assert plan.z2_of(z1real) == merge_realization(z2, {z1: z1real})
+        for a2real in enumerate_realizations(info, model, shared):
+            for z2real in enumerate_realizations(info, model, z2):
+                expected = merge_realization(info.a2[t + 1], {shared: a2real, z2: z2real})
+                assert plan.extend_a2(a2real + z2real) == expected
+
+
 def test_identity_sweep_on_split_delay_structure():
     """Recursive beliefs and costs against direct conditioning on a
     structure whose private data persist across stages.  Replaying agent
@@ -302,8 +351,8 @@ class TestCompiledPlans:
                 for ell in enumerate_private(info, model, t):
                     for fresh in fresh_reals:
                         sources = {info.l2[t]: ell, fresh_vars: fresh}
-                        for vars in (info.z1[t + 1], info.z2[t + 1], info.l2[t + 1]):
-                            assert plan.picker(vars)(ell + fresh) == merge_realization(vars, sources)
+                        for vars, read in slot_readers(info, plan):
+                            assert read(ell + fresh) == merge_realization(vars, sources)
 
     def test_time_zero_plan_matches_merge_realization(self):
         model, infos = self.structures()
@@ -311,8 +360,8 @@ class TestCompiledPlans:
         for info in infos:
             plan = step_plan(info, -1)
             for fresh in enumerate_realizations(info, model, fresh_vars):
-                for vars in (info.z1[0], info.a2[0], info.l2[0]):
-                    assert plan.picker(vars)(fresh) == merge_realization(vars, {fresh_vars: fresh})
+                for vars, read in ((info.z1[0], plan.read_z1), (info.a2[0], plan.read_z2), (info.l2[0], plan.read_l2)):
+                    assert read(fresh) == merge_realization(vars, {fresh_vars: fresh})
 
     def test_extend_a2_matches_merge_realization(self):
         model, infos = self.structures()
@@ -324,6 +373,45 @@ class TestCompiledPlans:
                             info.a2[t + 1], {info.a2[t]: a2real, info.z2[t + 1]: z2real}
                         )
                         assert extend_a2(info, t, a2real, z2real) == expected
+
+    def test_every_reader_matches_merge_realization(self):
+        model, infos = self.structures()
+        for info in infos:
+            assert_readers_match(model, info)
+
+    @given(st.integers(0, 3), st.integers(0, 5), st.integers(1, 5))
+    def test_explicit_delay_pairs_are_nested_and_read_alike(self, T, dy, du):
+        model = model_with_horizon(T)
+        info = delay_pair_structure(model, dy, du)
+        assert check_nestedness(info) == []
+        assert_readers_match(model, info)
+
+    def test_split_delay_is_a_delay_pair(self):
+        model = model_with_horizon(3)
+        assert delay_pair_structure(model, 2, 1) == split_delay_structure(model)
+
+    def test_warm_extend_a2_hashes_no_variable(self, monkeypatch):
+        """A warm `extend_a2` finds its reader by t alone: at t = T-1 of a
+        T=1000 structure it hashes none of the 2,000 variables of a2[t]."""
+        model = convergence_instance(0, horizon=1000)
+        info = build_delayed_structure(model, 0)
+        t = model.horizon - 1
+        a2real, z2real = (0,) * len(info.a2[t]), (0,) * len(info.z2[t + 1])
+        expected = extend_a2(info, t, a2real, z2real)
+        assert len(expected) == len(info.a2[t + 1])
+        calls = []
+        real_hash = VarRef.__hash__
+
+        def counting_hash(var):
+            calls.append(var)
+            return real_hash(var)
+
+        monkeypatch.setattr(VarRef, "__hash__", counting_hash)
+        hash(VarRef(0, "Y1"))
+        assert len(calls) == 1  # the counter sees every hash
+        calls.clear()
+        assert extend_a2(info, t, a2real, z2real) == expected
+        assert calls == []
 
     def test_action_at_time_zero_is_rejected(self):
         from nested_dp.beliefs import initial_belief1_roots

@@ -62,7 +62,7 @@ from nested_dp.beliefs import (
 )
 from nested_dp.errors import ResourceLimitExceeded
 from nested_dp.generators import certification_instance, convergence_instance, decoupled_instance
-from nested_dp.info import build_delayed_structure, enumerate_private, extend_a2, merge_picker, step_plan
+from nested_dp.info import build_delayed_structure, enumerate_private, extend_a2, step_plan
 from nested_dp.model import Dist, FiniteSpace
 from nested_dp.sim import _plan_entry
 from nested_dp.solver import (
@@ -115,8 +115,7 @@ def belief1_from_vector(t, private_list, vec):
 
 def ref_initial_belief1_roots(model, info):
     plan = step_plan(info, -1)
-    z1_of = plan.picker(info.z1[0])
-    ell_of = plan.picker(info.l2[0])
+    z1_of, ell_of = plan.read_z1, plan.read_l2
     acc = ref_joint()
     for x0, px in model.x0_dist.items():
         for v1, pv1 in model.v_dist(1, 0).items():
@@ -130,8 +129,7 @@ def ref_initial_belief1_roots(model, info):
 def ref_belief1_step(model, info, b1, u1, gamma2):
     t = b1.t
     plan = step_plan(info, t)
-    z1_of = plan.picker(info.z1[t + 1])
-    ell_next_of = plan.picker(info.l2[t + 1])
+    z1_of, ell_next_of = plan.read_z1, plan.read_l2
     acc = ref_joint()
     for (x, ell), p in b1.items():
         u2 = gamma2(ell)
@@ -163,13 +161,13 @@ def ref_mixture_branches(t, parts, key_of):
 
 
 def ref_initial_belief2_roots(model, info):
-    a2_of = merge_picker(info, info.a2[0], info.z1[0])
+    a2_of = step_plan(info, -1).z2_of  # a2[0] = z2[0]
     return ref_mixture_branches(0, [(1, ref_initial_belief1_roots(model, info))], a2_of)
 
 
 def ref_belief2_step(model, info, b2, gamma1, gamma2):
     t = b2.t
-    z2_of = merge_picker(info, info.z2[t + 1], info.z1[t + 1])
+    z2_of = step_plan(info, t).z2_of
     parts = (
         (w, ref_belief1_step(model, info, b1, gamma1(b1), gamma2)) for b1, w in ref_mixture(b2).items()
     )
@@ -186,8 +184,7 @@ def ref_initial_theta1_roots(dec):
 
 def ref_initial_theta2_roots(dec, info):
     plan = step_plan(info, -1)
-    a2_of = plan.picker(info.a2[0])
-    ell_of = plan.picker(info.l2[0])
+    a2_of, ell_of = plan.read_z2, plan.read_l2  # a2[0] = z2[0]
     acc = ref_joint()
     for x2, px in dec.x2_dist.items():
         for v2, pv in dec.v2_dists[0].items():
@@ -210,8 +207,7 @@ def ref_theta1_step(dec, theta, u1):
 def ref_theta2_step(dec, info, theta, gamma2):
     t = theta.t
     plan = step_plan(info, t)
-    z2_of = plan.picker(info.z2[t + 1])
-    ell_next_of = plan.picker(info.l2[t + 1])
+    z2_of, ell_next_of = plan.read_z2, plan.read_l2
     acc = ref_joint()
     for (x2, ell), p in theta.items():
         u2 = gamma2(ell)

@@ -346,6 +346,21 @@ class TestCli:
         assert f"model file {path} is invalid: $.info: t=0 [window]: m2 holds agent-1 variable Y1@0" in captured.err
         assert "Traceback" not in captured.err
 
+    def test_delayed_info_takes_the_delay_route(self, tmp_path, monkeypatch, capsys):
+        """A `{"kind": "delayed"}` field is nested by construction, so it is
+        solved like `--delay` without calling `check_nestedness`."""
+
+        def refuse(info):
+            raise AssertionError("check_nestedness called on a delayed structure")
+
+        monkeypatch.setattr(cli_mod, "check_nestedness", refuse)
+        path = write_model(tmp_path, certification_instance(0), d=1)
+        assert cli_main(["solve", path]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert cli_main(["solve", path, "--delay", "1"]) == 0
+        assert capsys.readouterr() == (captured.out, "")
+
     def test_solve_reports_value(self, tmp_path, capsys):
         path = write_model(tmp_path, certification_instance(0))
         assert cli_main(["solve", path]) == 0
