@@ -4,7 +4,7 @@ history flows to agent 1 (instantaneously or with delay).
 The package computes optimal team behavior by dynamic programming over
 conditional-distribution information states with prescription-valued
 decisions, all in exact rational arithmetic; ships a simplex-lattice belief
-quantizer with certified worst-case radius for approximate solves; and
+quantizer with a certified bound on its radius for approximate solves; and
 certifies everything against a brute-force strategy-enumeration oracle.
 """
 

@@ -13,9 +13,11 @@ distributions", DCC 2011): scale by n, take floors, then hand out the
 remaining mass to the coordinates with the largest fractional parts.  Among
 equal fractional parts the later coordinate wins an increment, which keeps
 earlier coordinates small and yields the lexicographic minimizer.
-`nearest_point` needs no lattice, and `lattice_rank` names a point's index
-within the lattice without building it.  Tests validate the fast path
-against exhaustive search point-for-point.
+`nearest_counts` is that rule in integers, which `nearest_point` and the
+quantized solve's snap call; `lattice_rank` names a point's index within
+the lattice without building it.  The Fraction functions refuse a vector
+off the simplex, a point off the lattice and n < 1.  Tests validate the
+rule against exhaustive search point-for-point.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ __all__ = [
     "lattice_size",
     "lattice_rank",
     "tv_distance",
+    "nearest_counts",
     "nearest_point",
     "quantize",
     "error_bound",
@@ -95,10 +98,14 @@ def lattice_rank(point: tuple[Fraction, ...], n: int) -> int:
     n; per coordinate, C(left+parts, parts) - C(left-k+parts, parts) counts
     the compositions that put fewer than k there (combinatorial number
     system)."""
+    if n < 1:
+        raise ValueError(f"lattice resolution n must be >= 1, got {n}")
+    counts = [c * n for c in point]
+    if any(k < 0 or k != int(k) for k in counts) or sum(counts) != n:
+        raise ValueError(f"not on the resolution-{n} lattice: coordinates must be multiples of 1/{n} summing to 1")
     rank = 0
     left = n
-    for i, c in enumerate(point):
-        k = int(c * n)
+    for i, k in enumerate(map(int, counts)):
         parts = len(point) - i - 1
         rank += math.comb(left + parts, parts) - math.comb(left - k + parts, parts)
         left -= k
@@ -128,19 +135,28 @@ def tv_distance(p: tuple[Fraction, ...], q: tuple[Fraction, ...]) -> Fraction:
     return sum((abs(a - b) for a, b in zip(p, q)), Fraction(0))
 
 
+def nearest_counts(weights, denom: int, n: int) -> list[int]:
+    """The counts k of the resolution-n point k / n nearest to weights / denom:
+    each the quotient of weights[i] * n by denom, then the n - sum(counts)
+    increments left to the largest remainders, ties to the later coordinate."""
+    if n < 1:
+        raise ValueError(f"lattice resolution n must be >= 1, got {n}")
+    if denom < 1 or min(weights, default=-1) < 0 or sum(weights) != denom:
+        raise ValueError("not a probability vector: the coordinates must be non-negative and sum to 1")
+    counts, rests = map(list, zip(*(divmod(w * n, denom) for w in weights)))
+    order = sorted(range(len(counts)), key=lambda i: (rests[i], i), reverse=True)
+    for i in order[: n - sum(counts)]:
+        counts[i] += 1
+    return counts
+
+
 def nearest_point(point: tuple[Fraction, ...], n: int) -> tuple[Fraction, ...]:
     """Nearest resolution-n simplex point in TV distance, lexicographically
-    smallest among minimizers, without building the lattice."""
-    scaled = [coord * n for coord in point]
-    floors = [int(v) for v in scaled]  # coords are >= 0, so int() is floor
-    fracs = [v - f for v, f in zip(scaled, floors)]
-    remaining = n - sum(floors)
-    # Give the remaining increments to the largest fractional parts; among
-    # ties prefer the later index so earlier coordinates stay smaller.
-    order = sorted(range(len(point)), key=lambda i: (fracs[i], i), reverse=True)
-    for i in order[:remaining]:
-        floors[i] += 1
-    return tuple(Fraction(k, n) for k in floors)
+    smallest among minimizers, without building the lattice: `nearest_counts`
+    of the coordinates over the lcm of their denominators."""
+    denom = math.lcm(*(c.denominator for c in point))
+    weights = [c.numerator * (denom // c.denominator) for c in point]
+    return tuple(Fraction(k, n) for k in nearest_counts(weights, denom, n))
 
 
 def quantize(lattice: Lattice, point: tuple[Fraction, ...]) -> QuantizedBelief:
@@ -152,8 +168,10 @@ def quantize(lattice: Lattice, point: tuple[Fraction, ...]) -> QuantizedBelief:
 
 
 def error_bound(m: int, n: int) -> Fraction:
-    """Worst-case TV distance between any simplex point and its quantization:
-    2*a*(1+a) / (m*n) with a = floor(m/2)."""
+    """An upper bound on the TV distance between any simplex point and its
+    quantization: 2*a*(1+a) / (m*n) with a = floor(m/2).  A brute force over
+    m, n <= 4 finds it attained at m = 3 but loose at even m: the worst case
+    is 1/n at m = 2, half of it, and 2*a*(m-a) / (m*n) at m = 4, n >= 2."""
     if m < 1 or n < 1:
         raise ValueError("m and n must be >= 1")
     a = m // 2

@@ -625,46 +625,27 @@ class PbpSolution:
 
     def snap(self, b1: Belief1) -> Belief1:
         """The lattice point nearest to b1 (b1 itself for the exact solve),
-        computed once per belief: `lattice.nearest_point` of b1's vector,
-        in integers.  With b1's entries n / D and resolution r, coordinate
-        n / D scales to n * r / D, whose floor and fractional part are the
-        quotient and remainder of n * r by D; the increments left go to the
-        largest remainders, ties to the later coordinate.  Coordinates off
-        the support never get one: the support's remainders are each below
-        D and sum to D times the increments left, so that many of them are
-        positive."""
+        computed once per belief: `lattice.nearest_counts` of b1's reduced
+        integer form in key order, the vector's coordinate order (state,
+        then private realization in `enumerate_private`'s product order).
+        Coordinates off the support are left out, as they never get an
+        increment: the support's remainders are each below the denominator
+        and sum to it times the increments left, so more of them than that
+        are positive."""
         res = self.resolution
         if res is None:
             return b1
         point = self._snaps.get(b1)
         if point is None:
-            plist = self.private_lists[b1.t]
-            where = {ell: i for i, ell in enumerate(plist)}
             denom, entries = b1.scaled()
-            counts, order, left = {}, [], res
-            for key, n in entries:
-                counts[key], rest = divmod(n * res, denom)
-                left -= counts[key]
-                x, ell = key
-                order.append((rest, x * len(plist) + where[ell], key))
-            order.sort(reverse=True)
-            for _, _, key in order[:left]:
-                counts[key] += 1
+            keys, nums = zip(*sorted(entries))
+            counts = lat.nearest_counts(nums, denom, res)
             # the point's reduced integer form: the counts over res, by their gcd
-            g = math.gcd(res, *counts.values())
+            g = math.gcd(res, *counts)
             point = self._snaps[b1] = Belief1._of(
-                b1.t, (res // g, tuple((key, k // g) for key, k in sorted(counts.items()) if k))
+                b1.t, (res // g, tuple((key, k // g) for key, k in zip(keys, counts) if k))
             )
         return point
-
-    def sup_value(self, t: int) -> Fraction:
-        """Largest memoized |value| at stage t, the sup-norm of the stage-t
-        table (zero beyond the horizon)."""
-        best = Fraction(0)
-        for (b1, _), (v, _) in self.memo.items():
-            if b1.t == t and abs(v) > best:
-                best = abs(v)
-        return best
 
     def measured_lipschitz(self) -> Fraction:
         """Largest finite-difference ratio |dV| / dTV over same-stage,
@@ -838,7 +819,7 @@ def extract_pbp_strategy(pbp: PbpSolution) -> PolicyRunner:
 class AlphaBoundInputs:
     """Ingredients of the per-stage loss bound.
 
-    epsilon       worst-case TV quantization radius
+    epsilon       an upper bound on the TV quantization radius
     cost_sup      sup-norm of the stage cost
     value_sups    value_sups[t] = sup-norm of the solved stage-t table,
                   indexed 0..T+1 with value_sups[T+1] = 0
@@ -879,7 +860,7 @@ def alpha_bound(inputs: AlphaBoundInputs, T: int) -> list[Fraction]:
 
 def make_alpha_inputs(pbp: PbpSolution, lipschitz: Fraction | None = None) -> AlphaBoundInputs:
     """Assemble bound inputs from a solved lattice policy: epsilon is the
-    worst per-stage quantization radius (stages may differ in dimension),
+    largest per-stage `lattice.error_bound` (stages may differ in dimension),
     the value sups are read off the memo, and the Lipschitz bound defaults
     to the measured finite-difference ratio."""
     if pbp.resolution is None:
@@ -891,6 +872,10 @@ def make_alpha_inputs(pbp: PbpSolution, lipschitz: Fraction | None = None) -> Al
         bound = lat.error_bound(pbp.dimension(t), pbp.resolution)
         if bound > eps:
             eps = bound
-    sups = tuple(pbp.sup_value(t) for t in range(T + 1)) + (Fraction(0),)
+    # sups[t]: the largest memoized |value| at stage t (zero beyond the horizon)
+    sups = [Fraction(0)] * (T + 2)
+    for (b1, _), (v, _) in pbp.memo.items():
+        if abs(v) > sups[b1.t]:
+            sups[b1.t] = abs(v)
     jl = pbp.measured_lipschitz() if lipschitz is None else lipschitz
-    return AlphaBoundInputs(eps, model.max_cost(), sups, jl)
+    return AlphaBoundInputs(eps, model.max_cost(), tuple(sups), jl)

@@ -11,6 +11,8 @@ from nested_dp.lattice import (
     error_bound,
     lattice_rank,
     lattice_size,
+    nearest_counts,
+    nearest_point,
     quantize,
     tv_distance,
 )
@@ -166,3 +168,71 @@ class TestErrorBound:
     )
     def test_closed_form(self, m, n, expected):
         assert error_bound(m, n) == expected
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_brute_force_worst_case(self, m, n):
+        """Over every point of the resolution-12n lattice, the quantization
+        error never exceeds the bound, and the bound is attained at m = 3.
+        At even m it is loose: the worst case is 2a(m-a)/(mn), a = m // 2,
+        once n >= m / 2 (1/n at m = 2, half the bound)."""
+        worst = max(tv_distance(p, nearest_point(p, n)) for p in build_lattice(m, 12 * n).points)
+        assert worst <= error_bound(m, n)
+        if m == 3:
+            assert worst == error_bound(m, n)
+        if m in (2, 4) and 2 * n >= m:
+            a = m // 2
+            assert worst == Fraction(2 * a * (m - a), m * n) < error_bound(m, n)
+
+
+class TestNearestCounts:
+    def test_floors_then_largest_remainders(self):
+        # 7/10, 2/10, 1/10 at n = 4: floors 2, 0, 0; remainders 8, 8, 4
+        assert nearest_counts([7, 2, 1], 10, 4) == [3, 1, 0]
+
+    def test_ties_go_to_the_later_coordinate(self):
+        assert nearest_counts([1, 1], 2, 1) == [0, 1]
+        assert nearest_counts([1, 1, 1], 3, 2) == [0, 1, 1]
+
+
+class TestFractionBoundary:
+    """The Fraction functions refuse what is not a probability vector, a
+    point off the lattice and a resolution below 1."""
+
+    @pytest.mark.parametrize(
+        "point",
+        [
+            (Fraction(1, 3), Fraction(1, 3)),
+            (Fraction(-1, 2), Fraction(3, 2)),
+            (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)),
+            (),
+        ],
+    )
+    def test_not_a_probability_vector(self, point):
+        with pytest.raises(ValueError, match="not a probability vector"):
+            nearest_point(point, 2)
+
+    def test_quantize_refuses_a_vector_off_the_simplex(self):
+        with pytest.raises(ValueError, match="not a probability vector"):
+            quantize(build_lattice(2, 2), (Fraction(1, 3), Fraction(1, 3)))
+
+    @pytest.mark.parametrize(
+        "point",
+        [
+            (Fraction(1, 3), Fraction(2, 3)),
+            (Fraction(1, 2), Fraction(1, 4)),
+            (Fraction(-1, 2), Fraction(3, 2)),
+        ],
+    )
+    def test_rank_off_the_lattice(self, point):
+        with pytest.raises(ValueError, match="not on the resolution-2 lattice"):
+            lattice_rank(point, 2)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_resolution_below_one(self, n):
+        point = (Fraction(1, 2), Fraction(1, 2))
+        for call in (nearest_point, lattice_rank):
+            with pytest.raises(ValueError, match="must be >= 1"):
+                call(point, n)
+        with pytest.raises(ValueError, match="must be >= 1"):
+            nearest_counts([1, 1], 2, n)
