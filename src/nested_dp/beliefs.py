@@ -50,8 +50,9 @@ step builds is each branch probability.  A belief's Fraction entries,
 equal to the ones a Fraction accumulator gives, are built on first read,
 once, for `entries`, `sort_key` and `to_json`.
 
-A `StepCache`, one per solve and kept on its solution, is the one memo of
-Bayes steps and interns their posteriors (hash-consing): each distinct
+A `StepCache(model, info)`, one per solve and kept on its solution, holds
+the model and structure it serves and is the one memo of their Bayes
+steps; it interns their posteriors (hash-consing): each distinct
 agent-1 posterior is one object, found by its integer hash, and a shared
 posterior is looked up by its integer signature -- the branch's numerators
 divided by their gcd -- before any sort is spent on it, so an equal belief
@@ -507,7 +508,7 @@ def update_belief1(
     z1: tuple[int, ...],
 ) -> Belief1:
     """Condition the one-step prediction on the realized new information."""
-    return StepCache().update1(model, info, b1, u1, gamma2, z1)
+    return StepCache(model, info).update1(b1, u1, gamma2, z1)
 
 
 # ---------------------------------------------------------------------------
@@ -516,12 +517,15 @@ def update_belief1(
 
 
 class StepCache:
-    """The Bayes-step memo of one (model, info), whose keys do not name
-    them: each distinct agent-1 step and posterior is built once and reused
-    as one object.  There is no table of time-0 beliefs: time 0 is the
-    step from the prior (`_prior1`, under the null action 0 and `_NULL2`),
-    kept among the others, so a chain of agent-1 updates starts at the
-    prior and its first update finds the step the solve took.
+    """The Bayes-step memo of one (model, info), which it holds as `model`
+    and `info` from its construction on: the steps do not depend on the
+    strategy, so the cache is a solve's whole context, and no step is
+    given the model or the structure again.  Each distinct agent-1 step
+    and posterior is built once and reused as one object.  There is no
+    table of time-0 beliefs: time 0 is the step from the prior (`_prior1`,
+    under the null action 0 and `_NULL2`), kept among the others, so a
+    chain of agent-1 updates starts at the prior and its first update
+    finds the step the solve took.
 
       steps     agent-1 steps, keyed on (b1, u1, gamma2 on b1's private
                 support), the step from the prior among them;
@@ -538,9 +542,11 @@ class StepCache:
     The steps run through the module's `belief1_step`, looked up at call
     time, so a rebound function is the one called."""
 
-    __slots__ = ("steps", "ids", "points", "beliefs2")
+    __slots__ = ("model", "info", "steps", "ids", "points", "beliefs2")
 
-    def __init__(self):
+    def __init__(self, model: TeamModel, info: InfoStructure):
+        self.model = model
+        self.info = info
         self.steps: dict = {}
         self.ids: dict[Belief1, int] = {}
         self.points: list[Belief1] = []
@@ -556,24 +562,20 @@ class StepCache:
             out[z1] = (q, points[i])
         return out
 
-    def roots2(self, model: TeamModel, info: InfoStructure) -> dict[tuple[int, ...], tuple[Fraction, Belief2]]:
+    def roots2(self) -> dict[tuple[int, ...], tuple[Fraction, Belief2]]:
         """Positive-probability time-0 accessible realizations and their
         shared beliefs, with interned posteriors: `belief2_step` on this
         cache from the shared prior, under null prescriptions."""
-        b1 = _prior1(model)
+        b1 = _prior1(self.model)
         denom, entries = b1.scaled()
         b2 = Belief2._of(-1, (denom, tuple(((x, ell, b1), n) for (x, ell), n in entries)))
-        return belief2_step(model, info, b2, Prescription.for_agent1(-1, {b1: 0}), _NULL2, self)
+        return belief2_step(b2, Prescription.for_agent1(-1, {b1: 0}), _NULL2, self)
 
-    def step1(
-        self, model: TeamModel, info: InfoStructure, b1: Belief1, u1: int, gamma2: Prescription
-    ) -> dict[tuple[int, ...], tuple[Fraction, Belief1]]:
+    def step1(self, b1: Belief1, u1: int, gamma2: Prescription) -> dict[tuple[int, ...], tuple[Fraction, Belief1]]:
         """`belief1_step`, cached, with interned posteriors."""
-        return self.step1_on(model, info, b1, u1, tuple(map(gamma2, b1.private_support())))
+        return self.step1_on(b1, u1, tuple(map(gamma2, b1.private_support())))
 
-    def step1_on(
-        self, model: TeamModel, info: InfoStructure, b1: Belief1, u1: int, acts: tuple[int, ...]
-    ) -> dict[tuple[int, ...], tuple[Fraction, Belief1]]:
+    def step1_on(self, b1: Belief1, u1: int, acts: tuple[int, ...]) -> dict[tuple[int, ...], tuple[Fraction, Belief1]]:
         """`step1` under agent 2 playing acts[k] at b1.private_support()[k],
         the only arguments the step reads its prescription at; on a miss
         the step runs under that restriction of the prescription."""
@@ -581,16 +583,14 @@ class StepCache:
         hit = self.steps.get(key)
         if hit is None:
             gamma2 = Prescription.for_agent2(b1.t, dict(zip(b1.private_support(), acts)))
-            hit = self.steps[key] = self._interned(belief1_step(model, info, b1, u1, gamma2))
+            hit = self.steps[key] = self._interned(belief1_step(self.model, self.info, b1, u1, gamma2))
         return hit
 
-    def update1(
-        self, model: TeamModel, info: InfoStructure, b1: Belief1, u1: int, gamma2: Prescription, z1: tuple[int, ...]
-    ) -> Belief1:
+    def update1(self, b1: Belief1, u1: int, gamma2: Prescription, z1: tuple[int, ...]) -> Belief1:
         """`update_belief1`, cached: the posterior of `step1`'s branch z1.
         An absent branch had probability 0 and raises
         ZeroProbabilityObservation."""
-        branches = self.step1(model, info, b1, u1, gamma2)
+        branches = self.step1(b1, u1, gamma2)
         if z1 not in branches:
             raise ZeroProbabilityObservation(
                 f"new information {z1} impossible at t={b1.t} under the given belief and actions"
@@ -599,12 +599,7 @@ class StepCache:
 
 
 def belief2_step(
-    model: TeamModel,
-    info: InfoStructure,
-    b2: Belief2,
-    gamma1: Prescription,
-    gamma2: Prescription,
-    cache: StepCache,
+    b2: Belief2, gamma1: Prescription, gamma2: Prescription, cache: StepCache
 ) -> dict[tuple[int, ...], tuple[Fraction, Belief2]]:
     """All one-step continuations of a Belief2 under a prescription pair:
     realized shared-increment tuple -> (probability, posterior).
@@ -625,7 +620,7 @@ def belief2_step(
     integer branch totals become Fractions here.
     """
     choices = ((b1, gamma1(b1), tuple(map(gamma2, b1.private_support()))) for b1 in b2.mixture_numerators()[1])
-    step = SharedStep(model, info, b2, cache, choices)
+    step = SharedStep(b2, cache, choices)
     return _over(step.denom, step.branches(step.parts.values()))
 
 
@@ -657,13 +652,13 @@ class SharedStep:
 
     __slots__ = ("t", "denom", "parts", "points", "interned")
 
-    def __init__(self, model: TeamModel, info: InfoStructure, b2: Belief2, cache: StepCache, choices):
+    def __init__(self, b2: Belief2, cache: StepCache, choices):
         denom, mixture = b2.mixture_numerators()
-        z2_of, ids = step_plan(info, b2.t).z2_of, cache.ids
+        z2_of, ids = step_plan(cache.info, b2.t).z2_of, cache.ids
         terms = {}
         for b1, u1, acts in choices:
             w, term = mixture[b1], []
-            for z1, (q, post) in cache.step1_on(model, info, b1, u1, acts).items():
+            for z1, (q, post) in cache.step1_on(b1, u1, acts).items():
                 d, entries = post.scaled()
                 term.append((w * q.numerator, q.denominator * d, z2_of(z1), ids[post], entries))
             terms[b1, u1, acts] = term

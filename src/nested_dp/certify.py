@@ -118,10 +118,11 @@ def _m1_histories(model: TeamModel, info: InfoStructure, joint, pick2):
     return per_t
 
 
-def _chain_belief1(model, info, cache, tables, t, m1real) -> tuple[Belief1, list[Prescription]]:
+def _chain_belief1(cache: StepCache, tables, t, m1real) -> tuple[Belief1, list[Prescription]]:
     """Recompute agent 1's belief at (t, m1real) by chaining the update from
     the prior through `cache`, time 0 included, reading actions and new
     information off the realization."""
+    model, info = cache.model, cache.info
     values = dict(zip(info.m1[t], m1real))
     gammas = [
         _gamma2_from_tables(model, info, tables, s, tuple(values[v] for v in info.a2[s]))
@@ -130,7 +131,7 @@ def _chain_belief1(model, info, cache, tables, t, m1real) -> tuple[Belief1, list
     belief = _prior1(model)
     for s, g2 in enumerate([_NULL2] + gammas[:t]):
         u1, z1 = _observed(info, s, values)
-        belief = cache.update1(model, info, belief, u1, g2, z1)
+        belief = cache.update1(belief, u1, g2, z1)
     return belief, gammas
 
 
@@ -167,13 +168,13 @@ def certify_belief_and_cost_identities(
     # -- agent-1 side -----------------------------------------------------
     seen: set = set()
     # one Bayes-step memo for the whole sweep: chains, runners and the walk
-    cache = StepCache()
+    cache = StepCache(model, info)
     for tables in orc.enumerate_agent2_strategies(model, info, joint):
         strategy2 = orc._Pair(orc._zero, orc._table_lookup(info.m2, 2, tables))
         histories = _m1_histories(model, info, joint, strategy2.u2_of)
         for t in range(T + 1):
             for m1real in histories[t]:
-                b1, gammas = _chain_belief1(model, info, cache, tables, t, m1real)
+                b1, gammas = _chain_belief1(cache, tables, t, m1real)
                 key = (t, m1real, tuple(g.table for g in gammas))
                 if key in seen:
                     continue
@@ -194,7 +195,7 @@ def certify_belief_and_cost_identities(
                         fail("cost1", (t, m1real, u1))
 
     # -- shared side ------------------------------------------------------
-    b2_roots = cache.roots2(model, info)
+    b2_roots = cache.roots2()
     # agent 1's belief at (t, m1real) given agent 2's decorations so far: it
     # does not depend on gamma1, so nodes that differ only there share it
     inner_beliefs: dict = {}
@@ -205,7 +206,7 @@ def certify_belief_and_cost_identities(
         distribution of (state, private realization, inner belief), so the
         cost checks can reuse it."""
         t = b2.t
-        runner = _path_runner(model, info, cache, presc)
+        runner = _path_runner(cache, presc)
         records = _consistent_draws(model, info, entries, runner, t, a2real)
         # agent 1's actions are replayed off its memory, which can take its
         # belief out of gamma1's domain: only agent 2 follows the decoration
@@ -258,7 +259,7 @@ def certify_belief_and_cost_identities(
                 if t < T:
                     decorated = dict(presc)
                     decorated[(t, a2real)] = (g1, g2)
-                    for z2real, (_, nxt) in belief2_step(model, info, b2, g1, g2, cache).items():
+                    for z2real, (_, nxt) in belief2_step(b2, g1, g2, cache).items():
                         walk(nxt, extend_a2(info, t, a2real, z2real), decorated, consistent)
 
     for a2real, (_, b2) in b2_roots.items():
@@ -266,7 +267,7 @@ def certify_belief_and_cost_identities(
     return report
 
 
-def _path_runner(model: TeamModel, info: InfoStructure, cache: StepCache, presc: dict) -> PolicyRunner:
+def _path_runner(cache: StepCache, presc: dict) -> PolicyRunner:
     """The runner of a decorated path {(t, accessible realization): (gamma1,
     gamma2)}: both agents play 0 off it, agent 2 by `TreePsi2`."""
 
@@ -274,8 +275,8 @@ def _path_runner(model: TeamModel, info: InfoStructure, cache: StepCache, presc:
         pair = presc.get((b1.t, a2real))
         return 0 if pair is None else pair[0](b1)
 
-    psi2 = TreePsi2(model, info, {key: g2 for key, (_, g2) in presc.items()})
-    return PolicyRunner(model, info, cache, psi2, action1, lambda b1: b1)
+    psi2 = TreePsi2(cache.model, cache.info, {key: g2 for key, (_, g2) in presc.items()})
+    return PolicyRunner(cache, psi2, action1, lambda b1: b1)
 
 
 def _consistent_draws(model, info, entries, runner, t, a2real):

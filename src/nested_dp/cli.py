@@ -274,7 +274,7 @@ def _cmd_pbp_approx(args) -> int:
             "value": format_ratio(pbp.value),
             "n": args.n,
             "nodes": len(pbp.memo),
-            "lattice_sizes": {str(t): lat.lattice_size(pbp.dimension(t), args.n) for t in pbp.private_lists},
+            "lattice_sizes": {str(t): lat.lattice_size(pbp.dimension(t), args.n) for t in range(model.horizon + 1)},
         }
     )
     return 0

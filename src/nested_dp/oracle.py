@@ -45,6 +45,7 @@ so minimizing over the enumeration is minimizing over all strategies.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -100,28 +101,18 @@ def build_joint(model: TeamModel, budget: int | None = None) -> JointTable:
             f"joint table would hold {count} assignments, over the cap of {cap}",
             estimate=count,
         )
-    w_supports = [list(model.w_dist(t).items()) for t in range(T)]
-    v1_supports = [list(model.v_dist(1, t).items()) for t in range(T + 1)]
-    v2_supports = [list(model.v_dist(2, t).items()) for t in range(T + 1)]
+    # one support per draw, in omega's order: x0, each w[t], each v1[t], each v2[t]
+    supports = [
+        model.x0_dist.items(),
+        *(model.w_dist(t).items() for t in range(T)),
+        *(model.v_dist(1, t).items() for t in range(T + 1)),
+        *(model.v_dist(2, t).items() for t in range(T + 1)),
+    ]
     entries = []
-    for x0, px in model.x0_dist.items():
-        for ws in itertools.product(*w_supports):
-            for v1s in itertools.product(*v1_supports):
-                for v2s in itertools.product(*v2_supports):
-                    p = px
-                    for _, q in ws:
-                        p *= q
-                    for _, q in v1s:
-                        p *= q
-                    for _, q in v2s:
-                        p *= q
-                    omega = (
-                        x0,
-                        tuple(w for w, _ in ws),
-                        tuple(v for v, _ in v1s),
-                        tuple(v for v, _ in v2s),
-                    )
-                    entries.append((omega, p))
+    for draw in itertools.product(*supports):
+        values = [v for v, _ in draw]
+        omega = (values[0], tuple(values[1 : T + 1]), tuple(values[T + 1 : 2 * T + 2]), tuple(values[2 * T + 2 :]))
+        entries.append((omega, math.prod(q for _, q in draw)))
     return JointTable(tuple(entries))
 
 

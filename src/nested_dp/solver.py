@@ -241,7 +241,7 @@ class ExactSolution:
     roots: dict[A2Real, tuple[Fraction, Belief2]]
     memo: dict[Belief2, tuple[Fraction, Prescription, Prescription]]
     pairs_enumerated: int
-    cache: StepCache = field(default_factory=StepCache, compare=False, repr=False)
+    cache: StepCache = field(compare=False, repr=False)
 
     @cached_property
     def table(self) -> dict[tuple[int, A2Real], tuple[Prescription, Prescription]]:
@@ -254,7 +254,7 @@ class ExactSolution:
         def walk(b2: Belief2, a2real: A2Real):
             g1, g2 = table[(b2.t, a2real)] = self.memo[b2][1:]
             if b2.t < self.model.horizon:
-                for z2real, (_, nxt) in belief2_step(self.model, self.info, b2, g1, g2, self.cache).items():
+                for z2real, (_, nxt) in belief2_step(b2, g1, g2, self.cache).items():
                     walk(nxt, extend_a2(self.info, b2.t, a2real, z2real))
 
         for a2real, (_, b2) in self.roots.items():
@@ -328,7 +328,7 @@ def solve_exact(model: TeamModel, info: InfoStructure, budget: int | None = None
     passes the budget.
     """
     T = model.horizon
-    cache = StepCache()
+    cache = StepCache(model, info)
     costs = [_scaled_costs(model.cost_table[t]) for t in range(T + 1)]
     l2_lists = [enumerate_private(info, model, t) for t in range(T + 1)]
 
@@ -395,7 +395,7 @@ def solve_exact(model: TeamModel, info: InfoStructure, budget: int | None = None
             for u1 in range(n_u1)
             for acts in itertools.product(range(n_u2), repeat=len(read))
         ]
-        step = SharedStep(model, info, b2, cache, choices)
+        step = SharedStep(b2, cache, choices)
         parts = step.parts
         # on_support[k][i]: agent 2's actions on points[i]'s private support under all_a2[k]
         on_support = [[tuple(a2[j] for j in read) for read in reads] for a2 in all_a2]
@@ -411,7 +411,7 @@ def solve_exact(model: TeamModel, info: InfoStructure, budget: int | None = None
                 yield (a1, a2), cost, [(total * scale, b2n) for total, b2n in branches.values()]
 
     dp = MemoArgmin({}, resolve_budget(budget), "prescription pairs", expand)
-    roots = cache.roots2(model, info)
+    roots = cache.roots2()
     total = Fraction(0)
     for p, b2 in roots.values():
         total += p * dp.value(b2)
@@ -462,7 +462,7 @@ def extract_control_strategy(solution: ExactSolution) -> "PolicyRunner":
             raise MissingKey(f"no prescription pair for t={b1.t}, accessible realization {a2real}")
         return pair[0](b1)
 
-    return PolicyRunner(model, info, solution.cache, optimal_psi2(model, info, solution), action1, lambda b1: b1)
+    return PolicyRunner(solution.cache, optimal_psi2(model, info, solution), action1, lambda b1: b1)
 
 
 # ---------------------------------------------------------------------------
@@ -600,9 +600,8 @@ class PbpSolution:
     roots: dict[tuple[int, ...], tuple[Fraction, Belief1, A2Real]]
     memo: dict[tuple[Belief1, A2Real], tuple[Fraction, int]]
     resolution: int | None  # lattice resolution, None for the exact solve
-    private_lists: dict[int, list] = field(default_factory=dict)
+    cache: StepCache = field(compare=False, repr=False)
     _on_demand: MemoArgmin | None = field(default=None, compare=False, repr=False)
-    cache: StepCache = field(default_factory=StepCache, compare=False, repr=False)
     _snaps: dict[Belief1, Belief1] = field(default_factory=dict, compare=False, repr=False)
 
     def action_at(self, b1: Belief1, a2real: A2Real) -> int:
@@ -620,8 +619,10 @@ class PbpSolution:
         return hit[1]
 
     def dimension(self, t: int) -> int:
-        """Coordinates of a stage-t belief vector: |X_t| * |L2_t|."""
-        return self.model.states[t].size * len(self.private_lists[t])
+        """Coordinates of a stage-t belief vector: |X_t| * |L2_t|, the
+        product of the private variables' space sizes."""
+        model, info = self.model, self.info
+        return model.states[t].size * math.prod(info.var_space_size(model, v) for v in info.l2[t])
 
     def snap(self, b1: Belief1) -> Belief1:
         """The lattice point nearest to b1 (b1 itself for the exact solve),
@@ -693,9 +694,8 @@ def _pbp_solve(
     budget: int | None,
 ) -> PbpSolution:
     T = model.horizon
-    private_lists = {t: enumerate_private(info, model, t) for t in range(T + 1)}
-    sol = PbpSolution(model, info, psi2, Fraction(0), {}, {}, resolution, private_lists)
-    cache = sol.cache
+    cache = StepCache(model, info)
+    sol = PbpSolution(model, info, psi2, Fraction(0), {}, {}, resolution, cache)
     costs = [_scaled_costs(model.cost_table[t]) for t in range(T + 1)]
 
     def expand(node):
@@ -719,13 +719,13 @@ def _pbp_solve(
             for u1 in range(len(h)):
                 branches[u1] = [
                     (q.numerator, q.denominator, (sol.snap(nxt), extend_a2(info, t, a2real, z2_of(z1))))
-                    for z1, (q, nxt) in cache.step1_on(model, info, b1, u1, acts).items()
+                    for z1, (q, nxt) in cache.step1_on(b1, u1, acts).items()
                 ]
         yield from _agent1_node(denom * cost_denom, h, branches)
 
     dp = MemoArgmin(sol.memo, resolve_budget(budget), "value nodes", expand)
     a2_of = step_plan(info, -1).z2_of  # a2[0] = z2[0]
-    for z1real, (p, b1) in cache.step1(model, info, _prior1(model), 0, _NULL2).items():
+    for z1real, (p, b1) in cache.step1(_prior1(model), 0, _NULL2).items():
         a2real = a2_of(z1real)
         b1 = sol.snap(b1)
         sol.roots[z1real] = (p, b1, a2real)
@@ -772,7 +772,8 @@ class PolicyRunner:
     realization)` to its private realization.
 
     Agent 1 keeps two chains, both stepped from the prior through `cache`
-    (the solve's, so it finds the steps the solve took), time 0 included:
+    (the solve's, which holds the model and structure the runner plays on,
+    so it finds the steps the solve took), time 0 included:
     the exact posterior, and the chain `action1` reads, each step `snap`ped
     (the identity for exact policies, the nearest lattice point for lattice
     ones).  A realized observation the snapped chain rules out re-anchors it
@@ -781,23 +782,21 @@ class PolicyRunner:
     the prior rules out raises ZeroProbabilityObservation.
     """
 
-    def __init__(self, model: TeamModel, info: InfoStructure, cache: StepCache, psi2, action1, snap):
-        self.model = model
-        self.info = info
+    def __init__(self, cache: StepCache, psi2, action1, snap):
         self.cache = cache
         self.psi2 = psi2
         self.action1 = action1
         self.snap = snap
-        self.prior = _prior1(model)
+        self.prior = _prior1(cache.model)
 
     def fresh_state(self):
         return {"exact": self.prior, "b1": self.prior, "g2": _NULL2}
 
     def act(self, st, t, values):
-        model, info, cache = self.model, self.info, self.cache
+        cache, info = self.cache, self.cache.info
         u1, z1 = _observed(info, t, values)
-        exact = cache.update1(model, info, st["exact"], u1, st["g2"], z1)
-        b1 = cache.step1(model, info, st["b1"], u1, st["g2"]).get(z1, (None, exact))[1]
+        exact = cache.update1(st["exact"], u1, st["g2"], z1)
+        b1 = cache.step1(st["b1"], u1, st["g2"]).get(z1, (None, exact))[1]
         st["exact"], st["b1"] = exact, self.snap(b1)
         a2 = tuple(values[v] for v in info.a2[t])
         # the rule first: a history off a table raises the table's MissingKey
@@ -807,7 +806,7 @@ class PolicyRunner:
 
 
 def extract_pbp_strategy(pbp: PbpSolution) -> PolicyRunner:
-    return PolicyRunner(pbp.model, pbp.info, pbp.cache, pbp.psi2, pbp.action_at, pbp.snap)
+    return PolicyRunner(pbp.cache, pbp.psi2, pbp.action_at, pbp.snap)
 
 
 # ---------------------------------------------------------------------------

@@ -159,7 +159,7 @@ class TestInitialBeliefs:
     def test_empty_accessible_gives_prior(self):
         model = certification_instance(0)
         info = build_delayed_structure(model, 1)
-        b2 = StepCache().roots2(model, info)[()][1]
+        b2 = StepCache(model, info).roots2()[()][1]
         marg = {}
         for (x, ell, _), w in b2.items():
             marg[x] = marg.get(x, Fraction(0)) + w
@@ -176,11 +176,11 @@ class TestUpdateBelief2:
     def test_deterministic_point_mass_chain(self):
         model = deterministic_model()
         info = build_delayed_structure(model, 0)
-        b2 = StepCache().roots2(model, info)[(1,)][1]
+        b2 = StepCache(model, info).roots2()[(1,)][1]
         assert len(b2.support()) == 1
         g1 = Prescription.for_agent1(0, {b2.belief1_support()[0]: 0})
         g2 = gamma2_const(info, model, 0, 1)
-        step = belief2_step(model, info, b2, g1, g2, StepCache())
+        step = belief2_step(b2, g1, g2, StepCache(model, info))
         assert len(step) == 1
         (z2, (p, nxt)), = step.items()
         assert p == 1 and len(nxt.support()) == 1
@@ -188,10 +188,10 @@ class TestUpdateBelief2:
     def test_impossible_increment_raises(self):
         model = deterministic_model()
         info = build_delayed_structure(model, 0)
-        b2 = StepCache().roots2(model, info)[(1,)][1]
+        b2 = StepCache(model, info).roots2()[(1,)][1]
         g1 = Prescription.for_agent1(0, {b2.belief1_support()[0]: 0})
         g2 = gamma2_const(info, model, 0, 1)
-        branches = belief2_step(model, info, b2, g1, g2, StepCache())
+        branches = belief2_step(b2, g1, g2, StepCache(model, info))
         (z2,) = branches.keys()
         bad = tuple((v + 1) % 2 for v in z2)
         assert bad not in branches
@@ -199,13 +199,13 @@ class TestUpdateBelief2:
     def test_domain_gap_when_gamma1_misses_a_support_point(self):
         model = certification_instance(0)
         info = build_delayed_structure(model, 1)
-        b2 = StepCache().roots2(model, info)[()][1]
+        b2 = StepCache(model, info).roots2()[()][1]
         points = b2.belief1_support()
         assert len(points) > 1
         partial = Prescription.for_agent1(0, {points[0]: 0})
         g2 = gamma2_const(info, model, 0, 0)
         with pytest.raises(DomainGap):
-            belief2_step(model, info, b2, partial, g2, StepCache())
+            belief2_step(b2, partial, g2, StepCache(model, info))
 
     def test_one_agent1_step_per_inner_belief(self, monkeypatch):
         """The shared step is a mixture of agent-1 steps: one belief1_step
@@ -226,12 +226,12 @@ class TestUpdateBelief2:
 
         monkeypatch.setattr(beliefs_mod, "belief1_step", counting_step)
         monkeypatch.setattr(beliefs_mod, "update_belief1", no_update)
-        for _, b2 in StepCache().roots2(model, info).values():
+        for _, b2 in StepCache(model, info).roots2().values():
             points = b2.belief1_support()
             assert len(points) > 1
             stepped.clear()
             g1 = Prescription.for_agent1(0, {b: 0 for b in points})
-            belief2_step(model, info, b2, g1, gamma2_const(info, model, 0, 0), StepCache())
+            belief2_step(b2, g1, gamma2_const(info, model, 0, 0), StepCache(model, info))
             assert sorted(stepped, key=Belief1.sort_key) == points
 
     @pytest.mark.parametrize("d", range(4))
@@ -239,7 +239,7 @@ class TestUpdateBelief2:
         """Every reachable shared-belief entry is mixture()[b1] * b1(x, ell)."""
         model = certification_instance(1)
         info = build_delayed_structure(model, d)
-        frontier = [b2 for _, b2 in StepCache().roots2(model, info).values()]
+        frontier = [b2 for _, b2 in StepCache(model, info).roots2().values()]
         while frontier:
             b2 = frontier.pop()
             mix = b2.mixture()
@@ -249,18 +249,18 @@ class TestUpdateBelief2:
             if b2.t < model.horizon:
                 g1 = Prescription.for_agent1(b2.t, {b: b2.t % 2 for b in mix})
                 g2 = gamma2_const(info, model, b2.t, 1)
-                frontier.extend(nxt for _, nxt in belief2_step(model, info, b2, g1, g2, StepCache()).values())
+                frontier.extend(nxt for _, nxt in belief2_step(b2, g1, g2, StepCache(model, info)).values())
 
     def test_marginal_and_mixture_agree(self):
         model = certification_instance(1)
         info = build_delayed_structure(model, 1)
-        for _, b2 in StepCache().roots2(model, info).values():
+        for _, b2 in StepCache(model, info).roots2().values():
             assert b2.marginal_state_private() == b2.mixture_state_private()
 
     def test_json_round_trip(self):
         model = certification_instance(0)
         info = build_delayed_structure(model, 1)
-        for _, b2 in StepCache().roots2(model, info).values():
+        for _, b2 in StepCache(model, info).roots2().values():
             assert belief2_from_json(b2.to_json()) == b2
 
 
@@ -296,14 +296,14 @@ class TestExpectedCosts:
             ),
         )
         info = build_delayed_structure(zero, 1)
-        b2 = StepCache().roots2(zero, info)[()][1]
+        b2 = StepCache(zero, info).roots2()[()][1]
         g1 = Prescription.for_agent1(0, {b: 0 for b in b2.belief1_support()})
         assert expected_cost2(zero, b2, g1, gamma2_const(info, zero, 0, 0)) == 0
 
     def test_point_mass_cost2(self):
         model = deterministic_model()
         info = build_delayed_structure(model, 0)
-        b2 = StepCache().roots2(model, info)[(1,)][1]
+        b2 = StepCache(model, info).roots2()[(1,)][1]
         ((x, ell, b1),) = b2.support()
         g1 = Prescription.for_agent1(0, {b1: 1})
         g2 = gamma2_const(info, model, 0, 0)
@@ -318,11 +318,11 @@ class TestBranchWeights:
 
         model = certification_instance(2)
         info = build_delayed_structure(model, 1)
-        for _, b2 in StepCache().roots2(model, info).values():
+        for _, b2 in StepCache(model, info).roots2().values():
             l2_reals = enumerate_private(info, model, 0)
             for g1 in all_agent1_prescriptions(0, b2.belief1_support(), 2):
                 for g2 in all_agent2_prescriptions(0, l2_reals, 2):
-                    step = belief2_step(model, info, b2, g1, g2, StepCache())
+                    step = belief2_step(b2, g1, g2, StepCache(model, info))
                     assert sum(p for p, _ in step.values()) == 1
 
 
@@ -337,10 +337,10 @@ class TestSupportGrowth:
         joint = orc.build_joint(model)
         tables = next(iter(orc.enumerate_agent2_strategies(model, info, joint)))
         histories = _m1_histories(model, info, joint, orc._table_lookup(info.m2, 2, tables))
-        cache = StepCache()
+        cache = StepCache(model, info)
         for t in range(model.horizon + 1):
             beliefs = {
-                _chain_belief1(model, info, cache, tables, t, m1real)[0] for m1real in histories[t]
+                _chain_belief1(cache, tables, t, m1real)[0] for m1real in histories[t]
             }
             assert len(beliefs) <= len(histories[t])
 

@@ -53,7 +53,7 @@ def test_belief_serialization_golden_file():
     stored = json.loads((FIXTURES / "belief_golden.json").read_text())
     model = certification_instance(0)
     info = build_delayed_structure(model, 1)
-    b2 = StepCache().roots2(model, info)[()][1]
+    b2 = StepCache(model, info).roots2()[()][1]
     assert b2.to_json() == stored
     assert belief2_from_json(stored) == b2
 

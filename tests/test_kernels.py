@@ -304,7 +304,7 @@ def reference_pbp(model, info, psi2, resolution=None):
     and the memo."""
     T = model.horizon
     plists = {t: enumerate_private(info, model, t) for t in range(T + 1)}
-    cache = StepCache()
+    cache = StepCache(model, info)
 
     def snap(b1):
         if resolution is None:
@@ -320,14 +320,14 @@ def reference_pbp(model, info, psi2, resolution=None):
         return t, 1, (
             ((u1,), expected_cost1(model, b1, u1, g2), (
                 (p, (snap(b1n), extend_a2(info, t, a2real, z2_of(z1))))
-                for z1, (p, b1n) in (cache.step1(model, info, b1, u1, g2).items() if t < T else ())
+                for z1, (p, b1n) in (cache.step1(b1, u1, g2).items() if t < T else ())
             ))
             for u1 in range(model.action_space(1, t).size)
         )
 
     dp = ref_argmin({}, 10**9, "value nodes", expand)
     a2_of = step_plan(info, -1).z2_of
-    roots = cache.step1(model, info, _prior1(model), 0, _NULL2).items()
+    roots = cache.step1(_prior1(model), 0, _NULL2).items()
     value = sum((p * dp.value((snap(b1), a2_of(z1))) for z1, (p, b1) in roots), Fraction(0))
     return value, dp.memo
 
@@ -339,7 +339,7 @@ def ref_lipschitz(sol):
     each belief as its `belief1_vector`."""
     groups = {}
     for (b1, a2real), (v, _) in sol.memo.items():
-        vec = belief1_vector(sol.model, sol.private_lists[b1.t], b1)
+        vec = belief1_vector(sol.model, enumerate_private(sol.info, sol.model, b1.t), b1)
         groups.setdefault((b1.t, a2real), []).append((vec, v))
     best = Fraction(0)
     for pairs in groups.values():
@@ -412,7 +412,7 @@ def walk_team(model, info, rng, pairs_per_node=2, max_steps=None):
     prescription pairs per node, stopping after `max_steps` shared steps
     when given.  Returns the number of shared steps compared."""
     assert_same_branches(initial_belief1_roots(model, info), ref_initial_belief1_roots(model, info))
-    roots = StepCache().roots2(model, info)
+    roots = StepCache(model, info).roots2()
     assert_same_branches(roots, ref_initial_belief2_roots(model, info))
     frontier = [b2 for _, b2 in roots.values()]
     steps = 0
@@ -432,7 +432,7 @@ def walk_team(model, info, rng, pairs_per_node=2, max_steps=None):
                 assert_same_branches(
                     belief1_step(model, info, b1, g1(b1), g2), ref_belief1_step(model, info, b1, g1(b1), g2)
                 )
-            branches = belief2_step(model, info, b2, g1, g2, StepCache())
+            branches = belief2_step(b2, g1, g2, StepCache(model, info))
             assert_same_branches(branches, ref_belief2_step(model, info, b2, g1, g2))
             frontier.extend(nxt for _, nxt in branches.values())
             steps += 1
@@ -682,7 +682,7 @@ class TestPriorStep:
         for d in range(horizon + 2):
             info = build_delayed_structure(model, d)
             assert_same_branches(initial_belief1_roots(model, info), ref_initial_belief1_roots(model, info))
-            assert_same_branches(StepCache().roots2(model, info), ref_initial_belief2_roots(model, info))
+            assert_same_branches(StepCache(model, info).roots2(), ref_initial_belief2_roots(model, info))
             dec_info = build_delayed_structure(dec_mod.embed(dec), d)
             assert_same_branches(dec_mod.initial_theta1_roots(dec), ref_initial_theta1_roots(dec))
             assert_same_branches(dec_mod.initial_theta2_roots(dec, dec_info), ref_initial_theta2_roots(dec, dec_info))
@@ -707,15 +707,15 @@ class TestPriorStep:
         info = build_delayed_structure(model, d)
         solution = solve_exact(model, info)
         assert len(priors) == 1
-        cache = StepCache()
-        fresh = cache.roots2(model, info)
+        cache = StepCache(model, info)
+        fresh = cache.roots2()
         assert len(priors) == 2
         assert list(solution.roots) == list(fresh) and solution.roots == fresh
         for roots, interned in ((solution.roots, solution.cache.beliefs2), (fresh, cache.beliefs2)):
             assert all(any(b2 is post for post in interned.values()) for _, b2 in roots.values())
-        again = solution.cache.roots2(model, info)
+        again = solution.cache.roots2()
         assert all(again[key][1] is b2 for key, (_, b2) in solution.roots.items())
-        solution.cache.step1(model, info, _prior1(model), 0, _NULL2)
+        solution.cache.step1(_prior1(model), 0, _NULL2)
         assert len(priors) == 2
 
 
@@ -988,7 +988,7 @@ class TestMeasuredLipschitz:
         off = [
             (x, ell)
             for x in range(model.states[b1.t].size)
-            for ell in sol.private_lists[b1.t]
+            for ell in enumerate_private(info, model, b1.t)
             if (x, ell) not in b1.support()
         ]
         if not off:
@@ -996,8 +996,8 @@ class TestMeasuredLipschitz:
         twin = Belief1(b1.t, tuple(sorted(b1.entries + ((off[pick % len(off)], Fraction(0)),))))
         value, u1 = sol.memo[(b1, a2real)]
         sol.memo[(twin, a2real)] = (value + shift, u1)
-        assert belief1_vector(model, sol.private_lists[b1.t], twin) == belief1_vector(
-            model, sol.private_lists[b1.t], b1
+        assert belief1_vector(model, enumerate_private(info, model, b1.t), twin) == belief1_vector(
+            model, enumerate_private(info, model, b1.t), b1
         )
         assert sol.measured_lipschitz() == ref_lipschitz(sol)
 
@@ -1008,8 +1008,8 @@ def uncached_solve(model, info):
     across nodes and no posterior is interned."""
 
     class Uncached(solver_mod.SharedStep):
-        def __init__(self, model, info, b2, cache, choices):
-            super().__init__(model, info, b2, StepCache(), choices)
+        def __init__(self, b2, cache, choices):
+            super().__init__(b2, StepCache(cache.model, cache.info), choices)
             self.interned = None
 
     with pytest.MonkeyPatch.context() as mp:
@@ -1094,6 +1094,37 @@ class TestInterning:
         assert list(first.memo.items()) == list(second.memo.items())
         assert not {id(b2) for b2 in second.memo} & {id(b2) for b2 in [*first.memo, *seen]}
 
+    @staticmethod
+    def equal_priors_other_channels():
+        """Seeds 0 and 4 at d=1: equal initial state laws, different time-0
+        posteriors, so a memo keyed on beliefs alone would mix them up."""
+        pairs = [(model, build_delayed_structure(model, 1)) for model in map(certification_instance, (0, 4))]
+        (m0, i0), (m4, i4) = pairs
+        assert m0.x0_dist == m4.x0_dist
+        assert ref_initial_belief2_roots(m0, i0) != ref_initial_belief2_roots(m4, i4)
+        return pairs
+
+    def test_each_cache_serves_its_own_model(self):
+        """Calls on two caches, interleaved, each return its own model's
+        time-0 steps."""
+        pairs = self.equal_priors_other_channels()
+        caches = [StepCache(model, info) for model, info in pairs]
+        for _ in range(2):
+            for (model, info), cache in zip(pairs, caches):
+                assert_same_branches(cache.roots2(), ref_initial_belief2_roots(model, info))
+                prior = _prior1(model)
+                assert_same_branches(cache.step1(prior, 0, _NULL2), belief1_step(model, info, prior, 0, _NULL2))
+
+    def test_back_to_back_solves_equal_solves_alone(self):
+        """Two solves in a row each give the memo and value of the Fraction
+        reference solve, which keeps no step cache at all."""
+        pairs = self.equal_priors_other_channels()
+        back_to_back = [solve_exact(model, info) for model, info in pairs]
+        for (model, info), ours in zip(pairs, back_to_back):
+            value, memo, _, _ = reference_solve(model, info)
+            assert ours.value == value
+            assert list(ours.memo.items()) == list(memo.items())
+
     @given(
         nums=st.lists(st.integers(1, 50), min_size=2, max_size=5),
         k=st.integers(2, 9),
@@ -1137,7 +1168,7 @@ class TestScaledForms:
     def test_belief_scaled_is_exact(self):
         model = noisy_model(0)
         info = build_delayed_structure(model, 1)
-        for _, b2 in StepCache().roots2(model, info).values():
+        for _, b2 in StepCache(model, info).roots2().values():
             denom, entries = b2.scaled()
             assert [(k, Fraction(n, denom)) for k, n in entries] == list(b2.entries)
             for b1 in b2.belief1_support():
@@ -1147,7 +1178,7 @@ class TestScaledForms:
     def test_mixture_is_cached_and_read_only(self):
         model = certification_instance(0)
         info = build_delayed_structure(model, 1)
-        for _, b2 in StepCache().roots2(model, info).values():
+        for _, b2 in StepCache(model, info).roots2().values():
             mix = b2.mixture()
             assert b2.mixture() is mix
             assert dict(mix) == ref_mixture(b2)
@@ -1297,7 +1328,7 @@ class TestIntegerBeliefs:
         # a lattice point: the solve's integer snap against the Fraction nearest point
         res = data.draw(st.integers(1, 12))
         model = SimpleNamespace(states={t: FiniteSpace("X", 3)})
-        snapped = PbpSolution(model, None, None, Fraction(0), {}, {}, res, {t: PLIST}).snap(ints)
+        snapped = PbpSolution(model, None, None, Fraction(0), {}, {}, res, StepCache(model, None)).snap(ints)
         point = belief1_from_vector(t, PLIST, lat.nearest_point(belief1_vector(model, PLIST, ints), res))
         assert snapped == point and hash(snapped) == hash(point)
 

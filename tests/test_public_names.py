@@ -95,3 +95,28 @@ def test_every_public_name_has_a_caller():
         if name not in called
     }
     assert uncalled == UNCALLED_API
+
+
+def test_step_cache_owns_its_context():
+    """A `StepCache` holds the model and structure it serves, so no step is
+    given them again: no function under `src/nested_dp/` has a `cache`
+    parameter beside a `model` or `info` one, and no `StepCache` method
+    but its constructor takes `model` or `info`."""
+
+    def params(fn):
+        args = fn.args
+        return {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)}
+
+    beside, methods = [], []
+    for path in sorted((ROOT / "src" / "nested_dp").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and "cache" in params(node) and params(node) & {"model", "info"}:
+                beside.append(f"{path.name}:{node.lineno} {node.name}")
+            elif isinstance(node, ast.ClassDef) and node.name == "StepCache":
+                methods += [
+                    f"{path.name}:{fn.lineno} StepCache.{fn.name}"
+                    for fn in node.body
+                    if isinstance(fn, ast.FunctionDef) and fn.name != "__init__" and params(fn) & {"model", "info"}
+                ]
+    assert beside == []
+    assert methods == []

@@ -65,13 +65,13 @@ def full_scan_solve(model, info):
         n_u2 = model.action_space(2, t).size
         return t, 0, (
             ((g1, g2), expected_cost2(model, b2, g1, g2),
-             belief2_step(model, info, b2, g1, g2, StepCache()).values() if t < T else ())
+             belief2_step(b2, g1, g2, StepCache(model, info)).values() if t < T else ())
             for g1 in all_agent1_prescriptions(t, points, n_u1)
             for g2 in all_agent2_prescriptions(t, l2_reals, n_u2)
         )
 
     dp = ref_argmin({}, 0, "prescription pairs", expand)
-    value = sum((p * dp.value(b2) for p, b2 in StepCache().roots2(model, info).values()), Fraction(0))
+    value = sum((p * dp.value(b2) for p, b2 in StepCache(model, info).roots2().values()), Fraction(0))
     return value, dp.memo
 
 
@@ -135,9 +135,9 @@ class TestSupportRestriction:
             return real_step1(model, info, b1, u1, gamma2)
 
         class CountingSharedStep(solver_mod.SharedStep):
-            def __init__(self, model, info, b2, cache, choices):
+            def __init__(self, b2, cache, choices):
                 inner.append(len(choices))
-                super().__init__(model, info, b2, cache, choices)
+                super().__init__(b2, cache, choices)
 
         monkeypatch.setattr(beliefs_mod, "belief1_step", counting_step1)
         monkeypatch.setattr(solver_mod, "SharedStep", CountingSharedStep)
@@ -151,7 +151,7 @@ class TestSolveExact:
         model = certification_instance(0, horizon=0)
         info = build_delayed_structure(model, 1)
         solution = solve_exact(model, info)
-        roots = StepCache().roots2(model, info)
+        roots = StepCache(model, info).roots2()
         total = Fraction(0)
         for a2real, (p, b2) in roots.items():
             candidates = []
@@ -285,7 +285,7 @@ class TableReference:
     stops tracking its belief."""
 
     def __init__(self, model, info, table):
-        self.model, self.info, self.table, self.cache = model, info, table, StepCache()
+        self.model, self.info, self.table, self.cache = model, info, table, StepCache(model, info)
 
     def fresh_state(self):
         return {"b1": _prior1(self.model), "g2": _NULL2}
@@ -294,7 +294,7 @@ class TableReference:
         if st["g2"] is None:
             return 0, 0
         u1, z1 = _observed(self.info, t, values)
-        b1 = self.cache.update1(self.model, self.info, st["b1"], u1, st["g2"], z1)
+        b1 = self.cache.update1(st["b1"], u1, st["g2"], z1)
         pair = self.table.get((t, tuple(values[v] for v in self.info.a2[t])))
         if pair is None:
             st["g2"] = None
@@ -356,7 +356,7 @@ class TestPrescriptionTable:
         both agents play 0 at every later time, without raising."""
         model, info, solution, _ = solved
         table = {key: pair for key, pair in solution.table.items() if key[0] == 0}
-        runner = _path_runner(model, info, StepCache(), table)
+        runner = _path_runner(StepCache(model, info), table)
         for traj in plays_as_table(model, info, runner, table):
             later = range(1, model.horizon + 1)
             assert all(traj.value_of((kind, t)) == 0 for kind in ("U1", "U2") for t in later)
@@ -372,7 +372,7 @@ class TestPrescriptionTable:
         model = make(seed)
         info = build_delayed_structure(model, d)
         solution = solve_exact(model, info)
-        for runner in (extract_control_strategy(solution), _path_runner(model, info, StepCache(), solution.table)):
+        for runner in (extract_control_strategy(solution), _path_runner(StepCache(model, info), solution.table)):
             assert list(plays_as_table(model, info, runner, solution.table))
 
     def test_extractions_share_one_walk(self, monkeypatch):
@@ -383,7 +383,7 @@ class TestPrescriptionTable:
         real_step = solver_mod.belief2_step
 
         def counting_step(*args):
-            calls.append(args[2])
+            calls.append(args[0])
             return real_step(*args)
 
         monkeypatch.setattr(solver_mod, "belief2_step", counting_step)
@@ -687,7 +687,7 @@ class TestLatticeFreeSnap:
     def test_snap_matches_lattice_reference(self, setting, n, t, weights):
         model, info, psi2 = setting
         pbp = solve_pbp_approx(model, info, psi2, n)
-        plist = pbp.private_lists[t]
+        plist = enumerate_private(info, model, t)
         m = pbp.dimension(t)
         assume(any(weights[:m]))
         vec = tuple(Fraction(w, sum(weights[:m])) for w in weights[:m])
@@ -743,7 +743,7 @@ class TestLatticeCoverage:
             info = build_delayed_structure(model, d)
             exact = solve_pbp_exact(model, info, HashedPsi2(model, info, 7))
             for b1, _ in exact.memo:
-                vec = belief1_vector(model, exact.private_lists[b1.t], b1)
+                vec = belief1_vector(model, enumerate_private(info, model, b1.t), b1)
                 for r in range(1, 17):
                     on_lattice = all((c * r).denominator == 1 for c in vec)
                     assert (r % b1.scaled()[0] == 0) == on_lattice
